@@ -2,7 +2,9 @@
 
 Everything in here is deliberately brute-force and self-contained (numpy only,
 no imports from the package under test) so that a disagreement points at the
-implementation, not at a shared helper.
+implementation, not at a shared helper.  The one exception is
+`exhaustive_split`, the full-point split search the package's screened search
+must agree with, which is built on the package's public `evaluate_split`.
 """
 
 import numpy as np
@@ -114,6 +116,31 @@ def mvbb_grid_volume(points, step_deg=2.0, chunk=8192):
         ext = proj.max(axis=1) - proj.min(axis=1)
         vols = ext.reshape(-1, 3).prod(axis=1)
         best = min(best, float(vols.min()))
+    return best
+
+
+# ---------------------------------------------------------------------------
+# Full-point split search
+# ---------------------------------------------------------------------------
+
+def exhaustive_split(points, box, planes_per_axis=16, refine_steps=3):
+    """Minimum summed-volume split over every candidate plane, each side fit
+    on all of its points; None when no plane leaves two fit-able sides.
+
+    Ties resolve to the lowest axis, then the smallest offset.
+    """
+    from pregrasp.decomposition import SplitPlane, candidate_offsets, evaluate_split
+    from pregrasp.errors import DegenerateInput, EmptySide
+
+    best = None
+    for axis in range(3):
+        for offset in candidate_offsets(box.half_extents[axis], planes_per_axis):
+            try:
+                ev = evaluate_split(points, box, SplitPlane(axis, float(offset)), refine_steps)
+            except (EmptySide, DegenerateInput):
+                continue
+            if best is None or ev.volume_sum < best.volume_sum:
+                best = ev
     return best
 
 

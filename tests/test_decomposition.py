@@ -7,11 +7,18 @@ import _mvbb_frozen as frozen
 import helpers
 import oracles
 
-from pregrasp import DecompParams, decompose
+from pregrasp import DecompParams, decompose, decomposition
 from pregrasp.decomposition import (
     EXTENT_FLOOR,
+    SCREEN_DIRECTIONS,
+    SCREEN_FINALISTS,
+    DecompNode,
+    DecompTree,
     OrientedBox,
     SplitPlane,
+    _project,
+    _side_summary,
+    _slab_summaries,
     best_split,
     candidate_offsets,
     evaluate_split,
@@ -129,33 +136,91 @@ def test_evaluate_split_coincident_side_raises():
         evaluate_split(pts, box, SplitPlane(0, 0.0))
 
 
-def test_best_split_matches_exhaustive_oracle(lshape_cloud, lshape_tree):
-    params = DecompParams()
-    node = lshape_tree.node(0)
-    pts = lshape_cloud.points[node.point_indices]
-    best = None
-    for axis in range(3):
-        for offset in candidate_offsets(node.box.half_extents[axis], params.planes_per_axis):
-            try:
-                ev = evaluate_split(pts, node.box, SplitPlane(axis, float(offset)),
-                                    params.mvbb_refine_steps)
-            except (EmptySide, DegenerateInput):
-                continue
-            if best is None or ev.volume_sum < best.volume_sum:
-                best = ev
-    plane = best_split(node, lshape_cloud, params)
-    assert plane is not None
-    assert plane.axis == best.plane.axis
-    assert plane.offset == pytest.approx(best.plane.offset)
+def _reference_split(node, cloud, params):
+    """The accepted split of the exhaustive full-point search, or None."""
+    ev = oracles.exhaustive_split(cloud.points[node.point_indices], node.box,
+                                  params.planes_per_axis, params.mvbb_refine_steps)
+    if ev is None or ev.volume_sum > params.volume_ratio * node.box.volume:
+        return None
+    if min(len(ev.idx_a), len(ev.idx_b)) <= params.min_points / 2.0:
+        return None
+    return ev
 
 
-def test_best_split_tie_takes_smallest_offset():
-    # two clusters; every plane between them produces the identical partition,
-    # so the volume sums tie bit-for-bit and the first offset must win
+def _reference_decompose(cloud, params):
+    """decompose() with every split chosen by the exhaustive search."""
+    root = fit_obb(cloud.points, params.mvbb_refine_steps)
+    tree = DecompTree([DecompNode(0, root, np.arange(len(cloud.points)))])
+    for node in tree.nodes:          # visits appended children: breadth-first
+        if len(node.point_indices) < params.min_points:
+            continue
+        ev = _reference_split(node, cloud, params)
+        if ev is None:
+            continue
+        ida = len(tree.nodes)
+        tree.nodes.append(DecompNode(ida, ev.box_a, node.point_indices[ev.idx_a], node.id))
+        tree.nodes.append(DecompNode(ida + 1, ev.box_b, node.point_indices[ev.idx_b], node.id))
+        node.children = (ida, ida + 1)
+    return tree
+
+
+def _searched_nodes(tree, params):
+    return [n for n in tree.nodes if len(n.point_indices) >= params.min_points]
+
+
+def _two_cluster_cloud():
+    """Two separated blobs: every plane between them gives the same partition."""
     rng = np.random.default_rng(5)
     left = oracles.box_surface_points(rng, (0.02, 0.015, 0.01), 40) + [-0.08, 0.0, 0.0]
     right = oracles.box_surface_points(rng, (0.02, 0.015, 0.01), 40) + [+0.08, 0.0, 0.0]
-    cloud = PointCloud(np.concatenate([left, right]))
+    return PointCloud(np.concatenate([left, right]))
+
+
+def _coincident_outlier_cloud():
+    """A box with a lone outlier and a stack of duplicate points: planes that
+    cut either off leave a side whose points all coincide."""
+    rng = np.random.default_rng(8)
+    body = oracles.box_surface_points(rng, (0.05, 0.03, 0.02), 600)
+    return PointCloud(np.concatenate([body, [[0.2, 0.0, 0.0]], np.tile([-0.15, 0.05, 0.0], (4, 1))]))
+
+
+@pytest.mark.parametrize("case", ["sphere", "lshape", "dumbbell", "two-cluster", "coincident"]
+                         + [f"invariant-{seed}" for seed in range(20)])
+def test_decompose_matches_exhaustive_reference(case, request):
+    params = DecompParams()
+    if case in ("sphere", "lshape", "dumbbell"):
+        cloud = request.getfixturevalue(f"{case}_cloud")
+        tree = request.getfixturevalue(f"{case}_tree")
+    else:
+        if case == "two-cluster":
+            cloud, params = _two_cluster_cloud(), DecompParams(min_points=8)
+        elif case == "coincident":
+            cloud, params = _coincident_outlier_cloud(), DecompParams(min_points=100)
+        else:
+            cloud = PointCloud(helpers.random_invariant_cloud(int(case.split("-")[1])))
+        tree = decompose(cloud, params)
+    helpers.trees_identical(_reference_decompose(cloud, params), tree, helpers.CheckCounter())
+
+
+def test_best_split_matches_exhaustive_oracle(lshape_cloud, lshape_tree,
+                                              dumbbell_cloud, dumbbell_tree):
+    params = DecompParams()
+    searched = 0
+    for cloud, tree in ((lshape_cloud, lshape_tree), (dumbbell_cloud, dumbbell_tree)):
+        for node in _searched_nodes(tree, params):
+            ref = _reference_split(node, cloud, params)
+            plane = best_split(node, cloud, params)
+            assert (plane is None) == (ref is None), f"node {node.id}"
+            if ref is not None:
+                assert (plane.axis, plane.offset) == (ref.plane.axis, ref.plane.offset)
+            searched += 1
+    assert searched >= 4
+
+
+def test_best_split_tie_takes_smallest_offset():
+    # every plane between the two clusters produces the identical partition,
+    # so the volume sums tie bit-for-bit and the first offset must win
+    cloud = _two_cluster_cloud()
     params = DecompParams(min_points=8, planes_per_axis=16)
     tree = decompose(cloud, params)
     root = tree.node(0)
@@ -164,6 +229,61 @@ def test_best_split_tie_takes_smallest_offset():
     gap_offsets = [o for o in candidate_offsets(root.box.half_extents[0], 16)
                    if -0.06 + root.box.center[0] < o < 0.06 + root.box.center[0]]
     assert plane.offset == pytest.approx(gap_offsets[0])
+
+
+def test_split_search_refits_only_finalists(dumbbell_cloud, dumbbell_tree, monkeypatch):
+    # the screen leaves out empty and coincident sides, so no refit raises
+    params = DecompParams()
+    calls = []
+    real = decomposition.evaluate_split
+    monkeypatch.setattr(decomposition, "evaluate_split",
+                        lambda *args: calls.append(args[2]) or real(*args))
+    for node in _searched_nodes(dumbbell_tree, params):
+        calls.clear()
+        best_split(node, dumbbell_cloud, params)
+        assert 1 <= len(calls) <= SCREEN_FINALISTS
+
+
+def test_screen_slab_sums_match_direct_side_sums(lshape_cloud, lshape_tree):
+    node = lshape_tree.node(0)
+    pts = lshape_cloud.points[node.point_indices]
+    X = pts - pts.mean(axis=0)
+    dirs = SCREEN_DIRECTIONS @ node.box.rotation.T
+    proj = _project(X, dirs)
+    rng = np.random.default_rng(11)
+    sides = 0
+    for axis in range(3):
+        h = node.box.half_extents[axis]
+        offsets = np.sort(rng.uniform(-h, h, 8))
+        offsets[3] = offsets[4]                   # an empty slab between them
+        coord = (pts - node.box.center) @ node.box.axis(axis)
+        slabs = _slab_summaries(X, coord, offsets, dirs)
+        for k in range(1, len(offsets) + 1):
+            below = coord - offsets[k - 1] < 0.0
+            for first, stop, mask in ((0, k, below), (k, len(offsets) + 1, ~below)):
+                if not mask.any():
+                    continue
+                count, s1, s2, hi, lo, coreset = _side_summary(slabs, first, stop)
+                side = X[mask]
+                assert count == len(side)
+                np.testing.assert_allclose(s1, side.sum(axis=0), rtol=1e-12,
+                                           atol=1e-12 * np.abs(side).sum())
+                np.testing.assert_allclose(s2, side.T @ side, rtol=1e-12,
+                                           atol=1e-12 * (side ** 2).sum())
+                assert mask[coreset].all() and len(coreset) <= 2 * len(SCREEN_DIRECTIONS)
+                np.testing.assert_array_equal(hi, proj[mask].max(axis=0))
+                np.testing.assert_array_equal(lo, proj[mask].min(axis=0))
+                np.testing.assert_array_equal(proj[coreset].max(axis=0), hi)
+                np.testing.assert_array_equal(proj[coreset].min(axis=0), lo)
+                sides += 1
+    assert sides >= 40
+
+
+def test_screen_directions_are_primitive_antipodal_representatives():
+    assert SCREEN_DIRECTIONS.shape == (49, 3)
+    np.testing.assert_allclose(np.linalg.norm(SCREEN_DIRECTIONS, axis=1), 1.0)
+    cosines = SCREEN_DIRECTIONS @ SCREEN_DIRECTIONS.T
+    assert np.abs(cosines - np.eye(49)).max() < 1.0 - 1e-9   # no two parallel
 
 
 # ---------------------------------------------------------------------------
