@@ -21,8 +21,8 @@ from .graspeval import (ContactPoint, EvalParams, GraspCandidate, Wrench,
 from .pipeline import STAGES, RunConfig, run_pipeline
 from .pointcloud import (PointCloud, SYNTH_KINDS, load_cloud, load_results,
                          save_results, synth_shape)
-from .sampler import (GripperConfig, PreGrasp, Preshape, SamplingParams,
-                      generate_pool, preshape_for, select_nodes)
+from .sampler import (GripperConfig, PreGrasp, SamplingParams, generate_pool,
+                      select_nodes)
 
 __version__ = "0.1.0"
 
@@ -32,12 +32,12 @@ __all__ = [
     "EmptyCloud", "EmptySide", "EmptyWrenchSet", "EvalParams", "FaceDir",
     "FaceId", "FaceMask", "GraspCandidate", "GraspType", "GripperConfig",
     "NoContacts", "OrientedBox", "ParseError", "PcaResult", "PointCloud",
-    "PreGrasp", "PreGraspError", "Preshape", "RunConfig", "STAGES",
+    "PreGrasp", "PreGraspError", "RunConfig", "STAGES",
     "SYNTH_KINDS", "SamplingParams", "ShapeCategory", "SplitPlane",
     "SubFace", "Wrench", "adjacent_face", "cells_containing", "classify",
     "compute_face_states", "decompose", "epsilon_quality", "estimate_contacts",
     "evaluate_split", "face_frame", "face_mask", "face_slab", "finger_rays",
     "fit_obb", "generate_pool", "load_cloud", "load_results", "obb_overlap",
-    "pca", "preshape_for", "rank_pool", "run_pipeline", "save_results",
+    "pca", "rank_pool", "run_pipeline", "save_results",
     "select_nodes", "subfaces", "synth_shape", "wrench_set",
 ]

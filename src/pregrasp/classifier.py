@@ -33,6 +33,15 @@ CATEGORY_TO_GRASP = {
     ShapeCategory.THREE_DIMENSIONAL_LARGE: GraspType.SPHERICAL,
 }
 
+# Hand preshape of each grasp type: (spread angle of the paired fingers about
+# the approach axis in degrees, fingertip mode).
+GRASP_PRESHAPE = {
+    GraspType.CYLINDRICAL: (0.0, False),
+    GraspType.SPHERICAL: (30.0, False),
+    GraspType.THREE_FINGERTIP: (0.0, True),
+    GraspType.TWO_FINGERTIP: (90.0, True),
+}
+
 
 @dataclass
 class ClassifierThresholds:

@@ -10,10 +10,11 @@ cells for the samplers.
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
+from .classifier import GraspType
 from .decomposition import OrientedBox
 
 # Overlaps shallower than this are treated as touching, not blocking: boxes
@@ -202,8 +203,6 @@ def subfaces(face, mask, grasp_type, box):
     A cell is free only if its face is free and all its associated adjacent
     faces are free.
     """
-    from .classifier import GraspType  # local import to avoid a cycle at module load
-
     g = GraspType(grasp_type)
     axis = int(face) // 2
     if g == GraspType.THREE_FINGERTIP or (g == GraspType.CYLINDRICAL and axis == 0):

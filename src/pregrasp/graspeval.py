@@ -17,7 +17,7 @@ from typing import List
 
 import numpy as np
 
-from .classifier import GraspType
+from .classifier import GRASP_PRESHAPE, GraspType
 from .errors import EmptyWrenchSet, NoContacts
 from .geom import perpendicular_frame, rotation_about_axis, unit
 
@@ -64,15 +64,17 @@ def finger_rays(pg, gripper):
     Thumb: from the +closing_dir side at half aperture, closing along
     -closing_dir (omitted for TwoFingertip).  The two paired fingers start on
     the -closing_dir side and are rotated about the approach axis by +/- the
-    preshape spread angle.  All origins lie in the fingertip plane.
+    grasp type's preshape spread angle.  All origins lie in the fingertip
+    plane.
     """
     tip = pg.position + pg.approach * gripper.finger_length
     half_ap = gripper.max_aperture / 2.0
     c = pg.closing_dir
     rays = []
-    if GraspType(pg.grasp_type) != GraspType.TWO_FINGERTIP:
+    grasp_type = GraspType(pg.grasp_type)
+    if grasp_type != GraspType.TWO_FINGERTIP:
         rays.append((tip + c * half_ap, -c))
-    spread = np.radians(pg.preshape.spread_angle)
+    spread = np.radians(GRASP_PRESHAPE[grasp_type][0])
     for s in (spread, -spread):
         rot = rotation_about_axis(pg.approach, s)
         rays.append((tip + rot @ (-c * half_ap), rot @ c))

@@ -11,9 +11,7 @@ import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
-import numpy as np
-
-from .classifier import ClassifierThresholds, GraspType, classify, pca
+from .classifier import GRASP_PRESHAPE, ClassifierThresholds, GraspType, classify, pca
 from .decomposition import DecompParams, decompose
 from .facemask import FaceId, compute_face_states, face_mask, subfaces
 from .graspeval import EvalParams, rank_pool
@@ -108,8 +106,8 @@ def _pool_section(pool):
         "approach": [float(v) for v in pg.approach],
         "closing_dir": [float(v) for v in pg.closing_dir],
         "grasp_type": pg.grasp_type.value,
-        "spread_angle": float(pg.preshape.spread_angle),
-        "fingertip_mode": bool(pg.preshape.fingertip_mode),
+        "spread_angle": float(GRASP_PRESHAPE[pg.grasp_type][0]),
+        "fingertip_mode": bool(GRASP_PRESHAPE[pg.grasp_type][1]),
         "source_node": pg.source_node,
         "source_face": FaceId(pg.source_subface[0]).name,
         "source_cell": pg.source_subface[1],

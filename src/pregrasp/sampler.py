@@ -3,31 +3,28 @@
 A node is selected when it is a leaf (or has a small-object child, so the
 parent is graspable as a whole) and its second-largest dimension fits the
 gripper aperture; too-big nodes defer to their children.  Each selected node
-is wrapped in an enclosing surface matched to its grasp type — sphere
-(Spherical / TwoFingertip), cylinder (Cylindrical) or circle (ThreeFingertip)
-— and the surface regions whose sub-faces are free are sampled at fixed
-angular / axial intervals.  Every sample faces the box: the approach ray
-points back through the node's box.
+is wrapped in an enclosing surface matched to its grasp type, and one loop
+samples them all: a per-type generator yields box-frame directions at fixed
+angular / axial intervals (lat-lon sphere for Spherical / TwoFingertip; caps,
+then stations x angles around the longest axis for Cylindrical; the circle of
+the two largest extents for ThreeFingertip), the ray from the box center picks
+its exit faces, and the direction is kept iff a free sub-face contains the
+exit point.  Every sample faces the box: the approach ray points back through
+the node's box.
 """
 
 import logging
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 import numpy as np
 
 from .classifier import GraspType, ShapeCategory
+from .decomposition import OrientedBox
 from .facemask import FaceId, cells_containing, face_frame, subfaces
 from .geom import unit
 
 logger = logging.getLogger(__name__)
-
-_PRESHAPES = {
-    GraspType.CYLINDRICAL: (0.0, False),
-    GraspType.SPHERICAL: (30.0, False),
-    GraspType.THREE_FINGERTIP: (0.0, True),
-    GraspType.TWO_FINGERTIP: (90.0, True),
-}
 
 
 @dataclass
@@ -45,25 +42,13 @@ class SamplingParams:
 
 
 @dataclass
-class Preshape:
-    spread_angle: float          # degrees
-    fingertip_mode: bool
-
-
-@dataclass
 class PreGrasp:
     position: np.ndarray
     approach: np.ndarray         # unit, points at the box
     closing_dir: np.ndarray      # unit, orthogonal to approach
     grasp_type: GraspType
-    preshape: Preshape
     source_node: int
     source_subface: Tuple[int, int]   # (FaceId, cell)
-
-
-def preshape_for(grasp_type):
-    spread, tips = _PRESHAPES[GraspType(grasp_type)]
-    return Preshape(spread, tips)
 
 
 # ===========================================================================
@@ -95,7 +80,8 @@ def select_nodes(tree, classes, gripper):
 
 
 # ===========================================================================
-# Surface grids
+# Surface sampling: per-type generators of (box-frame direction, axial offset
+# or None) feed one exit-face / free-cell loop
 # ===========================================================================
 
 def _angle_steps(span_deg, step_deg, inclusive):
@@ -103,18 +89,36 @@ def _angle_steps(span_deg, step_deg, inclusive):
     return [k * step_deg for k in range(n + 1 if inclusive else n)]
 
 
-def _first_free_cell(face_cells, face_order, locate):
-    """First free (face, cell) whose closed rect contains the projected point.
+def _sphere_directions(sampling):
+    """Lat-lon grid at angular_step spacing, each pole once."""
+    step = sampling.angular_step
+    phis = _angle_steps(360.0, step, inclusive=False)
+    for theta in _angle_steps(180.0, step, inclusive=True):
+        polar = theta < 1e-9 or abs(theta - 180.0) < 1e-9
+        for phi in ([0.0] if polar else phis):
+            th, ph = np.radians(theta), np.radians(phi)
+            yield np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)]), None
 
-    `locate(face)` returns the face-local (lr, du) coordinates; boundary ties
-    are closed, so a point on a shared edge counts for every touching cell.
-    """
-    for face in face_order:
-        lr, du = locate(face)
-        for sf in cells_containing(face_cells[int(face)], lr, du):
-            if sf.free:
-                return int(face), sf.cell
-    return None
+
+def _cylinder_directions(length, sampling):
+    """The +U and -U caps (offset: the cap's distance along the axis), then
+    radial directions at angular_step around the axis for every axial_step
+    station of the enclosing cylinder's length, centered on the box."""
+    yield np.array([1.0, 0.0, 0.0]), length / 2.0
+    yield np.array([-1.0, 0.0, 0.0]), -length / 2.0
+    n_stations = int(np.floor(length / sampling.axial_step + 1e-9)) + 1
+    stations = (np.arange(n_stations) - (n_stations - 1) / 2.0) * sampling.axial_step
+    for z in stations:
+        for phi in _angle_steps(360.0, sampling.angular_step, inclusive=False):
+            ph = np.radians(phi)
+            yield np.array([0.0, np.cos(ph), np.sin(ph)]), z
+
+
+def _circle_directions(sampling):
+    """In-plane directions at angular_step in the plane of the two largest extents."""
+    for phi in _angle_steps(360.0, sampling.angular_step, inclusive=False):
+        ph = np.radians(phi)
+        yield np.array([np.cos(ph), np.sin(ph), 0.0]), None
 
 
 def _exit_faces(d_local, half):
@@ -138,157 +142,82 @@ def _closing_from_axis(preferred, fallback, approach):
     return unit(c)
 
 
-def sample_spherical(node, mask, gripper, sampling, grasp_type=GraspType.SPHERICAL):
-    """Samples on the node's enclosing sphere (Spherical / TwoFingertip).
+def sample_node(node, mask, gripper, sampling, grasp_type):
+    """Pre-grasps of one node on its grasp type's enclosing surface, ordered
+    by (face, cell, emission order).
 
-    A lat-lon direction grid at angular_step spacing (poles once) is projected
-    radially onto the box; a direction is kept iff it lands on a free sub-face.
-    The approach ray of every sample passes through the box center.
+    Sphere: radius |half extents| + standoff, closing along the longest box
+    axis made orthogonal to the approach.  Cylinder: inward radial samples on
+    the free lateral strips, closing around the axis, plus one sample per free
+    cap at the flat-end center, approaching along the axis.  Circle: radial in
+    the plane of the two largest extents, closing across the thin dimension; a
+    direction bins to its best-aligned in-plane face (its exit face of the
+    unit cube) and survives iff that face is free.
     """
-    box = node.box
-    radius = float(np.linalg.norm(box.half_extents)) + gripper.standoff
-    cells = [subfaces(f, mask, grasp_type, box) for f in FaceId]
-    buckets = {}
-    step = sampling.angular_step
-    phis = _angle_steps(360.0, step, inclusive=False)
-    for theta in _angle_steps(180.0, step, inclusive=True):
-        polar = theta < 1e-9 or abs(theta - 180.0) < 1e-9
-        for phi in ([0.0] if polar else phis):
-            th, ph = np.radians(theta), np.radians(phi)
-            d_local = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)])
-            faces, tmin = _exit_faces(d_local, box.half_extents)
-            p = d_local * tmin
+    box, gt = node.box, GraspType(grasp_type)
+    half, axis_u = box.half_extents, box.axis(0)
+    frame = box
+    if gt == GraspType.CYLINDRICAL:
+        radius = float(np.hypot(half[1], half[2])) + gripper.standoff
+        directions = _cylinder_directions(2.0 * float(half[0]) + 2.0 * gripper.standoff,
+                                          sampling)
+    elif gt == GraspType.THREE_FINGERTIP:
+        radius = float(np.hypot(half[0], half[1])) + gripper.standoff
+        directions = _circle_directions(sampling)
+        # faces are binned by alignment: exit faces of the unit cube, one cell each
+        frame = OrientedBox(box.center, box.rotation, np.ones(3))
+    else:
+        radius = float(np.linalg.norm(half)) + gripper.standoff
+        directions = _sphere_directions(sampling)
+    cells = [subfaces(f, mask, gt, frame) for f in FaceId]
 
-            def locate(face, p=p):
-                lr_axis, du_axis = face_frame(face)
-                return p[lr_axis], p[du_axis]
-
-            hit = _first_free_cell(cells, faces, locate)
-            if hit is None:
-                continue
-            d_world = box.rotation @ d_local
-            approach = -d_world
-            closing = _closing_from_axis(box.axis(0), box.axis(1), approach)
-            buckets.setdefault(hit, []).append(PreGrasp(
-                box.center + radius * d_world, approach, closing,
-                GraspType(grasp_type), preshape_for(grasp_type),
-                node.id, hit))
-    return _drain(buckets)
-
-
-def sample_cylindrical(node, mask, gripper, sampling):
-    """Samples on the node's enclosing cylinder (axis = longest box axis).
-
-    Lateral free strips are sampled at angular_step around the axis and
-    axial_step along it (approach = inward radial); each free cap contributes
-    one sample at the flat-end center (approach = inward axial).
-    """
-    box = node.box
-    hu = float(box.half_extents[0])
-    axis_u = box.axis(0)
-    radius = float(np.hypot(box.half_extents[1], box.half_extents[2])) + gripper.standoff
-    length = 2.0 * hu + 2.0 * gripper.standoff
-    cells = [subfaces(f, mask, GraspType.CYLINDRICAL, box) for f in FaceId]
-    buckets = {}
-
-    for face in (FaceId.PLUS_U, FaceId.MINUS_U):
-        cap = cells[int(face)][0]
-        if cap.free:
-            sign = 1.0 if face == FaceId.PLUS_U else -1.0
-            buckets.setdefault((int(face), 0), []).append(PreGrasp(
-                box.center + sign * axis_u * (length / 2.0), -sign * axis_u,
-                box.axis(1).copy(), GraspType.CYLINDRICAL,
-                preshape_for(GraspType.CYLINDRICAL), node.id, (int(face), 0)))
-
-    n_stations = int(np.floor(length / sampling.axial_step + 1e-9)) + 1
-    stations = (np.arange(n_stations) - (n_stations - 1) / 2.0) * sampling.axial_step
-    for z in stations:
-        for phi in _angle_steps(360.0, sampling.angular_step, inclusive=False):
-            ph = np.radians(phi)
-            d_local = np.array([0.0, np.cos(ph), np.sin(ph)])
-            faces, tmin = _exit_faces(d_local, box.half_extents)
-            p = d_local * tmin
+    samples = []
+    for d_local, z in directions:
+        faces, tmin = _exit_faces(d_local, frame.half_extents)
+        p = d_local * tmin
+        if z is not None:
             p[0] = z
-
-            def locate(face, p=p):
-                lr_axis, du_axis = face_frame(face)
-                return p[lr_axis], p[du_axis]
-
-            hit = _first_free_cell(cells, faces, locate)
-            if hit is None:
-                continue
-            radial = box.rotation @ d_local
-            approach = -radial
-            closing = unit(np.cross(axis_u, approach))
-            buckets.setdefault(hit, []).append(PreGrasp(
-                box.center + axis_u * z + radial * radius, approach, closing,
-                GraspType.CYLINDRICAL, preshape_for(GraspType.CYLINDRICAL),
-                node.id, hit))
-    return _drain(buckets)
-
-
-def sample_circle(node, mask, gripper, sampling):
-    """Samples on the enclosing circle in the plane of the two largest extents
-    (ThreeFingertip).  A sample survives iff its nearest in-plane face (by
-    outward-normal alignment) is free; the hand approaches radially with the
-    fingers closing across the thin dimension."""
-    box = node.box
-    radius = float(np.hypot(box.half_extents[0], box.half_extents[1])) + gripper.standoff
-    cells = [subfaces(f, mask, GraspType.THREE_FINGERTIP, box) for f in FaceId]
-    in_plane = (FaceId.PLUS_U, FaceId.MINUS_U, FaceId.PLUS_V, FaceId.MINUS_V)
-    buckets = {}
-    for phi in _angle_steps(360.0, sampling.angular_step, inclusive=False):
-        ph = np.radians(phi)
-        d_local = np.array([np.cos(ph), np.sin(ph), 0.0])
-        align = {f: (d_local[int(f) // 2] * (1.0 if int(f) % 2 == 0 else -1.0))
-                 for f in in_plane}
-        best = max(align.values())
-        hit = None
-        for face in in_plane:
-            if align[face] >= best - 1e-12 and cells[int(face)][0].free:
-                hit = (int(face), 0)
+        for face in faces:                 # first free cell holding the exit point
+            lr, du = face_frame(face)
+            free = [sf.cell for sf in cells_containing(cells[face], p[lr], p[du]) if sf.free]
+            if free:
                 break
-        if hit is None:
+        else:
             continue
-        d_world = box.rotation @ d_local
+        hit = (int(face), free[0])
+        if z is None:                      # radial from the box center
+            d_world = box.rotation @ d_local
+            position = box.center + radius * d_world
+        elif d_local[0]:                   # cylinder cap, on the axis
+            d_world = d_local[0] * axis_u  # not R @ d_local, which can flip zeros to -0.0
+            position = box.center + axis_u * z
+        else:                              # cylinder side, radial from the axis
+            d_world = box.rotation @ d_local
+            position = box.center + axis_u * z + d_world * radius
         approach = -d_world
-        buckets.setdefault(hit, []).append(PreGrasp(
-            box.center + radius * d_world, approach, box.axis(2).copy(),
-            GraspType.THREE_FINGERTIP, preshape_for(GraspType.THREE_FINGERTIP),
-            node.id, hit))
-    return _drain(buckets)
-
-
-def _drain(buckets):
-    """Flatten (face, cell) buckets in (face, cell, sample index) order."""
-    out = []
-    for key in sorted(buckets):
-        out.extend(buckets[key])
-    return out
+        if gt == GraspType.CYLINDRICAL:
+            # around the axis; a cap's approach is the axis itself, so it closes along v
+            closing = unit(np.cross(axis_u, approach), fallback=box.axis(1).copy())
+        elif gt == GraspType.THREE_FINGERTIP:
+            closing = box.axis(2).copy()
+        else:
+            closing = _closing_from_axis(axis_u, box.axis(1), approach)
+        samples.append(PreGrasp(position, approach, closing, gt, node.id, hit))
+    samples.sort(key=lambda pg: pg.source_subface)
+    return samples
 
 
 # ===========================================================================
 # Pool assembly
 # ===========================================================================
 
-_SAMPLERS = {
-    GraspType.CYLINDRICAL: sample_cylindrical,
-    GraspType.THREE_FINGERTIP: sample_circle,
-}
-
-
 def generate_pool(tree, classes, masks, gripper, sampling):
     """All pre-grasps of the selected nodes, ordered by
     (node id, face, cell, sample index).  Deterministic."""
-    pool: List[PreGrasp] = []
+    pool = []
     for nid in sorted(select_nodes(tree, classes, gripper)):
         grasp_type = classes[nid][1]
-        node, mask = tree.node(nid), masks[nid]
-        sampler = _SAMPLERS.get(grasp_type)
-        if sampler is not None:
-            samples = sampler(node, mask, gripper, sampling)
-        else:
-            samples = sample_spherical(node, mask, gripper, sampling, grasp_type)
+        samples = sample_node(tree.node(nid), masks[nid], gripper, sampling, grasp_type)
         logger.debug("node %d (%s): %d samples", nid, GraspType(grasp_type).value, len(samples))
         pool.extend(samples)
     logger.info("pre-grasp pool: %d candidates", len(pool))

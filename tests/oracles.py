@@ -2,9 +2,14 @@
 
 Everything in here is deliberately brute-force and self-contained (numpy only,
 no imports from the package under test) so that a disagreement points at the
-implementation, not at a shared helper.  The one exception is
-`exhaustive_split`, the full-point split search the package's screened search
-must agree with, which is built on the package's public `evaluate_split`.
+implementation, not at a shared helper.  Two exceptions are built on package
+code because the package must agree with them exactly:
+
+- `exhaustive_split`, the full-point split search the package's screened
+  search must agree with, built on the package's public `evaluate_split`;
+- `reference_samples`, the three separate per-surface samplers the package's
+  single sampling loop replaced, built on the package's sub-face schemes and
+  `PreGrasp`.
 """
 
 import numpy as np
@@ -219,6 +224,146 @@ def circle_grid_count(step_deg):
 
 def cylinder_lateral_station_count(length, axial_step):
     return int(np.floor(length / axial_step + 1e-9)) + 1
+
+
+# ---------------------------------------------------------------------------
+# Per-surface samplers (reference for the single sampling loop)
+# ---------------------------------------------------------------------------
+
+def reference_samples(node, mask, gripper, sampling, grasp_type):
+    """Pre-grasps of one node from one sampler per enclosing surface: sphere
+    (Spherical / TwoFingertip), cylinder (Cylindrical) or circle
+    (ThreeFingertip).  Each sampler walks its own direction grid, keys every
+    kept sample by its (face, cell) and returns the buckets in key order.
+    """
+    from pregrasp.classifier import GraspType
+    from pregrasp.facemask import FaceId, cells_containing, face_frame, subfaces
+    from pregrasp.geom import unit
+    from pregrasp.sampler import PreGrasp
+
+    def angle_steps(span_deg, step_deg, inclusive):
+        n = int(np.floor(span_deg / step_deg + 1e-9))
+        return [k * step_deg for k in range(n + 1 if inclusive else n)]
+
+    def first_free_cell(face_cells, face_order, p):
+        for face in face_order:
+            lr_axis, du_axis = face_frame(face)
+            for sf in cells_containing(face_cells[int(face)], p[lr_axis], p[du_axis]):
+                if sf.free:
+                    return int(face), sf.cell
+        return None
+
+    def exit_faces(d_local, half):
+        t = np.full(3, np.inf)
+        for axis in range(3):
+            if abs(d_local[axis]) > 1e-15:
+                t[axis] = half[axis] / abs(d_local[axis])
+        tmin = float(t.min())
+        faces = [FaceId(2 * axis + (0 if d_local[axis] > 0 else 1))
+                 for axis in range(3) if t[axis] <= tmin * (1.0 + 1e-9)]
+        return faces, tmin
+
+    def closing_from_axis(preferred, fallback, approach):
+        c = preferred - (preferred @ approach) * approach
+        if np.linalg.norm(c) < 1e-8:
+            c = fallback - (fallback @ approach) * approach
+        return unit(c)
+
+    def spherical(gt):
+        box = node.box
+        radius = float(np.linalg.norm(box.half_extents)) + gripper.standoff
+        cells = [subfaces(f, mask, gt, box) for f in FaceId]
+        buckets = {}
+        step = sampling.angular_step
+        phis = angle_steps(360.0, step, inclusive=False)
+        for theta in angle_steps(180.0, step, inclusive=True):
+            polar = theta < 1e-9 or abs(theta - 180.0) < 1e-9
+            for phi in ([0.0] if polar else phis):
+                th, ph = np.radians(theta), np.radians(phi)
+                d_local = np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                                    np.cos(th)])
+                faces, tmin = exit_faces(d_local, box.half_extents)
+                hit = first_free_cell(cells, faces, d_local * tmin)
+                if hit is None:
+                    continue
+                d_world = box.rotation @ d_local
+                approach = -d_world
+                closing = closing_from_axis(box.axis(0), box.axis(1), approach)
+                buckets.setdefault(hit, []).append(PreGrasp(
+                    box.center + radius * d_world, approach, closing, gt, node.id, hit))
+        return buckets
+
+    def cylindrical():
+        box = node.box
+        gt = GraspType.CYLINDRICAL
+        hu = float(box.half_extents[0])
+        axis_u = box.axis(0)
+        radius = float(np.hypot(box.half_extents[1], box.half_extents[2])) + gripper.standoff
+        length = 2.0 * hu + 2.0 * gripper.standoff
+        cells = [subfaces(f, mask, gt, box) for f in FaceId]
+        buckets = {}
+        for face in (FaceId.PLUS_U, FaceId.MINUS_U):
+            if cells[int(face)][0].free:
+                sign = 1.0 if face == FaceId.PLUS_U else -1.0
+                buckets.setdefault((int(face), 0), []).append(PreGrasp(
+                    box.center + sign * axis_u * (length / 2.0), -sign * axis_u,
+                    box.axis(1).copy(), gt, node.id, (int(face), 0)))
+        n_stations = int(np.floor(length / sampling.axial_step + 1e-9)) + 1
+        stations = (np.arange(n_stations) - (n_stations - 1) / 2.0) * sampling.axial_step
+        for z in stations:
+            for phi in angle_steps(360.0, sampling.angular_step, inclusive=False):
+                ph = np.radians(phi)
+                d_local = np.array([0.0, np.cos(ph), np.sin(ph)])
+                faces, tmin = exit_faces(d_local, box.half_extents)
+                p = d_local * tmin
+                p[0] = z
+                hit = first_free_cell(cells, faces, p)
+                if hit is None:
+                    continue
+                radial = box.rotation @ d_local
+                approach = -radial
+                closing = unit(np.cross(axis_u, approach))
+                buckets.setdefault(hit, []).append(PreGrasp(
+                    box.center + axis_u * z + radial * radius, approach, closing,
+                    gt, node.id, hit))
+        return buckets
+
+    def circle():
+        """A sample survives iff its nearest in-plane face (by outward-normal
+        alignment) is free."""
+        box = node.box
+        gt = GraspType.THREE_FINGERTIP
+        radius = float(np.hypot(box.half_extents[0], box.half_extents[1])) + gripper.standoff
+        cells = [subfaces(f, mask, gt, box) for f in FaceId]
+        in_plane = (FaceId.PLUS_U, FaceId.MINUS_U, FaceId.PLUS_V, FaceId.MINUS_V)
+        buckets = {}
+        for phi in angle_steps(360.0, sampling.angular_step, inclusive=False):
+            ph = np.radians(phi)
+            d_local = np.array([np.cos(ph), np.sin(ph), 0.0])
+            align = {f: (d_local[int(f) // 2] * (1.0 if int(f) % 2 == 0 else -1.0))
+                     for f in in_plane}
+            best = max(align.values())
+            hit = None
+            for face in in_plane:
+                if align[face] >= best - 1e-12 and cells[int(face)][0].free:
+                    hit = (int(face), 0)
+                    break
+            if hit is None:
+                continue
+            d_world = box.rotation @ d_local
+            buckets.setdefault(hit, []).append(PreGrasp(
+                box.center + radius * d_world, -d_world, box.axis(2).copy(),
+                gt, node.id, hit))
+        return buckets
+
+    gt = GraspType(grasp_type)
+    if gt == GraspType.CYLINDRICAL:
+        buckets = cylindrical()
+    elif gt == GraspType.THREE_FINGERTIP:
+        buckets = circle()
+    else:
+        buckets = spherical(gt)
+    return [pg for key in sorted(buckets) for pg in buckets[key]]
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,8 @@ from pregrasp.graspeval import (ContactPoint, EvalParams, epsilon_quality,
                                 rank_pool, wrench_set)
 from pregrasp.pipeline import RunConfig, run_pipeline
 from pregrasp.pointcloud import PointCloud
-from pregrasp.sampler import (PreGrasp, SamplingParams, generate_pool,
-                              preshape_for, sample_circle, sample_cylindrical,
-                              sample_spherical, select_nodes)
+from pregrasp.sampler import (SamplingParams, generate_pool, sample_node,
+                              select_nodes)
 
 
 def verdict(capsys, number, summary, body):
@@ -151,15 +150,14 @@ def test_criterion_06_sampling_free_subfaces_only(capsys):
         # exhaustive: every face-state combination, all three surface schemes
         box = helpers.axis_box((0, 0, 0), (0.04, 0.025, 0.015))
         node = helpers.DecompNode(0, box, np.arange(10), None, ())
-        samplers = [(sample_spherical, GraspType.SPHERICAL),
-                    (sample_cylindrical, GraspType.CYLINDRICAL),
-                    (sample_circle, GraspType.THREE_FINGERTIP)]
+        surfaces = (GraspType.SPHERICAL, GraspType.CYLINDRICAL,
+                    GraspType.THREE_FINGERTIP)
         total = 0
         for combo in itertools.product((0, 1), repeat=6):
             mask = face_mask(list(combo))
-            for sampler, gtype in samplers:
+            for gtype in surfaces:
                 cells = {int(f): subfaces(f, mask, gtype, box) for f in FaceId}
-                for pg in sampler(node, mask, gripper, sampling):
+                for pg in sample_node(node, mask, gripper, sampling, gtype):
                     face, cell = pg.source_subface
                     assert cells[face][cell].free
                     assert helpers.ray_hits_box(box, pg.position, pg.approach)
@@ -186,7 +184,8 @@ def test_criterion_06_sampling_free_subfaces_only(capsys):
         plate = helpers.DecompNode(
             0, helpers.axis_box((0, 0, 0), (0.05, 0.04, 0.0025)),
             np.arange(10), None, ())
-        twelve = sample_circle(plate, face_mask([0] * 6), gripper, sampling)
+        twelve = sample_node(plate, face_mask([0] * 6), gripper, sampling,
+                             GraspType.THREE_FINGERTIP)
         assert len(twelve) == 12
         return f"{total} samples checked; circle fixture yields 12"
     verdict(capsys, 6, "samples only from free sub-faces, rays hit their box",

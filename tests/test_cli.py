@@ -5,6 +5,7 @@ installed console script to confirm the packaging entry point.
 """
 
 import json
+import os
 import re
 import subprocess
 import sys
@@ -12,6 +13,7 @@ import sys
 import numpy as np
 import pytest
 
+import pregrasp
 from pregrasp.cli import main
 from pregrasp.pointcloud import load_cloud
 
@@ -213,10 +215,14 @@ def test_export_viz_rejects_bad_top_k(sphere_xyz, tmp_path, capsys):
 
 def test_console_script_runs(tmp_path):
     out = tmp_path / "c.xyz"
+    # the child imports the same package as this process, installed or not
+    package_root = os.path.dirname(os.path.dirname(pregrasp.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (package_root, os.environ.get("PYTHONPATH")))))
     proc = subprocess.run(
         [sys.executable, "-m", "pregrasp.cli", "synth", "box", "--n", "100",
          "--out", str(out)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout.strip() == str(out)
     assert out.exists()

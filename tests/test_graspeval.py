@@ -11,7 +11,7 @@ from pregrasp.graspeval import (ContactPoint, EvalParams, Wrench,
                                 epsilon_quality, estimate_contacts,
                                 finger_rays, rank_pool, wrench_set)
 from pregrasp.pointcloud import synth_shape
-from pregrasp.sampler import GripperConfig, PreGrasp, preshape_for
+from pregrasp.sampler import GripperConfig, PreGrasp
 
 MU = 0.5
 EDGES = 8
@@ -21,7 +21,7 @@ def make_pregrasp(position, approach, closing, grasp_type):
     return PreGrasp(np.asarray(position, dtype=float),
                     np.asarray(approach, dtype=float),
                     np.asarray(closing, dtype=float),
-                    grasp_type, preshape_for(grasp_type), 0, (0, 0))
+                    grasp_type, 0, (0, 0))
 
 
 def antipodal_contacts(r=0.04):

@@ -1,19 +1,19 @@
 """Tests for node selection and enclosing-surface pre-grasp sampling."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 import helpers
 import oracles
-from pregrasp.classifier import GraspType, ShapeCategory
-from pregrasp.decomposition import DecompNode, DecompTree
+from pregrasp.classifier import GRASP_PRESHAPE, GraspType, ShapeCategory
+from pregrasp.decomposition import DecompNode, DecompTree, OrientedBox
 from pregrasp.facemask import FaceId, face_mask, subfaces
+from pregrasp.pipeline import _pool_section
 from pregrasp.sampler import (GripperConfig, SamplingParams, _angle_steps,
-                              generate_pool, preshape_for, sample_circle,
-                              sample_cylindrical, sample_spherical,
-                              select_nodes)
+                              generate_pool, sample_node, select_nodes)
 
 
 def leaf_node(box, nid=0):
@@ -85,10 +85,11 @@ def test_preshape_table():
         GraspType.THREE_FINGERTIP: (0.0, True),
         GraspType.TWO_FINGERTIP: (90.0, True),
     }
+    assert GRASP_PRESHAPE == expected
     for grasp_type, (spread, tips) in expected.items():
-        pre = preshape_for(grasp_type)
-        assert pre.spread_angle == spread
-        assert pre.fingertip_mode is tips
+        spread_got, tips_got = GRASP_PRESHAPE[grasp_type]
+        assert spread_got == spread
+        assert tips_got is tips
 
 
 def test_angle_steps():
@@ -104,10 +105,11 @@ def test_angle_steps():
 
 def test_sphere_sample_count_matches_grid_oracle(gripper, free_mask):
     node = leaf_node(helpers.axis_box((0, 0, 0), (0.1, 0.1, 0.05)))
-    assert len(sample_spherical(node, free_mask, gripper, SamplingParams())) \
+    assert len(sample_node(node, free_mask, gripper, SamplingParams(),
+                           GraspType.SPHERICAL)) \
         == oracles.sphere_grid_count(30.0) == 62
-    assert len(sample_spherical(node, free_mask, gripper,
-                                SamplingParams(angular_step=45.0))) \
+    assert len(sample_node(node, free_mask, gripper,
+                           SamplingParams(angular_step=45.0), GraspType.SPHERICAL)) \
         == oracles.sphere_grid_count(45.0) == 26
 
 
@@ -115,7 +117,7 @@ def test_sphere_sample_geometry(gripper, sampling, free_mask):
     box = helpers.axis_box((0.02, -0.01, 0.03), (0.05, 0.04, 0.03))
     node = leaf_node(box, nid=4)
     radius = float(np.linalg.norm(box.half_extents)) + gripper.standoff
-    for pg in sample_spherical(node, free_mask, gripper, sampling):
+    for pg in sample_node(node, free_mask, gripper, sampling, GraspType.SPHERICAL):
         assert pg.grasp_type == GraspType.SPHERICAL
         assert pg.source_node == 4
         assert np.isclose(np.linalg.norm(pg.position - box.center), radius)
@@ -128,12 +130,11 @@ def test_sphere_sample_geometry(gripper, sampling, free_mask):
 
 def test_two_fingertip_reuses_sphere_surface(gripper, sampling, free_mask):
     node = leaf_node(helpers.axis_box((0, 0, 0), (0.015, 0.015, 0.015)))
-    got = sample_spherical(node, free_mask, gripper, sampling,
-                           grasp_type=GraspType.TWO_FINGERTIP)
+    got = sample_node(node, free_mask, gripper, sampling, GraspType.TWO_FINGERTIP)
     assert len(got) == 62
     assert all(pg.grasp_type == GraspType.TWO_FINGERTIP for pg in got)
-    assert all(pg.preshape.spread_angle == 90.0 and pg.preshape.fingertip_mode
-               for pg in got)
+    assert all(entry["spread_angle"] == 90.0 and entry["fingertip_mode"] is True
+               for entry in _pool_section(got))
 
 
 def test_sphere_blocked_face_drops_its_directions(gripper, sampling):
@@ -142,9 +143,10 @@ def test_sphere_blocked_face_drops_its_directions(gripper, sampling):
     that the 3x3 propagation rules blank (62 -> 37)."""
     box = helpers.axis_box((0, 0, 0), (0.05, 0.04, 0.03))
     node = leaf_node(box)
-    free = sample_spherical(node, face_mask([False] * 6), gripper, sampling)
+    free = sample_node(node, face_mask([False] * 6), gripper, sampling,
+                       GraspType.SPHERICAL)
     mask = face_mask([False] * 4 + [True, False])
-    blocked = sample_spherical(node, mask, gripper, sampling)
+    blocked = sample_node(node, mask, gripper, sampling, GraspType.SPHERICAL)
     new_cells = {int(f): subfaces(f, mask, GraspType.SPHERICAL, box)
                  for f in FaceId}
     kept = {tuple(np.round(pg.position, 12)) for pg in blocked}
@@ -165,7 +167,8 @@ def test_cylinder_rows_times_angles_plus_caps(gripper, sampling, free_mask):
     5 stations are laid out but only the 3 with |z| <= 0.02 project onto the
     lateral faces -> 3 rows x 12 angles + 2 caps."""
     box = helpers.axis_box((0, 0, 0), (0.02, 0.01, 0.01))
-    got = sample_cylindrical(leaf_node(box), free_mask, gripper, sampling)
+    got = sample_node(leaf_node(box), free_mask, gripper, sampling,
+                      GraspType.CYLINDRICAL)
     cap_faces = (int(FaceId.PLUS_U), int(FaceId.MINUS_U))
     caps = [pg for pg in got if pg.source_subface[0] in cap_faces]
     lateral = [pg for pg in got if pg.source_subface[0] not in cap_faces]
@@ -184,7 +187,7 @@ def test_cylinder_cap_block_propagates_to_end_strips(gripper, sampling):
     along with the cap sample: 38 - 1 - 12 = 25."""
     box = helpers.axis_box((0, 0, 0), (0.02, 0.01, 0.01))
     mask = face_mask([True, False, False, False, False, False])
-    got = sample_cylindrical(leaf_node(box), mask, gripper, sampling)
+    got = sample_node(leaf_node(box), mask, gripper, sampling, GraspType.CYLINDRICAL)
     assert len(got) == 25
     assert all(pg.source_subface[0] != int(FaceId.PLUS_U) for pg in got)
     axial = sorted({round(float((pg.position - box.center) @ box.axis(0)), 9)
@@ -197,7 +200,7 @@ def test_cylinder_blocked_lateral_face(gripper, sampling):
     36 lateral samples) and leaves both caps."""
     box = helpers.axis_box((0, 0, 0), (0.02, 0.01, 0.01))
     mask = face_mask([False, False, True, False, False, False])
-    got = sample_cylindrical(leaf_node(box), mask, gripper, sampling)
+    got = sample_node(leaf_node(box), mask, gripper, sampling, GraspType.CYLINDRICAL)
     assert len(got) == 29
     assert all(pg.source_subface[0] != int(FaceId.PLUS_V) for pg in got)
 
@@ -207,7 +210,7 @@ def test_cylinder_sample_geometry(gripper, sampling, free_mask):
     node = leaf_node(box, nid=2)
     lat_r = float(np.hypot(0.012, 0.008)) + gripper.standoff
     half_len = 0.03 + gripper.standoff
-    for pg in sample_cylindrical(node, free_mask, gripper, sampling):
+    for pg in sample_node(node, free_mask, gripper, sampling, GraspType.CYLINDRICAL):
         rel = pg.position - box.center
         axial = float(rel @ box.axis(0))
         radial = rel - axial * box.axis(0)
@@ -232,11 +235,11 @@ def test_cylinder_sample_geometry(gripper, sampling, free_mask):
 
 def test_circle_counts_and_blocking(gripper, sampling, free_mask):
     plate = leaf_node(helpers.axis_box((0, 0, 0), (0.05, 0.04, 0.0025)))
-    got = sample_circle(plate, free_mask, gripper, sampling)
+    got = sample_node(plate, free_mask, gripper, sampling, GraspType.THREE_FINGERTIP)
     assert len(got) == oracles.circle_grid_count(30.0) == 12
     # blocking +U drops the three angles binned to it (330, 0, 30 degrees)
     mask = face_mask([True, False, False, False, False, False])
-    kept = sample_circle(plate, mask, gripper, sampling)
+    kept = sample_node(plate, mask, gripper, sampling, GraspType.THREE_FINGERTIP)
     assert len(kept) == 9
     assert {pg.source_subface for pg in kept} == {(1, 0), (2, 0), (3, 0)}
 
@@ -245,7 +248,7 @@ def test_circle_sample_geometry(gripper, sampling, free_mask):
     box = helpers.axis_box((-0.02, 0.01, 0.04), (0.05, 0.04, 0.0025))
     node = leaf_node(box, nid=6)
     radius = float(np.hypot(0.05, 0.04)) + gripper.standoff
-    got = sample_circle(node, free_mask, gripper, sampling)
+    got = sample_node(node, free_mask, gripper, sampling, GraspType.THREE_FINGERTIP)
     for pg in got:
         rel = pg.position - box.center
         assert abs(float(rel @ box.axis(2))) < 1e-12   # in the big-face plane
@@ -254,19 +257,16 @@ def test_circle_sample_geometry(gripper, sampling, free_mask):
         assert abs(pg.approach @ pg.closing_dir) < 1e-12
         assert helpers.ray_hits_box(box, pg.position, pg.approach)
         assert pg.grasp_type == GraspType.THREE_FINGERTIP
-        assert pg.preshape.fingertip_mode
+    assert all(entry["fingertip_mode"] is True for entry in _pool_section(got))
 
 
 # ===========================================================================
 # Free-sub-face consistency (exhaustive over face-state combinations)
 # ===========================================================================
 
-@pytest.mark.parametrize("sampler,grasp_type", [
-    (sample_spherical, GraspType.SPHERICAL),
-    (sample_cylindrical, GraspType.CYLINDRICAL),
-    (sample_circle, GraspType.THREE_FINGERTIP),
-])
-def test_samples_only_on_free_subfaces(sampler, grasp_type, gripper, sampling):
+@pytest.mark.parametrize("grasp_type", [
+    GraspType.SPHERICAL, GraspType.CYLINDRICAL, GraspType.THREE_FINGERTIP])
+def test_samples_only_on_free_subfaces(grasp_type, gripper, sampling):
     """For all 64 face-state combinations every emitted sample keys a free
     sub-face, its ray hits the box, and blocking more faces never adds
     samples."""
@@ -275,7 +275,7 @@ def test_samples_only_on_free_subfaces(sampler, grasp_type, gripper, sampling):
     counts = {}
     for combo in itertools.product((False, True), repeat=6):
         mask = face_mask(list(combo))
-        got = sampler(node, mask, gripper, sampling)
+        got = sample_node(node, mask, gripper, sampling, grasp_type)
         counts[combo] = len(got)
         cells = {int(f): subfaces(f, mask, grasp_type, box) for f in FaceId}
         for pg in got:
@@ -289,6 +289,43 @@ def test_samples_only_on_free_subfaces(sampler, grasp_type, gripper, sampling):
             if not combo[k]:
                 more = combo[:k] + (True,) + combo[k + 1:]
                 assert counts[more] <= count
+
+
+# ===========================================================================
+# Single sampling loop vs the per-surface reference samplers
+# ===========================================================================
+
+REFERENCE_BOXES = {
+    "criterion_6": helpers.axis_box((0, 0, 0), (0.04, 0.025, 0.015)),
+    "thin_plate": helpers.axis_box((0.01, -0.02, 0.03), (0.05, 0.04, 0.0025)),
+    "rotated": OrientedBox(np.array([0.1, 0.2, -0.05]),
+                           oracles.rotation_from_quaternion(np.array([0.9, 0.1, -0.3, 0.2])),
+                           np.array([0.03, 0.02, 0.01])),
+}
+
+
+@pytest.mark.parametrize("box_name", sorted(REFERENCE_BOXES))
+def test_sample_node_matches_reference_samplers(box_name, gripper, sampling):
+    """Pool documents are byte-identical to the per-surface reference for all
+    64 face masks and every grasp type (the JSON text also tells 0.0 from
+    -0.0), and for a coarse grid with zero standoff on a few masks."""
+    node = leaf_node(REFERENCE_BOXES[box_name], nid=3)
+    coarse = SamplingParams(angular_step=45.0, axial_step=0.013)
+    flush = GripperConfig(standoff=0.0)
+    cases = [(list(combo), gripper, sampling)
+             for combo in itertools.product((0, 1), repeat=6)]
+    cases += [(combo, flush, coarse) for combo in
+              ([0] * 6, [1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1], [0, 1, 0, 1, 1, 0])]
+    emitted = 0
+    for combo, grip, samp in cases:
+        mask = face_mask(combo)
+        for grasp_type in GraspType:
+            got = _pool_section(sample_node(node, mask, grip, samp, grasp_type))
+            want = _pool_section(oracles.reference_samples(node, mask, grip, samp,
+                                                           grasp_type))
+            assert json.dumps(got) == json.dumps(want), (combo, grasp_type)
+            emitted += len(got)
+    assert emitted > 0
 
 
 # ===========================================================================
