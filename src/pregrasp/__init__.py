@@ -5,8 +5,8 @@ classification, occlusion face masks, enclosing-surface pre-grasp sampling,
 and wrench-space quality ranking.  See the README for the CLI entry points.
 """
 
-from .classifier import (ClassifierThresholds, GraspType, PcaResult,
-                         ShapeCategory, classify, pca)
+from .classifier import (ClassifierThresholds, GraspType, ShapeCategory,
+                         classify, pca)
 from .decomposition import (DecompNode, DecompParams, DecompTree, OrientedBox,
                             SplitPlane, decompose, evaluate_split, fit_obb)
 from .errors import (BadDimension, ConfigError, DegenerateInput, EmptyCloud,
@@ -15,7 +15,7 @@ from .errors import (BadDimension, ConfigError, DegenerateInput, EmptyCloud,
 from .facemask import (FaceDir, FaceId, FaceMask, SubFace, adjacent_face,
                        cells_containing, compute_face_states, face_frame,
                        face_mask, face_slab, obb_overlap, subfaces)
-from .graspeval import (ContactPoint, EvalParams, GraspCandidate, Wrench,
+from .graspeval import (ContactPoint, EvalParams, GraspCandidate,
                         epsilon_quality, estimate_contacts, finger_rays,
                         rank_pool, wrench_set)
 from .pipeline import STAGES, RunConfig, run_pipeline
@@ -31,10 +31,10 @@ __all__ = [
     "DecompNode", "DecompParams", "DecompTree", "DegenerateInput",
     "EmptyCloud", "EmptySide", "EmptyWrenchSet", "EvalParams", "FaceDir",
     "FaceId", "FaceMask", "GraspCandidate", "GraspType", "GripperConfig",
-    "NoContacts", "OrientedBox", "ParseError", "PcaResult", "PointCloud",
+    "NoContacts", "OrientedBox", "ParseError", "PointCloud",
     "PreGrasp", "PreGraspError", "RunConfig", "STAGES",
     "SYNTH_KINDS", "SamplingParams", "ShapeCategory", "SplitPlane",
-    "SubFace", "Wrench", "adjacent_face", "cells_containing", "classify",
+    "SubFace", "adjacent_face", "cells_containing", "classify",
     "compute_face_states", "decompose", "epsilon_quality", "estimate_contacts",
     "evaluate_split", "face_frame", "face_mask", "face_slab", "finger_rays",
     "fit_obb", "generate_pool", "load_cloud", "load_results", "obb_overlap",

@@ -10,6 +10,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateInput
+from .geom import eigh_descending
 
 
 class ShapeCategory(str, Enum):
@@ -50,43 +51,26 @@ class ClassifierThresholds:
     s_small: float = 0.04    # blocky parts with max extent below this (m) -> small
 
 
-@dataclass
-class PcaResult:
-    centroid: np.ndarray
-    eigenvalues: np.ndarray   # descending, >= 0
-    eigenvectors: np.ndarray  # columns matched to eigenvalues, det = +1
-
-
 def pca(points):
-    """Principal component analysis of a point set (n >= 4).
+    """Covariance eigenvalues of a point set (n >= 4), descending and clamped
+    at zero.
 
-    Eigenvalues are returned descending and clamped at zero.  Each of the two
-    dominant eigenvectors is sign-fixed so its largest-magnitude component is
-    positive; the third is flipped if needed to keep the basis right-handed.
+    Raises:
+        DegenerateInput: all points coincide.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    centroid = pts.mean(axis=0)
-    X = pts - centroid
+    X = pts - pts.mean(axis=0)
     if float(np.abs(X).max(initial=0.0)) < 1e-12:
         raise DegenerateInput("all points coincide")
-    cov = X.T @ X / len(X)
-    evals, evecs = np.linalg.eigh(cov)
-    lam = np.maximum(evals[::-1], 0.0)
-    axes = evecs[:, ::-1].copy()
-    for c in range(3):
-        col = axes[:, c]
-        if col[int(np.argmax(np.abs(col)))] < 0.0:
-            axes[:, c] = -col
-    if np.linalg.det(axes) < 0.0:
-        axes[:, 2] = -axes[:, 2]
-    return PcaResult(centroid, lam, axes)
+    return eigh_descending(X.T @ X / len(X))[0]
 
 
-def classify(pca_result, extents, thresholds=None):
+def classify(eigenvalues, extents, thresholds=None):
     """Assign a shape category and grasp type.
 
     Args:
-        pca_result: PcaResult of the node's points.
+        eigenvalues: covariance eigenvalues of the node's points (3,),
+            descending, as `pca` returns them.
         extents: full box dimensions (3,), meters.
         thresholds: ClassifierThresholds (defaults used when None).
 
@@ -95,7 +79,7 @@ def classify(pca_result, extents, thresholds=None):
     (max extent < s_small) -> TwoFingertip; otherwise -> Spherical.
     """
     t = thresholds or ClassifierThresholds()
-    l1, l2, l3 = pca_result.eigenvalues
+    l1, l2, l3 = eigenvalues
     ratio_12 = l1 / l2 if l2 > 0.0 else np.inf
     ratio_23 = l2 / l3 if l3 > 0.0 else (np.inf if l2 > 0.0 else 1.0)
     if ratio_12 >= t.tau_long:

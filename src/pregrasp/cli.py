@@ -124,9 +124,11 @@ def validate_pipeline_args(ns):
     _check(ns.cone_edges >= 3, "--cone-edges", ">= 3", ns.cone_edges)
     _check(ns.quality_dirs >= 1, "--quality-dirs", ">= 1", ns.quality_dirs)
     _check(ns.tube_radius > 0.0, "--tube-radius", "> 0", ns.tube_radius)
+    _check(ns.seed >= 0, "--seed", ">= 0", ns.seed)
 
 def validate_synth_args(ns):
     _check(ns.n >= 4, "--n", ">= 4", ns.n)
+    _check(ns.seed >= 0, "--seed", ">= 0", ns.seed)
     for name in _SYNTH_DIM_ORDER[ns.kind]:
         value = getattr(ns, name)
         if value is not None:

@@ -26,7 +26,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateInput, EmptySide
-from .geom import rotation_about_axis
+from .geom import eigh_descending, rotation_about_axis
 
 logger = logging.getLogger(__name__)
 
@@ -204,9 +204,7 @@ def _pca_axes(cov, X):
     outside the reach of the local refinement sweep, so the tie is resolved
     geometrically here.
     """
-    evals, evecs = np.linalg.eigh(cov)
-    lam = np.maximum(evals[::-1], 0.0)
-    axes = evecs[:, ::-1].copy()
+    lam, axes = eigh_descending(cov)
     for i, j in ((0, 1), (1, 2), (0, 1)):
         if lam[j] <= 0.0 or lam[i] > _TIED_EIGENVALUE_RATIO * lam[j]:
             continue

@@ -37,3 +37,10 @@ def perpendicular_frame(n):
     e1 = unit(g - (g @ n) * n)
     e2 = np.cross(n, e1)
     return e1, e2
+
+
+def eigh_descending(cov):
+    """Eigen-decomposition of a symmetric matrix: eigenvalues descending and
+    clamped at zero, with the unit eigenvectors as matching columns."""
+    evals, evecs = np.linalg.eigh(cov)
+    return np.maximum(evals[::-1], 0.0), evecs[:, ::-1].copy()

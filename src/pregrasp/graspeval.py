@@ -4,10 +4,11 @@ Fingers are modeled as closing rays in the fingertip plane (the pre-grasp
 position advanced by finger_length along the approach axis): the thumb closes
 from the +closing_dir side, the paired fingers from the opposite side, spread
 symmetrically about the approach axis.  Each ray's contact is the first cloud
-point encountered inside a thin tube around the ray.  Contacts build
-friction-cone wrenches and grasps are scored with the largest-ball (epsilon)
-quality: the radius of the biggest origin-centered ball inside the convex hull
-of the contact wrenches, estimated by support-function sampling.
+point encountered inside a thin tube around the ray.  Contacts build one
+(k, 6) array of friction-cone edge wrenches, rows [force | torque], and grasps
+are scored with the largest-ball (epsilon) quality: the radius of the biggest
+origin-centered ball inside the convex hull of those rows, estimated by
+support-function sampling.
 """
 
 import logging
@@ -33,15 +34,8 @@ class ContactPoint:
 
 
 @dataclass
-class Wrench:
-    force: np.ndarray
-    torque: np.ndarray
-
-
-@dataclass
 class GraspCandidate:
     pool_index: int
-    pre_grasp: object
     contacts: List[ContactPoint]
     quality: float          # 0 whenever fewer than 2 contacts
 
@@ -112,30 +106,29 @@ def estimate_contacts(pg, cloud, gripper, tube_r=0.005):
 # ===========================================================================
 
 def wrench_set(contacts, mu, m_edges, centroid):
-    """Friction-cone edge wrenches, m_edges per contact.
+    """Friction-cone edge wrenches as a (len(contacts) * m_edges, 6) array.
 
-    Unit forces at half-angle atan(mu) around each contact normal; torques
-    (p - centroid) x f scaled by rho = the largest contact distance from the
-    centroid.  mu = 0 degenerates every edge to the normal itself.
+    Rows are [force | torque], contact-major, then cone edge k at angle
+    2 pi k / m_edges about the normal.  Unit forces at half-angle atan(mu)
+    around each contact normal; torques (p - centroid) x f scaled by rho = the
+    largest contact distance from the centroid (1 when every contact sits on
+    it).  mu = 0 degenerates every edge to the normal itself.  No contacts
+    give a (0, 6) array.
     """
     centroid = np.asarray(centroid, dtype=float)
     if not contacts:
-        return []
-    rho = max(float(np.linalg.norm(c.position - centroid)) for c in contacts)
-    if rho <= 0.0:
-        rho = 1.0
-    alpha = np.arctan(mu)
-    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
-    wrenches = []
-    for c in contacts:
-        n = unit(c.normal)
-        e1, e2 = perpendicular_frame(n)
-        arm = c.position - centroid
-        for k in range(m_edges):
-            theta = 2.0 * np.pi * k / m_edges
-            f = cos_a * n + sin_a * (np.cos(theta) * e1 + np.sin(theta) * e2)
-            wrenches.append(Wrench(f, np.cross(arm, f) / rho))
-    return wrenches
+        return np.empty((0, 6))
+    arms = np.array([c.position - centroid for c in contacts])
+    rho = max(float(np.linalg.norm(arm)) for arm in arms) or 1.0
+    normals = [unit(c.normal) for c in contacts]
+    frames = np.array([(n, *perpendicular_frame(n)) for n in normals])
+    n, e1, e2 = frames.transpose(1, 0, 2)[:, :, None, :]            # each (c, 1, 3)
+    cos_a, sin_a = np.cos(np.arctan(mu)), np.sin(np.arctan(mu))
+    theta = 2.0 * np.pi * np.arange(m_edges) / m_edges
+    cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]   # (m, 1)
+    forces = cos_a * n + sin_a * (cos_t * e1 + sin_t * e2)           # (c, m, 3)
+    torques = np.cross(arms[:, None, :], forces) / rho
+    return np.concatenate((forces, torques), axis=2).reshape(-1, 6)
 
 
 def _primitive_shell(s):
@@ -157,37 +150,39 @@ def _lattice_directions():
 
 
 def epsilon_quality(wrenches, n_dirs=1024, seed=0):
-    """Largest-ball grasp quality from support-function sampling.
+    """Largest-ball grasp quality of a (k, 6) wrench array (rows as
+    `wrench_set` builds them), from support-function sampling.
 
     Evaluates the support h(d) = max_w d.w of the wrench hull over n_dirs
     deterministic quasi-uniform unit directions in 6-D; returns min h, or 0 as
     soon as some direction has negative support (origin outside the hull).
     Directions enumerate the normalized primitive-lattice shells first and
-    continue with a seeded uniform stream, forming a prefix sequence: a larger
-    n_dirs reuses the smaller run's directions, so estimates never increase
-    under refinement.
+    continue with a uniform stream seeded by `seed` (built only once the
+    lattice is used up), forming a prefix sequence: a larger n_dirs reuses the
+    smaller run's directions, so estimates never increase under refinement.
 
     Raises:
-        EmptyWrenchSet: wrenches is empty.
+        EmptyWrenchSet: wrenches has no rows.
     """
     if len(wrenches) == 0:
         raise EmptyWrenchSet("no wrenches to evaluate")
-    w = np.array([np.concatenate((x.force, x.torque)) for x in wrenches])
     lattice = _lattice_directions()
     best = np.inf
     taken = 0
-    rng = np.random.default_rng(seed)
+    rng = None
     while taken < n_dirs:
         k = min(_EPSILON_CHUNK, n_dirs - taken)
         if taken < len(lattice):
             d = lattice[taken:min(taken + k, len(lattice))]
         else:
+            if rng is None:
+                rng = np.random.default_rng(seed)
             d = rng.standard_normal((k, 6))
             norms = np.linalg.norm(d, axis=1, keepdims=True)
             norms[norms < 1e-12] = 1.0
             d = d / norms
         taken += len(d)
-        h = (d @ w.T).max(axis=1)
+        h = (d @ wrenches.T).max(axis=1)
         if (h < 0.0).any():
             return 0.0
         best = min(best, float(h.min()))
@@ -214,7 +209,7 @@ def rank_pool(pool, cloud, gripper, params=None):
             quality = epsilon_quality(ws, params.quality_dirs, params.seed)
         else:
             quality = 0.0
-        candidates.append(GraspCandidate(idx, pg, contacts, quality))
+        candidates.append(GraspCandidate(idx, contacts, quality))
     candidates.sort(key=lambda c: (-c.quality, -len(c.contacts), c.pool_index))
     if candidates:
         top = candidates[0]

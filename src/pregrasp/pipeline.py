@@ -67,9 +67,9 @@ def _classify_all(cloud, tree, thresholds):
     """(category, grasp_type, eigenvalues) per node, indexed by node id."""
     out = []
     for n in tree.nodes:
-        res = pca(cloud.points[n.point_indices])
-        cat, grasp = classify(res, 2.0 * n.box.half_extents, thresholds)
-        out.append((cat, grasp, res.eigenvalues))
+        lam = pca(cloud.points[n.point_indices])
+        cat, grasp = classify(lam, 2.0 * n.box.half_extents, thresholds)
+        out.append((cat, grasp, lam))
     return out
 
 def _classification_section(classes):

@@ -90,9 +90,9 @@ def classes_for(tree, cloud, thresholds=None):
     """node id -> (category, grasp type, eigenvalues), as the pipeline builds it."""
     out = {}
     for node in tree.nodes:
-        res = pca(cloud.points[node.point_indices])
-        cat, grasp = classify(res, 2.0 * node.box.half_extents, thresholds)
-        out[node.id] = (cat, grasp, res.eigenvalues)
+        lam = pca(cloud.points[node.point_indices])
+        cat, grasp = classify(lam, 2.0 * node.box.half_extents, thresholds)
+        out[node.id] = (cat, grasp, lam)
     return out
 
 

@@ -9,7 +9,10 @@ code because the package must agree with them exactly:
   search must agree with, built on the package's public `evaluate_split`;
 - `reference_samples`, the three separate per-surface samplers the package's
   single sampling loop replaced, built on the package's sub-face schemes and
-  `PreGrasp`.
+  `PreGrasp`;
+- `reference_wrench_set`, the per-edge friction-cone loop the package's
+  broadcast `wrench_set` replaced, built on the package's `unit` and
+  `perpendicular_frame`.
 """
 
 import numpy as np
@@ -147,6 +150,35 @@ def exhaustive_split(points, box, planes_per_axis=16, refine_steps=3):
             if best is None or ev.volume_sum < best.volume_sum:
                 best = ev
     return best
+
+
+# ---------------------------------------------------------------------------
+# Per-edge friction-cone wrenches (reference for the broadcast wrench array)
+# ---------------------------------------------------------------------------
+
+def reference_wrench_set(contacts, mu, m_edges, centroid):
+    """Friction-cone edge wrenches built one contact and one edge at a time,
+    rows [force | torque] stacked as a (len(contacts) * m_edges, 6) array."""
+    from pregrasp.geom import perpendicular_frame, unit
+
+    centroid = np.asarray(centroid, dtype=float)
+    if not contacts:
+        return np.empty((0, 6))
+    rho = max(float(np.linalg.norm(c.position - centroid)) for c in contacts)
+    if rho <= 0.0:
+        rho = 1.0
+    alpha = np.arctan(mu)
+    cos_a, sin_a = np.cos(alpha), np.sin(alpha)
+    rows = []
+    for c in contacts:
+        n = unit(c.normal)
+        e1, e2 = perpendicular_frame(n)
+        arm = c.position - centroid
+        for k in range(m_edges):
+            theta = 2.0 * np.pi * k / m_edges
+            f = cos_a * n + sin_a * (np.cos(theta) * e1 + np.sin(theta) * e2)
+            rows.append(np.concatenate((f, np.cross(arm, f) / rho)))
+    return np.array(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,6 @@
 """PCA shape statistics and the category -> grasp-type mapping."""
 
 import numpy as np
-import pytest
 
 import helpers
 
@@ -9,15 +8,15 @@ from pregrasp import (
     ClassifierThresholds,
     GraspType,
     ShapeCategory,
+    fit_obb,
     synth_shape,
 )
-from pregrasp.classifier import PcaResult, classify, pca
+from pregrasp.classifier import classify, pca
 
 
 def _classify_cloud(cloud):
-    res = pca(cloud.points)
     extents = cloud.points.max(axis=0) - cloud.points.min(axis=0)
-    return classify(res, extents)
+    return classify(pca(cloud.points), extents)
 
 
 # ---------------------------------------------------------------------------
@@ -67,8 +66,7 @@ def test_grasp_type_mapping_is_total():
             ShapeCategory.THREE_DIMENSIONAL_LARGE: (1.0, 1.0, 1.0),
         }[cat]
         extents = (0.02,) * 3 if cat is ShapeCategory.THREE_DIMENSIONAL_SMALL else (0.2,) * 3
-        res = PcaResult(np.zeros(3), np.array(eigen), np.eye(3))
-        got_cat, got_grasp = classify(res, np.array(extents))
+        got_cat, got_grasp = classify(np.array(eigen), np.array(extents))
         assert got_cat is cat
         assert got_grasp is grasp
 
@@ -78,8 +76,8 @@ def test_grasp_type_mapping_is_total():
 # ---------------------------------------------------------------------------
 
 def _cat(eigenvalues, extents=(0.2, 0.2, 0.2), thresholds=None):
-    res = PcaResult(np.zeros(3), np.asarray(eigenvalues, dtype=float), np.eye(3))
-    return classify(res, np.asarray(extents), thresholds)[0]
+    return classify(np.asarray(eigenvalues, dtype=float), np.asarray(extents),
+                    thresholds)[0]
 
 
 def test_elongation_threshold_is_inclusive():
@@ -119,43 +117,24 @@ def test_custom_thresholds_respected():
 
 def test_pca_eigenvalues_sorted_descending():
     cloud = synth_shape("box", (0.3, 0.1, 0.05), 2000, seed=4)
-    res = pca(cloud.points)
-    assert res.eigenvalues[0] >= res.eigenvalues[1] >= res.eigenvalues[2] >= 0.0
-
-
-def test_pca_centroid_matches_mean():
-    cloud = synth_shape("sphere", (0.05,), 500, seed=4)
-    res = pca(cloud.points)
-    np.testing.assert_allclose(res.centroid, cloud.points.mean(axis=0))
-
-
-def test_pca_eigenvector_conventions():
-    cloud = synth_shape("box", (0.3, 0.1, 0.05), 2000, seed=4)
-    res = pca(cloud.points)
-    vecs = res.eigenvectors
-    np.testing.assert_allclose(vecs @ vecs.T, np.eye(3), atol=1e-12)
-    assert np.linalg.det(vecs) == pytest.approx(1.0)
-    # dominant two axes: largest-magnitude component positive
-    for col in range(2):
-        comp = vecs[:, col]
-        assert comp[np.argmax(np.abs(comp))] > 0.0
+    lam = pca(cloud.points)
+    assert lam[0] >= lam[1] >= lam[2] >= 0.0
 
 
 def test_pca_matches_direct_covariance_eigenvalues():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(500, 3)) * [3.0, 2.0, 0.5]
-    res = pca(pts)
     centered = pts - pts.mean(axis=0)
     ref = np.sort(np.linalg.eigvalsh(centered.T @ centered / len(pts)))[::-1]
-    np.testing.assert_allclose(res.eigenvalues, ref, atol=1e-12)
+    np.testing.assert_allclose(pca(pts), ref, atol=1e-12)
 
 
 def test_pca_rotation_invariant_eigenvalues():
     cloud = synth_shape("lshape", (0.2, 0.15, 0.04), 1500, seed=5)
-    base = pca(cloud.points).eigenvalues
+    base = pca(cloud.points)
     for seed in range(100):
         rot = helpers.random_rotation(np.random.default_rng(seed))
-        rotated = pca(cloud.points @ rot.T).eigenvalues
+        rotated = pca(cloud.points @ rot.T)
         np.testing.assert_allclose(rotated, base, atol=1e-9)
 
 
@@ -170,8 +149,6 @@ def test_classification_rotation_invariant():
         for seed in range(10):
             rot = helpers.random_rotation(np.random.default_rng(200 + seed))
             pts = cloud.points @ rot.T
-            res = pca(pts)
-            # extents along principal axes are rotation invariant
-            local = (pts - res.centroid) @ res.eigenvectors
-            extents = local.max(axis=0) - local.min(axis=0)
-            assert classify(res, extents)[0] is expected
+            # extents of the fitted box, as the pipeline takes them
+            extents = 2.0 * fit_obb(pts).half_extents
+            assert classify(pca(pts), extents)[0] is expected

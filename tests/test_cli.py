@@ -68,6 +68,9 @@ def test_synth_rejects_bad_flags(tmp_path, capsys):
     assert main(["synth", "box", "--dx", "-1.0",
                  "--out", str(tmp_path / "x.xyz")]) == 2
     assert "--dx" in capsys.readouterr().err
+    assert main(["synth", "sphere", "--seed", "-1",
+                 "--out", str(tmp_path / "x.xyz")]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 # ===========================================================================
@@ -135,6 +138,7 @@ def test_pipeline_flag_validation(sphere_xyz, tmp_path, capsys):
         (["--angular-step", "200"], "--angular-step"),
         (["--cone-edges", "2"], "--cone-edges"),
         (["--tube-radius", "0"], "--tube-radius"),
+        (["--seed", "-1"], "--seed"),
     ]
     for extra, flag in cases:
         code = run_stage("rank", sphere_xyz, tmp_path / "x.json", *extra)

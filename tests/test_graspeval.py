@@ -1,17 +1,21 @@
 """Tests for contact estimation, wrench construction and epsilon ranking."""
 
+import functools
+
 import numpy as np
 import pytest
 
 import helpers
 import oracles
 from pregrasp.classifier import GraspType
+from pregrasp.decomposition import decompose
 from pregrasp.errors import EmptyWrenchSet, NoContacts
-from pregrasp.graspeval import (ContactPoint, EvalParams, Wrench,
-                                epsilon_quality, estimate_contacts,
-                                finger_rays, rank_pool, wrench_set)
+from pregrasp.graspeval import (ContactPoint, EvalParams, epsilon_quality,
+                                estimate_contacts, finger_rays, rank_pool,
+                                wrench_set)
+from pregrasp.pipeline import RunConfig
 from pregrasp.pointcloud import synth_shape
-from pregrasp.sampler import GripperConfig, PreGrasp
+from pregrasp.sampler import GripperConfig, PreGrasp, generate_pool
 
 MU = 0.5
 EDGES = 8
@@ -49,8 +53,7 @@ def icosahedral_cage(rotation=np.eye(3), r=0.04):
 def cross_polytope_wrenches():
     """Wrench set whose hull is the unit 6-D cross-polytope (inradius
     1/sqrt(6), attained on the all-ones diagonals)."""
-    basis = np.vstack([np.eye(6), -np.eye(6)])
-    return [Wrench(row[:3].copy(), row[3:].copy()) for row in basis]
+    return np.vstack([np.eye(6), -np.eye(6)])
 
 
 # ===========================================================================
@@ -156,37 +159,83 @@ def test_misses_contribute_no_contact(gripper):
 def test_wrench_count_and_force_geometry():
     contacts = antipodal_contacts()
     wrenches = wrench_set(contacts, MU, EDGES, np.zeros(3))
-    assert len(wrenches) == len(contacts) * EDGES == 16
+    assert wrenches.shape == (len(contacts) * EDGES, 6) == (16, 6)
     cos_alpha = np.cos(np.arctan(MU))
     sin_alpha = np.sin(np.arctan(MU))
-    for k, w in enumerate(wrenches):
-        normal = contacts[k // EDGES].normal
-        assert np.isclose(np.linalg.norm(w.force), 1.0)
-        assert np.isclose(w.force @ normal, cos_alpha)   # cone half-angle
-        # contact sits on the lever axis at distance rho, so the scaled
-        # torque magnitude is exactly sin(alpha) = mu / sqrt(1 + mu^2)
-        assert np.isclose(np.linalg.norm(w.torque), sin_alpha)
-        assert np.linalg.norm(w.torque) <= MU + 1e-12
+    forces, torques = wrenches[:, :3], wrenches[:, 3:]
+    normals = np.repeat([c.normal for c in contacts], EDGES, axis=0)
+    assert np.allclose(np.linalg.norm(forces, axis=1), 1.0)
+    assert np.allclose(np.einsum("ij,ij->i", forces, normals), cos_alpha)  # cone half-angle
+    # contact sits on the lever axis at distance rho, so the scaled
+    # torque magnitude is exactly sin(alpha) = mu / sqrt(1 + mu^2)
+    assert np.allclose(np.linalg.norm(torques, axis=1), sin_alpha)
+    assert (np.linalg.norm(torques, axis=1) <= MU + 1e-12).all()
 
 
 def test_zero_friction_degenerates_to_normals():
     wrenches = wrench_set(antipodal_contacts(), 0.0, EDGES, np.zeros(3))
-    for k, w in enumerate(wrenches):
-        assert np.allclose(w.force, antipodal_contacts()[k // EDGES].normal)
-        assert np.allclose(w.torque, 0.0)
+    normals = np.repeat([c.normal for c in antipodal_contacts()], EDGES, axis=0)
+    assert np.allclose(wrenches[:, :3], normals)
+    assert np.allclose(wrenches[:, 3:], 0.0)
 
 
 def test_wrench_torque_scaling_is_rho_invariant():
     """Doubling the object scale leaves the scaled torques unchanged."""
     small = wrench_set(antipodal_contacts(0.04), MU, EDGES, np.zeros(3))
     large = wrench_set(antipodal_contacts(0.08), MU, EDGES, np.zeros(3))
-    for a, b in zip(small, large):
-        assert np.allclose(a.force, b.force)
-        assert np.allclose(a.torque, b.torque)
+    assert small.shape == large.shape
+    assert np.allclose(small[:, :3], large[:, :3])
+    assert np.allclose(small[:, 3:], large[:, 3:])
 
 
 def test_empty_contacts_yield_no_wrenches():
-    assert wrench_set([], MU, EDGES, np.zeros(3)) == []
+    assert wrench_set([], MU, EDGES, np.zeros(3)).shape == (0, 6)
+
+
+def axis_contacts():
+    """Contacts 4 cm out along -n for normals exactly on +-x, +-y, +-z and on
+    the diagonals where perpendicular_frame's argmin ties."""
+    normals = np.vstack([np.eye(3), -np.eye(3),
+                         [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]])
+    normals /= np.linalg.norm(normals, axis=1, keepdims=True)
+    return [ContactPoint(-0.04 * n, n) for n in normals]
+
+
+@functools.lru_cache(maxsize=1)
+def ranked_contact_sets():
+    """Contact sets of every ranked candidate of one 5k cylinder plan."""
+    cloud = synth_shape("cylinder", (0.03, 0.2), 5000, seed=3)
+    cfg = RunConfig()
+    tree = decompose(cloud, cfg.decomposition)
+    pool = generate_pool(tree, helpers.classes_for(tree, cloud, cfg.thresholds),
+                         helpers.masks_for(tree, cfg.gripper.finger_length),
+                         cfg.gripper, cfg.sampling)
+    ranked = rank_pool(pool, cloud, cfg.gripper, cfg.evaluation)
+    return cloud.centroid, [c.contacts for c in ranked if c.contacts]
+
+
+@pytest.mark.parametrize("mu", [0.0, MU])
+@pytest.mark.parametrize("edges", [3, EDGES])
+def test_wrench_set_matches_reference_bytes(mu, edges):
+    """The broadcast wrench array equals the per-edge reference bit for bit."""
+    origin = np.zeros(3)
+    cases = [
+        (antipodal_contacts(), origin),
+        (icosahedral_cage(), origin),
+        (antipodal_contacts()[:1], origin),
+        (axis_contacts(), origin),
+        ([ContactPoint(np.zeros(3), c.normal) for c in axis_contacts()], origin),
+        ([], origin),
+    ]
+    centroid, sets = ranked_contact_sets()
+    assert len(sets) > 100
+    cases += [(contacts, centroid) for contacts in sets]
+    for contacts, center in cases:
+        got = wrench_set(contacts, mu, edges, center)
+        ref = oracles.reference_wrench_set(contacts, mu, edges, center)
+        assert got.shape == ref.shape == (len(contacts) * edges, 6)
+        assert got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
 
 
 # ===========================================================================
@@ -201,8 +250,7 @@ def test_cross_polytope_quality_is_exact():
     got = epsilon_quality(wrenches, n_dirs=16384)
     exact = 1.0 / np.sqrt(6.0)
     assert np.isclose(got, exact, rtol=1e-12)
-    w = np.array([np.concatenate((x.force, x.torque)) for x in wrenches])
-    ref = oracles.epsilon_support_reference(w, n_dirs=2 ** 18)
+    ref = oracles.epsilon_support_reference(wrenches, n_dirs=2 ** 18)
     assert abs(got - ref) / ref <= 0.05
 
 
@@ -216,8 +264,7 @@ def test_pinch_quality_matches_fine_reference(small_sphere_cloud, gripper):
     contacts = estimate_contacts(pg, small_sphere_cloud, gripper, tube_r=0.005)
     wrenches = wrench_set(contacts, MU, EDGES, small_sphere_cloud.centroid)
     got = epsilon_quality(wrenches, n_dirs=16384)
-    w = np.array([np.concatenate((x.force, x.torque)) for x in wrenches])
-    ref = oracles.epsilon_support_reference(w, n_dirs=2 ** 20)
+    ref = oracles.epsilon_support_reference(wrenches, n_dirs=2 ** 20)
     assert got > 0.0
     assert abs(got - ref) / ref <= 0.10
 
@@ -239,7 +286,7 @@ def test_single_contact_scores_zero():
 
 def test_empty_wrench_set_raises():
     with pytest.raises(EmptyWrenchSet):
-        epsilon_quality([], n_dirs=1024)
+        epsilon_quality(wrench_set([], MU, EDGES, np.zeros(3)), n_dirs=1024)
 
 
 def test_quality_prefix_monotone_in_directions():
