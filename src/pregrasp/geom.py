@@ -25,18 +25,49 @@ def rotation_about_axis(axis, angle_rad):
     return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
 
 
-def perpendicular_frame(n):
-    """Two unit vectors completing a right-handed frame with unit normal n.
+def row_norms(v):
+    """Euclidean norm of each row of an (n, 3) array, with the bits `unit`
+    gets for that row on its own.
 
-    The first is built from the global axis least parallel to n, so the result
-    is deterministic for any input direction.
+    A stacked 1x3 @ 3x1 product takes the BLAS dot routine of a 1-D norm,
+    where a row-wise sum or einsum can round differently.  Some BLAS kernels
+    (OpenBLAS Prescott) round a 3-element dot differently when it starts off
+    a 16-byte boundary, so each row is first copied to a 4-wide row, which
+    starts aligned like a fresh 3-vector.
     """
-    n = unit(n)
-    g = np.zeros(3)
-    g[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = unit(g - (g @ n) * n)
-    e2 = np.cross(n, e1)
-    return e1, e2
+    rows = np.zeros((len(v), 4))
+    rows[:, :3] = v
+    rows = rows[:, :3]
+    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+
+
+def unit_rows(v):
+    """Normalize each row of an (n, 3) array, bit for bit as `unit` does.
+
+    Raises:
+        ValueError: a row's norm is ~0.
+    """
+    v = np.asarray(v, dtype=float)
+    norms = row_norms(v)
+    if (norms < 1e-12).any():
+        raise ValueError("cannot normalize a zero vector")
+    return v / norms[:, None]
+
+
+def perpendicular_frames(normals):
+    """Two unit vectors per row completing a right-handed frame with each
+    row of `normals` (normalized here), as two (n, 3) arrays.
+
+    The first is built from the global axis least parallel to the normal, so
+    the result is deterministic for any input direction.
+    """
+    n = unit_rows(normals)
+    rows = np.arange(len(n))
+    k = np.argmin(np.abs(n), axis=1)
+    g = np.zeros_like(n)
+    g[rows, k] = 1.0
+    e1 = unit_rows(g - n[rows, k][:, None] * n)
+    return e1, np.cross(n, e1)
 
 
 def eigh_descending(cov):

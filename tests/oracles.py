@@ -2,7 +2,7 @@
 
 Everything in here is deliberately brute-force and self-contained (numpy only,
 no imports from the package under test) so that a disagreement points at the
-implementation, not at a shared helper.  Two exceptions are built on package
+implementation, not at a shared helper.  Some exceptions are built on package
 code because the package must agree with them exactly:
 
 - `exhaustive_split`, the full-point split search the package's screened
@@ -10,9 +10,12 @@ code because the package must agree with them exactly:
 - `reference_samples`, the three separate per-surface samplers the package's
   single sampling loop replaced, built on the package's sub-face schemes and
   `PreGrasp`;
-- `reference_wrench_set`, the per-edge friction-cone loop the package's
-  broadcast `wrench_set` replaced, built on the package's `unit` and
-  `perpendicular_frame`.
+- `reference_wrench_set`, the per-edge friction-cone loop (with the
+  per-contact `perpendicular_frame`) the package's broadcast `wrench_set`
+  replaced, built on the package's `unit`;
+- `reference_contacts`, the scan of every cloud point for every finger ray
+  that the package's voxel-indexed contact search replaced, built on the
+  package's `finger_rays`, `unit`, `ContactPoint` and `NoContacts`.
 """
 
 import numpy as np
@@ -156,10 +159,23 @@ def exhaustive_split(points, box, planes_per_axis=16, refine_steps=3):
 # Per-edge friction-cone wrenches (reference for the broadcast wrench array)
 # ---------------------------------------------------------------------------
 
+def perpendicular_frame(n):
+    """Two unit vectors completing a right-handed frame with normal n, built
+    one contact at a time from the global axis least parallel to n."""
+    from pregrasp.geom import unit
+
+    n = unit(n)
+    g = np.zeros(3)
+    g[int(np.argmin(np.abs(n)))] = 1.0
+    e1 = unit(g - (g @ n) * n)
+    e2 = np.cross(n, e1)
+    return e1, e2
+
+
 def reference_wrench_set(contacts, mu, m_edges, centroid):
     """Friction-cone edge wrenches built one contact and one edge at a time,
     rows [force | torque] stacked as a (len(contacts) * m_edges, 6) array."""
-    from pregrasp.geom import perpendicular_frame, unit
+    from pregrasp.geom import unit
 
     centroid = np.asarray(centroid, dtype=float)
     if not contacts:
@@ -417,3 +433,33 @@ def first_contact_reference(points, origin, direction, tube_r):
         if perp2 <= tube_r * tube_r and t < best_t:
             best_t, best_i = t, i
     return best_i
+
+
+def reference_contacts(pg, cloud, gripper, tube_r=0.005):
+    """Contacts of one pre-grasp from a scan of every cloud point for every
+    finger ray: the first point along each ray within tube_r, normals toward
+    the cloud centroid.
+
+    Raises:
+        NoContacts: no finger ray touched the cloud.
+    """
+    from pregrasp.errors import NoContacts
+    from pregrasp.geom import unit
+    from pregrasp.graspeval import ContactPoint, finger_rays
+
+    pts = cloud.points
+    centroid = cloud.centroid
+    contacts = []
+    for origin, direction in finger_rays(pg, gripper):
+        rel = pts - origin
+        t = rel @ direction
+        perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
+        ok = (t >= 0.0) & (perp2 <= tube_r * tube_r)
+        if not ok.any():
+            continue
+        i = int(np.argmin(np.where(ok, t, np.inf)))
+        p = pts[i]
+        contacts.append(ContactPoint(p.copy(), unit(centroid - p, fallback=-direction)))
+    if not contacts:
+        raise NoContacts(f"no finger touched the cloud from {pg.position}")
+    return contacts

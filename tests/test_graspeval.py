@@ -10,12 +10,13 @@ import oracles
 from pregrasp.classifier import GraspType
 from pregrasp.decomposition import decompose
 from pregrasp.errors import EmptyWrenchSet, NoContacts
-from pregrasp.graspeval import (ContactPoint, EvalParams, epsilon_quality,
-                                estimate_contacts, finger_rays, rank_pool,
-                                wrench_set)
+from pregrasp.graspeval import (ContactIndex, ContactPoint, EvalParams,
+                                epsilon_quality, estimate_contacts,
+                                finger_rays, rank_pool, wrench_set)
 from pregrasp.pipeline import RunConfig
-from pregrasp.pointcloud import synth_shape
-from pregrasp.sampler import GripperConfig, PreGrasp, generate_pool
+from pregrasp.pointcloud import PointCloud, synth_shape
+from pregrasp.sampler import (GripperConfig, PreGrasp, SamplingParams,
+                              generate_pool)
 
 MU = 0.5
 EDGES = 8
@@ -150,6 +151,197 @@ def test_misses_contribute_no_contact(gripper):
     pg = make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL)
     contacts = estimate_contacts(pg, cloud, gripper, tube_r=0.005)
     assert len(contacts) == 1
+
+
+def planned_pool(cloud, gripper, tree=None):
+    """The pre-grasp pool the pipeline samples for `cloud` (default sampling)."""
+    cfg = RunConfig()
+    tree = tree or decompose(cloud, cfg.decomposition)
+    return generate_pool(tree, helpers.classes_for(tree, cloud, cfg.thresholds),
+                         helpers.masks_for(tree, gripper.finger_length),
+                         gripper, SamplingParams())
+
+
+def assert_contacts_match_reference(pool, cloud, gripper, tube_r=0.005):
+    """Contacts from one shared index equal the full scan's, bytes and all.
+    Returns how many candidates touched the cloud and how many missed."""
+    index = ContactIndex(cloud, tube_r)
+    touched = missed = 0
+    for pg in pool:
+        try:
+            ref = oracles.reference_contacts(pg, cloud, gripper, tube_r)
+        except NoContacts:
+            with pytest.raises(NoContacts):
+                estimate_contacts(pg, cloud, gripper, tube_r, index=index)
+            missed += 1
+            continue
+        got = estimate_contacts(pg, cloud, gripper, tube_r, index=index)
+        assert len(got) == len(ref)
+        for g, r in zip(got, ref):
+            assert g.position.tobytes() == r.position.tobytes()
+            assert g.normal.tobytes() == r.normal.tobytes()
+        touched += 1
+    return touched, missed
+
+
+@pytest.mark.parametrize("fixture", ["small_sphere_cloud", "sphere_cloud",
+                                     "lshape_cloud", "dumbbell_cloud"])
+def test_contacts_match_reference_on_fixtures(fixture, request, gripper):
+    cloud = request.getfixturevalue(fixture)
+    pool = planned_pool(cloud, gripper)
+    touched, _ = assert_contacts_match_reference(pool, cloud, gripper)
+    assert touched > 0
+
+
+@pytest.mark.parametrize("kind,dims", [
+    ("box", (0.2, 0.15, 0.1)), ("sphere", (0.05,)), ("cylinder", (0.03, 0.2)),
+    ("plate", (0.2, 0.15, 0.01)), ("dumbbell", (0.2, 0.08, 0.03, 0.015)),
+    ("lshape", (0.2, 0.15, 0.04))])
+def test_contacts_match_reference_on_10k_shapes(kind, dims):
+    """A wide aperture so that the box and the plate get a pool too."""
+    gripper = GripperConfig(max_aperture=0.25)
+    cloud = synth_shape(kind, dims, 10000, seed=1)
+    pool = planned_pool(cloud, gripper)
+    touched, _ = assert_contacts_match_reference(pool, cloud, gripper)
+    assert touched > 0
+
+
+def exact_gripper():
+    """Finger length and half aperture 1/16 m, so that the finger rays of an
+    axis-aligned pre-grasp at the origin have dyadic origins."""
+    return GripperConfig(finger_length=0.0625, max_aperture=0.125)
+
+
+def axis_pregrasp():
+    """Cylindrical pre-grasp at the origin approaching along +x, closing
+    along z: its thumb ray starts at (1/16, 0, 1/16) along -z, and its two
+    paired rays are one ray, from (1/16, 0, -1/16) along +z."""
+    return make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL)
+
+
+def test_contacts_match_reference_on_edge_rays(sphere_cloud, sphere_tree, gripper):
+    pool = planned_pool(sphere_cloud, gripper, sphere_tree)
+    edge_pool = [
+        # rays along -z and +z: zero direction components in the slab test
+        make_pregrasp((-0.1, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL),
+        make_pregrasp((0, -0.1, 0), (0, 1, 0), (1, 0, 0), GraspType.SPHERICAL),
+        # a miss
+        make_pregrasp((1.0, 1.0, 1.0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL),
+    ]
+    touched, missed = assert_contacts_match_reference(
+        pool + edge_pool, sphere_cloud, gripper)
+    assert touched >= len(pool) and missed == 1
+    # finger origins inside the cloud box (and inside the sphere)
+    inside = GripperConfig(max_aperture=0.04)
+    inner_pool = [make_pregrasp((-0.08, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL),
+                  make_pregrasp((0, 0, -0.07), (0, 0, 1), (0, 1, 0), GraspType.CYLINDRICAL)]
+    for origin, _ in finger_rays(inner_pool[0], inside):
+        assert (np.abs(origin) < 0.05).all()     # the sphere's radius
+    touched, _ = assert_contacts_match_reference(inner_pool, sphere_cloud, inside)
+    assert touched == 2
+    # a tube wider than the cloud
+    touched, _ = assert_contacts_match_reference(pool, sphere_cloud, gripper, tube_r=0.5)
+    assert touched == len(pool)
+
+
+def test_contacts_match_reference_far_and_large_coordinates(sphere_cloud, sphere_tree,
+                                                            gripper):
+    """A 1e4 m outlier and coordinates near 1e6 m: cells are keyed sparsely,
+    so neither builds a grid spanning the cloud box nor overflows a key."""
+    pool = planned_pool(sphere_cloud, gripper, sphere_tree)
+    outlier = PointCloud(np.vstack([sphere_cloud.points, [1e4, 1e4, 1e4]]))
+    touched, _ = assert_contacts_match_reference(pool, outlier, gripper)
+    assert touched > 0
+    shift = np.array([1e6, -1e6, 1e6])
+    far = PointCloud(sphere_cloud.points + shift)
+    far_pool = [PreGrasp(pg.position + shift, pg.approach, pg.closing_dir,
+                         pg.grasp_type, pg.source_node, pg.source_subface) for pg in pool]
+    touched, _ = assert_contacts_match_reference(far_pool, far, gripper)
+    assert touched > 0
+
+
+def far_points(n=1000):
+    """n points at least 3 cm from the rays of `axis_pregrasp`: enough
+    points for the index to be used instead of a scan of every point."""
+    rng = np.random.default_rng(0)
+    return np.column_stack([0.05 + 0.02 * rng.random(n), 0.03 + 0.02 * rng.random(n),
+                            0.03 * rng.random(n)])
+
+
+def test_contact_ties_go_to_the_lowest_index():
+    """Points 0 and 1 lie at equal t on both rays, 1/512 m either side of
+    the rays' line, in two cells ordered opposite to their indices; point 2
+    only fixes the cloud corner that puts the cell boundary between them."""
+    gripper = exact_gripper()
+    q = 1.0 / 16
+    cloud = PointCloud(np.vstack([[[q + 2.0 ** -9, 0.0, 0.0],
+                                   [q - 2.0 ** -9, 0.0, 0.0],
+                                   [q - 2.0 ** -6, 0.0, 1.0 / 32]], far_points()]))
+    index = ContactIndex(cloud, 2.0 ** -7)
+    order = list(index.order)
+    assert order.index(1) < order.index(0)
+    pg = axis_pregrasp()
+    contacts = estimate_contacts(pg, cloud, gripper, 2.0 ** -7, index=index)
+    assert [c.position.tobytes() for c in contacts] == [cloud.points[0].tobytes()] * 3
+    assert_contacts_match_reference([pg], cloud, gripper, 2.0 ** -7)
+
+
+def test_contact_on_the_tube_boundary_counts():
+    """Point 0 lies exactly tube_r (1/128 m) from the thumb ray, with
+    perp2 == tube_r**2 in floating point, and before point 1 along it."""
+    gripper = exact_gripper()
+    q, r = 1.0 / 16, 2.0 ** -7
+    cloud = PointCloud(np.vstack([[[q + r, 0.0, 1.0 / 32], [q, 0.0, 0.0]], far_points()]))
+    rel = cloud.points[0] - finger_rays(axis_pregrasp(), gripper)[0][0]
+    assert rel @ rel - rel[2] ** 2 == r * r
+    contacts = estimate_contacts(axis_pregrasp(), cloud, gripper, r)
+    assert contacts[0].position.tobytes() == cloud.points[0].tobytes()
+    assert_contacts_match_reference([axis_pregrasp()], cloud, gripper, r)
+
+
+def test_contact_single_candidate_keeps_scan_bits(gripper):
+    """Point 0 is the thumb ray's only candidate.  For this ray (found by a
+    random search) a 1-row product, which numpy computes on its dot path,
+    rounds t so that the point falls outside the tube, where the scan's
+    per-row product keeps it inside (x86-64 OpenBLAS).  The 3000 other
+    points, 15 cm away, make the cloud large enough for the index to be
+    used."""
+    pg = PreGrasp(np.array([0.0004, 0.0732, -0.0951]),
+                  np.array([-0.003386952230513614, -0.6097222946756489, 0.7926078803103396]),
+                  np.array([-0.07027377756200023, 0.7907979857227814, 0.6080297212833911]),
+                  GraspType.CYLINDRICAL, 0, (0, 0))
+    hit = np.array([-0.004813389530020996, 0.023736792334463533, -0.03137114093809743])
+    rng = np.random.default_rng(0)
+    cloud = PointCloud(np.vstack([hit, hit + 0.15 + 0.01 * rng.random((3000, 3))]))
+    assert_contacts_match_reference([pg], cloud, gripper)
+
+
+def test_repeated_ray_is_searched_once(small_sphere_cloud, gripper):
+    """The two paired rays of a zero-spread preshape are one ray: it is
+    searched once, and its contact is still listed for both fingers."""
+    pg = make_pregrasp((0.0932, 0, 0), (-1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL)
+    rays = finger_rays(pg, gripper)
+    assert rays[1][0].tobytes() == rays[2][0].tobytes()
+    assert rays[1][1].tobytes() == rays[2][1].tobytes()
+    index = ContactIndex(small_sphere_cloud, 0.005)
+    searched = []
+    first_hit = index.first_hit
+    index.first_hit = lambda o, d: searched.append(o) or first_hit(o, d)
+    contacts = estimate_contacts(pg, small_sphere_cloud, gripper, index=index)
+    assert len(searched) == 2 and len(contacts) == 3
+    assert contacts[1].position.tobytes() == contacts[2].position.tobytes()
+    assert contacts[1] is not contacts[2]
+
+
+def test_contact_index_must_match_cloud_and_tube(small_sphere_cloud, sphere_cloud, gripper):
+    pg = sphere_pool()[1]
+    index = ContactIndex(small_sphere_cloud, 0.005)
+    with pytest.raises(ValueError):
+        estimate_contacts(pg, small_sphere_cloud, gripper, 0.004, index=index)
+    with pytest.raises(ValueError):
+        estimate_contacts(pg, sphere_cloud, gripper, 0.005, index=index)
+    with pytest.raises(ValueError):
+        ContactIndex(small_sphere_cloud, 0.0)
 
 
 # ===========================================================================
