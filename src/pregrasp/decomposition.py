@@ -5,9 +5,11 @@ A cloud is recursively partitioned into a binary tree of oriented boxes:
 1. fit an approximate minimum-volume bounding box (PCA axes, then a
    coordinate-descent sweep of small rotations about each box axis),
 2. screen a fixed grid of axis-parallel candidate planes through the box:
-   the points are sorted once per axis into slabs between the planes, and
-   each side of each plane is scored with a box fit from its exact moments
-   (PCA) and an extreme-point coreset (the sweep), both summed from its slabs,
+   the points are sorted once per axis into slabs between the planes (each
+   slab a contiguous run of the sorted points, projected direction-major on
+   the screening directions), and each side of each plane is scored with a
+   box fit from its exact moments (PCA) and an extreme-point coreset (the
+   sweep), both summed from its slabs,
 3. refit the best-screened planes on all of their points and take the
    smallest summed child volume (ties: lowest axis, then smallest offset);
    accept it when that sum drops below ``volume_ratio`` of the parent volume
@@ -356,13 +358,15 @@ SCREEN_FINALISTS = 3
 _COINCIDENT_SPAN = 4e-12
 
 
-def _project(X, dirs):
-    """(n, m) projections of the rows of `X` on the rows of `dirs`, element
-    by element, so a point's projection does not depend on its batch.
-    Accumulated in place to hold fewer (n, m) temporaries."""
-    out = X[:, :1] * dirs[:, 0]
-    out += X[:, 1:2] * dirs[:, 1]
-    out += X[:, 2:3] * dirs[:, 2]
+def _project(XT, dirs):
+    """(m, n) projections of the n points given as the coordinate rows of
+    `XT` (3, n) on the m rows of `dirs`, element by element, so a point's
+    projection does not depend on its batch.  Direction-major, so every pass
+    over the result runs along the points.  Accumulated in place to hold
+    fewer (m, n) temporaries."""
+    out = dirs[:, :1] * XT[0]
+    out += dirs[:, 1:2] * XT[1]
+    out += dirs[:, 2:3] * XT[2]
     return out
 
 
@@ -386,6 +390,11 @@ def _slab_summaries(X, coord, offsets, dirs):
     A point lies below an offset iff coord < offset, which is exactly when
     coord - offset < 0 (a float difference is zero only for equal operands),
     so the slabs reproduce evaluate_split's partitions.
+
+    The points are gathered once in slab order, so each slab is a contiguous
+    run of rows, and copied once as coordinate rows for `_project`, so each
+    slab's projections take contiguous slices and come out direction-major.
+    Ties go to the first point in slab order.
     """
     order = np.argsort(coord, kind="stable")
     bounds = np.concatenate(([0], np.searchsorted(coord[order], offsets), [len(coord)]))
@@ -393,18 +402,20 @@ def _slab_summaries(X, coord, offsets, dirs):
     slabs = _Slabs(bounds, np.zeros((n_slabs, 3)), np.zeros((n_slabs, 3, 3)),
                    np.full((n_slabs, m), -np.inf), np.zeros((n_slabs, m), dtype=int),
                    np.full((n_slabs, m), np.inf), np.zeros((n_slabs, m), dtype=int))
-    cols = np.arange(m)
+    Xo = X[order]
+    XT = Xo.T.copy()
+    rows = np.arange(m)
     for j in range(n_slabs):
-        rows = order[bounds[j]:bounds[j + 1]]
-        if len(rows) == 0:
+        a, b = bounds[j], bounds[j + 1]
+        if a == b:
             continue
-        Xs = X[rows]
+        Xs = Xo[a:b]
         slabs.s1[j] = Xs.sum(axis=0)
         slabs.s2[j] = Xs.T @ Xs
-        proj = _project(Xs, dirs)
-        top, bot = proj.argmax(axis=0), proj.argmin(axis=0)
-        slabs.hi[j], slabs.hi_idx[j] = proj[top, cols], rows[top]
-        slabs.lo[j], slabs.lo_idx[j] = proj[bot, cols], rows[bot]
+        proj = _project(XT[:, a:b], dirs)
+        top, bot = proj.argmax(axis=1), proj.argmin(axis=1)
+        slabs.hi[j], slabs.hi_idx[j] = proj[rows, top], order[a + top]
+        slabs.lo[j], slabs.lo_idx[j] = proj[rows, bot], order[a + bot]
     return slabs
 
 

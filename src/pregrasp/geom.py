@@ -54,6 +54,15 @@ def unit_rows(v):
     return v / norms[:, None]
 
 
+def cross(a, b):
+    """a x b over the last axis of two broadcastable arrays: the products and
+    differences np.cross takes, in its order (so the same bits), without its
+    axis bookkeeping, which costs more than the arithmetic on a few rows."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack((a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0), axis=-1)
+
+
 def perpendicular_frames(normals):
     """Two unit vectors per row completing a right-handed frame with each
     row of `normals` (normalized here), as two (n, 3) arrays.
@@ -67,7 +76,7 @@ def perpendicular_frames(normals):
     g = np.zeros_like(n)
     g[rows, k] = 1.0
     e1 = unit_rows(g - n[rows, k][:, None] * n)
-    return e1, np.cross(n, e1)
+    return e1, cross(n, e1)
 
 
 def eigh_descending(cov):

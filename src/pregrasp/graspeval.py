@@ -23,7 +23,7 @@ import numpy as np
 
 from .classifier import GRASP_PRESHAPE, GraspType
 from .errors import EmptyWrenchSet, NoContacts
-from .geom import perpendicular_frames, rotation_about_axis, row_norms, unit, unit_rows
+from .geom import cross, perpendicular_frames, rotation_about_axis, row_norms, unit, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -73,6 +73,11 @@ def finger_rays(pg, gripper):
         rays.append((tip + c * half_ap, -c))
     spread = np.radians(GRASP_PRESHAPE[grasp_type][0])
     for s in (spread, -spread):
+        if s == 0.0:
+            # the rotation would be the identity, whose product can only
+            # change the sign of a zero component
+            rays.append((tip - c * half_ap, c.copy()))
+            continue
         rot = rotation_about_axis(pg.approach, s)
         rays.append((tip + rot @ (-c * half_ap), rot @ c))
     return rays
@@ -268,7 +273,7 @@ def wrench_set(contacts, mu, m_edges, centroid):
     theta = 2.0 * np.pi * np.arange(m_edges) / m_edges
     cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]   # (m, 1)
     forces = cos_a * n + sin_a * (cos_t * e1 + sin_t * e2)           # (c, m, 3)
-    torques = np.cross(arms[:, None, :], forces) / rho
+    torques = cross(arms[:, None, :], forces) / rho
     return np.concatenate((forces, torques), axis=2).reshape(-1, 6)
 
 

@@ -15,7 +15,10 @@ code because the package must agree with them exactly:
   replaced, built on the package's `unit`;
 - `reference_contacts`, the scan of every cloud point for every finger ray
   that the package's voxel-indexed contact search replaced, built on the
-  package's `finger_rays`, `unit`, `ContactPoint` and `NoContacts`.
+  package's `finger_rays`, `unit`, `ContactPoint` and `NoContacts`;
+- `reference_slab_summaries`, the per-slab gather and point-major (n_s, 49)
+  projection that the package's slab-local, direction-major split screen
+  replaced, built on the package's `_Slabs`.
 """
 
 import numpy as np
@@ -153,6 +156,35 @@ def exhaustive_split(points, box, planes_per_axis=16, refine_steps=3):
             if best is None or ev.volume_sum < best.volume_sum:
                 best = ev
     return best
+
+
+def reference_slab_summaries(X, coord, offsets, dirs):
+    """Slab summaries of the split screen, one slab at a time: each slab's
+    points gathered from `X` and projected point-major as an (n_s, m) block,
+    with the extremes taken down its columns."""
+    from pregrasp.decomposition import _Slabs
+
+    order = np.argsort(coord, kind="stable")
+    bounds = np.concatenate(([0], np.searchsorted(coord[order], offsets), [len(coord)]))
+    n_slabs, m = len(bounds) - 1, len(dirs)
+    slabs = _Slabs(bounds, np.zeros((n_slabs, 3)), np.zeros((n_slabs, 3, 3)),
+                   np.full((n_slabs, m), -np.inf), np.zeros((n_slabs, m), dtype=int),
+                   np.full((n_slabs, m), np.inf), np.zeros((n_slabs, m), dtype=int))
+    cols = np.arange(m)
+    for j in range(n_slabs):
+        rows = order[bounds[j]:bounds[j + 1]]
+        if len(rows) == 0:
+            continue
+        Xs = X[rows]
+        slabs.s1[j] = Xs.sum(axis=0)
+        slabs.s2[j] = Xs.T @ Xs
+        proj = Xs[:, :1] * dirs[:, 0]
+        proj += Xs[:, 1:2] * dirs[:, 1]
+        proj += Xs[:, 2:3] * dirs[:, 2]
+        top, bot = proj.argmax(axis=0), proj.argmin(axis=0)
+        slabs.hi[j], slabs.hi_idx[j] = proj[top, cols], rows[top]
+        slabs.lo[j], slabs.lo_idx[j] = proj[bot, cols], rows[bot]
+    return slabs
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Minimum-volume box fitting and the fit-and-split decomposition tree."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,7 @@ import _mvbb_frozen as frozen
 import helpers
 import oracles
 
-from pregrasp import DecompParams, decompose, decomposition
+from pregrasp import DecompParams, decompose, decomposition, synth_shape
 from pregrasp.decomposition import (
     EXTENT_FLOOR,
     SCREEN_DIRECTIONS,
@@ -249,7 +251,7 @@ def test_screen_slab_sums_match_direct_side_sums(lshape_cloud, lshape_tree):
     pts = lshape_cloud.points[node.point_indices]
     X = pts - pts.mean(axis=0)
     dirs = SCREEN_DIRECTIONS @ node.box.rotation.T
-    proj = _project(X, dirs)
+    proj = _project(X.T, dirs).T
     rng = np.random.default_rng(11)
     sides = 0
     for axis in range(3):
@@ -277,6 +279,48 @@ def test_screen_slab_sums_match_direct_side_sums(lshape_cloud, lshape_tree):
                 np.testing.assert_array_equal(proj[coreset].min(axis=0), lo)
                 sides += 1
     assert sides >= 40
+
+
+def _lattice_cloud():
+    """2000 draws from a 5 x 5 x 5 lattice: repeated points, so extreme
+    projections tie exactly."""
+    rng = np.random.default_rng(13)
+    return PointCloud(0.01 * rng.integers(0, 5, size=(2000, 3)).astype(float))
+
+
+SLAB_CLOUDS = {
+    "small_sphere": lambda request: request.getfixturevalue("small_sphere_cloud"),
+    "sphere": lambda request: request.getfixturevalue("sphere_cloud"),
+    "lshape": lambda request: request.getfixturevalue("lshape_cloud"),
+    "dumbbell": lambda request: request.getfixturevalue("dumbbell_cloud"),
+    "dumbbell_20k": lambda _: synth_shape("dumbbell", (0.2, 0.08, 0.03, 0.015), 20000, seed=4),
+    "lshape_20k": lambda _: synth_shape("lshape", (0.2, 0.15, 0.04), 20000, seed=4),
+    "lattice": lambda _: _lattice_cloud(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SLAB_CLOUDS))
+def test_slab_summaries_match_reference_bytes(case, request, monkeypatch):
+    """Every field of the slab summaries equals the per-slab (n_s, 49)
+    reference's, byte for byte, on all 3 axes of every searched node."""
+    cloud = SLAB_CLOUDS[case](request)
+    params = DecompParams()
+    real = decomposition._slab_summaries
+    calls = []
+
+    def checked(X, coord, offsets, dirs):
+        got = real(X, coord, offsets, dirs)
+        ref = oracles.reference_slab_summaries(X, coord, offsets, dirs)
+        for f in dataclasses.fields(ref):
+            a, b = getattr(got, f.name), getattr(ref, f.name)
+            assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
+            assert a.tobytes() == b.tobytes(), f.name
+        calls.append(len(coord))
+        return got
+
+    monkeypatch.setattr(decomposition, "_slab_summaries", checked)
+    tree = decompose(cloud, params)
+    assert len(calls) == 3 * len(_searched_nodes(tree, params)) > 0
 
 
 def test_screen_directions_are_primitive_antipodal_representatives():

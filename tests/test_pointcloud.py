@@ -148,6 +148,74 @@ def test_obj_vertices_only(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# fault order and number syntax (all three loaders)
+# ---------------------------------------------------------------------------
+
+BAD_NUMBER = "bad number: could not convert string to float: 'abc'"
+
+
+def _parse_error(path):
+    with pytest.raises(ParseError) as err:
+        load_cloud(path)
+    return err.value
+
+
+@pytest.mark.parametrize("rows,line,reason", [
+    # a bad number before a short line, then the reverse order
+    ("0 0 0\n0 abc 0\n0 0 0\n1 2\n0 0 0\n", 2, BAD_NUMBER),
+    ("0 0 0\n1 2\n0 0 0\n0 abc 0\n0 0 0\n", 2, "expected 3 values, got 2"),
+    # a non-finite value before a bad number, and the two on one line
+    ("0 0 0\n0 nan 0\n0 0 0\nabc 0 0\n0 0 0\n", 2, "non-finite coordinate"),
+    ("0 0 0\nnan abc 0\n0 0 0\n0 0 0\n", 2, BAD_NUMBER),
+])
+def test_xyz_reports_the_first_fault(tmp_path, rows, line, reason):
+    path = tmp_path / "bad.xyz"
+    path.write_text(rows)
+    err = _parse_error(path)
+    assert err.line == line
+    assert str(err) == f"line {line}: {reason}"
+
+
+@pytest.mark.parametrize("rows,line,reason", [
+    ("0 0 0\n0 abc 0\n0 0\n0 0 0\n0 0 0\n", 9, BAD_NUMBER),
+    ("0 0 0\n0 0\n0 abc 0\n0 0 0\n0 0 0\n", 9, "expected 3 vertex values, got 2"),
+    # a bad number before the missing rows
+    ("0 0 0\n0 abc 0\n0 0 0\n", 9, BAD_NUMBER),
+])
+def test_ply_reports_the_first_fault(tmp_path, rows, line, reason):
+    err = _parse_error(_ply(tmp_path, 5, ("x", "y", "z"), rows))   # data from line 8
+    assert err.line == line
+    assert str(err) == f"line {line}: {reason}"
+
+
+def test_obj_reports_the_first_fault(tmp_path):
+    path = tmp_path / "bad.obj"
+    path.write_text("v 0 0 0\nvn 0 0 1\nv inf 0 0\nv 1 2\nv abc 0 0\n")
+    err = _parse_error(path)
+    assert err.line == 3
+    assert str(err) == "line 3: non-finite coordinate"
+
+
+def test_coordinates_parse_as_python_floats(tmp_path):
+    # digit separators, a signed zero, an Arabic-Indic digit, a subnormal
+    tokens = [["1_0", "-0", "+1.5"], ["\u0663", "1e-3", ".5"], ["-1E2", "4.9e-324", "2."]]
+    rows = "".join(" ".join(row) + "\n" for row in tokens) + "0 0 0\n"
+    expected = np.array([[float(t) for t in row] for row in tokens] + [[0.0] * 3])
+    for name, text in (("c.xyz", rows),
+                       ("c.obj", "".join("v " + line + "\n" for line in rows.splitlines()))):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        cloud = load_cloud(path)
+        assert cloud.points.dtype == np.float64 and cloud.points.flags.c_contiguous
+        assert cloud.points.tobytes() == expected.tobytes()
+    assert np.signbit(cloud.points[0, 1])
+    path = tmp_path / "huge.xyz"
+    path.write_text("0 0 0\n0 0 0\n0 1e400 0\n0 0 0\n")
+    err = _parse_error(path)
+    assert (err.line, err.reason) == (3, "non-finite coordinate")
+
+
+# ---------------------------------------------------------------------------
 # synthetic shapes
 # ---------------------------------------------------------------------------
 
