@@ -41,17 +41,21 @@ def row_norms(v):
     return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
-def unit_rows(v):
-    """Normalize each row of an (n, 3) array, bit for bit as `unit` does.
+def unit_rows(v, fallback=None):
+    """Normalize each row of an (n, 3) array, bit for bit as `unit` does; a
+    row whose norm is ~0 takes the matching row of the (n, 3) `fallback`.
 
     Raises:
-        ValueError: a row's norm is ~0.
+        ValueError: a row's norm is ~0 and there is no fallback.
     """
     v = np.asarray(v, dtype=float)
     norms = row_norms(v)
-    if (norms < 1e-12).any():
+    small = norms < 1e-12
+    if not small.any():
+        return v / norms[:, None]
+    if fallback is None:
         raise ValueError("cannot normalize a zero vector")
-    return v / norms[:, None]
+    return np.where(small[:, None], fallback, v / np.where(small, 1.0, norms)[:, None])
 
 
 def cross(a, b):

@@ -4,17 +4,19 @@ Fingers are modeled as closing rays in the fingertip plane (the pre-grasp
 position advanced by finger_length along the approach axis): the thumb closes
 from the +closing_dir side, the paired fingers from the opposite side, spread
 symmetrically about the approach axis.  Each ray's contact is the first cloud
-point encountered inside a thin tube around the ray, found through a sparse
-voxel index that `rank_pool` builds once per cloud, so a ray visits only the
-points in cells along its path.  Contacts build one
-(k, 6) array of friction-cone edge wrenches, rows [force | torque], and grasps
-are scored with the largest-ball (epsilon) quality: the radius of the biggest
+point encountered inside a thin tube around the ray.  `rank_pool` builds a
+sparse voxel index of the cloud once and works through the pool in slices:
+every finger ray of a slice is searched in one batched pass that visits only
+the points in cells along the rays' paths, screens them with pair products
+and decides each ray with the arithmetic of a scan of every point.  The
+contacts of a slice's candidates build their (k, 6) arrays of friction-cone
+edge wrenches, rows [force | torque], in one broadcast, and grasps are scored
+with the largest-ball (epsilon) quality: the radius of the biggest
 origin-centered ball inside the convex hull of those rows, estimated by
 support-function sampling.
 """
 
 import logging
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import List
@@ -23,11 +25,19 @@ import numpy as np
 
 from .classifier import GRASP_PRESHAPE, GraspType
 from .errors import EmptyWrenchSet, NoContacts
-from .geom import cross, perpendicular_frames, rotation_about_axis, row_norms, unit, unit_rows
+from .geom import cross, perpendicular_frames, rotation_about_axis, row_norms, unit_rows
 
 logger = logging.getLogger(__name__)
 
 _EPSILON_CHUNK = 65536
+
+# Bounds on the work in flight: pre-grasps ranked per slice of the pool, and
+# candidate rows (cells of the 3x3x3 blocks around ray samples, then ray-point
+# pairs) per pass of the contact search.  A ray that alone exceeds the row
+# bound is searched in a pass of its own, which the every-point fallback
+# bounds by the cloud size.
+_POOL_SLICE = 128
+_CHUNK_ROWS = 8192
 
 
 @dataclass
@@ -96,6 +106,15 @@ def _ranges(starts, stops):
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
+def _batches(costs, budget):
+    """(start, stop) runs of consecutive items: a run holds the items whose
+    summed cost before them falls in one window of `budget`, so it costs
+    less than `budget` plus its last item."""
+    window = (np.cumsum(costs) - costs) // budget
+    heads = np.flatnonzero(_run_heads(window))
+    return zip(heads.tolist(), np.append(heads[1:], len(costs)).tolist())
+
+
 def _row_keys(cells):
     """One sortable key per row of an (n, 3) int64 array: the row's 24 bytes.
 
@@ -112,6 +131,22 @@ _CELL_REACH = (2.83 / 2.0) ** 2
 
 # The 27 cell offsets of a cell's 3x3x3 block.
 _BLOCK = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
+
+# The point screen keeps a ray-point row when q - t~^2 <= r^2 + slack (r^2 + q),
+# with q = rel.rel and t~ = rel.d summed as pair products (einsum).  The exact
+# test accepts fl(q' - fl(t^2)) <= r^2 with q' an einsum and t a gemv, each
+# rounded in its own way.  A 3-term dot product in any order, with or without
+# FMA, is off by at most gamma_3 sum |a_i b_i| with gamma_3 = 3u / (1 - 3u),
+# u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+# sec. 3.1).  For a unit d (|d|^2 within 1e-12 of 1) and Q = |rel|^2:
+#   |t - t~| <= 2 gamma_3 |rel|,  |q - q'| <= 2 gamma_3 Q,
+#   |fl(t^2) - fl(t~^2)| <= |t - t~| |t + t~| + u (t^2 + t~^2) <= (12 + 2) u Q,
+# to first order in u.  An accepted row has q' - fl(t^2) <= r^2 (1 + u), so its
+# screen value is at most (r^2 (1 + u) + 6 u Q + 14 u Q)(1 + u)
+# <= r^2 + 21 u (r^2 + q), as Q <= q (1 + 3.01 u).  The bound as computed, two
+# roundings below r^2 + 64 u (r^2 + q), is above that: every row the exact
+# test could accept survives the screen, barring underflow.
+_SCREEN_SLACK = 64 * 2.0 ** -53
 
 
 class ContactIndex:
@@ -133,8 +168,7 @@ class ContactIndex:
         self.points, self.centroid, self.tube_r = pts, cloud.centroid, tube_r
         self.cell = 2.0 * tube_r
         self.lo = pts.min(axis=0)
-        self._box = list(zip((self.lo - self.cell).tolist(),
-                             (pts.max(axis=0) + self.cell).tolist()))
+        self._box_lo, self._box_hi = self.lo - self.cell, pts.max(axis=0) + self.cell
         cells = self._cells(pts)
         keys = _row_keys(cells)
         self.order = np.argsort(keys, kind="stable")
@@ -153,77 +187,178 @@ class ContactIndex:
     def _cells(self, p):
         return np.floor((p - self.lo) / self.cell).astype(np.int64)
 
-    def _clip(self, origin, direction):
-        """[t_in, t_out] of the ray inside the cloud box padded by one cell,
-        from t = 0 on, or None when it misses."""
-        t_in, t_out = 0.0, math.inf
-        for o, d, (lo, hi) in zip(origin.tolist(), direction.tolist(), self._box):
-            if d == 0.0:
-                if not lo <= o <= hi:
-                    return None
-            else:
-                a, b = (lo - o) / d, (hi - o) / d
-                t_in, t_out = max(t_in, min(a, b)), min(t_out, max(a, b))
-        return (t_in, t_out) if t_in <= t_out else None
+    def _spans(self, origins, directions):
+        """Start t and sample count of each ray's stretch inside the cloud box
+        padded by one cell, from t = 0 on: samples tube_r apart from the
+        start to past the end.  The count is 0 when the ray misses the box
+        and -1 when its blocks would hold more cells than the cloud has
+        points, where every occupied cell is taken instead."""
+        flat = directions == 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = (self._box_lo - origins) / directions
+            b = (self._box_hi - origins) / directions
+        t_in = np.maximum(np.where(flat, -np.inf, np.minimum(a, b)).max(axis=1), 0.0)
+        t_out = np.where(flat, np.inf, np.maximum(a, b)).min(axis=1)
+        inside = ~flat | ((self._box_lo <= origins) & (origins <= self._box_hi))
+        hit = inside.all(axis=1) & (t_in <= t_out)
+        with np.errstate(invalid="ignore"):
+            n = (t_out - t_in) // self.tube_r + 2
+        every = hit & ~(n * len(_BLOCK) < len(self.points))
+        count = np.where(hit & ~every, n, 0).astype(np.int64)
+        count[every] = -1
+        return t_in, count
 
-    def _tube_points(self, origin, direction, samples):
-        """Ascending indices of the points of the occupied cells in the 3x3x3
-        blocks around `samples` (in order along the ray) whose centers lie
-        within 2.83 * tube_r of the ray's line."""
+    def _tube_cells(self, origins, directions, t_in, count):
+        """Sorted (ray, cell) pairs of the occupied cells whose centers lie
+        within 2.83 * tube_r of each ray's line: cells of the 3x3x3 blocks
+        around the ray's samples, or every cell for a count of -1."""
+        n_occ = len(self._centers)
+        sampled = np.flatnonzero(count > 0)
+        ns = count[sampled]
+        ray = np.repeat(sampled, ns)
+        step = np.arange(len(ray)) - np.repeat(np.cumsum(ns) - ns, ns)
+        samples = (origins.take(ray, axis=0)
+                   + (t_in[ray] + self.tube_r * step)[:, None] * directions.take(ray, axis=0))
         keys = _row_keys(self._cells(samples))
-        keys = keys[_run_heads(keys)]
+        head = _run_heads(keys) | _run_heads(ray)
+        keys, ray = keys[head], ray[head]
         i = np.minimum(np.searchsorted(self._near_keys, keys), len(self._near_keys) - 1)
-        i = i[self._near_keys[i] == keys]
-        occupied = np.sort(self._near_cells[_ranges(self._near_bounds[i], self._near_bounds[i + 1])])
-        occupied = occupied[_run_heads(occupied)]
-        rel = self._centers.take(occupied, axis=0) - origin
-        t = rel @ direction
-        occupied = occupied[np.einsum("ij,ij->i", rel, rel) - t * t <= _CELL_REACH * self.cell ** 2]
-        return np.sort(self.order[_ranges(self._bounds[occupied], self._bounds[occupied + 1])])
+        found = self._near_keys[i] == keys
+        i, ray = i[found], ray[found]
+        lo, hi = self._near_bounds[i], self._near_bounds[i + 1]
+        every = np.flatnonzero(count < 0)
+        pair = np.unique(np.concatenate((
+            np.repeat(ray, hi - lo) * n_occ + self._near_cells[_ranges(lo, hi)],
+            (every[:, None] * n_occ + np.arange(n_occ)).ravel())))
+        ray, cell = np.divmod(pair, n_occ)
+        rel = self._centers.take(cell, axis=0) - origins.take(ray, axis=0)
+        t = np.einsum("ij,ij->i", rel, directions.take(ray, axis=0))
+        near = np.einsum("ij,ij->i", rel, rel) - t * t <= _CELL_REACH * self.cell ** 2
+        return ray[near], cell[near]
 
-    def first_hit(self, origin, direction):
-        """Index of the first point along the ray origin + t * direction
-        (unit direction, t >= 0) within tube_r of it, or None.
+    def _screened(self, origins, directions, ray, cell):
+        """Ray-point rows of the (ray, cell) pairs that the point screen
+        keeps, sorted by ray, then by point."""
+        lo, hi = self._bounds[cell], self._bounds[cell + 1]
+        pt = self.order[_ranges(lo, hi)]
+        ray = np.repeat(ray, hi - lo)
+        rel = self.points.take(pt, axis=0) - origins.take(ray, axis=0)
+        q = np.einsum("ij,ij->i", rel, rel)
+        t = np.einsum("ij,ij->i", rel, directions.take(ray, axis=0))
+        r2 = self.tube_r * self.tube_r
+        keep = q - t * t <= r2 + _SCREEN_SLACK * (r2 + q)
+        n_pts = len(self.points)
+        return np.divmod(np.sort(ray[keep] * n_pts + pt[keep]), n_pts)
 
-        Candidates come from ray samples spaced tube_r apart over the ray's
+    def _decide(self, origins, directions, ray, pt, hits):
+        """Write to `hits` each ray's first point within tube_r, among its
+        rows (sorted by ray, then by point), with the arithmetic of a scan
+        of every point: a per-ray gemv for t, ties on t to the lowest point.
+
+        Each ray's rows start at an even row of one fresh block, so they lie
+        at the alignment of a fresh array's rows, and the rows of a ray with
+        an odd count end with its last point repeated, which doubles a lone
+        row as the scan's many rows need (a 1-row product would take numpy's
+        dot path); a one-point cloud keeps its 1-row product, as its scan
+        does.  Directions are copied to 4-wide rows for the same alignment.
+        """
+        heads = np.flatnonzero(_run_heads(ray))
+        length = np.diff(np.append(heads, len(ray)))
+        padded = length + (length & 1)
+        start = np.cumsum(padded) - padded
+        last = np.repeat(heads + length - 1, padded)
+        rows = np.minimum(np.arange(padded.sum()) - np.repeat(start - heads, padded), last)
+        rays = ray[heads]
+        rel = self.points.take(pt[rows], axis=0) - origins.take(ray[rows], axis=0)
+        dirs = np.zeros((len(rays), 4))
+        dirs[:, :3] = directions.take(rays, axis=0)
+        dirs = dirs[:, :3]
+        used = padded if len(self.points) > 1 else length
+        t = np.full(len(rel), np.inf)
+        for s, m, d in zip(start.tolist(), used.tolist(), dirs):
+            np.matmul(rel[s:s + m], d, out=t[s:s + m])
+        r = self.tube_r
+        perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
+        key = np.where((t >= 0.0) & (perp2 <= r * r), t, np.inf)
+        best = np.minimum.reduceat(key, start)
+        at = np.where(key == np.repeat(best, padded), np.arange(len(key)), len(key))
+        first = np.minimum.reduceat(at, start)
+        touched = best < np.inf
+        hits[rays[touched]] = pt[rows[first[touched]]]
+
+    def first_hits(self, origins, directions):
+        """Index of the first point along each ray origin + t * direction
+        (unit direction, t >= 0) within tube_r of it, or -1, for (n, 3)
+        arrays of origins and directions.
+
+        Candidates come from ray samples spaced tube_r apart over each ray's
         stretch in the padded cloud box.  A point within tube_r of the ray
         lies within 1.5 * tube_r of a sample on every axis, and the 3x3x3
-        block around a sample's cell reaches at least 2 * tube_r beyond it, so
-        the blocks hold every such point.  A ray that would need more block
-        cells than the cloud has points takes every point.  The contact is
-        decided on the candidates, in ascending point order, with the
-        arithmetic of a scan of every point (per-row products, so the bits
-        agree): ties on t go to the lowest point index.
+        block around a sample's cell reaches at least 2 * tube_r beyond it,
+        so the blocks hold every such point.  A ray that would need more
+        block cells than the cloud has points takes every occupied cell.
+        Cells far from a ray's line, and then points whose pair-product
+        distance rules out the tube, are screened off; each ray is decided
+        on the rest with the arithmetic of a scan of every point (see
+        `_decide`), so it gets the scan's contact.  Rays go through in
+        passes of about `_CHUNK_ROWS` candidate rows.
         """
-        span = self._clip(origin, direction)
-        if span is None:
-            return None
-        n_pts, r = len(self.points), self.tube_r
-        n = (span[1] - span[0]) // r + 2
-        if n * len(_BLOCK) >= n_pts:
-            cand = np.arange(n_pts)
-        else:
-            samples = origin + (span[0] + r * np.arange(int(n)))[:, None] * direction
-            cand = self._tube_points(origin, direction, samples)
-        if len(cand) == 1 and n_pts > 1:
-            cand = np.repeat(cand, 2)    # a 1-row product would take numpy's dot path
-        rel = self.points.take(cand, axis=0) - origin
-        t = rel @ direction
-        perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
-        ok = (t >= 0.0) & (perp2 <= r * r)
-        if not ok.any():
-            return None
-        return int(cand[np.argmin(np.where(ok, t, np.inf))])
+        origins = np.asarray(origins, dtype=float).reshape(-1, 3)
+        directions = np.asarray(directions, dtype=float).reshape(-1, 3)
+        hits = np.full(len(origins), -1, dtype=np.int64)
+        t_in, count = self._spans(origins, directions)
+        cost = np.where(count < 0, len(self._centers), count * len(_BLOCK))
+        for a, b in _batches(cost, _CHUNK_ROWS):
+            ray, cell = self._tube_cells(origins[a:b], directions[a:b], t_in[a:b], count[a:b])
+            if len(ray) == 0:
+                continue
+            heads = np.flatnonzero(_run_heads(ray))
+            ends = np.append(heads[1:], len(ray))
+            size = self._bounds[cell + 1] - self._bounds[cell]
+            for c, e in _batches(np.add.reduceat(size, heads), _CHUNK_ROWS):
+                sel = slice(heads[c], ends[e - 1])
+                r, pt = self._screened(origins[a:b], directions[a:b], ray[sel], cell[sel])
+                if len(r):
+                    self._decide(origins[a:b], directions[a:b], r, pt, hits[a:b])
+        return hits
 
 
-def estimate_contacts(pg, cloud, gripper, tube_r=0.005, index=None):
+def _search(index, origins, directions):
+    """First hit of each ray (-1: none) from one `first_hits` call, in which
+    a ray bit-equal to the ray before it is not searched again but takes its
+    hit."""
+    bits = np.concatenate((origins, directions), axis=1).view(np.int64)
+    new = np.ones(len(bits), dtype=bool)
+    new[1:] = (bits[1:] != bits[:-1]).any(axis=1)
+    return index.first_hits(origins[new], directions[new])[np.cumsum(new) - 1]
+
+
+def _contact_rows(index, hits, directions):
+    """Positions and inward normals, as two (n, 3) arrays, of the contacts at
+    points `hits` of rays along `directions`: normals point from the
+    contact toward the cloud centroid, or against the ray when the contact
+    is the centroid."""
+    positions = index.points.take(hits, axis=0)
+    return positions, unit_rows(index.centroid - positions, fallback=-directions)
+
+
+def _ray_arrays(rays):
+    """(n, 3) origins and directions of a list of (origin, direction) rays."""
+    return (np.array([o for o, _ in rays]).reshape(-1, 3),
+            np.array([d for _, d in rays]).reshape(-1, 3))
+
+
+def estimate_contacts(pg, cloud, gripper, tube_r=0.005, index=None, found=None):
     """First cloud point along each closing ray within perpendicular distance
     tube_r.  Normals point from the contact toward the cloud centroid (the
     object interior).  Rays that touch nothing contribute no contact; a ray
     equal to the previous one repeats its contact without a second search.
 
     `index` is a `ContactIndex` of `cloud` for `tube_r` (rank_pool builds one
-    per cloud); one is built here when it is None.
+    per cloud); one is built here when it is None.  `found` is the
+    pre-grasp's contacts as (positions, normals) arrays, one row per ray
+    that touched, from the search `rank_pool` makes for a slice of the pool;
+    given them, the rays are neither built nor searched here.
 
     Raises:
         NoContacts: no finger ray touched the cloud.
@@ -233,18 +368,16 @@ def estimate_contacts(pg, cloud, gripper, tube_r=0.005, index=None):
         index = ContactIndex(cloud, tube_r)
     elif index.points is not cloud.points or index.tube_r != tube_r:
         raise ValueError("contact index built for another cloud or tube radius")
-    contacts = []
-    last_ray = None
-    for origin, direction in finger_rays(pg, gripper):
-        ray = (origin.tobytes(), direction.tobytes())
-        if ray != last_ray:
-            hit, last_ray = index.first_hit(origin, direction), ray
-        if hit is None:
-            continue
-        p = index.points[hit]
-        contacts.append(ContactPoint(p.copy(), unit(index.centroid - p, fallback=-direction)))
+    if found is None:
+        origins, directions = _ray_arrays(finger_rays(pg, gripper))
+        hits = _search(index, origins, directions)
+        found = _contact_rows(index, hits[hits >= 0], directions[hits >= 0])
+    # fresh 3-vectors, which start 16-byte aligned like any new array: a row
+    # of `found` may not, and some BLAS kernels round a dot product of a
+    # vector that starts off a 16-byte boundary differently (geom.row_norms)
+    contacts = [ContactPoint(p.copy(), n.copy()) for p, n in zip(*found)]
     if not contacts:
-        raise NoContacts(f"no finger touched the cloud from {pg.position}")
+        raise NoContacts(f"no finger touched the cloud from {pg.position.tolist()}")
     return contacts
 
 
@@ -262,19 +395,28 @@ def wrench_set(contacts, mu, m_edges, centroid):
     it).  mu = 0 degenerates every edge to the normal itself.  No contacts
     give a (0, 6) array.
     """
-    centroid = np.asarray(centroid, dtype=float)
     if not contacts:
         return np.empty((0, 6))
-    arms = np.array([c.position - centroid for c in contacts])
-    rho = float(row_norms(arms).max()) or 1.0
-    normals = unit_rows([c.normal for c in contacts])
-    n, e1, e2 = (a[:, None, :] for a in (normals, *perpendicular_frames(normals)))  # (c, 1, 3)
+    positions = np.array([c.position for c in contacts])
+    normals = np.array([c.normal for c in contacts])
+    return _wrench_batch(positions[None], normals[None], mu, m_edges, centroid)[0]
+
+
+def _wrench_batch(positions, normals, mu, m_edges, centroid):
+    """`wrench_set` of g grasps of k contacts each in one broadcast: (g, k, 3)
+    contact positions and normals in, (g, k * m_edges, 6) wrenches out."""
+    g, k = positions.shape[:2]
+    arms = (positions - np.asarray(centroid, dtype=float)).reshape(-1, 3)
+    rho = row_norms(arms).reshape(g, k).max(axis=1)
+    rho[rho == 0.0] = 1.0
+    normals = unit_rows(normals.reshape(-1, 3))
+    n, e1, e2 = (a[:, None, :] for a in (normals, *perpendicular_frames(normals)))  # (g k, 1, 3)
     cos_a, sin_a = np.cos(np.arctan(mu)), np.sin(np.arctan(mu))
     theta = 2.0 * np.pi * np.arange(m_edges) / m_edges
     cos_t, sin_t = np.cos(theta)[:, None], np.sin(theta)[:, None]   # (m, 1)
-    forces = cos_a * n + sin_a * (cos_t * e1 + sin_t * e2)           # (c, m, 3)
-    torques = cross(arms[:, None, :], forces) / rho
-    return np.concatenate((forces, torques), axis=2).reshape(-1, 6)
+    forces = cos_a * n + sin_a * (cos_t * e1 + sin_t * e2)           # (g k, m, 3)
+    torques = cross(arms[:, None, :], forces) / np.repeat(rho, k)[:, None, None]
+    return np.concatenate((forces, torques), axis=2).reshape(g, k * m_edges, 6)
 
 
 def _primitive_shell(s):
@@ -335,28 +477,63 @@ def epsilon_quality(wrenches, n_dirs=1024, seed=0):
     return best
 
 
+def _check_params(params):
+    for name, ok, bound in (("quality_dirs", params.quality_dirs >= 1, ">= 1"),
+                            ("cone_edges", params.cone_edges >= 3, ">= 3"),
+                            ("tube_radius", params.tube_radius > 0.0, "> 0")):
+        if not ok:
+            raise ValueError(f"EvalParams.{name} must be {bound}, got {getattr(params, name)!r}")
+
+
+def _rank_slice(part, first, cloud, index, gripper, params):
+    """Graded candidates of the pre-grasps `part`, pool[first:...]: one
+    search of all their rays, one wrench broadcast per contact count."""
+    rays = [finger_rays(pg, gripper) for pg in part]
+    n_rays = np.array([len(r) for r in rays])
+    origins, directions = _ray_arrays([ray for r in rays for ray in r])
+    hits = _search(index, origins, directions)
+    touched = hits >= 0
+    positions, normals = _contact_rows(index, hits[touched], directions[touched])
+    counts = np.add.reduceat(touched.astype(np.int64), np.cumsum(n_rays) - n_rays)
+    starts = np.cumsum(counts) - counts
+    quality = [0.0] * len(part)
+    for k in np.unique(counts[counts >= 2]).tolist():
+        which = np.flatnonzero(counts == k)
+        rows = starts[which][:, None] + np.arange(k)
+        batch = _wrench_batch(positions[rows], normals[rows], gripper.friction_mu,
+                              params.cone_edges, index.centroid)
+        for i, ws in zip(which.tolist(), batch):
+            quality[i] = epsilon_quality(ws, params.quality_dirs, params.seed)
+    graded = []
+    for i, (pg, s, k) in enumerate(zip(part, starts.tolist(), counts.tolist())):
+        try:
+            contacts = estimate_contacts(pg, cloud, gripper, params.tube_radius, index=index,
+                                         found=(positions[s:s + k], normals[s:s + k]))
+        except NoContacts:
+            contacts = []
+        graded.append(GraspCandidate(first + i, contacts, quality[i]))
+    return graded
+
+
 def rank_pool(pool, cloud, gripper, params=None):
     """Evaluate and sort a pre-grasp pool.
 
     Candidates with fewer than 2 contacts score 0.  Sort is stable by
     (quality desc, contact count desc, pool order asc), so re-ranking a
-    permuted pool yields the same quality sequence.
+    permuted pool yields the same quality sequence.  The pool is graded in
+    slices of `_POOL_SLICE` pre-grasps.
+
+    Raises:
+        ValueError: `params` has quality_dirs < 1, cone_edges < 3 or
+            tube_radius <= 0.
     """
     params = params or EvalParams()
+    _check_params(params)
     index = ContactIndex(cloud, params.tube_radius)
-    centroid = index.centroid
     candidates = []
-    for idx, pg in enumerate(pool):
-        try:
-            contacts = estimate_contacts(pg, cloud, gripper, params.tube_radius, index=index)
-        except NoContacts:
-            contacts = []
-        if len(contacts) >= 2:
-            ws = wrench_set(contacts, gripper.friction_mu, params.cone_edges, centroid)
-            quality = epsilon_quality(ws, params.quality_dirs, params.seed)
-        else:
-            quality = 0.0
-        candidates.append(GraspCandidate(idx, contacts, quality))
+    for first in range(0, len(pool), _POOL_SLICE):
+        candidates += _rank_slice(pool[first:first + _POOL_SLICE], first, cloud, index,
+                                  gripper, params)
     candidates.sort(key=lambda c: (-c.quality, -len(c.contacts), c.pool_index))
     if candidates:
         top = candidates[0]

@@ -18,7 +18,11 @@ code because the package must agree with them exactly:
   package's `finger_rays`, `unit`, `ContactPoint` and `NoContacts`;
 - `reference_slab_summaries`, the per-slab gather and point-major (n_s, 49)
   projection that the package's slab-local, direction-major split screen
-  replaced, built on the package's `_Slabs`.
+  replaced, built on the package's `_Slabs`;
+- `reference_rank_pool`, the one-candidate-at-a-time ranking loop that the
+  package's sliced, batched ranking replaced, built on `reference_contacts`,
+  `reference_wrench_set` and the package's `epsilon_quality` and
+  `GraspCandidate`.
 """
 
 import numpy as np
@@ -467,6 +471,19 @@ def first_contact_reference(points, origin, direction, tube_r):
     return best_i
 
 
+def reference_first_hit(points, origin, direction, tube_r):
+    """Index of the first point along a ray within tube_r, or None, from a
+    scan of every point: t from one product of all points' offsets with the
+    direction, ties on t to the lowest index."""
+    rel = points - origin
+    t = rel @ direction
+    perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
+    ok = (t >= 0.0) & (perp2 <= tube_r * tube_r)
+    if not ok.any():
+        return None
+    return int(np.argmin(np.where(ok, t, np.inf)))
+
+
 def reference_contacts(pg, cloud, gripper, tube_r=0.005):
     """Contacts of one pre-grasp from a scan of every cloud point for every
     finger ray: the first point along each ray within tube_r, normals toward
@@ -483,15 +500,34 @@ def reference_contacts(pg, cloud, gripper, tube_r=0.005):
     centroid = cloud.centroid
     contacts = []
     for origin, direction in finger_rays(pg, gripper):
-        rel = pts - origin
-        t = rel @ direction
-        perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
-        ok = (t >= 0.0) & (perp2 <= tube_r * tube_r)
-        if not ok.any():
+        i = reference_first_hit(pts, origin, direction, tube_r)
+        if i is None:
             continue
-        i = int(np.argmin(np.where(ok, t, np.inf)))
         p = pts[i]
         contacts.append(ContactPoint(p.copy(), unit(centroid - p, fallback=-direction)))
     if not contacts:
         raise NoContacts(f"no finger touched the cloud from {pg.position}")
     return contacts
+
+
+def reference_rank_pool(pool, cloud, gripper, params):
+    """Candidates graded one at a time and sorted as `rank_pool` sorts them:
+    `reference_contacts` per pre-grasp, then, for 2+ contacts,
+    `reference_wrench_set` and the package's `epsilon_quality`."""
+    from pregrasp.errors import NoContacts
+    from pregrasp.graspeval import GraspCandidate, epsilon_quality
+
+    candidates = []
+    for idx, pg in enumerate(pool):
+        try:
+            contacts = reference_contacts(pg, cloud, gripper, params.tube_radius)
+        except NoContacts:
+            contacts = []
+        quality = 0.0
+        if len(contacts) >= 2:
+            ws = reference_wrench_set(contacts, gripper.friction_mu, params.cone_edges,
+                                      cloud.centroid)
+            quality = epsilon_quality(ws, params.quality_dirs, params.seed)
+        candidates.append(GraspCandidate(idx, contacts, quality))
+    candidates.sort(key=lambda c: (-c.quality, -len(c.contacts), c.pool_index))
+    return candidates

@@ -1,19 +1,21 @@
 """Tests for contact estimation, wrench construction and epsilon ranking."""
 
 import functools
+import json
 
 import numpy as np
 import pytest
 
 import helpers
 import oracles
+from pregrasp import graspeval
 from pregrasp.classifier import GraspType
 from pregrasp.decomposition import decompose
 from pregrasp.errors import EmptyWrenchSet, NoContacts
 from pregrasp.graspeval import (ContactIndex, ContactPoint, EvalParams,
                                 epsilon_quality, estimate_contacts,
                                 finger_rays, rank_pool, wrench_set)
-from pregrasp.pipeline import RunConfig
+from pregrasp.pipeline import RunConfig, _ranking_section
 from pregrasp.pointcloud import PointCloud, synth_shape
 from pregrasp.sampler import (GripperConfig, PreGrasp, SamplingParams,
                               generate_pool)
@@ -163,23 +165,28 @@ def planned_pool(cloud, gripper, tree=None):
 
 
 def assert_contacts_match_reference(pool, cloud, gripper, tube_r=0.005):
-    """Contacts from one shared index equal the full scan's, bytes and all.
-    Returns how many candidates touched the cloud and how many missed."""
+    """Contacts equal the full scan's, bytes and all, both from
+    `estimate_contacts` with one shared index and from the batched search
+    `rank_pool` makes for each slice of the pool.  Returns how many
+    candidates touched the cloud and how many missed."""
     index = ContactIndex(cloud, tube_r)
+    ranked = rank_pool(pool, cloud, gripper, EvalParams(quality_dirs=1, tube_radius=tube_r))
+    batched = {c.pool_index: c.contacts for c in ranked}
     touched = missed = 0
-    for pg in pool:
+    for i, pg in enumerate(pool):
         try:
             ref = oracles.reference_contacts(pg, cloud, gripper, tube_r)
         except NoContacts:
             with pytest.raises(NoContacts):
                 estimate_contacts(pg, cloud, gripper, tube_r, index=index)
+            assert batched[i] == []
             missed += 1
             continue
-        got = estimate_contacts(pg, cloud, gripper, tube_r, index=index)
-        assert len(got) == len(ref)
-        for g, r in zip(got, ref):
-            assert g.position.tobytes() == r.position.tobytes()
-            assert g.normal.tobytes() == r.normal.tobytes()
+        for got in (estimate_contacts(pg, cloud, gripper, tube_r, index=index), batched[i]):
+            assert len(got) == len(ref)
+            for g, r in zip(got, ref):
+                assert g.position.tobytes() == r.position.tobytes()
+                assert g.normal.tobytes() == r.normal.tobytes()
         touched += 1
     return touched, missed
 
@@ -193,10 +200,12 @@ def test_contacts_match_reference_on_fixtures(fixture, request, gripper):
     assert touched > 0
 
 
-@pytest.mark.parametrize("kind,dims", [
-    ("box", (0.2, 0.15, 0.1)), ("sphere", (0.05,)), ("cylinder", (0.03, 0.2)),
-    ("plate", (0.2, 0.15, 0.01)), ("dumbbell", (0.2, 0.08, 0.03, 0.015)),
-    ("lshape", (0.2, 0.15, 0.04))])
+SHAPES_10K = [("box", (0.2, 0.15, 0.1)), ("sphere", (0.05,)), ("cylinder", (0.03, 0.2)),
+              ("plate", (0.2, 0.15, 0.01)), ("dumbbell", (0.2, 0.08, 0.03, 0.015)),
+              ("lshape", (0.2, 0.15, 0.04))]
+
+
+@pytest.mark.parametrize("kind,dims", SHAPES_10K)
 def test_contacts_match_reference_on_10k_shapes(kind, dims):
     """A wide aperture so that the box and the plate get a pool too."""
     gripper = GripperConfig(max_aperture=0.25)
@@ -219,45 +228,59 @@ def axis_pregrasp():
     return make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL)
 
 
+def edge_pool():
+    """Rays along -z and +z (zero direction components in the slab test),
+    then a miss."""
+    return [make_pregrasp((-0.1, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL),
+            make_pregrasp((0, -0.1, 0), (0, 1, 0), (1, 0, 0), GraspType.SPHERICAL),
+            make_pregrasp((1.0, 1.0, 1.0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL)]
+
+
+def inner_pool():
+    """A narrow gripper and two pre-grasps whose finger origins lie inside
+    the 5 cm sphere's box (and inside the sphere)."""
+    return GripperConfig(max_aperture=0.04), [
+        make_pregrasp((-0.08, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL),
+        make_pregrasp((0, 0, -0.07), (0, 0, 1), (0, 1, 0), GraspType.CYLINDRICAL)]
+
+
 def test_contacts_match_reference_on_edge_rays(sphere_cloud, sphere_tree, gripper):
     pool = planned_pool(sphere_cloud, gripper, sphere_tree)
-    edge_pool = [
-        # rays along -z and +z: zero direction components in the slab test
-        make_pregrasp((-0.1, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL),
-        make_pregrasp((0, -0.1, 0), (0, 1, 0), (1, 0, 0), GraspType.SPHERICAL),
-        # a miss
-        make_pregrasp((1.0, 1.0, 1.0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL),
-    ]
     touched, missed = assert_contacts_match_reference(
-        pool + edge_pool, sphere_cloud, gripper)
+        pool + edge_pool(), sphere_cloud, gripper)
     assert touched >= len(pool) and missed == 1
-    # finger origins inside the cloud box (and inside the sphere)
-    inside = GripperConfig(max_aperture=0.04)
-    inner_pool = [make_pregrasp((-0.08, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL),
-                  make_pregrasp((0, 0, -0.07), (0, 0, 1), (0, 1, 0), GraspType.CYLINDRICAL)]
-    for origin, _ in finger_rays(inner_pool[0], inside):
+    inside, inner = inner_pool()
+    for origin, _ in finger_rays(inner[0], inside):
         assert (np.abs(origin) < 0.05).all()     # the sphere's radius
-    touched, _ = assert_contacts_match_reference(inner_pool, sphere_cloud, inside)
+    touched, _ = assert_contacts_match_reference(inner, sphere_cloud, inside)
     assert touched == 2
     # a tube wider than the cloud
     touched, _ = assert_contacts_match_reference(pool, sphere_cloud, gripper, tube_r=0.5)
     assert touched == len(pool)
 
 
-def test_contacts_match_reference_far_and_large_coordinates(sphere_cloud, sphere_tree,
-                                                            gripper):
-    """A 1e4 m outlier and coordinates near 1e6 m: cells are keyed sparsely,
-    so neither builds a grid spanning the cloud box nor overflows a key."""
-    pool = planned_pool(sphere_cloud, gripper, sphere_tree)
-    outlier = PointCloud(np.vstack([sphere_cloud.points, [1e4, 1e4, 1e4]]))
-    touched, _ = assert_contacts_match_reference(pool, outlier, gripper)
-    assert touched > 0
+def outlier_and_far_cases(cloud, pool):
+    """(pool, cloud) with a 1e4 m outlier added to `cloud`, and with `cloud`
+    and `pool` moved near 1e6 m."""
+    outlier = PointCloud(np.vstack([cloud.points, [1e4, 1e4, 1e4]]))
     shift = np.array([1e6, -1e6, 1e6])
-    far = PointCloud(sphere_cloud.points + shift)
     far_pool = [PreGrasp(pg.position + shift, pg.approach, pg.closing_dir,
                          pg.grasp_type, pg.source_node, pg.source_subface) for pg in pool]
-    touched, _ = assert_contacts_match_reference(far_pool, far, gripper)
-    assert touched > 0
+    return [(pool, outlier), (far_pool, PointCloud(cloud.points + shift))]
+
+
+def test_contacts_match_reference_far_and_large_coordinates(sphere_cloud, sphere_tree,
+                                                            gripper):
+    """A 1e4 m outlier, which sends the rays heading its way through the
+    every-point fallback, and coordinates near 1e6 m: cells are keyed sparsely, so
+    neither builds a grid spanning the cloud box nor overflows a key."""
+    pool = planned_pool(sphere_cloud, gripper, sphere_tree)
+    for case_pool, cloud in outlier_and_far_cases(sphere_cloud, pool):
+        touched, _ = assert_contacts_match_reference(case_pool, cloud, gripper)
+        assert touched > 0
+    _, count = ContactIndex(outlier_and_far_cases(sphere_cloud, pool)[0][1], 0.005)._spans(
+        *graspeval._ray_arrays([ray for pg in pool for ray in finger_rays(pg, gripper)]))
+    assert (count == -1).any() and (count > 0).any()
 
 
 def far_points(n=1000):
@@ -268,15 +291,29 @@ def far_points(n=1000):
                             0.03 * rng.random(n)])
 
 
-def test_contact_ties_go_to_the_lowest_index():
-    """Points 0 and 1 lie at equal t on both rays, 1/512 m either side of
-    the rays' line, in two cells ordered opposite to their indices; point 2
-    only fixes the cloud corner that puts the cell boundary between them."""
-    gripper = exact_gripper()
+def tie_cloud():
+    """Points 0 and 1 lie at equal t on both rays of `axis_pregrasp`, 1/512 m
+    either side of the rays' line, in two cells (of a 1/128 m tube's index)
+    ordered opposite to their indices; point 2 only fixes the cloud corner
+    that puts the cell boundary between them."""
     q = 1.0 / 16
-    cloud = PointCloud(np.vstack([[[q + 2.0 ** -9, 0.0, 0.0],
-                                   [q - 2.0 ** -9, 0.0, 0.0],
-                                   [q - 2.0 ** -6, 0.0, 1.0 / 32]], far_points()]))
+    return PointCloud(np.vstack([[[q + 2.0 ** -9, 0.0, 0.0],
+                                  [q - 2.0 ** -9, 0.0, 0.0],
+                                  [q - 2.0 ** -6, 0.0, 1.0 / 32]], far_points()]))
+
+
+def boundary_cloud():
+    """Point 0 lies exactly 1/128 m from the thumb ray of `axis_pregrasp`,
+    with perp2 == tube_r**2 in floating point, and before point 1 along it."""
+    q, r = 1.0 / 16, 2.0 ** -7
+    return PointCloud(np.vstack([[[q + r, 0.0, 1.0 / 32], [q, 0.0, 0.0]], far_points()]))
+
+
+def test_contact_ties_go_to_the_lowest_index():
+    """The equal-t points of `tie_cloud` lie in cells ordered opposite to
+    their indices, and the lower index wins."""
+    gripper = exact_gripper()
+    cloud = tie_cloud()
     index = ContactIndex(cloud, 2.0 ** -7)
     order = list(index.order)
     assert order.index(1) < order.index(0)
@@ -290,8 +327,8 @@ def test_contact_on_the_tube_boundary_counts():
     """Point 0 lies exactly tube_r (1/128 m) from the thumb ray, with
     perp2 == tube_r**2 in floating point, and before point 1 along it."""
     gripper = exact_gripper()
-    q, r = 1.0 / 16, 2.0 ** -7
-    cloud = PointCloud(np.vstack([[[q + r, 0.0, 1.0 / 32], [q, 0.0, 0.0]], far_points()]))
+    r = 2.0 ** -7
+    cloud = boundary_cloud()
     rel = cloud.points[0] - finger_rays(axis_pregrasp(), gripper)[0][0]
     assert rel @ rel - rel[2] ** 2 == r * r
     contacts = estimate_contacts(axis_pregrasp(), cloud, gripper, r)
@@ -299,38 +336,140 @@ def test_contact_on_the_tube_boundary_counts():
     assert_contacts_match_reference([axis_pregrasp()], cloud, gripper, r)
 
 
-def test_contact_single_candidate_keeps_scan_bits(gripper):
-    """Point 0 is the thumb ray's only candidate.  For this ray (found by a
-    random search) a 1-row product, which numpy computes on its dot path,
-    rounds t so that the point falls outside the tube, where the scan's
-    per-row product keeps it inside (x86-64 OpenBLAS).  The 3000 other
-    points, 15 cm away, make the cloud large enough for the index to be
-    used."""
+def lone_candidate_case():
+    """A pre-grasp whose thumb ray has point 0 as its only candidate.  For
+    this ray (found by a random search) a 1-row product, which numpy
+    computes on its dot path, rounds t so that the point falls outside the
+    tube, where the scan's per-row product keeps it inside (x86-64
+    OpenBLAS).  The 3000 other points, 15 cm away, make the cloud large
+    enough for the index to be used."""
     pg = PreGrasp(np.array([0.0004, 0.0732, -0.0951]),
                   np.array([-0.003386952230513614, -0.6097222946756489, 0.7926078803103396]),
                   np.array([-0.07027377756200023, 0.7907979857227814, 0.6080297212833911]),
                   GraspType.CYLINDRICAL, 0, (0, 0))
     hit = np.array([-0.004813389530020996, 0.023736792334463533, -0.03137114093809743])
     rng = np.random.default_rng(0)
-    cloud = PointCloud(np.vstack([hit, hit + 0.15 + 0.01 * rng.random((3000, 3))]))
+    return pg, PointCloud(np.vstack([hit, hit + 0.15 + 0.01 * rng.random((3000, 3))]))
+
+
+def test_contact_single_candidate_keeps_scan_bits(gripper):
+    pg, cloud = lone_candidate_case()
     assert_contacts_match_reference([pg], cloud, gripper)
 
 
-def test_repeated_ray_is_searched_once(small_sphere_cloud, gripper):
+# A ray and a point 5 mm from it (found by a random search) where t from a
+# gemv and t from a pair-product sum round apart (x86-64 OpenBLAS, Prescott
+# to SkylakeX): q - t*t lands on tube_r**2 for the gemv and above it for the
+# pair products, so the point is a contact only if the point screen keeps
+# rows a little beyond the tube.
+SCREEN_EDGE_RAY = (np.array([-0.048, 0.068, 0.0019]),
+                   np.array([0.07737382677803742, -0.8711252567305109, -0.4849268790404629]))
+SCREEN_EDGE_POINT = np.array([-0.03646532394589977, -0.006618738810473027, -0.03867392639967364])
+SCREEN_EDGE_TUBE = 0.004999999999999985
+
+
+def first_hits_match_reference(cloud, origins, directions, tube_r):
+    """`first_hits` of the rays equals a scan of every point for each."""
+    got = ContactIndex(cloud, tube_r).first_hits(origins, directions)
+    ref = [oracles.reference_first_hit(cloud.points, o, d, tube_r) for o, d in
+           zip(origins, directions)]
+    assert got.tolist() == [-1 if i is None else i for i in ref]
+    return got
+
+
+def test_point_screen_keeps_rows_the_exact_test_accepts():
+    origin, direction = SCREEN_EDGE_RAY
+    cloud = PointCloud(np.vstack([SCREEN_EDGE_POINT, 0.5 + 0.1 * far_points()]))
+    hits = first_hits_match_reference(cloud, origin[None], direction[None], SCREEN_EDGE_TUBE)
+    assert hits.tolist() == [0]
+
+
+def long_ray_case():
+    """12000 points along a 0.32 m rod on the x axis and a ray down its
+    length: with a 1 mm tube, the ray's 3x3x3 blocks hold more cells than
+    one search pass takes, yet fewer than the cloud's points."""
+    rng = np.random.default_rng(4)
+    rod = np.column_stack([0.32 * rng.random(12000), 0.004 * rng.random((12000, 2)) - 0.002])
+    return PointCloud(rod), np.array([[-0.01, 0.0005, 0.0]]), np.array([[1.0, 0.0, 0.0]]), 0.001
+
+
+def test_ray_longer_than_a_search_pass():
+    cloud, origins, directions, tube_r = long_ray_case()
+    _, count = ContactIndex(cloud, tube_r)._spans(origins, directions)
+    assert graspeval._CHUNK_ROWS < count[0] * 27 < len(cloud.points)
+    assert first_hits_match_reference(cloud, origins, directions, tube_r)[0] >= 0
+
+
+def test_repeated_ray_is_searched_once(small_sphere_cloud, gripper, monkeypatch):
     """The two paired rays of a zero-spread preshape are one ray: it is
     searched once, and its contact is still listed for both fingers."""
     pg = make_pregrasp((0.0932, 0, 0), (-1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL)
     rays = finger_rays(pg, gripper)
     assert rays[1][0].tobytes() == rays[2][0].tobytes()
     assert rays[1][1].tobytes() == rays[2][1].tobytes()
-    index = ContactIndex(small_sphere_cloud, 0.005)
     searched = []
-    first_hit = index.first_hit
-    index.first_hit = lambda o, d: searched.append(o) or first_hit(o, d)
-    contacts = estimate_contacts(pg, small_sphere_cloud, gripper, index=index)
-    assert len(searched) == 2 and len(contacts) == 3
+    first_hits = ContactIndex.first_hits
+
+    def counting(index, origins, directions):
+        searched.append(len(origins))
+        return first_hits(index, origins, directions)
+
+    monkeypatch.setattr(ContactIndex, "first_hits", counting)
+    contacts = estimate_contacts(pg, small_sphere_cloud, gripper)
+    assert searched == [2] and len(contacts) == 3
     assert contacts[1].position.tobytes() == contacts[2].position.tobytes()
     assert contacts[1] is not contacts[2]
+    searched.clear()
+    ranked = rank_pool([pg], small_sphere_cloud, gripper)
+    assert searched == [2] and len(ranked[0].contacts) == 3
+
+
+def test_contact_at_the_centroid_takes_the_normal_against_the_ray():
+    """Every ray of `axis_pregrasp` touches the point at the cloud's centroid
+    first (the three points' mean is exact), so each normal falls back to
+    the reversed ray direction; a one-point cloud keeps its 1-row product."""
+    gripper, q = exact_gripper(), 1.0 / 16
+    cloud = PointCloud(np.array([[q, 0.0, -0.25], [q, 0.0, 0.0], [q, 0.0, 0.25]]))
+    assert cloud.centroid.tolist() == [q, 0.0, 0.0]
+    contacts = estimate_contacts(axis_pregrasp(), cloud, gripper, 2.0 ** -7)
+    assert [c.normal.tolist() for c in contacts] == [[0.0, 0.0, 1.0]] + [[0.0, 0.0, -1.0]] * 2
+    assert_contacts_match_reference([axis_pregrasp()], cloud, gripper, 2.0 ** -7)
+    single = PointCloud(cloud.points[1:2])
+    touched, _ = assert_contacts_match_reference([axis_pregrasp()], single, gripper, 2.0 ** -7)
+    assert touched == 1
+
+
+@pytest.fixture(params=[(40, 1), (1000, 3)], ids=["rows40-slice1", "rows1000-slice3"])
+def small_passes(request, monkeypatch):
+    """Search passes of few candidate rows and pool slices of few
+    pre-grasps, so that rays span passes (or share them) and pools span
+    slices."""
+    rows, part = request.param
+    monkeypatch.setattr(graspeval, "_CHUNK_ROWS", rows)
+    monkeypatch.setattr(graspeval, "_POOL_SLICE", part)
+
+
+def test_boundary_cases_match_reference_in_small_passes(small_passes, sphere_cloud,
+                                                        sphere_tree, gripper):
+    pool = planned_pool(sphere_cloud, gripper, sphere_tree)[::4]
+    touched, missed = assert_contacts_match_reference(pool + edge_pool(), sphere_cloud, gripper)
+    assert touched >= len(pool) and missed == 1
+    inside, inner = inner_pool()
+    assert assert_contacts_match_reference(inner, sphere_cloud, inside) == (2, 0)
+    for case_pool, cloud in outlier_and_far_cases(sphere_cloud, pool):
+        assert assert_contacts_match_reference(case_pool, cloud, gripper)[0] > 0
+    for cloud in (tie_cloud(), boundary_cloud()):
+        assert assert_contacts_match_reference([axis_pregrasp()] * 3, cloud, exact_gripper(),
+                                               2.0 ** -7) == (3, 0)
+    pg, cloud = lone_candidate_case()
+    assert assert_contacts_match_reference([pg, pg], cloud, gripper) == (2, 0)
+    origin, direction = SCREEN_EDGE_RAY
+    cloud = PointCloud(np.vstack([SCREEN_EDGE_POINT, 0.5 + 0.1 * far_points()]))
+    first_hits_match_reference(cloud, np.stack([origin] * 3), np.stack([direction] * 3),
+                               SCREEN_EDGE_TUBE)
+    cloud, origins, directions, tube_r = long_ray_case()
+    first_hits_match_reference(cloud, np.vstack([origins, origins + 0.001]),
+                               np.vstack([directions] * 2), tube_r)
 
 
 def test_contact_index_must_match_cloud_and_tube(small_sphere_cloud, sphere_cloud, gripper):
@@ -583,3 +722,57 @@ def test_rank_pool_params_respected(small_sphere_cloud, gripper):
     coarse_by_idx = {c.pool_index: c.quality for c in coarse}
     for idx in fine_by_idx:
         assert fine_by_idx[idx] <= coarse_by_idx[idx] + 1e-15
+
+
+@pytest.mark.parametrize("field,value", [
+    ("quality_dirs", 0), ("cone_edges", 2), ("cone_edges", 0),
+    ("tube_radius", 0.0), ("tube_radius", -0.005), ("tube_radius", float("nan"))])
+def test_rank_pool_rejects_bad_eval_params(field, value, small_sphere_cloud, gripper):
+    """The bounds the CLI puts on its flags hold for library callers too:
+    no quality of inf from zero directions, no empty wrench array from zero
+    cone edges."""
+    with pytest.raises(ValueError, match=field):
+        rank_pool(sphere_pool(), small_sphere_cloud, gripper, EvalParams(**{field: value}))
+
+
+def rank_case(name, request):
+    """(pool, cloud, gripper) of a named ranking case."""
+    gripper = GripperConfig()
+    if name in ("small_sphere_cloud", "sphere_cloud", "lshape_cloud", "dumbbell_cloud"):
+        cloud = request.getfixturevalue(name)
+        return planned_pool(cloud, gripper), cloud, gripper
+    cloud = request.getfixturevalue("small_sphere_cloud")
+    if name == "empty":
+        return [], cloud, gripper
+    if name == "all-miss":
+        return [make_pregrasp((1.0 + 0.1 * k, 1.0, 1.0), (1, 0, 0), (0, 0, 1),
+                              GraspType.SPHERICAL) for k in range(4)], cloud, gripper
+    if name == "one":
+        return sphere_pool()[2:], cloud, gripper
+    # a 10k shape at the dense sampling of perfbench's dense-pool workload,
+    # with a wide aperture so that the box and the plate get a pool too
+    kind, dims = dict((f"{k}-10k", (k, d)) for k, d in SHAPES_10K)[name]
+    gripper = GripperConfig(max_aperture=0.25)
+    cloud = synth_shape(kind, dims, 10000, seed=1)
+    cfg = RunConfig()
+    tree = decompose(cloud, cfg.decomposition)
+    pool = generate_pool(tree, helpers.classes_for(tree, cloud, cfg.thresholds),
+                         helpers.masks_for(tree, gripper.finger_length), gripper,
+                         SamplingParams(10.0, 0.005))
+    # every pool but the plate's spans several slices
+    assert len(pool) > (0 if kind == "plate" else 2 * graspeval._POOL_SLICE)
+    return pool, cloud, gripper
+
+
+@pytest.mark.parametrize("name", [
+    "small_sphere_cloud", "sphere_cloud", "lshape_cloud", "dumbbell_cloud",
+    *(f"{kind}-10k" for kind, _ in SHAPES_10K), "empty", "all-miss", "one"])
+def test_rank_pool_matches_reference_bytes(name, request):
+    """The ranking section of the run document from the sliced, batched
+    ranking equals the one from grading each candidate on its own with a
+    scan of every point, byte for byte."""
+    pool, cloud, gripper = rank_case(name, request)
+    params = EvalParams()
+    got = json.dumps(_ranking_section(rank_pool(pool, cloud, gripper, params)))
+    ref = json.dumps(_ranking_section(oracles.reference_rank_pool(pool, cloud, gripper, params)))
+    assert got == ref
