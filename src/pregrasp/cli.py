@@ -34,24 +34,6 @@ _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.
 _BOX_EDGES = ((0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
               (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7))
 
-_SYNTH_DEFAULT_DIMS = {
-    "box": {"dx": 0.2, "dy": 0.15, "dz": 0.1},
-    "plate": {"dx": 0.2, "dy": 0.15, "dz": 0.01},
-    "sphere": {"r": 0.05},
-    "cylinder": {"r": 0.03, "length": 0.2},
-    "dumbbell": {"length": 0.2, "end_a": 0.08, "end_b": 0.03, "neck": 0.015},
-    "lshape": {"leg_a": 0.2, "leg_b": 0.15, "thickness": 0.04},
-}
-_SYNTH_DIM_ORDER = {
-    "box": ("dx", "dy", "dz"),
-    "plate": ("dx", "dy", "dz"),
-    "sphere": ("r",),
-    "cylinder": ("r", "length"),
-    "dumbbell": ("length", "end_a", "end_b", "neck"),
-    "lshape": ("leg_a", "leg_b", "thickness"),
-}
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="pregrasp",
@@ -88,9 +70,9 @@ def build_parser():
     synth.add_argument("--n", type=int, default=5000, help="number of surface points")
     synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", default="cloud.xyz")
-    for flag in ("dx", "dy", "dz", "r", "length", "end-a", "end-b", "neck",
-                 "leg-a", "leg-b", "thickness"):
-        synth.add_argument(f"--{flag}", type=float, default=None)
+    # each dimension once, in order of first use; unset means the kind's default
+    for name in dict.fromkeys(name for dims in SYNTH_KINDS.values() for name in dims):
+        synth.add_argument("--" + name.replace("_", "-"), type=float, default=None)
 
     viz = sub.add_parser("export-viz", help="write a wireframe OBJ of a run document")
     viz.add_argument("--input", required=True, help="run document (JSON)")
@@ -108,7 +90,13 @@ def _check(cond, flag, requirement, value):
     if not cond:
         raise ConfigError(flag, f"must be {requirement}, got {value}")
 
+def _check_finite(ns):
+    for name, value in vars(ns).items():
+        if isinstance(value, float):
+            _check(np.isfinite(value), "--" + name.replace("_", "-"), "finite", value)
+
 def validate_pipeline_args(ns):
+    _check_finite(ns)
     _check(ns.min_points >= 4, "--min-points", ">= 4", ns.min_points)
     _check(0.0 < ns.volume_ratio <= 1.0, "--volume-ratio", "in (0, 1]", ns.volume_ratio)
     _check(ns.planes_per_axis >= 1, "--planes-per-axis", ">= 1", ns.planes_per_axis)
@@ -127,20 +115,18 @@ def validate_pipeline_args(ns):
     _check(ns.seed >= 0, "--seed", ">= 0", ns.seed)
 
 def validate_synth_args(ns):
+    _check_finite(ns)
     _check(ns.n >= 4, "--n", ">= 4", ns.n)
     _check(ns.seed >= 0, "--seed", ">= 0", ns.seed)
-    for name in _SYNTH_DIM_ORDER[ns.kind]:
+    for name in SYNTH_KINDS[ns.kind]:
         value = getattr(ns, name)
         if value is not None:
             _check(value > 0.0, "--" + name.replace("_", "-"), "> 0", value)
 
 
 def _synth_dims(ns):
-    dims = []
-    for name in _SYNTH_DIM_ORDER[ns.kind]:
-        value = getattr(ns, name)
-        dims.append(_SYNTH_DEFAULT_DIMS[ns.kind][name] if value is None else value)
-    return tuple(dims)
+    return tuple(default if getattr(ns, name) is None else getattr(ns, name)
+                 for name, default in SYNTH_KINDS[ns.kind].items())
 
 
 def _run_config(ns):

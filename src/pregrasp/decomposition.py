@@ -92,27 +92,6 @@ class OrientedBox:
 
 
 @dataclass
-class SplitPlane:
-    """Axis-parallel plane: normal = box axis `axis`, passing through
-    center + offset * axis (offset in meters along that axis)."""
-
-    axis: int
-    offset: float
-
-
-@dataclass
-class SplitEval:
-    """Outcome of cutting a node's points with one candidate plane."""
-
-    plane: SplitPlane
-    idx_a: np.ndarray        # indices (into the evaluated points) below the plane
-    idx_b: np.ndarray        # indices on the non-negative side
-    box_a: "OrientedBox"
-    box_b: "OrientedBox"
-    volume_sum: float
-
-
-@dataclass
 class DecompParams:
     volume_ratio: float = 0.9
     min_points: int = 500
@@ -301,26 +280,25 @@ def fit_obb(points, refine_steps=3):
 # Split search
 # ===========================================================================
 
-def evaluate_split(points, parent_box, plane, refine_steps=3):
-    """Cut `points` with `plane` (in the parent box frame) and fit both sides.
+def evaluate_split(points, parent_box, axis, offset, refine_steps=3):
+    """Cut `points` with the plane normal to box axis `axis` through
+    center + offset * that axis, and fit both sides.
 
-    Points are partitioned by signed distance to the plane; ties go to the
-    non-negative side.
+    Returns (idx_a, idx_b, box_a, box_b): the indices of the points below the
+    plane and on its non-negative side (ties go there), and each side's box.
 
     Raises:
         EmptySide: one side received no points.
         DegenerateInput: one side's points all coincide.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    d = (pts - parent_box.center) @ parent_box.axis(plane.axis) - plane.offset
+    d = (pts - parent_box.center) @ parent_box.axis(axis) - offset
     idx_a = np.flatnonzero(d < 0.0)
     idx_b = np.flatnonzero(d >= 0.0)
     if len(idx_a) == 0 or len(idx_b) == 0:
-        raise EmptySide(f"plane axis={plane.axis} offset={plane.offset:.6g} "
+        raise EmptySide(f"plane axis={axis} offset={offset:.6g} "
                         f"left {len(idx_a)}/{len(idx_b)} points")
-    box_a = fit_obb(pts[idx_a], refine_steps)
-    box_b = fit_obb(pts[idx_b], refine_steps)
-    return SplitEval(plane, idx_a, idx_b, box_a, box_b, box_a.volume + box_b.volume)
+    return idx_a, idx_b, fit_obb(pts[idx_a], refine_steps), fit_obb(pts[idx_b], refine_steps)
 
 
 def candidate_offsets(half_extent, planes_per_axis):
@@ -474,42 +452,27 @@ def _screen(pts, box, params):
 
 
 def _best_split_eval(node, cloud, params):
-    """Minimum summed-child-volume candidate among the screening finalists,
-    or None if it fails the acceptance test (volume ratio + per-child point
-    minimum)."""
+    """The finalist with the smallest summed child volume as (axis, offset,
+    idx_a, idx_b, box_a, box_b), or None if it fails the acceptance test
+    (volume ratio + per-child point minimum)."""
     pts = cloud.points[node.point_indices]
     scored = _screen(pts, node.box, params)
     # refit in (axis, offset) order, so the strict < below keeps the first
     # of tied full-point volumes
     finalists = sorted(sorted(scored, key=lambda c: c[0])[:SCREEN_FINALISTS],
                        key=lambda c: c[1:])
-    best = None
+    best = best_volume = None
     for _, axis, offset in finalists:
-        ev = evaluate_split(pts, node.box, SplitPlane(axis, offset), params.mvbb_refine_steps)
-        if best is None or ev.volume_sum < best.volume_sum:
-            best = ev
-    if best is None:
-        return None
-    if best.volume_sum > params.volume_ratio * node.box.volume:
+        split = evaluate_split(pts, node.box, axis, offset, params.mvbb_refine_steps)
+        volume = split[2].volume + split[3].volume
+        if best is None or volume < best_volume:
+            best, best_volume = (axis, offset) + split, volume
+    if best is None or best_volume > params.volume_ratio * node.box.volume:
         return None
     # strictly more than min_points/2 per child; the boundary count is rejected
-    if min(len(best.idx_a), len(best.idx_b)) <= params.min_points / 2.0:
+    if min(len(best[2]), len(best[3])) <= params.min_points / 2.0:
         return None
     return best
-
-
-def best_split(node, cloud, params=None):
-    """The accepted split plane for `node`, or None when the node stays whole.
-
-    Candidates: `planes_per_axis` offsets per box axis.  Every candidate is
-    screened with box fits on each side's exact moments and extreme-point
-    coreset; the SCREEN_FINALISTS best are refit on all of their points, and
-    the smallest full-point summed volume wins, ties resolving to the lowest
-    axis index, then the smallest offset.
-    """
-    params = params or DecompParams()
-    ev = _best_split_eval(node, cloud, params)
-    return None if ev is None else ev.plane
 
 
 def decompose(cloud, params=None):
@@ -527,16 +490,17 @@ def decompose(cloud, params=None):
         node = tree.nodes[nid]
         if len(node.point_indices) < params.min_points:
             continue
-        ev = _best_split_eval(node, cloud, params)
-        if ev is None:
+        best = _best_split_eval(node, cloud, params)
+        if best is None:
             continue
+        _, _, idx_a, idx_b, box_a, box_b = best
         ida, idb = len(tree.nodes), len(tree.nodes) + 1
-        tree.nodes.append(DecompNode(ida, ev.box_a, node.point_indices[ev.idx_a], nid))
-        tree.nodes.append(DecompNode(idb, ev.box_b, node.point_indices[ev.idx_b], nid))
+        tree.nodes.append(DecompNode(ida, box_a, node.point_indices[idx_a], nid))
+        tree.nodes.append(DecompNode(idb, box_b, node.point_indices[idx_b], nid))
         node.children = (ida, idb)
         queue.extend((ida, idb))
         logger.debug("split node %d (%d pts) -> %d (%d pts) + %d (%d pts), ratio %.3f",
-                     nid, len(node.point_indices), ida, len(ev.idx_a), idb, len(ev.idx_b),
-                     ev.volume_sum / node.box.volume)
+                     nid, len(node.point_indices), ida, len(idx_a), idb, len(idx_b),
+                     (box_a.volume + box_b.volume) / node.box.volume)
     logger.info("decomposition: %d nodes, %d leaves", len(tree.nodes), len(tree.leaf_ids()))
     return tree

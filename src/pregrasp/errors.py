@@ -19,7 +19,7 @@ class EmptyCloud(PreGraspError):
 
 
 class BadDimension(PreGraspError):
-    """Synthetic-shape dimensions are missing or non-positive."""
+    """Synthetic-shape dimensions are missing, non-positive or non-finite."""
 
 
 class DegenerateInput(PreGraspError):

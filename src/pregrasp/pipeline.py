@@ -34,19 +34,6 @@ class RunConfig:
     evaluation: EvalParams = field(default_factory=EvalParams)
 
 
-def config_echo(cfg):
-    return {
-        "input": cfg.input,
-        "format": cfg.format,
-        "out": cfg.out,
-        "decomposition": asdict(cfg.decomposition),
-        "thresholds": asdict(cfg.thresholds),
-        "gripper": asdict(cfg.gripper),
-        "sampling": asdict(cfg.sampling),
-        "evaluation": asdict(cfg.evaluation),
-    }
-
-
 # ---------------------------------------------------------------------------
 # stage computations
 # ---------------------------------------------------------------------------
@@ -134,7 +121,7 @@ def run_pipeline(cloud, cfg, upto="rank"):
     if upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}")
     last = STAGES.index(upto)
-    doc = {"config": config_echo(cfg), "cloud": {
+    doc = {"config": asdict(cfg), "cloud": {
         "source": cloud.source_name,
         "point_count": int(len(cloud.points)),
     }}

@@ -30,7 +30,16 @@ logger = logging.getLogger(__name__)
 
 MIN_POINTS = 4
 
-SYNTH_KINDS = ("box", "sphere", "cylinder", "plate", "dumbbell", "lshape")
+# Each synth kind's dimensions (meters), in synth_shape's `dims` order, with
+# their `pregrasp synth` defaults.
+SYNTH_KINDS = {
+    "box": {"dx": 0.2, "dy": 0.15, "dz": 0.1},
+    "sphere": {"r": 0.05},
+    "cylinder": {"r": 0.03, "length": 0.2},
+    "plate": {"dx": 0.2, "dy": 0.15, "dz": 0.01},
+    "dumbbell": {"length": 0.2, "end_a": 0.08, "end_b": 0.03, "neck": 0.015},
+    "lshape": {"leg_a": 0.2, "leg_b": 0.15, "thickness": 0.04},
+}
 
 
 @dataclass
@@ -49,11 +58,6 @@ class PointCloud:
     @property
     def centroid(self):
         return self.points.mean(axis=0)
-
-    @property
-    def diagonal(self):
-        """Length of the axis-aligned bounding-box diagonal."""
-        return float(np.linalg.norm(self.points.max(axis=0) - self.points.min(axis=0)))
 
 
 # ===========================================================================
@@ -220,11 +224,10 @@ def _parse_obj(lines):
 def synth_shape(kind, dims, n, seed):
     """Sample `n` points uniformly on the surface of an analytic test shape.
 
-    Kinds and their `dims` tuples (meters):
-        box        (dx, dy, dz)
-        sphere     (r,)
-        cylinder   (r, length)           axis along +z
-        plate      (dx, dy, thickness)
+    `dims` (meters) lists the kind's dimensions in SYNTH_KINDS order:
+        box, plate (dx, dy, dz)
+        sphere     (r)
+        cylinder   (r, length)                    axis along +z
         dumbbell   (length, end_a, end_b, neck)   two cubes joined by a neck, axis +x
         lshape     (leg_a, leg_b, thickness)      two orthogonal square-section legs
 
@@ -235,29 +238,22 @@ def synth_shape(kind, dims, n, seed):
     if n < MIN_POINTS:
         raise EmptyCloud(f"n={n}, need at least {MIN_POINTS}")
     dims = tuple(float(d) for d in dims)
-    if any(d <= 0.0 for d in dims):
-        raise BadDimension(f"{kind}: dimensions must be positive, got {dims}")
+    if not all(0.0 < d < np.inf for d in dims):
+        raise BadDimension(f"{kind}: dimensions must be positive and finite, got {dims}")
+    if len(dims) != len(SYNTH_KINDS[kind]):
+        raise BadDimension(f"{kind} needs ({', '.join(SYNTH_KINDS[kind])}), "
+                           f"got {len(dims)} values")
     rng = np.random.default_rng(seed)
 
     if kind in ("box", "plate"):
-        if len(dims) != 3:
-            raise BadDimension(f"{kind} needs (dx, dy, dz), got {len(dims)} values")
         pts = _box_surface(rng, np.array(dims) / 2.0, n)
     elif kind == "sphere":
-        if len(dims) != 1:
-            raise BadDimension(f"sphere needs (r,), got {len(dims)} values")
         pts = _sphere_surface(rng, dims[0], n)
     elif kind == "cylinder":
-        if len(dims) != 2:
-            raise BadDimension(f"cylinder needs (r, length), got {len(dims)} values")
         pts = _cylinder_surface(rng, dims[0], dims[1], n)
     elif kind == "dumbbell":
-        if len(dims) != 4:
-            raise BadDimension(f"dumbbell needs (length, end_a, end_b, neck), got {len(dims)} values")
         pts = _union_of_boxes(rng, _dumbbell_boxes(*dims), n)
     else:
-        if len(dims) != 3:
-            raise BadDimension(f"lshape needs (leg_a, leg_b, thickness), got {len(dims)} values")
         pts = _union_of_boxes(rng, _lshape_boxes(*dims), n)
 
     return PointCloud(pts, source_name=f"synth:{kind}")

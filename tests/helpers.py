@@ -38,6 +38,15 @@ def axis_box(center, half):
                        np.asarray(half, dtype=float))
 
 
+def best_split(node, cloud, params):
+    """(axis, offset) of the plane decompose() splits `node` with, or None
+    when the node stays whole."""
+    from pregrasp.decomposition import _best_split_eval
+
+    best = _best_split_eval(node, cloud, params)
+    return None if best is None else best[:2]
+
+
 def stacked_boxes_tree():
     """Root enclosing two equal boxes stacked along z, touching exactly at z=0."""
     root = axis_box((0.0, 0.0, 0.0), (0.1, 0.1, 0.1))

@@ -143,22 +143,25 @@ def mvbb_grid_volume(points, step_deg=2.0, chunk=8192):
 
 def exhaustive_split(points, box, planes_per_axis=16, refine_steps=3):
     """Minimum summed-volume split over every candidate plane, each side fit
-    on all of its points; None when no plane leaves two fit-able sides.
+    on all of its points, as (volume_sum, axis, offset, idx_a, idx_b, box_a,
+    box_b); None when no plane leaves two fit-able sides.
 
     Ties resolve to the lowest axis, then the smallest offset.
     """
-    from pregrasp.decomposition import SplitPlane, candidate_offsets, evaluate_split
+    from pregrasp.decomposition import candidate_offsets, evaluate_split
     from pregrasp.errors import DegenerateInput, EmptySide
 
     best = None
     for axis in range(3):
         for offset in candidate_offsets(box.half_extents[axis], planes_per_axis):
             try:
-                ev = evaluate_split(points, box, SplitPlane(axis, float(offset)), refine_steps)
+                idx_a, idx_b, box_a, box_b = evaluate_split(points, box, axis, float(offset),
+                                                            refine_steps)
             except (EmptySide, DegenerateInput):
                 continue
-            if best is None or ev.volume_sum < best.volume_sum:
-                best = ev
+            volume_sum = box_a.volume + box_b.volume
+            if best is None or volume_sum < best[0]:
+                best = (volume_sum, axis, float(offset), idx_a, idx_b, box_a, box_b)
     return best
 
 

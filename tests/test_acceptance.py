@@ -17,8 +17,8 @@ import pytest
 import helpers
 import oracles
 from pregrasp import (ClassifierThresholds, DecompParams, GraspType,
-                      GripperConfig, ShapeCategory, decompose, synth_shape)
-from pregrasp.classifier import classify, pca
+                      GripperConfig, decompose, synth_shape)
+from pregrasp.classifier import ShapeCategory, classify, pca
 from pregrasp.cli import main as cli_main
 from pregrasp.facemask import FaceId, compute_face_states, face_mask, subfaces
 from pregrasp.graspeval import (ContactPoint, EvalParams, epsilon_quality,

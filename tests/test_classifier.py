@@ -4,14 +4,9 @@ import numpy as np
 
 import helpers
 
-from pregrasp import (
-    ClassifierThresholds,
-    GraspType,
-    ShapeCategory,
-    fit_obb,
-    synth_shape,
-)
-from pregrasp.classifier import classify, pca
+from pregrasp import ClassifierThresholds, GraspType, synth_shape
+from pregrasp.classifier import ShapeCategory, classify, pca
+from pregrasp.decomposition import fit_obb
 
 
 def _classify_cloud(cloud):

@@ -4,6 +4,7 @@ Commands run in-process through cli.main(argv) for speed; one test drives the
 installed console script to confirm the packaging entry point.
 """
 
+import argparse
 import json
 import os
 import re
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import pregrasp
-from pregrasp.cli import main
+from pregrasp.cli import build_parser, main
 from pregrasp.pointcloud import load_cloud
 
 RANK_KEYS = {"config", "cloud", "tree", "classifications", "masks", "pool",
@@ -37,6 +38,12 @@ def run_stage(stage, cloud_path, out_path, *extra):
 
 def strip_timings(text):
     return re.sub(r'"timings_ms": \{[^}]*\}', '"timings_ms": {}', text)
+
+
+def float_flags(command):
+    """The float-valued flags of a subcommand, from the parser itself."""
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return [a.option_strings[0] for a in sub.choices[command]._actions if a.type is float]
 
 
 # ===========================================================================
@@ -71,6 +78,19 @@ def test_synth_rejects_bad_flags(tmp_path, capsys):
     assert main(["synth", "sphere", "--seed", "-1",
                  "--out", str(tmp_path / "x.xyz")]) == 2
     assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["inf", "nan"])
+def test_non_finite_float_flags_exit_2(sphere_xyz, tmp_path, capsys, value):
+    stage_flags, synth_flags = float_flags("rank"), float_flags("synth")
+    assert {"--standoff", "--tube-radius"} <= set(stage_flags) and "--r" in synth_flags
+    for flag in stage_flags:
+        assert run_stage("rank", sphere_xyz, tmp_path / "x.json", flag, value) == 2, flag
+        assert f"error: {flag}: must be finite" in capsys.readouterr().err
+    for flag in synth_flags:   # also a flag the kind does not use
+        assert main(["synth", "sphere", flag, value, "--out", str(tmp_path / "x.xyz")]) == 2
+        assert f"error: {flag}: must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists() and not (tmp_path / "x.xyz").exists()
 
 
 # ===========================================================================

@@ -17,11 +17,9 @@ from pregrasp.decomposition import (
     DecompNode,
     DecompTree,
     OrientedBox,
-    SplitPlane,
     _project,
     _side_summary,
     _slab_summaries,
-    best_split,
     candidate_offsets,
     evaluate_split,
     fit_obb,
@@ -115,17 +113,18 @@ def test_evaluate_split_partitions_and_boundary_side():
         [0.0, 0.0, 0.0], [0.0, 0.1, 0.0], [0.0, 0.0, 0.1], [0.3, 0.1, 0.1],
     ])
     box = helpers.axis_box((0.0, 0.05, 0.05), (0.5, 0.1, 0.1))
-    ev = evaluate_split(pts, box, SplitPlane(0, 0.0))
-    assert sorted(ev.idx_a) == [0, 1, 2, 3]
-    assert sorted(ev.idx_b) == [4, 5, 6, 7]
-    assert ev.volume_sum == pytest.approx(ev.box_a.volume + ev.box_b.volume)
+    idx_a, idx_b, box_a, box_b = evaluate_split(pts, box, 0, 0.0)
+    assert sorted(idx_a) == [0, 1, 2, 3]
+    assert sorted(idx_b) == [4, 5, 6, 7]
+    assert box_a.as_dict() == fit_obb(pts[idx_a]).as_dict()
+    assert box_b.as_dict() == fit_obb(pts[idx_b]).as_dict()
 
 
 def test_evaluate_split_empty_side_raises():
     pts = np.array([[-0.5, 0.0, 0.0], [-0.5, 0.1, 0.0], [-0.4, 0.0, 0.1], [-0.45, 0.1, 0.1]])
     box = helpers.axis_box((0.0, 0.05, 0.05), (0.5, 0.1, 0.1))
     with pytest.raises(EmptySide):
-        evaluate_split(pts, box, SplitPlane(0, 0.2))
+        evaluate_split(pts, box, 0, 0.2)
 
 
 def test_evaluate_split_coincident_side_raises():
@@ -135,18 +134,19 @@ def test_evaluate_split_coincident_side_raises():
     ])
     box = helpers.axis_box((0.0, 0.05, 0.05), (0.5, 0.1, 0.1))
     with pytest.raises(DegenerateInput):
-        evaluate_split(pts, box, SplitPlane(0, 0.0))
+        evaluate_split(pts, box, 0, 0.0)
 
 
 def _reference_split(node, cloud, params):
-    """The accepted split of the exhaustive full-point search, or None."""
+    """The accepted split of the exhaustive full-point search, as (axis,
+    offset, idx_a, idx_b, box_a, box_b), or None."""
     ev = oracles.exhaustive_split(cloud.points[node.point_indices], node.box,
                                   params.planes_per_axis, params.mvbb_refine_steps)
-    if ev is None or ev.volume_sum > params.volume_ratio * node.box.volume:
+    if ev is None or ev[0] > params.volume_ratio * node.box.volume:
         return None
-    if min(len(ev.idx_a), len(ev.idx_b)) <= params.min_points / 2.0:
+    if min(len(ev[3]), len(ev[4])) <= params.min_points / 2.0:
         return None
-    return ev
+    return ev[1:]
 
 
 def _reference_decompose(cloud, params):
@@ -156,12 +156,13 @@ def _reference_decompose(cloud, params):
     for node in tree.nodes:          # visits appended children: breadth-first
         if len(node.point_indices) < params.min_points:
             continue
-        ev = _reference_split(node, cloud, params)
-        if ev is None:
+        ref = _reference_split(node, cloud, params)
+        if ref is None:
             continue
+        _, _, idx_a, idx_b, box_a, box_b = ref
         ida = len(tree.nodes)
-        tree.nodes.append(DecompNode(ida, ev.box_a, node.point_indices[ev.idx_a], node.id))
-        tree.nodes.append(DecompNode(ida + 1, ev.box_b, node.point_indices[ev.idx_b], node.id))
+        tree.nodes.append(DecompNode(ida, box_a, node.point_indices[idx_a], node.id))
+        tree.nodes.append(DecompNode(ida + 1, box_b, node.point_indices[idx_b], node.id))
         node.children = (ida, ida + 1)
     return tree
 
@@ -186,6 +187,7 @@ def _coincident_outlier_cloud():
     return PointCloud(np.concatenate([body, [[0.2, 0.0, 0.0]], np.tile([-0.15, 0.05, 0.0], (4, 1))]))
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("case", ["sphere", "lshape", "dumbbell", "two-cluster", "coincident"]
                          + [f"invariant-{seed}" for seed in range(20)])
 def test_decompose_matches_exhaustive_reference(case, request):
@@ -204,6 +206,7 @@ def test_decompose_matches_exhaustive_reference(case, request):
     helpers.trees_identical(_reference_decompose(cloud, params), tree, helpers.CheckCounter())
 
 
+@pytest.mark.bitexact
 def test_best_split_matches_exhaustive_oracle(lshape_cloud, lshape_tree,
                                               dumbbell_cloud, dumbbell_tree):
     params = DecompParams()
@@ -211,10 +214,10 @@ def test_best_split_matches_exhaustive_oracle(lshape_cloud, lshape_tree,
     for cloud, tree in ((lshape_cloud, lshape_tree), (dumbbell_cloud, dumbbell_tree)):
         for node in _searched_nodes(tree, params):
             ref = _reference_split(node, cloud, params)
-            plane = best_split(node, cloud, params)
+            plane = helpers.best_split(node, cloud, params)
             assert (plane is None) == (ref is None), f"node {node.id}"
             if ref is not None:
-                assert (plane.axis, plane.offset) == (ref.plane.axis, ref.plane.offset)
+                assert plane == ref[:2]
             searched += 1
     assert searched >= 4
 
@@ -226,11 +229,11 @@ def test_best_split_tie_takes_smallest_offset():
     params = DecompParams(min_points=8, planes_per_axis=16)
     tree = decompose(cloud, params)
     root = tree.node(0)
-    plane = best_split(root, cloud, params)
-    assert plane.axis == 0
+    axis, offset = helpers.best_split(root, cloud, params)
+    assert axis == 0
     gap_offsets = [o for o in candidate_offsets(root.box.half_extents[0], 16)
                    if -0.06 + root.box.center[0] < o < 0.06 + root.box.center[0]]
-    assert plane.offset == pytest.approx(gap_offsets[0])
+    assert offset == pytest.approx(gap_offsets[0])
 
 
 def test_split_search_refits_only_finalists(dumbbell_cloud, dumbbell_tree, monkeypatch):
@@ -242,7 +245,7 @@ def test_split_search_refits_only_finalists(dumbbell_cloud, dumbbell_tree, monke
                         lambda *args: calls.append(args[2]) or real(*args))
     for node in _searched_nodes(dumbbell_tree, params):
         calls.clear()
-        best_split(node, dumbbell_cloud, params)
+        helpers.best_split(node, dumbbell_cloud, params)
         assert 1 <= len(calls) <= SCREEN_FINALISTS
 
 
@@ -299,6 +302,7 @@ SLAB_CLOUDS = {
 }
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("case", sorted(SLAB_CLOUDS))
 def test_slab_summaries_match_reference_bytes(case, request, monkeypatch):
     """Every field of the slab summaries equals the per-slab (n_s, 49)

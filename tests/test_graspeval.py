@@ -191,6 +191,7 @@ def assert_contacts_match_reference(pool, cloud, gripper, tube_r=0.005):
     return touched, missed
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("fixture", ["small_sphere_cloud", "sphere_cloud",
                                      "lshape_cloud", "dumbbell_cloud"])
 def test_contacts_match_reference_on_fixtures(fixture, request, gripper):
@@ -205,6 +206,7 @@ SHAPES_10K = [("box", (0.2, 0.15, 0.1)), ("sphere", (0.05,)), ("cylinder", (0.03
               ("lshape", (0.2, 0.15, 0.04))]
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("kind,dims", SHAPES_10K)
 def test_contacts_match_reference_on_10k_shapes(kind, dims):
     """A wide aperture so that the box and the plate get a pool too."""
@@ -244,6 +246,7 @@ def inner_pool():
         make_pregrasp((0, 0, -0.07), (0, 0, 1), (0, 1, 0), GraspType.CYLINDRICAL)]
 
 
+@pytest.mark.bitexact
 def test_contacts_match_reference_on_edge_rays(sphere_cloud, sphere_tree, gripper):
     pool = planned_pool(sphere_cloud, gripper, sphere_tree)
     touched, missed = assert_contacts_match_reference(
@@ -269,6 +272,7 @@ def outlier_and_far_cases(cloud, pool):
     return [(pool, outlier), (far_pool, PointCloud(cloud.points + shift))]
 
 
+@pytest.mark.bitexact
 def test_contacts_match_reference_far_and_large_coordinates(sphere_cloud, sphere_tree,
                                                             gripper):
     """A 1e4 m outlier, which sends the rays heading its way through the
@@ -309,6 +313,7 @@ def boundary_cloud():
     return PointCloud(np.vstack([[[q + r, 0.0, 1.0 / 32], [q, 0.0, 0.0]], far_points()]))
 
 
+@pytest.mark.bitexact
 def test_contact_ties_go_to_the_lowest_index():
     """The equal-t points of `tie_cloud` lie in cells ordered opposite to
     their indices, and the lower index wins."""
@@ -323,6 +328,7 @@ def test_contact_ties_go_to_the_lowest_index():
     assert_contacts_match_reference([pg], cloud, gripper, 2.0 ** -7)
 
 
+@pytest.mark.bitexact
 def test_contact_on_the_tube_boundary_counts():
     """Point 0 lies exactly tube_r (1/128 m) from the thumb ray, with
     perp2 == tube_r**2 in floating point, and before point 1 along it."""
@@ -352,6 +358,7 @@ def lone_candidate_case():
     return pg, PointCloud(np.vstack([hit, hit + 0.15 + 0.01 * rng.random((3000, 3))]))
 
 
+@pytest.mark.bitexact
 def test_contact_single_candidate_keeps_scan_bits(gripper):
     pg, cloud = lone_candidate_case()
     assert_contacts_match_reference([pg], cloud, gripper)
@@ -377,6 +384,7 @@ def first_hits_match_reference(cloud, origins, directions, tube_r):
     return got
 
 
+@pytest.mark.bitexact
 def test_point_screen_keeps_rows_the_exact_test_accepts():
     origin, direction = SCREEN_EDGE_RAY
     cloud = PointCloud(np.vstack([SCREEN_EDGE_POINT, 0.5 + 0.1 * far_points()]))
@@ -393,6 +401,7 @@ def long_ray_case():
     return PointCloud(rod), np.array([[-0.01, 0.0005, 0.0]]), np.array([[1.0, 0.0, 0.0]]), 0.001
 
 
+@pytest.mark.bitexact
 def test_ray_longer_than_a_search_pass():
     cloud, origins, directions, tube_r = long_ray_case()
     _, count = ContactIndex(cloud, tube_r)._spans(origins, directions)
@@ -400,6 +409,7 @@ def test_ray_longer_than_a_search_pass():
     assert first_hits_match_reference(cloud, origins, directions, tube_r)[0] >= 0
 
 
+@pytest.mark.bitexact
 def test_repeated_ray_is_searched_once(small_sphere_cloud, gripper, monkeypatch):
     """The two paired rays of a zero-spread preshape are one ray: it is
     searched once, and its contact is still listed for both fingers."""
@@ -424,6 +434,7 @@ def test_repeated_ray_is_searched_once(small_sphere_cloud, gripper, monkeypatch)
     assert searched == [2] and len(ranked[0].contacts) == 3
 
 
+@pytest.mark.bitexact
 def test_contact_at_the_centroid_takes_the_normal_against_the_ray():
     """Every ray of `axis_pregrasp` touches the point at the cloud's centroid
     first (the three points' mean is exact), so each normal falls back to
@@ -449,6 +460,7 @@ def small_passes(request, monkeypatch):
     monkeypatch.setattr(graspeval, "_POOL_SLICE", part)
 
 
+@pytest.mark.bitexact
 def test_boundary_cases_match_reference_in_small_passes(small_passes, sphere_cloud,
                                                         sphere_tree, gripper):
     pool = planned_pool(sphere_cloud, gripper, sphere_tree)[::4]
@@ -545,6 +557,7 @@ def ranked_contact_sets():
     return cloud.centroid, [c.contacts for c in ranked if c.contacts]
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("mu", [0.0, MU])
 @pytest.mark.parametrize("edges", [3, EDGES])
 def test_wrench_set_matches_reference_bytes(mu, edges):
@@ -764,6 +777,7 @@ def rank_case(name, request):
     return pool, cloud, gripper
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("name", [
     "small_sphere_cloud", "sphere_cloud", "lshape_cloud", "dumbbell_cloud",
     *(f"{kind}-10k" for kind, _ in SHAPES_10K), "empty", "all-miss", "one"])

@@ -283,8 +283,10 @@ def test_synth_union_points_not_trapped_inside():
 def test_synth_validation():
     with pytest.raises(BadDimension):
         synth_shape("teapot", (1.0,), 100, seed=0)
-    with pytest.raises(BadDimension):
+    with pytest.raises(BadDimension, match=r"sphere needs \(r\), got 2 values"):
         synth_shape("sphere", (0.05, 0.05), 100, seed=0)
+    with pytest.raises(BadDimension, match=r"dumbbell needs \(length, end_a, end_b, neck\)"):
+        synth_shape("dumbbell", (0.2, 0.08, 0.03), 100, seed=0)
     with pytest.raises(BadDimension):
         synth_shape("box", (0.1, -0.1, 0.1), 100, seed=0)
     with pytest.raises(BadDimension):
@@ -293,15 +295,22 @@ def test_synth_validation():
         synth_shape("sphere", (0.05,), 3, seed=0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_synth_rejects_non_finite_dimensions(bad):
+    with pytest.raises(BadDimension, match="finite"):
+        synth_shape("sphere", (bad,), 100, seed=0)
+    with pytest.raises(BadDimension, match="finite"):
+        synth_shape("box", (0.1, bad, 0.1), 100, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # cloud statistics + results io
 # ---------------------------------------------------------------------------
 
-def test_centroid_and_diagonal():
+def test_centroid():
     pts = np.array([[0.0, 0, 0], [2.0, 0, 0], [2.0, 2, 0], [0.0, 2, 1]])
     cloud = PointCloud(pts)
     np.testing.assert_allclose(cloud.centroid, [1.0, 1.0, 0.25])
-    assert cloud.diagonal == pytest.approx(3.0)
 
 
 def test_results_roundtrip(tmp_path):

@@ -304,6 +304,7 @@ REFERENCE_BOXES = {
 }
 
 
+@pytest.mark.bitexact
 @pytest.mark.parametrize("box_name", sorted(REFERENCE_BOXES))
 def test_sample_node_matches_reference_samplers(box_name, gripper, sampling):
     """Pool documents are byte-identical to the per-surface reference for all
