@@ -6,6 +6,7 @@ parts; blocky parts are then split by absolute size against the gripper scale.
 
 from dataclasses import dataclass
 from enum import Enum
+from typing import ClassVar
 
 import numpy as np
 
@@ -49,6 +50,7 @@ class ClassifierThresholds:
     tau_long: float = 4.0    # lambda1/lambda2 at or above this -> elongated
     tau_flat: float = 4.0    # lambda2/lambda3 at or above this -> flat
     s_small: float = 0.04    # blocky parts with max extent below this (m) -> small
+    BOUNDS: ClassVar[dict] = {"tau_long": "> 1", "tau_flat": "> 1", "s_small": "> 0"}
 
 
 def pca(points):

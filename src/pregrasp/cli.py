@@ -15,16 +15,14 @@ import argparse
 import logging
 import os
 import sys
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 
-from .classifier import ClassifierThresholds
-from .decomposition import DecompParams, OrientedBox
-from .errors import ConfigError, PreGraspError
-from .graspeval import EvalParams
+from .decomposition import OrientedBox
+from .errors import ConfigError, PreGraspError, check_params
 from .pipeline import STAGES, RunConfig, run_pipeline
 from .pointcloud import SYNTH_KINDS, load_cloud, load_results, save_results, synth_shape
-from .sampler import GripperConfig, SamplingParams
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +31,13 @@ _LOG_LEVELS = {"quiet": logging.WARNING, "info": logging.INFO, "debug": logging.
 # corner pairs (indices into OrientedBox.corners()) forming the 12 box edges
 _BOX_EDGES = ((0, 1), (0, 2), (0, 4), (1, 3), (1, 5), (2, 3),
               (2, 6), (3, 7), (4, 5), (4, 6), (5, 7), (6, 7))
+
+# RunConfig's parameter dataclasses; a stage flag's dest is its field or _DEST entry
+_SECTIONS = {f.name: f.type for f in fields(RunConfig) if is_dataclass(f.type)}
+_DEST = {"max_aperture": "aperture", "friction_mu": "mu"}
+
+def _flag(field):
+    return "--" + _DEST.get(field, field).replace("_", "-")
 
 def build_parser():
     parser = argparse.ArgumentParser(
@@ -45,22 +50,10 @@ def build_parser():
     pipe.add_argument("--format", choices=("xyz", "ply", "obj"), default=None,
                       help="input format (default: from extension)")
     pipe.add_argument("--out", default="run.json", help="output JSON document")
-    pipe.add_argument("--min-points", type=int, default=500)
-    pipe.add_argument("--volume-ratio", type=float, default=0.9)
-    pipe.add_argument("--planes-per-axis", type=int, default=16)
-    pipe.add_argument("--tau-long", type=float, default=4.0)
-    pipe.add_argument("--tau-flat", type=float, default=4.0)
-    pipe.add_argument("--s-small", type=float, default=0.04)
-    pipe.add_argument("--aperture", type=float, default=0.10)
-    pipe.add_argument("--finger-length", type=float, default=0.08)
-    pipe.add_argument("--standoff", type=float, default=0.02)
-    pipe.add_argument("--angular-step", type=float, default=30.0)
-    pipe.add_argument("--axial-step", type=float, default=0.02)
-    pipe.add_argument("--mu", type=float, default=0.5)
-    pipe.add_argument("--cone-edges", type=int, default=8)
-    pipe.add_argument("--quality-dirs", type=int, default=1024)
-    pipe.add_argument("--tube-radius", type=float, default=0.005)
-    pipe.add_argument("--seed", type=int, default=0)
+    for params in _SECTIONS.values():   # one flag per bounded run parameter
+        for f in fields(params):
+            if f.name in params.BOUNDS:
+                pipe.add_argument(_flag(f.name), type=f.type, default=f.default)
     for stage in STAGES:
         sub.add_parser(stage, parents=[pipe],
                        help=f"run the pipeline through the {stage} stage")
@@ -96,23 +89,12 @@ def _check_finite(ns):
             _check(np.isfinite(value), "--" + name.replace("_", "-"), "finite", value)
 
 def validate_pipeline_args(ns):
-    _check_finite(ns)
-    _check(ns.min_points >= 4, "--min-points", ">= 4", ns.min_points)
-    _check(0.0 < ns.volume_ratio <= 1.0, "--volume-ratio", "in (0, 1]", ns.volume_ratio)
-    _check(ns.planes_per_axis >= 1, "--planes-per-axis", ">= 1", ns.planes_per_axis)
-    _check(ns.tau_long > 1.0, "--tau-long", "> 1", ns.tau_long)
-    _check(ns.tau_flat > 1.0, "--tau-flat", "> 1", ns.tau_flat)
-    _check(ns.s_small > 0.0, "--s-small", "> 0", ns.s_small)
-    _check(ns.aperture > 0.0, "--aperture", "> 0", ns.aperture)
-    _check(ns.finger_length > 0.0, "--finger-length", "> 0", ns.finger_length)
-    _check(ns.standoff >= 0.0, "--standoff", ">= 0", ns.standoff)
-    _check(0.0 < ns.angular_step <= 180.0, "--angular-step", "in (0, 180]", ns.angular_step)
-    _check(ns.axial_step > 0.0, "--axial-step", "> 0", ns.axial_step)
-    _check(ns.mu >= 0.0, "--mu", ">= 0", ns.mu)
-    _check(ns.cone_edges >= 3, "--cone-edges", ">= 3", ns.cone_edges)
-    _check(ns.quality_dirs >= 1, "--quality-dirs", ">= 1", ns.quality_dirs)
-    _check(ns.tube_radius > 0.0, "--tube-radius", "> 0", ns.tube_radius)
-    _check(ns.seed >= 0, "--seed", ">= 0", ns.seed)
+    """A stage command's RunConfig; ConfigError names its first bad flag."""
+    sections = {name: params(**{f: getattr(ns, _DEST.get(f, f)) for f in params.BOUNDS})
+                for name, params in _SECTIONS.items()}
+    for params in sections.values():
+        check_params(params, _flag)
+    return RunConfig(ns.input, ns.format, ns.out, **sections)
 
 def validate_synth_args(ns):
     _check_finite(ns)
@@ -129,29 +111,13 @@ def _synth_dims(ns):
                  for name, default in SYNTH_KINDS[ns.kind].items())
 
 
-def _run_config(ns):
-    return RunConfig(
-        input=ns.input, format=ns.format, out=ns.out,
-        decomposition=DecompParams(volume_ratio=ns.volume_ratio,
-                                   min_points=ns.min_points,
-                                   planes_per_axis=ns.planes_per_axis),
-        thresholds=ClassifierThresholds(tau_long=ns.tau_long, tau_flat=ns.tau_flat,
-                                        s_small=ns.s_small),
-        gripper=GripperConfig(finger_length=ns.finger_length, max_aperture=ns.aperture,
-                              standoff=ns.standoff, friction_mu=ns.mu),
-        sampling=SamplingParams(angular_step=ns.angular_step, axial_step=ns.axial_step),
-        evaluation=EvalParams(cone_edges=ns.cone_edges, quality_dirs=ns.quality_dirs,
-                              tube_radius=ns.tube_radius, seed=ns.seed),
-    )
-
-
 # ---------------------------------------------------------------------------
 # subcommand bodies
 # ---------------------------------------------------------------------------
 
-def _cmd_stage(ns):
+def _cmd_stage(ns, cfg):
     cloud = load_cloud(ns.input, ns.format)
-    doc = run_pipeline(cloud, _run_config(ns), upto=ns.command)
+    doc = run_pipeline(cloud, cfg, upto=ns.command)
     save_results(ns.out, doc)
     print(ns.out)
 
@@ -224,8 +190,7 @@ def main(argv=None):
 
     try:
         if ns.command in STAGES:
-            validate_pipeline_args(ns)
-            _cmd_stage(ns)
+            _cmd_stage(ns, validate_pipeline_args(ns))
         elif ns.command == "synth":
             validate_synth_args(ns)
             _cmd_synth(ns)

@@ -23,7 +23,7 @@ import itertools
 import logging
 from collections import deque
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import ClassVar, List, Optional, Tuple
 
 import numpy as np
 
@@ -97,6 +97,8 @@ class DecompParams:
     min_points: int = 500
     planes_per_axis: int = 16
     mvbb_refine_steps: int = 3
+    BOUNDS: ClassVar[dict] = {"volume_ratio": "in (0, 1]", "min_points": ">= 4",
+                              "planes_per_axis": ">= 1"}
 
 
 @dataclass
@@ -234,7 +236,7 @@ def _sweep(X, R, refine_steps):
     return R, best_vol
 
 
-def fit_obb(points, refine_steps=3):
+def fit_obb(points, refine_steps=DecompParams.mvbb_refine_steps):
     """Approximate minimum-volume bounding box of a point set.
 
     Args:
@@ -280,7 +282,7 @@ def fit_obb(points, refine_steps=3):
 # Split search
 # ===========================================================================
 
-def evaluate_split(points, parent_box, axis, offset, refine_steps=3):
+def evaluate_split(points, parent_box, axis, offset, refine_steps=DecompParams.mvbb_refine_steps):
     """Cut `points` with the plane normal to box axis `axis` through
     center + offset * that axis, and fit both sides.
 

@@ -1,4 +1,7 @@
-"""Exception types raised across the pre-grasp pipeline."""
+"""Exception types raised across the pre-grasp pipeline, and the parameter checker."""
+
+import math
+from dataclasses import fields
 
 
 class PreGraspError(Exception):
@@ -38,9 +41,28 @@ class EmptyWrenchSet(PreGraspError):
     """Quality evaluation was asked to run on zero wrenches."""
 
 
-class ConfigError(PreGraspError):
+class ConfigError(PreGraspError, ValueError):
     """A configuration field failed validation.  Carries the offending field name."""
 
     def __init__(self, field, reason):
         self.field = field
         super().__init__(f"{field}: {reason}")
+
+
+def _holds(value, bound):
+    """Whether value meets a bound written ">= a", "> a" or "in (a, b]"."""
+    op, *limits = (token.strip("(,]") for token in bound.split())
+    if op == "in":
+        return float(limits[0]) < value <= float(limits[1])
+    return {">=": value >= float(limits[0]), ">": value > float(limits[0])}[op]
+
+
+def check_params(params, name):
+    """Raise ConfigError, naming the field `name(field)`, for the first field of a
+    parameter dataclass that is non-finite or breaks its bound in the class's BOUNDS."""
+    for f in fields(params):
+        value, bound = getattr(params, f.name), params.BOUNDS.get(f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(name(f.name), f"must be finite, got {value}")
+        if bound is not None and not _holds(value, bound):
+            raise ConfigError(name(f.name), f"must be {bound}, got {value}")

@@ -19,12 +19,12 @@ support-function sampling.
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import List
+from typing import ClassVar, List
 
 import numpy as np
 
 from .classifier import GRASP_PRESHAPE, GraspType
-from .errors import EmptyWrenchSet, NoContacts
+from .errors import EmptyWrenchSet, NoContacts, check_params
 from .geom import cross, perpendicular_frames, rotation_about_axis, row_norms, unit_rows
 
 logger = logging.getLogger(__name__)
@@ -59,6 +59,8 @@ class EvalParams:
     quality_dirs: int = 1024
     tube_radius: float = 0.005
     seed: int = 0
+    BOUNDS: ClassVar[dict] = {"cone_edges": ">= 3", "quality_dirs": ">= 1",
+                              "tube_radius": "> 0", "seed": ">= 0"}
 
 
 # ===========================================================================
@@ -348,7 +350,7 @@ def _ray_arrays(rays):
             np.array([d for _, d in rays]).reshape(-1, 3))
 
 
-def estimate_contacts(pg, cloud, gripper, tube_r=0.005, index=None, found=None):
+def estimate_contacts(pg, cloud, gripper, tube_r=EvalParams.tube_radius, index=None, found=None):
     """First cloud point along each closing ray within perpendicular distance
     tube_r.  Normals point from the contact toward the cloud centroid (the
     object interior).  Rays that touch nothing contribute no contact; a ray
@@ -437,7 +439,7 @@ def _lattice_directions():
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def epsilon_quality(wrenches, n_dirs=1024, seed=0):
+def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs, seed=EvalParams.seed):
     """Largest-ball grasp quality of a (k, 6) wrench array (rows as
     `wrench_set` builds them), from support-function sampling.
 
@@ -475,14 +477,6 @@ def epsilon_quality(wrenches, n_dirs=1024, seed=0):
             return 0.0
         best = min(best, float(h.min()))
     return best
-
-
-def _check_params(params):
-    for name, ok, bound in (("quality_dirs", params.quality_dirs >= 1, ">= 1"),
-                            ("cone_edges", params.cone_edges >= 3, ">= 3"),
-                            ("tube_radius", params.tube_radius > 0.0, "> 0")):
-        if not ok:
-            raise ValueError(f"EvalParams.{name} must be {bound}, got {getattr(params, name)!r}")
 
 
 def _rank_slice(part, first, cloud, index, gripper, params):
@@ -524,11 +518,10 @@ def rank_pool(pool, cloud, gripper, params=None):
     slices of `_POOL_SLICE` pre-grasps.
 
     Raises:
-        ValueError: `params` has quality_dirs < 1, cone_edges < 3 or
-            tube_radius <= 0.
+        ConfigError (a ValueError): a field of `params` is out of its bound.
     """
     params = params or EvalParams()
-    _check_params(params)
+    check_params(params, "EvalParams.{}".format)
     index = ContactIndex(cloud, params.tube_radius)
     candidates = []
     for first in range(0, len(pool), _POOL_SLICE):

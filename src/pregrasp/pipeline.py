@@ -8,11 +8,12 @@ the full run reproducible byte-for-byte apart from the timing block.
 
 import logging
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Optional
 
 from .classifier import GRASP_PRESHAPE, ClassifierThresholds, GraspType, classify, pca
 from .decomposition import DecompParams, decompose
+from .errors import check_params
 from .facemask import FaceId, compute_face_states, face_mask, subfaces
 from .graspeval import EvalParams, rank_pool
 from .sampler import GripperConfig, SamplingParams, generate_pool
@@ -117,9 +118,13 @@ def _ranking_section(candidates):
 # ---------------------------------------------------------------------------
 
 def run_pipeline(cloud, cfg, upto="rank"):
-    """Run stages decompose..upto on a cloud and assemble the run document."""
+    """Run stages decompose..upto on a cloud and assemble the run document.
+    A bad run parameter raises ConfigError, naming `section.field`, first."""
     if upto not in STAGES:
         raise ValueError(f"unknown stage {upto!r}")
+    for section, params in vars(cfg).items():
+        if is_dataclass(params):
+            check_params(params, lambda field: f"{section}.{field}")
     last = STAGES.index(upto)
     doc = {"config": asdict(cfg), "cloud": {
         "source": cloud.source_name,

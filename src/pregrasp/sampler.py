@@ -15,14 +15,14 @@ the node's box.
 
 import logging
 from dataclasses import dataclass
-from typing import Tuple
+from typing import ClassVar, Tuple
 
 import numpy as np
 
 from .classifier import GraspType, ShapeCategory
 from .decomposition import OrientedBox
 from .facemask import FaceId, cells_containing, face_frame, subfaces
-from .geom import unit
+from .geom import cross, unit
 
 logger = logging.getLogger(__name__)
 
@@ -33,12 +33,15 @@ class GripperConfig:
     max_aperture: float = 0.10
     standoff: float = 0.02
     friction_mu: float = 0.5
+    BOUNDS: ClassVar[dict] = {"finger_length": "> 0", "max_aperture": "> 0",
+                              "standoff": ">= 0", "friction_mu": ">= 0"}
 
 
 @dataclass
 class SamplingParams:
     angular_step: float = 30.0   # degrees
     axial_step: float = 0.02     # meters
+    BOUNDS: ClassVar[dict] = {"angular_step": "in (0, 180]", "axial_step": "> 0"}
 
 
 @dataclass
@@ -197,7 +200,7 @@ def sample_node(node, mask, gripper, sampling, grasp_type):
         approach = -d_world
         if gt == GraspType.CYLINDRICAL:
             # around the axis; a cap's approach is the axis itself, so it closes along v
-            closing = unit(np.cross(axis_u, approach), fallback=box.axis(1).copy())
+            closing = unit(cross(axis_u, approach), fallback=box.axis(1).copy())
         elif gt == GraspType.THREE_FINGERTIP:
             closing = box.axis(2).copy()
         else:

@@ -10,13 +10,18 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import pregrasp
-from pregrasp.cli import build_parser, main
-from pregrasp.pointcloud import load_cloud
+from pregrasp import pipeline
+from pregrasp.cli import build_parser, main, validate_pipeline_args
+from pregrasp.errors import ConfigError
+from pregrasp.pipeline import RunConfig, run_pipeline
+from pregrasp.pointcloud import load_cloud, synth_shape
 
 RANK_KEYS = {"config", "cloud", "tree", "classifications", "masks", "pool",
              "ranking", "best_index", "timings_ms"}
@@ -40,10 +45,14 @@ def strip_timings(text):
     return re.sub(r'"timings_ms": \{[^}]*\}', '"timings_ms": {}', text)
 
 
+def subparser(command):
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
 def float_flags(command):
     """The float-valued flags of a subcommand, from the parser itself."""
-    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return [a.option_strings[0] for a in sub.choices[command]._actions if a.type is float]
+    return [a.option_strings[0] for a in subparser(command)._actions if a.type is float]
 
 
 # ===========================================================================
@@ -151,19 +160,93 @@ def test_rank_byte_deterministic(sphere_xyz, tmp_path):
     assert first == second
 
 
-def test_pipeline_flag_validation(sphere_xyz, tmp_path, capsys):
-    cases = [
-        (["--volume-ratio", "1.5"], "--volume-ratio"),
-        (["--min-points", "3"], "--min-points"),
-        (["--angular-step", "200"], "--angular-step"),
-        (["--cone-edges", "2"], "--cone-edges"),
-        (["--tube-radius", "0"], "--tube-radius"),
-        (["--seed", "-1"], "--seed"),
-    ]
-    for extra, flag in cases:
-        code = run_stage("rank", sphere_xyz, tmp_path / "x.json", *extra)
-        assert code == 2, flag
-        assert flag in capsys.readouterr().err
+# At least one violating value per bounded run parameter: (section, field,
+# flag, value).  Before the library checked its parameters, run_pipeline on a
+# 3k dumbbell raised OverflowError for standoff=inf, ZeroDivisionError for
+# axial_step=0 and ValueError (NaN to integer) for angular_step=nan, and it
+# planned with volume_ratio=nan (11 nodes instead of 5), planes_per_axis=0
+# (1 node) and max_aperture=-1 (an empty pool).
+BAD_PARAMS = [
+    ("decomposition", "volume_ratio", "--volume-ratio", "nan"),
+    ("decomposition", "volume_ratio", "--volume-ratio", "1.5"),
+    ("decomposition", "min_points", "--min-points", "3"),
+    ("decomposition", "planes_per_axis", "--planes-per-axis", "0"),
+    ("thresholds", "tau_long", "--tau-long", "1.0"),
+    ("thresholds", "tau_flat", "--tau-flat", "0.5"),
+    ("thresholds", "s_small", "--s-small", "0.0"),
+    ("gripper", "finger_length", "--finger-length", "0.0"),
+    ("gripper", "max_aperture", "--aperture", "-1.0"),
+    ("gripper", "standoff", "--standoff", "inf"),
+    ("gripper", "friction_mu", "--mu", "-0.1"),
+    ("sampling", "angular_step", "--angular-step", "nan"),
+    ("sampling", "angular_step", "--angular-step", "200"),
+    ("sampling", "axial_step", "--axial-step", "0.0"),
+    ("evaluation", "cone_edges", "--cone-edges", "2"),
+    ("evaluation", "quality_dirs", "--quality-dirs", "0"),
+    ("evaluation", "tube_radius", "--tube-radius", "0"),
+    ("evaluation", "seed", "--seed", "-1"),
+]
+
+
+def test_every_bounded_field_has_a_bad_value():
+    cfg = RunConfig()
+    bounded = {(section.name, name) for section in fields(cfg)
+               for name in getattr(getattr(cfg, section.name), "BOUNDS", ())}
+    assert bounded == {(section, name) for section, name, _, _ in BAD_PARAMS}
+
+
+@pytest.mark.parametrize("section,name,flag,value", BAD_PARAMS,
+                         ids=[f"{s}.{n}={v}" for s, n, _, v in BAD_PARAMS])
+def test_pipeline_flag_validation(section, name, flag, value, sphere_xyz, tmp_path, capsys,
+                                  monkeypatch):
+    """A bad value exits 2 through the CLI, naming the flag, and raises
+    ConfigError through run_pipeline, naming `section.field`, before any stage."""
+    out = tmp_path / "x.json"
+    assert run_stage("rank", sphere_xyz, out, flag, value) == 2
+    assert f"error: {flag}: must be " in capsys.readouterr().err
+    assert not out.exists()
+
+    cfg = RunConfig()
+    params = getattr(cfg, section)
+    setattr(params, name, type(getattr(params, name))(float(value)))
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the config was checked")
+
+    monkeypatch.setattr(pipeline, "decompose", no_stage)
+    cloud = synth_shape("dumbbell", (0.2, 0.08, 0.03, 0.015), 3000, seed=0)
+    with pytest.raises(ValueError) as exc:
+        run_pipeline(cloud, cfg)
+    assert isinstance(exc.value, ConfigError)
+    assert exc.value.field == f"{section}.{name}"
+    assert str(exc.value).startswith(f"{section}.{name}: must be ")
+
+
+def test_bounds_admit_their_closed_edges():
+    edges = {"--volume-ratio": 1.0, "--min-points": 4, "--planes-per-axis": 1,
+             "--standoff": 0.0, "--mu": 0.0, "--angular-step": 180.0,
+             "--cone-edges": 3, "--quality-dirs": 1, "--seed": 0}
+    argv = ["rank", "--input", "x.xyz"]
+    for flag, value in edges.items():
+        argv += [flag, str(value)]
+    cfg = validate_pipeline_args(build_parser().parse_args(argv))
+    assert (cfg.decomposition.volume_ratio, cfg.decomposition.min_points,
+            cfg.gripper.friction_mu, cfg.sampling.angular_step,
+            cfg.evaluation.quality_dirs) == (1.0, 4, 0.0, 180.0, 1)
+
+
+def test_readme_defaults_match_parser():
+    """The defaults README's "Key knobs and defaults" sentence quotes are the
+    rank command's defaults, which come from the parameter dataclasses."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sentence = readme.split("Key knobs and defaults:")[1].split(".\n")[0]
+    pairs = re.findall(r"`(--[a-z-]+) ([^`]+)`", sentence)
+    assert len(pairs) >= 10
+    defaults = {a.option_strings[0]: a.default for a in subparser("rank")._actions
+                if a.option_strings}
+    for flag, value in pairs:
+        assert flag in defaults, flag
+        assert float(value) == defaults[flag], flag
 
 
 def test_missing_input_is_runtime_error(tmp_path, capsys):

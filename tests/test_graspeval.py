@@ -11,7 +11,7 @@ import oracles
 from pregrasp import graspeval
 from pregrasp.classifier import GraspType
 from pregrasp.decomposition import decompose
-from pregrasp.errors import EmptyWrenchSet, NoContacts
+from pregrasp.errors import ConfigError, EmptyWrenchSet, NoContacts
 from pregrasp.graspeval import (ContactIndex, ContactPoint, EvalParams,
                                 epsilon_quality, estimate_contacts,
                                 finger_rays, rank_pool, wrench_set)
@@ -744,8 +744,9 @@ def test_rank_pool_rejects_bad_eval_params(field, value, small_sphere_cloud, gri
     """The bounds the CLI puts on its flags hold for library callers too:
     no quality of inf from zero directions, no empty wrench array from zero
     cone edges."""
-    with pytest.raises(ValueError, match=field):
+    with pytest.raises(ValueError, match=field) as exc:
         rank_pool(sphere_pool(), small_sphere_cloud, gripper, EvalParams(**{field: value}))
+    assert isinstance(exc.value, ConfigError) and exc.value.field == f"EvalParams.{field}"
 
 
 def rank_case(name, request):
