@@ -28,7 +28,7 @@ from typing import ClassVar, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateInput, EmptySide
-from .geom import eigh_descending, rotation_about_axis
+from .geom import cross, eigh_descending, rotation_about_axis
 
 logger = logging.getLogger(__name__)
 
@@ -39,6 +39,9 @@ EXTENT_FLOOR = 1e-4
 # pair; the in-plane orientation is then resolved by a min-area rectangle
 # search instead of trusting the arbitrary eigenvector basis.
 _TIED_EIGENVALUE_RATIO = 1.25
+
+# Rounds of the box fit's rotation sweep; its +/-10 degree range halves each round.
+_REFINE_STEPS = 3
 
 
 # ===========================================================================
@@ -96,7 +99,6 @@ class DecompParams:
     volume_ratio: float = 0.9
     min_points: int = 500
     planes_per_axis: int = 16
-    mvbb_refine_steps: int = 3
     BOUNDS: ClassVar[dict] = {"volume_ratio": "in (0, 1]", "min_points": ">= 4",
                               "planes_per_axis": ">= 1"}
 
@@ -168,9 +170,9 @@ def _rot2_basis(cos, sin):
     return basis
 
 
-def _min_area_angle(p2, step_deg=3.0):
-    """In-plane angle in [0, 90) minimizing the 2D bounding-rectangle area."""
-    angles = np.radians(np.arange(0.0, 90.0, step_deg))
+def _min_area_angle(p2):
+    """In-plane angle in [0, 90), on a 3 degree grid, minimizing the 2D bounding-rectangle area."""
+    angles = np.radians(np.arange(0.0, 90.0, 3.0))
     k = len(angles)
     uv = _rot2_basis(np.cos(angles), np.sin(angles)) @ p2.T     # (2k, n)
     spans = np.maximum(uv.max(axis=1) - uv.min(axis=1), 2 * EXTENT_FLOOR)
@@ -200,10 +202,10 @@ def _pca_axes(cov, X):
     return axes
 
 
-def _sweep(X, R, refine_steps):
+def _sweep(X, R):
     """Coordinate-descent sweep of small rotations about each axis of `R`,
-    minimizing the volume of the centred points `X` along the axes; the
-    +/-10 degree range is halved each round.
+    minimizing the volume of the centred points `X` along the axes, in
+    `_REFINE_STEPS` rounds.
 
     Returns the refined axes and the floor-clamped volume of X's extents
     along them.
@@ -211,7 +213,7 @@ def _sweep(X, R, refine_steps):
     P = X @ R
     ext = P.max(axis=0) - P.min(axis=0)
     best_vol = _clamped_volume(ext)
-    for rnd in range(refine_steps):
+    for rnd in range(_REFINE_STEPS):
         half_range = np.radians(10.0) / (2.0 ** rnd)
         angles = np.linspace(-half_range, half_range, 9)
         m = len(angles)
@@ -236,13 +238,11 @@ def _sweep(X, R, refine_steps):
     return R, best_vol
 
 
-def fit_obb(points, refine_steps=DecompParams.mvbb_refine_steps):
+def fit_obb(points):
     """Approximate minimum-volume bounding box of a point set.
 
     Args:
         points: (n, 3) array-like, n >= 1 (callers normally pass >= 4).
-        refine_steps: rounds of the rotation sweep; the +/-10 degree range is
-            halved each round.
 
     Returns:
         OrientedBox containing every input point; half-extents sorted
@@ -260,7 +260,7 @@ def fit_obb(points, refine_steps=DecompParams.mvbb_refine_steps):
     if float(np.abs(X).max(initial=0.0)) < 1e-12:
         raise DegenerateInput("all points coincide")
 
-    R, _ = _sweep(X, _pca_axes(X.T @ X / len(X), X), refine_steps)
+    R, _ = _sweep(X, _pca_axes(X.T @ X / len(X), X))
 
     # canonical form: extents descending, dominant axes sign-fixed, det = +1
     proj = X @ R
@@ -270,7 +270,7 @@ def fit_obb(points, refine_steps=DecompParams.mvbb_refine_steps):
         col = R[:, c]
         if col[int(np.argmax(np.abs(col)))] < 0.0:
             R[:, c] = -col
-    R[:, 2] = np.cross(R[:, 0], R[:, 1])
+    R[:, 2] = cross(R[:, 0], R[:, 1])
     proj = X @ R
     lo, hi = proj.min(axis=0), proj.max(axis=0)
     center = mean + R @ ((lo + hi) / 2.0)
@@ -282,7 +282,7 @@ def fit_obb(points, refine_steps=DecompParams.mvbb_refine_steps):
 # Split search
 # ===========================================================================
 
-def evaluate_split(points, parent_box, axis, offset, refine_steps=DecompParams.mvbb_refine_steps):
+def evaluate_split(points, parent_box, axis, offset):
     """Cut `points` with the plane normal to box axis `axis` through
     center + offset * that axis, and fit both sides.
 
@@ -300,7 +300,7 @@ def evaluate_split(points, parent_box, axis, offset, refine_steps=DecompParams.m
     if len(idx_a) == 0 or len(idx_b) == 0:
         raise EmptySide(f"plane axis={axis} offset={offset:.6g} "
                         f"left {len(idx_a)}/{len(idx_b)} points")
-    return idx_a, idx_b, fit_obb(pts[idx_a], refine_steps), fit_obb(pts[idx_b], refine_steps)
+    return idx_a, idx_b, fit_obb(pts[idx_a]), fit_obb(pts[idx_b])
 
 
 def candidate_offsets(half_extent, planes_per_axis):
@@ -413,7 +413,7 @@ def _side_summary(slabs, first, stop):
             slabs.hi[top, cols], slabs.lo[bot, cols], coreset)
 
 
-def _screen_volume(X, side, refine_steps):
+def _screen_volume(X, side):
     """Approximate box volume of one side: PCA from its exact moments, then
     the rotation sweep over its coreset.  None for a coincident side."""
     count, s1, s2, hi, lo, coreset = side
@@ -421,7 +421,7 @@ def _screen_volume(X, side, refine_steps):
         return None
     mean = s1 / count
     C = X[coreset] - mean
-    _, vol = _sweep(C, _pca_axes(s2 / count - np.outer(mean, mean), C), refine_steps)
+    _, vol = _sweep(C, _pca_axes(s2 / count - np.outer(mean, mean), C))
     return vol
 
 
@@ -446,8 +446,8 @@ def _screen(pts, box, params):
             # (which ties bit for bit and wins the tie)
             if below == slabs.bounds[k - 1] or below == n:
                 continue
-            vol_a = _screen_volume(X, _side_summary(slabs, 0, k), params.mvbb_refine_steps)
-            vol_b = _screen_volume(X, _side_summary(slabs, k, n_slabs), params.mvbb_refine_steps)
+            vol_a = _screen_volume(X, _side_summary(slabs, 0, k))
+            vol_b = _screen_volume(X, _side_summary(slabs, k, n_slabs))
             if vol_a is not None and vol_b is not None:
                 scored.append((vol_a + vol_b, axis, float(offset)))
     return scored
@@ -465,7 +465,7 @@ def _best_split_eval(node, cloud, params):
                        key=lambda c: c[1:])
     best = best_volume = None
     for _, axis, offset in finalists:
-        split = evaluate_split(pts, node.box, axis, offset, params.mvbb_refine_steps)
+        split = evaluate_split(pts, node.box, axis, offset)
         volume = split[2].volume + split[3].volume
         if best is None or volume < best_volume:
             best, best_volume = (axis, offset) + split, volume
@@ -484,7 +484,7 @@ def decompose(cloud, params=None):
     best candidate split is rejected.  Deterministic for identical input.
     """
     params = params or DecompParams()
-    root_box = fit_obb(cloud.points, params.mvbb_refine_steps)
+    root_box = fit_obb(cloud.points)
     tree = DecompTree([DecompNode(0, root_box, np.arange(len(cloud.points)))])
     queue = deque([0])
     while queue:

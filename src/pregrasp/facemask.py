@@ -16,6 +16,7 @@ import numpy as np
 
 from .classifier import GraspType
 from .decomposition import OrientedBox
+from .geom import cross
 
 # Overlaps shallower than this are treated as touching, not blocking: boxes
 # fitted to adjacent parts interpenetrate by fit slack near shared junctions,
@@ -117,10 +118,10 @@ def obb_overlap(a, b, min_penetration=0.0):
     axes = [a.axis(i) for i in range(3)] + [b.axis(i) for i in range(3)]
     for i in range(3):
         for j in range(3):
-            cross = np.cross(a.axis(i), b.axis(j))
-            n = np.linalg.norm(cross)
+            c = cross(a.axis(i), b.axis(j))
+            n = np.linalg.norm(c)
             if n > 1e-9:
-                axes.append(cross / n)
+                axes.append(c / n)
     t = b.center - a.center
     for L in axes:
         ra = float(np.sum(a.half_extents * np.abs(L @ a.rotation)))

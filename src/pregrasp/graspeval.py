@@ -29,8 +29,6 @@ from .geom import cross, perpendicular_frames, rotation_about_axis, row_norms, u
 
 logger = logging.getLogger(__name__)
 
-_EPSILON_CHUNK = 65536
-
 # Bounds on the work in flight: pre-grasps ranked per slice of the pool, and
 # candidate rows (cells of the 3x3x3 blocks around ray samples, then ray-point
 # pairs) per pass of the contact search.  A ray that alone exceeds the row
@@ -58,9 +56,8 @@ class EvalParams:
     cone_edges: int = 8
     quality_dirs: int = 1024
     tube_radius: float = 0.005
-    seed: int = 0
-    BOUNDS: ClassVar[dict] = {"cone_edges": ">= 3", "quality_dirs": ">= 1",
-                              "tube_radius": "> 0", "seed": ">= 0"}
+    BOUNDS: ClassVar[dict] = {"cone_edges": ">= 3", "quality_dirs": "in (0, 14896]",
+                              "tube_radius": "> 0"}
 
 
 # ===========================================================================
@@ -439,44 +436,27 @@ def _lattice_directions():
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
-def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs, seed=EvalParams.seed):
+def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
     """Largest-ball grasp quality of a (k, 6) wrench array (rows as
     `wrench_set` builds them), from support-function sampling.
 
-    Evaluates the support h(d) = max_w d.w of the wrench hull over n_dirs
-    deterministic quasi-uniform unit directions in 6-D; returns min h, or 0 as
-    soon as some direction has negative support (origin outside the hull).
-    Directions enumerate the normalized primitive-lattice shells first and
-    continue with a uniform stream seeded by `seed` (built only once the
-    lattice is used up), forming a prefix sequence: a larger n_dirs reuses the
+    Evaluates the support h(d) = max_w d.w of the wrench hull over the first
+    n_dirs of the 14896 quasi-uniform unit directions of
+    `_lattice_directions`; returns min h, or 0 when some direction has
+    negative support (origin outside the hull).  A larger n_dirs reuses the
     smaller run's directions, so estimates never increase under refinement.
 
     Raises:
         EmptyWrenchSet: wrenches has no rows.
+        ValueError: n_dirs is outside 1..14896.
     """
     if len(wrenches) == 0:
         raise EmptyWrenchSet("no wrenches to evaluate")
     lattice = _lattice_directions()
-    best = np.inf
-    taken = 0
-    rng = None
-    while taken < n_dirs:
-        k = min(_EPSILON_CHUNK, n_dirs - taken)
-        if taken < len(lattice):
-            d = lattice[taken:min(taken + k, len(lattice))]
-        else:
-            if rng is None:
-                rng = np.random.default_rng(seed)
-            d = rng.standard_normal((k, 6))
-            norms = np.linalg.norm(d, axis=1, keepdims=True)
-            norms[norms < 1e-12] = 1.0
-            d = d / norms
-        taken += len(d)
-        h = (d @ wrenches.T).max(axis=1)
-        if (h < 0.0).any():
-            return 0.0
-        best = min(best, float(h.min()))
-    return best
+    if not 1 <= n_dirs <= len(lattice):
+        raise ValueError(f"n_dirs must be in 1..{len(lattice)}, got {n_dirs}")
+    h = (lattice[:n_dirs] @ wrenches.T).max(axis=1)
+    return 0.0 if (h < 0.0).any() else float(h.min())
 
 
 def _rank_slice(part, first, cloud, index, gripper, params):
@@ -497,7 +477,7 @@ def _rank_slice(part, first, cloud, index, gripper, params):
         batch = _wrench_batch(positions[rows], normals[rows], gripper.friction_mu,
                               params.cone_edges, index.centroid)
         for i, ws in zip(which.tolist(), batch):
-            quality[i] = epsilon_quality(ws, params.quality_dirs, params.seed)
+            quality[i] = epsilon_quality(ws, params.quality_dirs)
     graded = []
     for i, (pg, s, k) in enumerate(zip(part, starts.tolist(), counts.tolist())):
         try:

@@ -141,7 +141,7 @@ def mvbb_grid_volume(points, step_deg=2.0, chunk=8192):
 # Full-point split search
 # ---------------------------------------------------------------------------
 
-def exhaustive_split(points, box, planes_per_axis=16, refine_steps=3):
+def exhaustive_split(points, box, planes_per_axis=16):
     """Minimum summed-volume split over every candidate plane, each side fit
     on all of its points, as (volume_sum, axis, offset, idx_a, idx_b, box_a,
     box_b); None when no plane leaves two fit-able sides.
@@ -155,8 +155,7 @@ def exhaustive_split(points, box, planes_per_axis=16, refine_steps=3):
     for axis in range(3):
         for offset in candidate_offsets(box.half_extents[axis], planes_per_axis):
             try:
-                idx_a, idx_b, box_a, box_b = evaluate_split(points, box, axis, float(offset),
-                                                            refine_steps)
+                idx_a, idx_b, box_a, box_b = evaluate_split(points, box, axis, float(offset))
             except (EmptySide, DegenerateInput):
                 continue
             volume_sum = box_a.volume + box_b.volume
@@ -249,7 +248,7 @@ def _epsilon_grid(n_dirs):
     Enumerates integer vectors shell by shell (max-norm 1, 2, 3, ...), keeps
     one representative per direction (gcd = 1), sorts each shell
     lexicographically, and normalizes.  Written independently of the package's
-    estimator (which mixes lattice shells with a seeded random continuation).
+    estimator, which stops after the second shell.
     """
     if n_dirs in _EPS_GRID_CACHE:
         return _EPS_GRID_CACHE[n_dirs]
@@ -530,7 +529,7 @@ def reference_rank_pool(pool, cloud, gripper, params):
         if len(contacts) >= 2:
             ws = reference_wrench_set(contacts, gripper.friction_mu, params.cone_edges,
                                       cloud.centroid)
-            quality = epsilon_quality(ws, params.quality_dirs, params.seed)
+            quality = epsilon_quality(ws, params.quality_dirs)
         candidates.append(GraspCandidate(idx, contacts, quality))
     candidates.sort(key=lambda c: (-c.quality, -len(c.contacts), c.pool_index))
     return candidates

@@ -207,7 +207,7 @@ def test_criterion_08_quality_metric(capsys, small_sphere_cloud, gripper):
         from test_graspeval import (antipodal_contacts,
                                     cross_polytope_wrenches, make_pregrasp,
                                     sphere_pool)
-        got = epsilon_quality(cross_polytope_wrenches(), n_dirs=16384)
+        got = epsilon_quality(cross_polytope_wrenches(), n_dirs=14896)
         exact = 1.0 / np.sqrt(6.0)
         cross_err = abs(got - exact) / exact
         assert cross_err <= 0.05
@@ -215,7 +215,7 @@ def test_criterion_08_quality_metric(capsys, small_sphere_cloud, gripper):
         single = wrench_set(
             [ContactPoint(np.array([0.04, 0.0, 0.0]), np.array([-1.0, 0, 0]))],
             0.5, 8, np.zeros(3))
-        assert epsilon_quality(single, n_dirs=16384) == 0.0
+        assert epsilon_quality(single, n_dirs=14896) == 0.0
 
         from pregrasp.graspeval import estimate_contacts
         pinch = make_pregrasp((0.08, 0, 0), (-1, 0, 0), (0, 0, 1),
@@ -223,7 +223,7 @@ def test_criterion_08_quality_metric(capsys, small_sphere_cloud, gripper):
         contacts = estimate_contacts(pinch, small_sphere_cloud, gripper)
         wrenches = wrench_set(contacts, gripper.friction_mu, 8,
                               small_sphere_cloud.centroid)
-        est = epsilon_quality(wrenches, n_dirs=16384)
+        est = epsilon_quality(wrenches, n_dirs=14896)
         ref = oracles.epsilon_support_reference(wrenches, n_dirs=2 ** 20)
         pinch_err = abs(est - ref) / ref
         assert pinch_err <= 0.10

@@ -10,7 +10,7 @@ import os
 import re
 import subprocess
 import sys
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +19,9 @@ import pytest
 import pregrasp
 from pregrasp import pipeline
 from pregrasp.cli import build_parser, main, validate_pipeline_args
-from pregrasp.errors import ConfigError
+from pregrasp.decomposition import DecompParams
+from pregrasp.errors import ConfigError, check_params
+from pregrasp.graspeval import EvalParams, _lattice_directions
 from pregrasp.pipeline import RunConfig, run_pipeline
 from pregrasp.pointcloud import load_cloud, synth_shape
 
@@ -183,8 +185,8 @@ BAD_PARAMS = [
     ("sampling", "axial_step", "--axial-step", "0.0"),
     ("evaluation", "cone_edges", "--cone-edges", "2"),
     ("evaluation", "quality_dirs", "--quality-dirs", "0"),
+    ("evaluation", "quality_dirs", "--quality-dirs", "14897"),
     ("evaluation", "tube_radius", "--tube-radius", "0"),
-    ("evaluation", "seed", "--seed", "-1"),
 ]
 
 
@@ -193,6 +195,34 @@ def test_every_bounded_field_has_a_bad_value():
     bounded = {(section.name, name) for section in fields(cfg)
                for name in getattr(getattr(cfg, section.name), "BOUNDS", ())}
     assert bounded == {(section, name) for section, name, _, _ in BAD_PARAMS}
+
+
+def test_every_run_parameter_is_bounded():
+    """Every field of every parameter section has a bound, so it has a stage
+    flag and a check."""
+    for section in fields(RunConfig()):
+        if is_dataclass(section.type):
+            assert {f.name for f in fields(section.type)} == set(section.type.BOUNDS), section.name
+
+
+def test_quality_dirs_bound_is_the_lattice():
+    assert EvalParams.BOUNDS["quality_dirs"] == f"in (0, {len(_lattice_directions())}]"
+
+
+@pytest.mark.parametrize("section,name,value", [
+    ("evaluation", "quality_dirs", 1.5), ("evaluation", "cone_edges", 3.5),
+    ("decomposition", "planes_per_axis", 2.5), ("decomposition", "min_points", 400.5)])
+def test_run_pipeline_rejects_non_integer_counts(section, name, value):
+    cfg = RunConfig()
+    setattr(getattr(cfg, section), name, value)
+    cloud = synth_shape("dumbbell", (0.2, 0.08, 0.03, 0.015), 3000, seed=0)
+    with pytest.raises(ConfigError, match="must be an integer") as exc:
+        run_pipeline(cloud, cfg)
+    assert exc.value.field == f"{section}.{name}"
+
+
+def test_numpy_integers_pass_the_integer_check():
+    check_params(DecompParams(min_points=np.int64(500), planes_per_axis=np.int32(16)), str)
 
 
 @pytest.mark.parametrize("section,name,flag,value", BAD_PARAMS,
@@ -225,7 +255,7 @@ def test_pipeline_flag_validation(section, name, flag, value, sphere_xyz, tmp_pa
 def test_bounds_admit_their_closed_edges():
     edges = {"--volume-ratio": 1.0, "--min-points": 4, "--planes-per-axis": 1,
              "--standoff": 0.0, "--mu": 0.0, "--angular-step": 180.0,
-             "--cone-edges": 3, "--quality-dirs": 1, "--seed": 0}
+             "--cone-edges": 3, "--quality-dirs": 1}
     argv = ["rank", "--input", "x.xyz"]
     for flag, value in edges.items():
         argv += [flag, str(value)]

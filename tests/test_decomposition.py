@@ -141,7 +141,7 @@ def _reference_split(node, cloud, params):
     """The accepted split of the exhaustive full-point search, as (axis,
     offset, idx_a, idx_b, box_a, box_b), or None."""
     ev = oracles.exhaustive_split(cloud.points[node.point_indices], node.box,
-                                  params.planes_per_axis, params.mvbb_refine_steps)
+                                  params.planes_per_axis)
     if ev is None or ev[0] > params.volume_ratio * node.box.volume:
         return None
     if min(len(ev[3]), len(ev[4])) <= params.min_points / 2.0:
@@ -151,7 +151,7 @@ def _reference_split(node, cloud, params):
 
 def _reference_decompose(cloud, params):
     """decompose() with every split chosen by the exhaustive search."""
-    root = fit_obb(cloud.points, params.mvbb_refine_steps)
+    root = fit_obb(cloud.points)
     tree = DecompTree([DecompNode(0, root, np.arange(len(cloud.points)))])
     for node in tree.nodes:          # visits appended children: breadth-first
         if len(node.point_indices) < params.min_points:
