@@ -7,9 +7,11 @@ A cloud is recursively partitioned into a binary tree of oriented boxes:
 2. screen a fixed grid of axis-parallel candidate planes through the box:
    the points are sorted once per axis into slabs between the planes (each
    slab a contiguous run of the sorted points, projected direction-major on
-   the screening directions), and each side of each plane is scored with a
-   box fit from its exact moments (PCA) and an extreme-point coreset (the
-   sweep), both summed from its slabs,
+   the screening directions), and each side of each plane is summed from its
+   slabs into exact moments and an extreme-point coreset of 2 x 49 points.
+   All sides on all three axes are then scored as one stack: one batch of
+   covariances and eigen-decompositions (PCA), the min-area search on the
+   sides with tied eigenvalues, and one rotation sweep over the coresets,
 3. refit the best-screened planes on all of their points and take the
    smallest summed child volume (ties: lowest axis, then smallest offset);
    accept it when that sum drops below ``volume_ratio`` of the parent volume
@@ -148,93 +150,95 @@ class DecompTree:
 # Minimum-volume box fitting
 # ===========================================================================
 
-def _basis_rotation(axis, angle):
-    e = np.zeros(3)
-    e[axis] = 1.0
-    return rotation_about_axis(e, angle)
-
-
-def _clamped_volume(extents):
-    return float(np.prod(np.maximum(extents, 2.0 * EXTENT_FLOOR)))
-
-
 def _rot2_basis(cos, sin):
     """Stacked 2D rotation rows: first half u = (cos, sin), second half
     v = (-sin, cos), shaped (2k, 2) for a single gemm against (2, n)."""
-    k = len(cos)
-    basis = np.empty((2 * k, 2))
-    basis[:k, 0] = cos
-    basis[:k, 1] = sin
-    basis[k:, 0] = -sin
-    basis[k:, 1] = cos
-    return basis
+    return np.concatenate([np.stack([cos, sin], axis=1), np.stack([-sin, cos], axis=1)])
 
 
-def _min_area_angle(p2):
-    """In-plane angle in [0, 90), on a 3 degree grid, minimizing the 2D bounding-rectangle area."""
-    angles = np.radians(np.arange(0.0, 90.0, 3.0))
-    k = len(angles)
-    uv = _rot2_basis(np.cos(angles), np.sin(angles)) @ p2.T     # (2k, n)
-    spans = np.maximum(uv.max(axis=1) - uv.min(axis=1), 2 * EXTENT_FLOOR)
-    return float(angles[int(np.argmin(spans[:k] * spans[k:]))])
+# The min-area search's angles, a 3 degree grid in [0, 90): their stacked 2D
+# rotation rows, and each one's scalar (cos, sin), to turn a tied pair by.
+_MIN_AREA_ANGLES = np.radians(np.arange(0.0, 90.0, 3.0))
+_MIN_AREA_BASIS = _rot2_basis(np.cos(_MIN_AREA_ANGLES), np.sin(_MIN_AREA_ANGLES))
+_MIN_AREA_TURNS = np.array([(np.cos(a), np.sin(a)) for a in _MIN_AREA_ANGLES.tolist()])
+
+# Tied sides searched per block: bounds the (block, 60, n) search product.
+_TIED_BLOCK = 8
+
+# Per round of the rotation sweep: the stacked 2D rotation rows of its 9
+# angles, and per box axis the (9, 3, 3) rotations about it by those angles.
+_SWEEP_STEPS = [(_rot2_basis(np.cos(a), np.sin(a)),
+                 np.array([[rotation_about_axis(e, t) for t in a.tolist()] for e in np.eye(3)]))
+                for a in (np.linspace(-h, h, 9)
+                          for h in np.radians(10.0) / 2.0 ** np.arange(_REFINE_STEPS))]
+
+
+def _min_area_turns(p2):
+    """(cos, sin) of the grid angle that minimizes the bounding-rectangle area
+    of each 2D point set of the (t, n, 2) stack `p2`, as (t, 2) rows."""
+    k = len(_MIN_AREA_TURNS)
+    uv = _MIN_AREA_BASIS @ p2.transpose(0, 2, 1)                   # (t, 2k, n)
+    spans = np.maximum(uv.max(axis=2) - uv.min(axis=2), 2 * EXTENT_FLOOR)
+    return _MIN_AREA_TURNS[np.argmin(spans[:, :k] * spans[:, k:], axis=1)]
 
 
 def _pca_axes(cov, X):
-    """Principal axes of covariance `cov` (columns, descending eigenvalue),
-    with near-tied eigenvalue pairs re-oriented by a min-area rectangle search
-    over the centred points `X`.
+    """Principal axes of each covariance of the (g, 3, 3) stack `cov`
+    (columns, descending eigenvalue), with near-tied eigenvalue pairs
+    re-oriented by a min-area rectangle search over the matching centred
+    points of the (g, n, 3) stack `X`.
 
     PCA leaves the basis of a (near-)degenerate eigenspace arbitrary — for a
     square cross-section the returned pair can sit at any in-plane angle, far
     outside the reach of the local refinement sweep, so the tie is resolved
-    geometrically here.
+    geometrically here.  The tied sets are searched `_TIED_BLOCK` at a time.
     """
     lam, axes = eigh_descending(cov)
     for i, j in ((0, 1), (1, 2), (0, 1)):
-        if lam[j] <= 0.0 or lam[i] > _TIED_EIGENVALUE_RATIO * lam[j]:
-            continue
-        p2 = X @ axes[:, (i, j)]
-        theta = _min_area_angle(p2)
-        c, s = np.cos(theta), np.sin(theta)
-        a_new = c * axes[:, i] + s * axes[:, j]
-        b_new = -s * axes[:, i] + c * axes[:, j]
-        axes[:, i], axes[:, j] = a_new, b_new
+        untied = (lam[:, j] <= 0.0) | (lam[:, i] > _TIED_EIGENVALUE_RATIO * lam[:, j])
+        tied = np.flatnonzero(~untied)
+        for start in range(0, len(tied), _TIED_BLOCK):
+            blk = tied[start:start + _TIED_BLOCK]
+            Xb = X if len(blk) == len(X) else X[blk]       # fit_obb's stack: no copy
+            c, s = _min_area_turns(Xb @ axes[blk][:, :, (i, j)]).T[:, :, None]
+            a_old, b_old = axes[blk, :, i], axes[blk, :, j]
+            axes[blk, :, i] = c * a_old + s * b_old
+            axes[blk, :, j] = -s * a_old + c * b_old
     return axes
 
 
 def _sweep(X, R):
-    """Coordinate-descent sweep of small rotations about each axis of `R`,
-    minimizing the volume of the centred points `X` along the axes, in
-    `_REFINE_STEPS` rounds.
+    """Coordinate-descent sweep of small rotations about each axis, in
+    `_REFINE_STEPS` rounds, minimizing the volume of each centred point set
+    of the (g, n, 3) stack `X` along its axes in the (g, 3, 3) stack `R`.
 
-    Returns the refined axes and the floor-clamped volume of X's extents
-    along them.
+    Returns the refined (g, 3, 3) axes and the (g,) floor-clamped volumes of
+    the sets' extents along them.
     """
+    R = R.copy()
     P = X @ R
-    ext = P.max(axis=0) - P.min(axis=0)
-    best_vol = _clamped_volume(ext)
-    for rnd in range(_REFINE_STEPS):
-        half_range = np.radians(10.0) / (2.0 ** rnd)
-        angles = np.linspace(-half_range, half_range, 9)
-        m = len(angles)
-        basis = _rot2_basis(np.cos(angles), np.sin(angles))
+    ext = P.max(axis=1) - P.min(axis=1)
+    best_vol = np.maximum(ext, 2.0 * EXTENT_FLOOR).prod(axis=1)
+    for basis, turns in _SWEEP_STEPS:
+        m = turns.shape[1]
         for axis in range(3):
             # rotating about a box axis only mixes the other two projected
             # columns, so the sweep needs no full re-projection
             j, k = (axis + 1) % 3, (axis + 2) % 3
-            uv = basis @ P[:, (j, k)].T                  # (2m, n)
-            hi, lo = uv.max(axis=1), uv.min(axis=1)
-            exts = np.empty((m, 3))
-            exts[:, axis] = ext[axis]
-            exts[:, j] = hi[:m] - lo[:m]
-            exts[:, k] = hi[m:] - lo[m:]
-            vols = np.maximum(exts, 2.0 * EXTENT_FLOOR).prod(axis=1)
-            kb = int(np.argmin(vols))
-            if vols[kb] < best_vol:
-                best_vol = float(vols[kb])
-                R = R @ _basis_rotation(axis, float(angles[kb]))
-                P[:, j], P[:, k] = uv[kb], uv[m + kb]
-                ext = exts[kb]
+            uv = basis @ P[:, :, (j, k)].transpose(0, 2, 1)     # (g, 2m, n)
+            hi, lo = uv.max(axis=2), uv.min(axis=2)
+            exts = np.empty((len(X), m, 3))
+            exts[:, :, axis] = ext[:, axis:axis + 1]
+            exts[:, :, j] = hi[:, :m] - lo[:, :m]
+            exts[:, :, k] = hi[:, m:] - lo[:, m:]
+            vols = np.maximum(exts, 2.0 * EXTENT_FLOOR).prod(axis=2)
+            g = np.flatnonzero(vols.min(axis=1) < best_vol)
+            kb = np.argmin(vols[g], axis=1)
+            best_vol[g] = vols[g, kb]
+            R[g] = R[g] @ turns[axis, kb]
+            P[g, :, j], P[g, :, k] = uv[g, kb], uv[g, m + kb]
+            ext[g] = exts[g, kb]
+            del uv          # before the next step's product
     return R, best_vol
 
 
@@ -260,7 +264,7 @@ def fit_obb(points):
     if float(np.abs(X).max(initial=0.0)) < 1e-12:
         raise DegenerateInput("all points coincide")
 
-    R, _ = _sweep(X, _pca_axes(X.T @ X / len(X), X))
+    R = _sweep(X[None], _pca_axes((X.T @ X / len(X))[None], X[None]))[0][0]
 
     # canonical form: extents descending, dominant axes sign-fixed, det = +1
     proj = X @ R
@@ -413,27 +417,15 @@ def _side_summary(slabs, first, stop):
             slabs.hi[top, cols], slabs.lo[bot, cols], coreset)
 
 
-def _screen_volume(X, side):
-    """Approximate box volume of one side: PCA from its exact moments, then
-    the rotation sweep over its coreset.  None for a coincident side."""
-    count, s1, s2, hi, lo, coreset = side
-    if float((hi - lo).max()) < _COINCIDENT_SPAN:
-        return None
-    mean = s1 / count
-    C = X[coreset] - mean
-    _, vol = _sweep(C, _pca_axes(s2 / count - np.outer(mean, mean), C))
-    return vol
-
-
 def _screen(pts, box, params):
     """Screened summed volume of each candidate plane, as [(volume, axis,
     offset)] in (axis, offset) order.  Planes that leave an empty or
     coincident side, or repeat the partition of a smaller offset, are left
-    out."""
+    out.  Every side's coreset has 2 * len(SCREEN_DIRECTIONS) rows, so all
+    sides are fitted (PCA from their moments, then the sweep) as one stack."""
     X = pts - pts.mean(axis=0)
     dirs = SCREEN_DIRECTIONS @ box.rotation.T
-    n = len(pts)
-    scored = []
+    planes, sides = [], []
     for axis in range(3):
         offsets = candidate_offsets(box.half_extents[axis], params.planes_per_axis)
         # the expression evaluate_split partitions by, for bit-equal sides
@@ -444,13 +436,20 @@ def _screen(pts, box, params):
             below = slabs.bounds[k]
             # an empty side, or the same partition as the previous offset
             # (which ties bit for bit and wins the tie)
-            if below == slabs.bounds[k - 1] or below == n:
+            if below == slabs.bounds[k - 1] or below == len(pts):
                 continue
-            vol_a = _screen_volume(X, _side_summary(slabs, 0, k))
-            vol_b = _screen_volume(X, _side_summary(slabs, k, n_slabs))
-            if vol_a is not None and vol_b is not None:
-                scored.append((vol_a + vol_b, axis, float(offset)))
-    return scored
+            pair = (_side_summary(slabs, 0, k), _side_summary(slabs, k, n_slabs))
+            if not any(float((hi - lo).max()) < _COINCIDENT_SPAN for _, _, _, hi, lo, _ in pair):
+                planes.append((axis, float(offset)))
+                sides.extend(pair)
+    if not planes:
+        return []
+    count, s1, s2, _, _, coreset = (np.array(f) for f in zip(*sides))
+    mean = s1 / count[:, None]
+    C = X[coreset] - mean[:, None, :]
+    cov = s2 / count[:, None, None] - mean[:, :, None] * mean[:, None, :]
+    _, vols = _sweep(C, _pca_axes(cov, C))
+    return [(float(a + b), *plane) for (a, b), plane in zip(vols.reshape(-1, 2), planes)]
 
 
 def _best_split_eval(node, cloud, params):

@@ -60,13 +60,14 @@ def _holds(value, bound):
 
 def check_params(params, name):
     """Raise ConfigError, naming the field `name(field)`, for the first field of a
-    parameter dataclass that is non-finite, a non-integer in an int field, or
-    breaks its bound in the class's BOUNDS."""
+    parameter dataclass that is not a number of its type (never a bool), is
+    non-finite, or breaks its bound in the class's BOUNDS."""
     for f in fields(params):
         value, bound = getattr(params, f.name), params.BOUNDS.get(f.name)
-        if f.type is int and not isinstance(value, numbers.Integral):
-            raise ConfigError(name(f.name), f"must be an integer, got {value}")
-        if isinstance(value, float) and not math.isfinite(value):
+        kind, noun = (numbers.Integral, "an integer") if f.type is int else (numbers.Real, "a number")
+        if isinstance(value, bool) or not isinstance(value, kind):
+            raise ConfigError(name(f.name), f"must be {noun}, got {value!r}")
+        if not isinstance(value, numbers.Integral) and not math.isfinite(value):
             raise ConfigError(name(f.name), f"must be finite, got {value}")
         if bound is not None and not _holds(value, bound):
             raise ConfigError(name(f.name), f"must be {bound}, got {value}")

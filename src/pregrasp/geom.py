@@ -84,7 +84,7 @@ def perpendicular_frames(normals):
 
 
 def eigh_descending(cov):
-    """Eigen-decomposition of a symmetric matrix: eigenvalues descending and
-    clamped at zero, with the unit eigenvectors as matching columns."""
+    """Eigen-decomposition of a symmetric matrix (or each of a stack): eigenvalues
+    descending and clamped at zero, with the unit eigenvectors as matching columns."""
     evals, evecs = np.linalg.eigh(cov)
-    return np.maximum(evals[::-1], 0.0), evecs[:, ::-1].copy()
+    return np.maximum(evals[..., ::-1], 0.0), evecs[..., ::-1].copy()

@@ -19,6 +19,9 @@ code because the package must agree with them exactly:
 - `reference_slab_summaries`, the per-slab gather and point-major (n_s, 49)
   projection that the package's slab-local, direction-major split screen
   replaced, built on the package's `_Slabs`;
+- `reference_screen`, the one-side-at-a-time PCA and rotation sweep that the
+  package's stacked split screen replaced, built on the package's slab
+  summaries and search constants;
 - `reference_rank_pool`, the one-candidate-at-a-time ranking loop that the
   package's sliced, batched ranking replaced, built on `reference_contacts`,
   `reference_wrench_set` and the package's `epsilon_quality` and
@@ -191,6 +194,94 @@ def reference_slab_summaries(X, coord, offsets, dirs):
         slabs.hi[j], slabs.hi_idx[j] = proj[top, cols], rows[top]
         slabs.lo[j], slabs.lo_idx[j] = proj[bot, cols], rows[bot]
     return slabs
+
+
+def reference_screen(pts, box, params):
+    """The split screen's [(volume, axis, offset)], one side at a time: each
+    side's covariance from its moments, its own eigh and tied-pair search,
+    then its own rotation sweep on its (98, 3) coreset, as the package's
+    stacked screen did before it fitted all sides of a node as one stack.
+    Built on the package's slab summaries and search constants."""
+    from pregrasp import decomposition as d
+    from pregrasp.geom import rotation_about_axis
+
+    floor = 2.0 * d.EXTENT_FLOOR
+
+    def rot2_basis(cos, sin):
+        return np.concatenate([np.stack([cos, sin], axis=1), np.stack([-sin, cos], axis=1)])
+
+    def min_area_angle(p2):
+        angles = np.radians(np.arange(0.0, 90.0, 3.0))
+        k = len(angles)
+        uv = rot2_basis(np.cos(angles), np.sin(angles)) @ p2.T
+        spans = np.maximum(uv.max(axis=1) - uv.min(axis=1), floor)
+        return float(angles[int(np.argmin(spans[:k] * spans[k:]))])
+
+    def pca_axes(cov, X):
+        evals, evecs = np.linalg.eigh(cov)
+        lam, axes = np.maximum(evals[::-1], 0.0), evecs[:, ::-1].copy()
+        for i, j in ((0, 1), (1, 2), (0, 1)):
+            if lam[j] <= 0.0 or lam[i] > d._TIED_EIGENVALUE_RATIO * lam[j]:
+                continue
+            theta = min_area_angle(X @ axes[:, (i, j)])
+            c, s = np.cos(theta), np.sin(theta)
+            a_new = c * axes[:, i] + s * axes[:, j]
+            b_new = -s * axes[:, i] + c * axes[:, j]
+            axes[:, i], axes[:, j] = a_new, b_new
+        return axes
+
+    def sweep_volume(X, R):
+        P = X @ R
+        ext = P.max(axis=0) - P.min(axis=0)
+        best_vol = float(np.prod(np.maximum(ext, floor)))
+        for rnd in range(d._REFINE_STEPS):
+            half_range = np.radians(10.0) / (2.0 ** rnd)
+            angles = np.linspace(-half_range, half_range, 9)
+            m = len(angles)
+            basis = rot2_basis(np.cos(angles), np.sin(angles))
+            for axis in range(3):
+                j, k = (axis + 1) % 3, (axis + 2) % 3
+                uv = basis @ P[:, (j, k)].T
+                hi, lo = uv.max(axis=1), uv.min(axis=1)
+                exts = np.empty((m, 3))
+                exts[:, axis] = ext[axis]
+                exts[:, j] = hi[:m] - lo[:m]
+                exts[:, k] = hi[m:] - lo[m:]
+                vols = np.maximum(exts, floor).prod(axis=1)
+                kb = int(np.argmin(vols))
+                if vols[kb] < best_vol:
+                    best_vol = float(vols[kb])
+                    e = np.zeros(3)
+                    e[axis] = 1.0
+                    R = R @ rotation_about_axis(e, float(angles[kb]))
+                    P[:, j], P[:, k] = uv[kb], uv[m + kb]
+                    ext = exts[kb]
+        return best_vol
+
+    def side_volume(X, side):
+        count, s1, s2, hi, lo, coreset = side
+        if float((hi - lo).max()) < d._COINCIDENT_SPAN:
+            return None
+        mean = s1 / count
+        C = X[coreset] - mean
+        return sweep_volume(C, pca_axes(s2 / count - np.outer(mean, mean), C))
+
+    X = pts - pts.mean(axis=0)
+    dirs = d.SCREEN_DIRECTIONS @ box.rotation.T
+    scored = []
+    for axis in range(3):
+        offsets = d.candidate_offsets(box.half_extents[axis], params.planes_per_axis)
+        coord = (pts - box.center) @ box.axis(axis)
+        slabs = d._slab_summaries(X, coord, offsets, dirs)
+        for k, offset in enumerate(offsets, start=1):
+            below = slabs.bounds[k]
+            if below == slabs.bounds[k - 1] or below == len(pts):
+                continue
+            vol_a = side_volume(X, d._side_summary(slabs, 0, k))
+            vol_b = side_volume(X, d._side_summary(slabs, k, len(offsets) + 1))
+            if vol_a is not None and vol_b is not None:
+                scored.append((vol_a + vol_b, axis, float(offset)))
+    return scored
 
 
 # ---------------------------------------------------------------------------

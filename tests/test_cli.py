@@ -223,6 +223,57 @@ def test_run_pipeline_rejects_non_integer_counts(section, name, value):
 
 def test_numpy_integers_pass_the_integer_check():
     check_params(DecompParams(min_points=np.int64(500), planes_per_axis=np.int32(16)), str)
+    check_params(DecompParams(volume_ratio=np.float32(0.5)), str)
+    check_params(DecompParams(volume_ratio=1), str)
+
+
+# Values of the wrong kind: (section, field, flag, value, flag text).  Before
+# check_params tested the kind, volume_ratio="0.5" and standoff=None raised
+# TypeError from the bound comparison, and planes_per_axis=True planned the
+# tree of one plane per axis.
+WRONG_KIND = [
+    ("decomposition", "volume_ratio", "--volume-ratio", "0.5", "half"),
+    ("gripper", "standoff", "--standoff", None, "None"),
+    ("decomposition", "planes_per_axis", "--planes-per-axis", True, "True"),
+    ("gripper", "friction_mu", "--mu", True, "True"),
+]
+
+
+@pytest.mark.parametrize("section,name,flag,value,text", WRONG_KIND,
+                         ids=[f"{s}.{n}={v!r}" for s, n, _, v, _ in WRONG_KIND])
+def test_wrong_kind_values_are_config_errors(section, name, flag, value, text, sphere_xyz,
+                                             tmp_path, capsys, monkeypatch):
+    """A non-number in a float field and a bool in an int or float field are
+    ConfigErrors through check_params, run_pipeline and the CLI's check, and
+    the CLI's parser rejects their text with exit 2."""
+    kind = "an integer" if name == "planes_per_axis" else "a number"
+    cfg = RunConfig()
+    setattr(getattr(cfg, section), name, value)
+    with pytest.raises(ConfigError, match=f"must be {kind}, got {value!r}") as exc:
+        check_params(getattr(cfg, section), str)
+    assert exc.value.field == name
+
+    def no_stage(*args, **kwargs):
+        raise AssertionError("a stage ran before the config was checked")
+
+    monkeypatch.setattr(pipeline, "decompose", no_stage)
+    cloud = synth_shape("dumbbell", (0.2, 0.08, 0.03, 0.015), 3000, seed=0)
+    with pytest.raises(ConfigError) as exc:
+        run_pipeline(cloud, cfg)
+    assert exc.value.field == f"{section}.{name}"
+
+    ns = build_parser().parse_args(["rank", "--input", "x.xyz"])
+    setattr(ns, flag[2:].replace("-", "_"), value)
+    with pytest.raises(ConfigError) as exc:
+        validate_pipeline_args(ns)
+    assert exc.value.field == flag
+
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as stop:
+        run_stage("rank", sphere_xyz, out, flag, text)
+    assert stop.value.code == 2
+    assert f"argument {flag}: invalid" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("section,name,flag,value", BAD_PARAMS,

@@ -1,6 +1,7 @@
 """Minimum-volume box fitting and the fit-and-split decomposition tree."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from pregrasp.decomposition import (
     fit_obb,
 )
 from pregrasp.errors import DegenerateInput, EmptySide
-from pregrasp.pointcloud import PointCloud
+from pregrasp.pointcloud import SYNTH_KINDS, PointCloud
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +326,86 @@ def test_slab_summaries_match_reference_bytes(case, request, monkeypatch):
     monkeypatch.setattr(decomposition, "_slab_summaries", checked)
     tree = decompose(cloud, params)
     assert len(calls) == 3 * len(_searched_nodes(tree, params)) > 0
+
+
+def _float_bytes(scored):
+    return [(np.float64(v).tobytes(), axis, np.float64(offset).tobytes())
+            for v, axis, offset in scored]
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("case", sorted(SLAB_CLOUDS))
+def test_screen_matches_per_side_reference_bytes(case, request, monkeypatch):
+    """The stacked screen's (volume, axis, offset) list equals the per-side
+    reference's, byte for byte, on every searched node.  The lattice ties
+    extreme points exactly; the spheres' sides have tied eigenvalues."""
+    cloud = SLAB_CLOUDS[case](request)
+    params = DecompParams()
+    real = decomposition._screen
+    calls = []
+
+    def checked(pts, box, p):
+        got = real(pts, box, p)
+        assert _float_bytes(got) == _float_bytes(oracles.reference_screen(pts, box, p))
+        calls.append(len(got))
+        return got
+
+    monkeypatch.setattr(decomposition, "_screen", checked)
+    tree = decompose(cloud, params)
+    assert len(calls) == len(_searched_nodes(tree, params)) > 0
+
+
+def _stacked_point_sets():
+    """Sixteen centred 98-point sets: rotated boxes, square-section bricks
+    and spheres (tied eigenpairs), a planar and a collinear set
+    (rank-deficient)."""
+    rng = np.random.default_rng(21)
+    sets = [oracles.box_surface_points(rng, (0.1, 0.05, 0.02), 98) @ helpers.random_rotation(rng).T
+            for _ in range(2)]
+    sets += [oracles.make_rotated_brick_cloud(98, seed) @ helpers.random_rotation(rng).T
+             for seed in range(4)]
+    sets += [synth_shape("sphere", (0.05,), 98, seed=seed).points for seed in range(8)]
+    sets.append(np.c_[rng.uniform(-0.1, 0.1, (98, 2)), np.zeros(98)])
+    sets.append(np.outer(rng.uniform(-0.1, 0.1, 98), [0.6, 0.0, 0.8]))
+    return np.stack([x - x.mean(axis=0) for x in sets])
+
+
+@pytest.mark.bitexact
+def test_stacked_fit_matches_stacks_of_one():
+    """_pca_axes and _sweep give each point set of a stack the bytes of its
+    own stack-of-one call, tied and rank-deficient sets included."""
+    X = _stacked_point_sets()
+    cov = np.stack([x.T @ x / len(x) for x in X])
+    lam = np.linalg.eigvalsh(cov)[:, ::-1]
+    assert (lam[:, 2] <= 1e-18).sum() == 2                       # planar, collinear
+    ratio = decomposition._TIED_EIGENVALUE_RATIO
+    tied = (lam[:, 0] <= ratio * lam[:, 1]) | (lam[:, 1] <= ratio * lam[:, 2])
+    assert tied.sum() > decomposition._TIED_BLOCK                # two tied blocks
+    axes = decomposition._pca_axes(cov, X)
+    R, vols = decomposition._sweep(X, axes)
+    assert R.shape == (len(X), 3, 3) and vols.shape == (len(X),)
+    for g in range(len(X)):
+        one_axes = decomposition._pca_axes(cov[g:g + 1], X[g:g + 1])
+        one_R, one_vol = decomposition._sweep(X[g:g + 1], one_axes)
+        assert axes[g].tobytes() == one_axes[0].tobytes(), g
+        assert R[g].tobytes() == one_R[0].tobytes(), g
+        assert vols[g].tobytes() == one_vol[0].tobytes(), g
+
+
+@pytest.mark.parametrize("kind", ["sphere", "cylinder", "dumbbell"])
+def test_screen_memory_is_bounded(kind):
+    """The stacked screen of a 10k-point root node peaks below 5 MB: the
+    tied-pair search runs a block of sides at a time."""
+    cloud = synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), 10000, seed=1)
+    box = fit_obb(cloud.points)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        decomposition._screen(cloud.points, box, DecompParams())
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6, f"{kind}: _screen peaked {peak / 1e6:.2f} MB above its start"
 
 
 def test_screen_directions_are_primitive_antipodal_representatives():
