@@ -207,6 +207,14 @@ def _pca_axes(cov, X):
     return axes
 
 
+def _extents(cols):
+    """max - min along the last axis, reduced on a contiguous copy: the
+    strided last axis of a transposed (..., n, 3) array would run 3-long
+    inner loops.  Max and min are exact, so the order cannot change them."""
+    cols = np.ascontiguousarray(cols)
+    return cols.max(axis=-1) - cols.min(axis=-1)
+
+
 def _sweep(X, R):
     """Coordinate-descent sweep of small rotations about each axis, in
     `_REFINE_STEPS` rounds, minimizing the volume of each centred point set
@@ -217,7 +225,7 @@ def _sweep(X, R):
     """
     R = R.copy()
     P = X @ R
-    ext = P.max(axis=1) - P.min(axis=1)
+    ext = _extents(P.transpose(0, 2, 1))
     best_vol = np.maximum(ext, 2.0 * EXTENT_FLOOR).prod(axis=1)
     for basis, turns in _SWEEP_STEPS:
         m = turns.shape[1]
@@ -267,16 +275,15 @@ def fit_obb(points):
     R = _sweep(X[None], _pca_axes((X.T @ X / len(X))[None], X[None]))[0][0]
 
     # canonical form: extents descending, dominant axes sign-fixed, det = +1
-    proj = X @ R
-    ext = proj.max(axis=0) - proj.min(axis=0)
+    ext = _extents((X @ R).T)
     R = R[:, np.argsort(-ext, kind="stable")]
     for c in (0, 1):
         col = R[:, c]
         if col[int(np.argmax(np.abs(col)))] < 0.0:
             R[:, c] = -col
     R[:, 2] = cross(R[:, 0], R[:, 1])
-    proj = X @ R
-    lo, hi = proj.min(axis=0), proj.max(axis=0)
+    cols = np.ascontiguousarray((X @ R).T)
+    lo, hi = cols.min(axis=1), cols.max(axis=1)
     center = mean + R @ ((lo + hi) / 2.0)
     half = np.maximum((hi - lo) / 2.0, EXTENT_FLOOR)
     return OrientedBox(center, R, half)

@@ -6,14 +6,15 @@ from the +closing_dir side, the paired fingers from the opposite side, spread
 symmetrically about the approach axis.  Each ray's contact is the first cloud
 point encountered inside a thin tube around the ray.  `rank_pool` builds a
 sparse voxel index of the cloud once and works through the pool in slices:
-every finger ray of a slice is searched in one batched pass that visits only
-the points in cells along the rays' paths, screens them with pair products
-and decides each ray with the arithmetic of a scan of every point.  The
-contacts of a slice's candidates build their (k, 6) arrays of friction-cone
-edge wrenches, rows [force | torque], in one broadcast, and grasps are scored
-with the largest-ball (epsilon) quality: the radius of the biggest
-origin-centered ball inside the convex hull of those rows, estimated by
-support-function sampling.
+every finger ray of a slice is searched in batched passes that visit only
+the points in cells along the rays' paths, screen them with pair products
+and decide each ray with the arithmetic of a scan of every point, on the
+cells at the ray's front first and on its other cells only when a point
+there could still come first.  The contacts of a slice's candidates build
+their (k, 6) arrays of friction-cone edge wrenches, rows [force | torque], in
+one broadcast, and grasps are scored with the largest-ball (epsilon) quality:
+the radius of the biggest origin-centered ball inside the convex hull of
+those rows, estimated by support-function sampling.
 """
 
 import logging
@@ -30,10 +31,10 @@ from .geom import cross, perpendicular_frames, rotation_about_axis, row_norms, u
 logger = logging.getLogger(__name__)
 
 # Bounds on the work in flight: pre-grasps ranked per slice of the pool, and
-# candidate rows (cells of the 3x3x3 blocks around ray samples, then ray-point
-# pairs) per pass of the contact search.  A ray that alone exceeds the row
-# bound is searched in a pass of its own, which the every-point fallback
-# bounds by the cloud size.
+# rows built per pass of the contact search (ray samples, then (ray, cell)
+# pairs from the samples' block lists, then ray-point pairs).  A ray that
+# alone exceeds the row bound is searched in a pass of its own, which the
+# every-point fallback bounds by the cloud size.
 _POOL_SLICE = 128
 _CHUNK_ROWS = 8192
 
@@ -147,6 +148,31 @@ _BLOCK = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), axis=-1).
 # test could accept survives the screen, barring underflow.
 _SCREEN_SLACK = 64 * 2.0 ** -53
 
+# A ray's search first decides it on its cells whose center t lies within
+# _FRONT cell sides of its nearest cell's.
+_FRONT = 2
+
+# A point p of a cell with center c has (p - o).d >= (c - o).d - |p - c| |d|.
+# `_decide` takes t_p as a gemv of fl(p - o) with d, `_tube_cells` t_c as pair
+# products of fl(c - o) with d: each is off from the exact value by at most
+# (u + gamma_3 (1 + u)) |x| |d| <= 4.01 u |x| for x = p - o or c - o (Higham,
+# as for _SCREEN_SLACK).  Let M be the largest coordinate magnitude of the
+# padded cloud box (M >= 2 r, as the padding is 2 r a side) and S = M plus the
+# ray origin's largest coordinate magnitude.  Then |c - o| <= sqrt(3) S and
+# |p - c| <= 1.74 r <= 0.87 M, so the two products err by at most
+# 4.01 u (2 |c - o| + |p - c|) <= 17.4 u S.  p's cell is
+# floor(fl(fl(p - lo) / 2 r)) and its center fl(lo + fl((k + 1/2) 2 r)), so on
+# each axis |p - c| <= r + 4.1 u M + 3.5 u M, and |p - c| |d| <= sqrt(3) r
+# (1 + 1e-12) + 14 u M for a unit d (|d|^2 within 1e-12 of 1).  sqrt(3) rounded
+# up to 1.7321 covers the first term with room for its own rounding, so
+# t_p >= t_c - 1.7321 r - 32 u S.  The bound as computed,
+# fl(fl(t_c - 1.7321 r) - 64 u S), lies at most 5.3 u S above its exact value,
+# so below every such t_p: a ray whose best t lies below the bound of its
+# nearest unsearched cell can gain no point of those cells, not even a tie
+# that a lower point index would win.
+_HALF_DIAGONAL = 1.7321
+_RETIRE_SLACK = 64 * 2.0 ** -53
+
 
 class ContactIndex:
     """Sparse voxel index of a cloud for ray-tube contact search, built once
@@ -166,8 +192,13 @@ class ContactIndex:
         pts = cloud.points
         self.points, self.centroid, self.tube_r = pts, cloud.centroid, tube_r
         self.cell = 2.0 * tube_r
-        self.lo = pts.min(axis=0)
-        self._box_lo, self._box_hi = self.lo - self.cell, pts.max(axis=0) + self.cell
+        # reduced along contiguous rows: an (n, 3) array's axis-0 reduction
+        # runs 3-long inner loops
+        cols = np.ascontiguousarray(pts.T)
+        self.lo = cols.min(axis=1)
+        self._box_lo, self._box_hi = self.lo - self.cell, cols.max(axis=1) + self.cell
+        del cols
+        self._scale = np.abs(np.concatenate((self._box_lo, self._box_hi))).max()
         cells = self._cells(pts)
         keys = _row_keys(cells)
         self.order = np.argsort(keys, kind="stable")
@@ -207,14 +238,12 @@ class ContactIndex:
         count[every] = -1
         return t_in, count
 
-    def _tube_cells(self, origins, directions, t_in, count):
-        """Sorted (ray, cell) pairs of the occupied cells whose centers lie
-        within 2.83 * tube_r of each ray's line: cells of the 3x3x3 blocks
-        around the ray's samples, or every cell for a count of -1."""
-        n_occ = len(self._centers)
-        sampled = np.flatnonzero(count > 0)
-        ns = count[sampled]
-        ray = np.repeat(sampled, ns)
+    def _block_lists(self, origins, directions, t_in, count, rays):
+        """(ray, lo, hi) of each distinct cell that a sample of a ray of
+        `rays` (ascending, count > 0) falls in and whose 3x3x3 block holds
+        occupied cells, `self._near_cells[lo:hi]`; sorted by ray."""
+        ns = count[rays]
+        ray = np.repeat(rays, ns)
         step = np.arange(len(ray)) - np.repeat(np.cumsum(ns) - ns, ns)
         samples = (origins.take(ray, axis=0)
                    + (t_in[ray] + self.tube_r * step)[:, None] * directions.take(ray, axis=0))
@@ -224,16 +253,24 @@ class ContactIndex:
         i = np.minimum(np.searchsorted(self._near_keys, keys), len(self._near_keys) - 1)
         found = self._near_keys[i] == keys
         i, ray = i[found], ray[found]
-        lo, hi = self._near_bounds[i], self._near_bounds[i + 1]
-        every = np.flatnonzero(count < 0)
-        pair = np.unique(np.concatenate((
+        return ray, self._near_bounds[i], self._near_bounds[i + 1]
+
+    def _tube_cells(self, origins, directions, ray, lo, hi, every):
+        """(ray, cell, t of the cell's center) of the occupied cells whose
+        centers lie within 2.83 * tube_r of each ray's line, sorted by ray,
+        then by cell: the cells of the block lists (ray, lo, hi), and every
+        occupied cell for the rays `every`."""
+        n_occ = len(self._centers)
+        pair = np.sort(np.concatenate((
             np.repeat(ray, hi - lo) * n_occ + self._near_cells[_ranges(lo, hi)],
             (every[:, None] * n_occ + np.arange(n_occ)).ravel())))
-        ray, cell = np.divmod(pair, n_occ)
+        # a sort and its run heads: numpy 2.3+ np.unique hashes integers before
+        # sorting them, several times slower on these pairs
+        ray, cell = np.divmod(pair[_run_heads(pair)], n_occ)
         rel = self._centers.take(cell, axis=0) - origins.take(ray, axis=0)
         t = np.einsum("ij,ij->i", rel, directions.take(ray, axis=0))
         near = np.einsum("ij,ij->i", rel, rel) - t * t <= _CELL_REACH * self.cell ** 2
-        return ray[near], cell[near]
+        return ray[near], cell[near], t[near]
 
     def _screened(self, origins, directions, ray, cell):
         """Ray-point rows of the (ray, cell) pairs that the point screen
@@ -249,10 +286,11 @@ class ContactIndex:
         n_pts = len(self.points)
         return np.divmod(np.sort(ray[keep] * n_pts + pt[keep]), n_pts)
 
-    def _decide(self, origins, directions, ray, pt, hits):
-        """Write to `hits` each ray's first point within tube_r, among its
-        rows (sorted by ray, then by point), with the arithmetic of a scan
-        of every point: a per-ray gemv for t, ties on t to the lowest point.
+    def _decide(self, origins, directions, ray, pt, best_t, hits):
+        """Merge into `best_t` and `hits` each ray's first point within
+        tube_r, among its rows (sorted by ray, then by point), with the
+        arithmetic of a scan of every point: a per-ray gemv for t, ties on t
+        to the lowest point, here and against the ray's earlier best.
 
         Each ray's rows start at an even row of one fresh block, so they lie
         at the alignment of a fresh array's rows, and the rows of a ray with
@@ -260,6 +298,9 @@ class ContactIndex:
         row as the scan's many rows need (a 1-row product would take numpy's
         dot path); a one-point cloud keeps its 1-row product, as its scan
         does.  Directions are copied to 4-wide rows for the same alignment.
+        A row's t thus does not depend on which other rows the ray has (the
+        point screen relies on this too), so deciding a ray's rows in parts
+        gives what deciding them at once would.
         """
         heads = np.flatnonzero(_run_heads(ray))
         length = np.diff(np.append(heads, len(ray)))
@@ -283,7 +324,39 @@ class ContactIndex:
         at = np.where(key == np.repeat(best, padded), np.arange(len(key)), len(key))
         first = np.minimum.reduceat(at, start)
         touched = best < np.inf
-        hits[rays[touched]] = pt[rows[first[touched]]]
+        rays, best, first = rays[touched], best[touched], pt[rows[first[touched]]]
+        won = (best < best_t[rays]) | ((best == best_t[rays]) & (first < hits[rays]))
+        best_t[rays[won]], hits[rays[won]] = best[won], first[won]
+
+    def _search_pairs(self, origins, directions, ray, cell, best_t, hits):
+        """`_screened` and `_decide` over the (ray, cell) pairs (sorted by
+        ray), in passes of about `_CHUNK_ROWS` ray-point rows."""
+        if len(ray) == 0:
+            return
+        heads = np.flatnonzero(_run_heads(ray))
+        ends = np.append(heads[1:], len(ray))
+        size = self._bounds[cell + 1] - self._bounds[cell]
+        for c, e in _batches(np.add.reduceat(size, heads), _CHUNK_ROWS):
+            sel = slice(heads[c], ends[e - 1])
+            r, pt = self._screened(origins, directions, ray[sel], cell[sel])
+            if len(r):
+                self._decide(origins, directions, r, pt, best_t, hits)
+
+    def _search_in_order(self, origins, directions, ray, cell, tc, best_t, hits):
+        """Decide the rays of the (ray, cell) pairs (sorted by ray; tc the
+        cells' center t) front first: on the cells within `_FRONT` cell
+        sides of each ray's nearest, then, for the rays whose best t could
+        still be beaten or tied, on the rest (see _RETIRE_SLACK)."""
+        heads = np.flatnonzero(_run_heads(ray))
+        length = np.diff(np.append(heads, len(ray)))
+        front = tc <= np.repeat(np.minimum.reduceat(tc, heads) + _FRONT * self.cell, length)
+        self._search_pairs(origins, directions, ray[front], cell[front], best_t, hits)
+        rays = ray[heads]
+        scale = np.abs(origins.take(rays, axis=0)).max(axis=1) + self._scale
+        bound = (np.minimum.reduceat(np.where(front, np.inf, tc), heads)
+                 - _HALF_DIAGONAL * self.tube_r - _RETIRE_SLACK * scale)
+        rest = ~front & np.repeat(~(best_t[rays] < bound), length)
+        self._search_pairs(origins, directions, ray[rest], cell[rest], best_t, hits)
 
     def first_hits(self, origins, directions):
         """Index of the first point along each ray origin + t * direction
@@ -297,28 +370,34 @@ class ContactIndex:
         so the blocks hold every such point.  A ray that would need more
         block cells than the cloud has points takes every occupied cell.
         Cells far from a ray's line, and then points whose pair-product
-        distance rules out the tube, are screened off; each ray is decided
-        on the rest with the arithmetic of a scan of every point (see
-        `_decide`), so it gets the scan's contact.  Rays go through in
-        passes of about `_CHUNK_ROWS` candidate rows.
+        distance rules out the tube, are screened off.  A ray is decided on
+        its cells near the front first; it stops there when no point of its
+        other cells can come before (or tie with) that contact, and is
+        decided on them too otherwise.  Each part is decided with the
+        arithmetic of a scan of every point, and the parts' contacts merge
+        by (t, point index) (see `_decide`), so each ray gets the scan's
+        contact.  Each pass builds about `_CHUNK_ROWS` rows: ray samples,
+        then (ray, cell) pairs, then ray-point pairs.
         """
         origins = np.asarray(origins, dtype=float).reshape(-1, 3)
         directions = np.asarray(directions, dtype=float).reshape(-1, 3)
         hits = np.full(len(origins), -1, dtype=np.int64)
+        best_t = np.full(len(origins), np.inf)
         t_in, count = self._spans(origins, directions)
-        cost = np.where(count < 0, len(self._centers), count * len(_BLOCK))
-        for a, b in _batches(cost, _CHUNK_ROWS):
-            ray, cell = self._tube_cells(origins[a:b], directions[a:b], t_in[a:b], count[a:b])
-            if len(ray) == 0:
-                continue
-            heads = np.flatnonzero(_run_heads(ray))
-            ends = np.append(heads[1:], len(ray))
-            size = self._bounds[cell + 1] - self._bounds[cell]
-            for c, e in _batches(np.add.reduceat(size, heads), _CHUNK_ROWS):
-                sel = slice(heads[c], ends[e - 1])
-                r, pt = self._screened(origins[a:b], directions[a:b], ray[sel], cell[sel])
-                if len(r):
-                    self._decide(origins[a:b], directions[a:b], r, pt, hits[a:b])
+        for a, b in _batches(np.maximum(count, 0), _CHUNK_ROWS):
+            part = np.arange(a, b)
+            ray, lo, hi = self._block_lists(origins, directions, t_in, count,
+                                            part[count[a:b] > 0])
+            every = count[a:b] < 0
+            cost = np.where(every, len(self._centers),
+                            np.bincount(ray - a, hi - lo, minlength=b - a)).astype(np.int64)
+            bounds = np.searchsorted(ray, np.append(part, b))
+            for c, e in _batches(cost, _CHUNK_ROWS):
+                sel = slice(bounds[c], bounds[e])
+                pairs = self._tube_cells(origins, directions, ray[sel], lo[sel], hi[sel],
+                                         part[c:e][every[c:e]])
+                if len(pairs[0]):
+                    self._search_in_order(origins, directions, *pairs, best_t, hits)
         return hits
 
 
@@ -443,8 +522,9 @@ def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
     Evaluates the support h(d) = max_w d.w of the wrench hull over the first
     n_dirs of the 14896 quasi-uniform unit directions of
     `_lattice_directions`; returns min h, or 0 when some direction has
-    negative support (origin outside the hull).  A larger n_dirs reuses the
-    smaller run's directions, so estimates never increase under refinement.
+    negative or zero support (origin outside the hull or on its boundary).
+    A larger n_dirs reuses the smaller run's directions, so estimates never
+    increase under refinement.
 
     Raises:
         EmptyWrenchSet: wrenches has no rows.
@@ -455,8 +535,11 @@ def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
     lattice = _lattice_directions()
     if not 1 <= n_dirs <= len(lattice):
         raise ValueError(f"n_dirs must be in 1..{len(lattice)}, got {n_dirs}")
-    h = (lattice[:n_dirs] @ wrenches.T).max(axis=1)
-    return 0.0 if (h < 0.0).any() else float(h.min())
+    # the (n_dirs, k) product reduced along contiguous memory: its rows are
+    # only k long.  Max is exact, so only the sign of a zero support could
+    # depend on the order, and a zero support returns +0.0.
+    h = np.ascontiguousarray((lattice[:n_dirs] @ wrenches.T).T).max(axis=0)
+    return 0.0 if (h <= 0.0).any() else float(h.min())
 
 
 def _rank_slice(part, first, cloud, index, gripper, params):

@@ -22,6 +22,9 @@ code because the package must agree with them exactly:
 - `reference_screen`, the one-side-at-a-time PCA and rotation sweep that the
   package's stacked split screen replaced, built on the package's slab
   summaries and search constants;
+- `reference_epsilon_quality`, the per-direction row maxima of the support
+  product that the package's reduction along contiguous memory replaced,
+  built on the package's `_lattice_directions`;
 - `reference_rank_pool`, the one-candidate-at-a-time ranking loop that the
   package's sliced, batched ranking replaced, built on `reference_contacts`,
   `reference_wrench_set` and the package's `epsilon_quality` and
@@ -601,6 +604,16 @@ def reference_contacts(pg, cloud, gripper, tube_r=0.005):
     if not contacts:
         raise NoContacts(f"no finger touched the cloud from {pg.position}")
     return contacts
+
+
+def reference_epsilon_quality(wrenches, n_dirs):
+    """`epsilon_quality` from the maximum of each row of the (n_dirs, k)
+    support product (the same product as the package's): 0.0 when some
+    support is <= 0, else the smallest support."""
+    from pregrasp.graspeval import _lattice_directions
+
+    h = (_lattice_directions()[:n_dirs] @ wrenches.T).max(axis=1)
+    return 0.0 if (h <= 0.0).any() else float(h.min())
 
 
 def reference_rank_pool(pool, cloud, gripper, params):

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from pregrasp.graspeval import (ContactIndex, ContactPoint, EvalParams,
                                 epsilon_quality, estimate_contacts,
                                 finger_rays, rank_pool, wrench_set)
 from pregrasp.pipeline import RunConfig, _ranking_section
-from pregrasp.pointcloud import PointCloud, synth_shape
+from pregrasp.pointcloud import SYNTH_KINDS, PointCloud, synth_shape
 from pregrasp.sampler import (GripperConfig, PreGrasp, SamplingParams,
                               generate_pool)
 
@@ -401,12 +402,46 @@ def long_ray_case():
     return PointCloud(rod), np.array([[-0.01, 0.0005, 0.0]]), np.array([[1.0, 0.0, 0.0]]), 0.001
 
 
+def offset_rod_case():
+    """12000 points along a 0.32 m rod of 2 mm square section on the x axis,
+    one point (the last) near its far end, and a ray down its length 1.5 mm
+    off the rod's side: within a 1 mm tube the ray touches only the last
+    point, while every rod cell lies within the cells' reach of its line."""
+    rng = np.random.default_rng(4)
+    rod = np.column_stack([0.32 * rng.random(12000), 0.002 * rng.random((12000, 2)) - 0.001])
+    return (PointCloud(np.vstack([rod, [[0.3, 0.0025, 0.0]]])), np.array([[-0.01, 0.0025, 0.0]]),
+            np.array([[1.0, 0.0, 0.0]]), 0.001)
+
+
+def search_log(monkeypatch):
+    """A list that gets, per `ContactIndex._screened` call, the candidate
+    points of its (ray, cell) pairs and the points of the rows it keeps."""
+    log = []
+    screened = ContactIndex._screened
+
+    def logged(index, origins, directions, ray, cell):
+        lo, hi = index._bounds[cell], index._bounds[cell + 1]
+        kept = screened(index, origins, directions, ray, cell)
+        log.append((index.order[graspeval._ranges(lo, hi)], kept[1]))
+        return kept
+
+    monkeypatch.setattr(ContactIndex, "_screened", logged)
+    return log
+
+
 @pytest.mark.bitexact
-def test_ray_longer_than_a_search_pass():
+def test_ray_longer_than_a_search_pass(monkeypatch):
+    """The rod ray's blocks hold more cells than a pass takes, and the
+    offset ray, whose contact lies past its front cells, builds more
+    ray-point rows than a pass takes."""
     cloud, origins, directions, tube_r = long_ray_case()
     _, count = ContactIndex(cloud, tube_r)._spans(origins, directions)
     assert graspeval._CHUNK_ROWS < count[0] * 27 < len(cloud.points)
     assert first_hits_match_reference(cloud, origins, directions, tube_r)[0] >= 0
+    log = search_log(monkeypatch)
+    cloud, origins, directions, tube_r = offset_rod_case()
+    assert first_hits_match_reference(cloud, origins, directions, tube_r)[0] == 12000
+    assert max(len(candidates) for candidates, _ in log) > graspeval._CHUNK_ROWS
 
 
 @pytest.mark.bitexact
@@ -482,6 +517,94 @@ def test_boundary_cases_match_reference_in_small_passes(small_passes, sphere_clo
     cloud, origins, directions, tube_r = long_ray_case()
     first_hits_match_reference(cloud, np.vstack([origins, origins + 0.001]),
                                np.vstack([directions] * 2), tube_r)
+
+
+# Each ray is decided on its front cells first, then, unless no point of its
+# other cells can come before or tie with that contact, on the rest.  Every
+# case is one ray whose search takes both phases, each in one `_screened`
+# call, under any pass size.
+
+def assert_tie_across_phases(monkeypatch):
+    """Points 0 and 1 lie at equal t on a ray along (1, 1, 0) from the
+    origin: a power of two times fl(sqrt(1/2)) is exact, so both t's are
+    fl(a/8 + a/16).  Point 1's cell lies within `_FRONT` cell sides of the
+    ray's nearest cell (point 2's, which only sets that cell; point 3 anchors
+    the grid), point 0's beyond them, so point 0 wins only if the front's
+    contact is not retired and the phases merge by (t, index)."""
+    a = np.sqrt(0.5)
+    rng = np.random.default_rng(0)
+    above = np.column_stack([0.3 * rng.random((300, 2)) - [0.1, 0.05], 0.5 + 0.1 * rng.random(300)])
+    cloud = PointCloud(np.vstack([[[0.125, 0.0625, 0.0], [0.0625, 0.125, 0.0],
+                                   [-0.06, 0.04, 0.0], [-0.1, -0.05, 0.5]], above]))
+    origins, directions = np.zeros((1, 3)), np.array([[a, a, 0.0]])
+    t = (cloud.points[:2] - origins[0]) @ directions[0]
+    assert t[0] == t[1]
+    log = search_log(monkeypatch)
+    assert first_hits_match_reference(cloud, origins, directions, 0.05).tolist() == [0]
+    (front, kept_front), (rest, kept_rest) = log
+    assert 1 in front and 0 not in front and 0 in rest
+    assert kept_front.tolist() == [1] and kept_rest.tolist() == [0]
+
+
+def assert_second_phase_decides(monkeypatch):
+    """The offset rod ray's front cells hold no point within its tube: its
+    contact, the last point, comes from the second phase alone."""
+    cloud, origins, directions, tube_r = offset_rod_case()
+    log = search_log(monkeypatch)
+    assert first_hits_match_reference(cloud, origins, directions, tube_r).tolist() == [12000]
+    (front, kept_front), (rest, kept_rest) = log
+    assert len(front) > 0 and len(kept_front) == 0
+    assert kept_rest.tolist() == [12000]
+
+
+def assert_odd_rows_in_each_phase(monkeypatch):
+    """The thumb ray of `lone_candidate_case`, with three points added on
+    its line behind its origin (t < 0): the front keeps those 3 rows, the
+    rest only the contact's lone row, which must still be doubled."""
+    pg, cloud = lone_candidate_case()
+    origin, direction = finger_rays(pg, GripperConfig())[0]
+    behind = [origin - k * 0.005 * direction for k in (0.5, 1.0, 1.5)]
+    cloud = PointCloud(np.vstack([cloud.points, behind]))
+    log = search_log(monkeypatch)
+    assert first_hits_match_reference(cloud, origin[None], direction[None], 0.005).tolist() == [0]
+    (_, kept_front), (_, kept_rest) = log
+    assert kept_front.tolist() == [3001, 3002, 3003] and kept_rest.tolist() == [0]
+
+
+EARLY_EXIT_CASES = {"tie-across-phases": assert_tie_across_phases,
+                    "second-phase-decides": assert_second_phase_decides,
+                    "odd-rows-in-each-phase": assert_odd_rows_in_each_phase}
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("case", EARLY_EXIT_CASES)
+def test_early_exit_matches_reference(case, monkeypatch):
+    EARLY_EXIT_CASES[case](monkeypatch)
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("case", EARLY_EXIT_CASES)
+def test_early_exit_matches_reference_in_small_passes(small_passes, case, monkeypatch):
+    EARLY_EXIT_CASES[case](monkeypatch)
+
+
+@pytest.mark.parametrize("kind", ["sphere", "cylinder", "dumbbell", "lshape"])
+def test_contact_search_memory_is_bounded(kind, gripper):
+    """The search of the rays of one pool slice of a 10k-point cloud peaks
+    below 2 MB: each pass builds about `_CHUNK_ROWS` rows of each kind."""
+    cloud = synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), 10000, seed=1)
+    pool = planned_pool(cloud, gripper)[:graspeval._POOL_SLICE]
+    origins, directions = graspeval._ray_arrays(
+        [ray for pg in pool for ray in finger_rays(pg, gripper)])
+    index = ContactIndex(cloud, EvalParams.tube_radius)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        index.first_hits(origins, directions)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, f"{kind}: first_hits peaked {peak / 1e6:.2f} MB above its start"
 
 
 def test_contact_index_must_match_cloud_and_tube(small_sphere_cloud, sphere_cloud, gripper):
@@ -619,6 +742,32 @@ def test_ideal_pinch_has_no_torsional_resistance():
     exactly 0 (origin on the hull boundary)."""
     wrenches = wrench_set(antipodal_contacts(), MU, EDGES, np.zeros(3))
     assert epsilon_quality(wrenches, n_dirs=14896) == 0.0
+
+
+@pytest.mark.bitexact
+def test_quality_matches_row_maxima_bytes():
+    """The support reduction along contiguous memory gives the bits of the
+    row maxima of the same product, on ranked contact sets, on sets whose
+    supports are exactly zero and on sets with the origin outside."""
+    origin = np.zeros(3)
+    sets = [wrench_set(c, mu, EDGES, origin) for mu in (0.0, MU)
+            for c in (antipodal_contacts(), antipodal_contacts()[:1], icosahedral_cage())]
+    sets += [cross_polytope_wrenches(), np.vstack([np.zeros(6), np.eye(6)])]
+    centroid, contact_sets = ranked_contact_sets()
+    sets += [wrench_set(c, MU, EDGES, centroid) for c in contact_sets]
+    for ws in sets:
+        for n_dirs in (64, 1024, 14896):
+            got = epsilon_quality(ws, n_dirs)
+            assert np.float64(got).tobytes() == np.float64(
+                oracles.reference_epsilon_quality(ws, n_dirs)).tobytes()
+
+
+def test_zero_support_scores_positive_zero():
+    """A zero wrench row makes every support >= 0, and exactly 0 where all
+    other rows lie in the opposite orthant: the quality is +0.0, with no
+    sign that a reduction order could pick."""
+    q = epsilon_quality(np.vstack([np.zeros(6), np.eye(6)]), n_dirs=14896)
+    assert np.float64(q).tobytes() == np.float64(0.0).tobytes()
 
 
 def test_single_contact_scores_zero():
