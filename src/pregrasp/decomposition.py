@@ -30,7 +30,7 @@ from typing import ClassVar, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateInput, EmptySide
-from .geom import cross, eigh_descending, rotation_about_axis
+from .geom import cross, eigh_descending, rotations_about_axes
 
 logger = logging.getLogger(__name__)
 
@@ -168,7 +168,8 @@ _TIED_BLOCK = 8
 # Per round of the rotation sweep: the stacked 2D rotation rows of its 9
 # angles, and per box axis the (9, 3, 3) rotations about it by those angles.
 _SWEEP_STEPS = [(_rot2_basis(np.cos(a), np.sin(a)),
-                 np.array([[rotation_about_axis(e, t) for t in a.tolist()] for e in np.eye(3)]))
+                 np.ascontiguousarray(rotations_about_axes(np.repeat(np.eye(3), 9, axis=0),
+                                                           np.tile(a, 3)).reshape(3, 9, 3, 3)))
                 for a in (np.linspace(-h, h, 9)
                           for h in np.radians(10.0) / 2.0 ** np.arange(_REFINE_STEPS))]
 

@@ -23,6 +23,9 @@ from .geom import cross
 # and grazing contact must not block a face.
 PENETRATION_EPS = 1e-3
 
+# Slack of a sub-face's closed rect when testing whether it holds a point.
+CELL_TOL = 1e-12
+
 
 class FaceId(IntEnum):
     PLUS_U = 0
@@ -219,7 +222,7 @@ def subfaces(face, mask, grasp_type, box):
     return _grid_cells(face, mask, box, 3, 3, _RULES_3X3)
 
 
-def cells_containing(cell_list, lr, du, tol=1e-12):
+def cells_containing(cell_list, lr, du, tol=CELL_TOL):
     """Cells whose closed rect contains the face-local point (lr, du)."""
     return [sf for sf in cell_list
             if sf.rect[0] - tol <= lr <= sf.rect[2] + tol

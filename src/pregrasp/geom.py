@@ -14,15 +14,20 @@ def unit(v, fallback=None):
     return v / n
 
 
-def rotation_about_axis(axis, angle_rad):
-    """Rodrigues rotation matrix about a unit axis."""
-    a = unit(axis)
-    k = np.array([
-        [0.0, -a[2], a[1]],
-        [a[2], 0.0, -a[0]],
-        [-a[1], a[0], 0.0],
-    ])
-    return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
+def aligned(a):
+    """Copy of an (n, ...) array whose items a[i] each start on a 16-byte
+    boundary, as a fresh array of one item does.
+
+    Some BLAS kernels (OpenBLAS Prescott) round a product differently when an
+    operand starts off a 16-byte boundary, as the odd rows of an (n, 3) block
+    do.  A stacked product over the items of the copy gives each item the bits
+    of its product on its own.
+    """
+    a = np.asarray(a, dtype=float)
+    size = int(np.prod(a.shape[1:]))
+    items = np.zeros((len(a), size + size % 2))
+    items[:, :size] = a.reshape(len(a), size)
+    return items[:, :size].reshape(a.shape)
 
 
 def row_norms(v):
@@ -30,14 +35,10 @@ def row_norms(v):
     gets for that row on its own.
 
     A stacked 1x3 @ 3x1 product takes the BLAS dot routine of a 1-D norm,
-    where a row-wise sum or einsum can round differently.  Some BLAS kernels
-    (OpenBLAS Prescott) round a 3-element dot differently when it starts off
-    a 16-byte boundary, so each row is first copied to a 4-wide row, which
-    starts aligned like a fresh 3-vector.
+    where a row-wise sum or einsum can round differently; its rows are
+    `aligned` like fresh 3-vectors.
     """
-    rows = np.zeros((len(v), 4))
-    rows[:, :3] = v
-    rows = rows[:, :3]
+    rows = aligned(v)
     return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
 
 
@@ -56,6 +57,18 @@ def unit_rows(v, fallback=None):
     if fallback is None:
         raise ValueError("cannot normalize a zero vector")
     return np.where(small[:, None], fallback, v / np.where(small, 1.0, norms)[:, None])
+
+
+def rotations_about_axes(axes, angles):
+    """Rodrigues rotation matrices about each row of an (n, 3) array of axes
+    (normalized here) by each of n angles, as an `aligned` (n, 3, 3) stack:
+    each matrix has the bits it gets when built on its own."""
+    a = unit_rows(axes)
+    zero = np.zeros(len(a))
+    k = aligned(np.stack((zero, -a[:, 2], a[:, 1], a[:, 2], zero, -a[:, 0],
+                          -a[:, 1], a[:, 0], zero), axis=1).reshape(-1, 3, 3))
+    return aligned(np.eye(3) + np.sin(angles)[:, None, None] * k
+                   + (1.0 - np.cos(angles))[:, None, None] * (k @ k))
 
 
 def cross(a, b):

@@ -26,7 +26,8 @@ import numpy as np
 
 from .classifier import GRASP_PRESHAPE, GraspType
 from .errors import EmptyWrenchSet, NoContacts, check_params
-from .geom import cross, perpendicular_frames, rotation_about_axis, row_norms, unit_rows
+from .geom import (aligned, cross, perpendicular_frames, rotations_about_axes, row_norms,
+                   unit_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -37,6 +38,11 @@ logger = logging.getLogger(__name__)
 # every-point fallback bounds by the cloud size.
 _POOL_SLICE = 128
 _CHUNK_ROWS = 8192
+
+# Bytes of the support products that `epsilon_quality` builds at a time (a
+# pool slice's at once would be 25 MB at the defaults); one wrench set's may
+# exceed it.
+_QUALITY_BYTES = 1 << 20
 
 
 @dataclass
@@ -65,32 +71,43 @@ class EvalParams:
 # Finger rays and contacts
 # ===========================================================================
 
-def finger_rays(pg, gripper):
-    """Closing rays (origin, direction) of the fingers for one pre-grasp.
+def _finger_count(grasp_type):
+    """Fingers of a grasp type: no thumb for TwoFingertip."""
+    return 2 if GraspType(grasp_type) == GraspType.TWO_FINGERTIP else 3
+
+
+def finger_rays(pregrasps, gripper):
+    """Closing rays of the fingers of a sequence of pre-grasps, as an
+    (n_rays, 2, 3) array of (origin, direction) rows, pre-grasp by pre-grasp.
 
     Thumb: from the +closing_dir side at half aperture, closing along
     -closing_dir (omitted for TwoFingertip).  The two paired fingers start on
     the -closing_dir side and are rotated about the approach axis by +/- the
     grasp type's preshape spread angle.  All origins lie in the fingertip
-    plane.
+    plane.  The rotations of all pre-grasps are built as one stack, and
+    every product is taken on operands aligned like fresh arrays, so every
+    ray has the bits it gets when its pre-grasp's rays are built alone.
     """
-    tip = pg.position + pg.approach * gripper.finger_length
+    types = [GraspType(pg.grasp_type) for pg in pregrasps]
+    vectors = np.array([(pg.position, pg.approach, pg.closing_dir) for pg in pregrasps])
+    position, approach, c = vectors.reshape(-1, 3, 3).transpose(1, 0, 2)
+    tip = position + approach * gripper.finger_length
     half_ap = gripper.max_aperture / 2.0
-    c = pg.closing_dir
-    rays = []
-    grasp_type = GraspType(pg.grasp_type)
-    if grasp_type != GraspType.TWO_FINGERTIP:
-        rays.append((tip + c * half_ap, -c))
-    spread = np.radians(GRASP_PRESHAPE[grasp_type][0])
-    for s in (spread, -spread):
-        if s == 0.0:
-            # the rotation would be the identity, whose product can only
-            # change the sign of a zero component
-            rays.append((tip - c * half_ap, c.copy()))
-            continue
-        rot = rotation_about_axis(pg.approach, s)
-        rays.append((tip + rot @ (-c * half_ap), rot @ c))
-    return rays
+    rays = np.empty((len(types), 3, 2, 3))
+    rays[:, 0] = np.stack((tip + c * half_ap, -c), axis=1)
+    # a zero spread's rotation would be the identity, whose product can only
+    # change the sign of a zero component
+    rays[:, 1:] = np.stack((tip - c * half_ap, c), axis=1)[:, None]
+    spread = np.radians([GRASP_PRESHAPE[t][0] for t in types])
+    turned = np.flatnonzero(spread != 0.0)
+    back, closing = aligned(-c[turned] * half_ap)[:, :, None], aligned(c[turned])[:, :, None]
+    for finger, s in ((1, spread[turned]), (2, -spread[turned])):
+        rot = rotations_about_axes(approach[turned], s)
+        rays[turned, finger, 0] = tip[turned] + (rot @ back)[:, :, 0]
+        rays[turned, finger, 1] = (rot @ closing)[:, :, 0]
+    fingers = np.ones((len(types), 3), dtype=bool)
+    fingers[:, 0] = [_finger_count(t) == 3 for t in types]
+    return rays[fingers]
 
 
 def _run_heads(s):
@@ -420,12 +437,6 @@ def _contact_rows(index, hits, directions):
     return positions, unit_rows(index.centroid - positions, fallback=-directions)
 
 
-def _ray_arrays(rays):
-    """(n, 3) origins and directions of a list of (origin, direction) rays."""
-    return (np.array([o for o, _ in rays]).reshape(-1, 3),
-            np.array([d for _, d in rays]).reshape(-1, 3))
-
-
 def estimate_contacts(pg, cloud, gripper, tube_r=EvalParams.tube_radius, index=None, found=None):
     """First cloud point along each closing ray within perpendicular distance
     tube_r.  Normals point from the contact toward the cloud centroid (the
@@ -447,7 +458,8 @@ def estimate_contacts(pg, cloud, gripper, tube_r=EvalParams.tube_radius, index=N
     elif index.points is not cloud.points or index.tube_r != tube_r:
         raise ValueError("contact index built for another cloud or tube radius")
     if found is None:
-        origins, directions = _ray_arrays(finger_rays(pg, gripper))
+        rays = finger_rays([pg], gripper)
+        origins, directions = rays[:, 0], rays[:, 1]
         hits = _search(index, origins, directions)
         found = _contact_rows(index, hits[hits >= 0], directions[hits >= 0])
     # fresh 3-vectors, which start 16-byte aligned like any new array: a row
@@ -517,7 +529,8 @@ def _lattice_directions():
 
 def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
     """Largest-ball grasp quality of a (k, 6) wrench array (rows as
-    `wrench_set` builds them), from support-function sampling.
+    `wrench_set` builds them), from support-function sampling; of a (g, k, 6)
+    stack of such arrays, the (g,) qualities.
 
     Evaluates the support h(d) = max_w d.w of the wrench hull over the first
     n_dirs of the 14896 quasi-uniform unit directions of
@@ -530,45 +543,53 @@ def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
         EmptyWrenchSet: wrenches has no rows.
         ValueError: n_dirs is outside 1..14896.
     """
-    if len(wrenches) == 0:
+    wrenches = np.asarray(wrenches, dtype=float)
+    if wrenches.shape[-2] == 0:
         raise EmptyWrenchSet("no wrenches to evaluate")
     lattice = _lattice_directions()
     if not 1 <= n_dirs <= len(lattice):
         raise ValueError(f"n_dirs must be in 1..{len(lattice)}, got {n_dirs}")
-    # the (n_dirs, k) product reduced along contiguous memory: its rows are
-    # only k long.  Max is exact, so only the sign of a zero support could
-    # depend on the order, and a zero support returns +0.0.
-    h = np.ascontiguousarray((lattice[:n_dirs] @ wrenches.T).T).max(axis=0)
-    return 0.0 if (h <= 0.0).any() else float(h.min())
+    stack = wrenches.reshape(-1, *wrenches.shape[-2:])
+    g, k = stack.shape[:2]
+    quality = np.empty(g)
+    # (sets, k, n_dirs) products of about _QUALITY_BYTES, reduced over k along
+    # contiguous memory.  Max is exact, so only the sign of a zero support
+    # could depend on the order, and a zero support returns +0.0.
+    step = max(1, _QUALITY_BYTES // (8 * k * n_dirs))
+    for a in range(0, g, step):
+        h = (stack[a:a + step] @ lattice[:n_dirs].T).max(axis=1)
+        quality[a:a + step] = np.where((h <= 0.0).any(axis=1), 0.0, h.min(axis=1))
+    return float(quality[0]) if wrenches.ndim == 2 else quality
 
 
 def _rank_slice(part, first, cloud, index, gripper, params):
     """Graded candidates of the pre-grasps `part`, pool[first:...]: one
-    search of all their rays, one wrench broadcast per contact count."""
-    rays = [finger_rays(pg, gripper) for pg in part]
-    n_rays = np.array([len(r) for r in rays])
-    origins, directions = _ray_arrays([ray for r in rays for ray in r])
-    hits = _search(index, origins, directions)
+    search of all their rays, one wrench broadcast and one quality call per
+    contact count."""
+    rays = finger_rays(part, gripper)
+    n_rays = np.array([_finger_count(pg.grasp_type) for pg in part], dtype=np.int64)
+    directions = rays[:, 1]
+    hits = _search(index, rays[:, 0], directions)
     touched = hits >= 0
     positions, normals = _contact_rows(index, hits[touched], directions[touched])
     counts = np.add.reduceat(touched.astype(np.int64), np.cumsum(n_rays) - n_rays)
     starts = np.cumsum(counts) - counts
-    quality = [0.0] * len(part)
+    quality = np.zeros(len(part))
     for k in np.unique(counts[counts >= 2]).tolist():
         which = np.flatnonzero(counts == k)
         rows = starts[which][:, None] + np.arange(k)
         batch = _wrench_batch(positions[rows], normals[rows], gripper.friction_mu,
                               params.cone_edges, index.centroid)
-        for i, ws in zip(which.tolist(), batch):
-            quality[i] = epsilon_quality(ws, params.quality_dirs)
+        quality[which] = epsilon_quality(batch, params.quality_dirs)
     graded = []
-    for i, (pg, s, k) in enumerate(zip(part, starts.tolist(), counts.tolist())):
+    for i, (pg, s, k, q) in enumerate(zip(part, starts.tolist(), counts.tolist(),
+                                          quality.tolist())):
         try:
             contacts = estimate_contacts(pg, cloud, gripper, params.tube_radius, index=index,
                                          found=(positions[s:s + k], normals[s:s + k]))
         except NoContacts:
             contacts = []
-        graded.append(GraspCandidate(first + i, contacts, quality[i]))
+        graded.append(GraspCandidate(first + i, contacts, q))
     return graded
 
 

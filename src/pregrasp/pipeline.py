@@ -90,9 +90,9 @@ def _mask_section(tree, masks):
 
 def _pool_section(pool):
     return [{
-        "position": [float(v) for v in pg.position],
-        "approach": [float(v) for v in pg.approach],
-        "closing_dir": [float(v) for v in pg.closing_dir],
+        "position": pg.position.tolist(),
+        "approach": pg.approach.tolist(),
+        "closing_dir": pg.closing_dir.tolist(),
         "grasp_type": pg.grasp_type.value,
         "spread_angle": float(GRASP_PRESHAPE[pg.grasp_type][0]),
         "fingertip_mode": bool(GRASP_PRESHAPE[pg.grasp_type][1]),
@@ -106,8 +106,8 @@ def _ranking_section(candidates):
         "pool_index": c.pool_index,
         "contact_count": len(c.contacts),
         "contacts": [{
-            "position": [float(v) for v in ct.position],
-            "normal": [float(v) for v in ct.normal],
+            "position": ct.position.tolist(),
+            "normal": ct.normal.tolist(),
         } for ct in c.contacts],
         "quality": float(c.quality),
     } for c in candidates]

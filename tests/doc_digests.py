@@ -5,6 +5,9 @@ document without ``timings_ms``, dumped as JSON with sorted keys.  The clouds:
 
 * the six synth shapes at 5k points, ``pregrasp synth`` default dimensions,
   default config;
+* three 5k-point clouds whose pools hold the grasp types the others' do
+  not: the box (Spherical) and the plate (ThreeFingertip) with a 25 cm
+  gripper aperture, and a sphere of radius 1.5 cm (TwoFingertip);
 * the 8 ``dense-pool`` clouds of workload seed 1, with that workload's
   sampling;
 * the 2 ``large-scan`` clouds of workload seed 1, written as ``.xyz`` /
@@ -35,6 +38,13 @@ import workloads  # noqa: E402
 
 SYNTH_POINTS, SYNTH_SEED, WORKLOAD_SEED = 5000, 1, 1
 
+# (label, synth kind, dimensions, gripper max_aperture)
+GRASP_TYPE_CLOUDS = (
+    ("box-wide", "box", workloads.SHAPE_DIMS["box"], 0.25),
+    ("plate-wide", "plate", workloads.SHAPE_DIMS["plate"], 0.25),
+    ("sphere-1.5cm", "sphere", (0.015,), 0.10),
+)
+
 
 def digest(doc):
     doc = {k: v for k, v in doc.items() if k != "timings_ms"}
@@ -43,12 +53,18 @@ def digest(doc):
 
 def documents():
     """(label, run document) for every cloud, in a fixed order."""
-    from pregrasp import load_cloud, run_pipeline
+    from pregrasp import load_cloud, run_pipeline, synth_shape
 
     plain = workloads.Workload("synth", ())
     for kind in workloads.SHAPE_DIMS:
         cloud = workloads.make_cloud(workloads.CloudSpec(kind, SYNTH_POINTS), SYNTH_SEED)
         yield f"synth:{kind}-{SYNTH_POINTS}", run_pipeline(cloud, workloads.make_config(plain))
+
+    for label, kind, dims, aperture in GRASP_TYPE_CLOUDS:
+        cloud = synth_shape(kind, dims, SYNTH_POINTS, SYNTH_SEED)
+        cfg = workloads.make_config(plain)
+        cfg.gripper.max_aperture = aperture
+        yield f"synth:{label}-{SYNTH_POINTS}", run_pipeline(cloud, cfg)
 
     for name in ("dense-pool", "large-scan"):
         workload = workloads.WORKLOADS[name]

@@ -13,18 +13,29 @@ code because the package must agree with them exactly:
 - `reference_wrench_set`, the per-edge friction-cone loop (with the
   per-contact `perpendicular_frame`) the package's broadcast `wrench_set`
   replaced, built on the package's `unit`;
+- `reference_sample_node`, the one-direction-at-a-time sampling loop that
+  the package's per-node array pass replaced, built on the package's
+  sub-face schemes, `unit`, `cross` and `PreGrasp`;
+- `rotation_about_axis`, one Rodrigues matrix at a time, which the
+  package's stacked `rotations_about_axes` replaced, built on the package's
+  `unit`;
+- `reference_finger_rays`, the one-pre-grasp-at-a-time finger rays with a
+  Rodrigues matrix per paired finger, which the package's stacked build
+  replaced, built on `rotation_about_axis`;
 - `reference_contacts`, the scan of every cloud point for every finger ray
-  that the package's voxel-indexed contact search replaced, built on the
-  package's `finger_rays`, `unit`, `ContactPoint` and `NoContacts`;
+  that the package's voxel-indexed contact search replaced, built on
+  `reference_finger_rays` and the package's `unit`, `ContactPoint` and
+  `NoContacts`;
 - `reference_slab_summaries`, the per-slab gather and point-major (n_s, 49)
   projection that the package's slab-local, direction-major split screen
   replaced, built on the package's `_Slabs`;
 - `reference_screen`, the one-side-at-a-time PCA and rotation sweep that the
   package's stacked split screen replaced, built on the package's slab
   summaries and search constants;
-- `reference_epsilon_quality`, the per-direction row maxima of the support
-  product that the package's reduction along contiguous memory replaced,
-  built on the package's `_lattice_directions`;
+- `reference_epsilon_quality`, the per-direction row maxima of one wrench
+  set's (n_dirs, k) support product, which the package's stacked (g, k,
+  n_dirs) products reduced along contiguous memory replaced, built on the
+  package's `_lattice_directions`;
 - `reference_rank_pool`, the one-candidate-at-a-time ranking loop that the
   package's sliced, batched ranking replaced, built on `reference_contacts`,
   `reference_wrench_set` and the package's `epsilon_quality` and
@@ -199,6 +210,20 @@ def reference_slab_summaries(X, coord, offsets, dirs):
     return slabs
 
 
+def rotation_about_axis(axis, angle_rad):
+    """Rodrigues rotation matrix about an axis (normalized here), one matrix
+    at a time."""
+    from pregrasp.geom import unit
+
+    a = unit(axis)
+    k = np.array([
+        [0.0, -a[2], a[1]],
+        [a[2], 0.0, -a[0]],
+        [-a[1], a[0], 0.0],
+    ])
+    return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
+
+
 def reference_screen(pts, box, params):
     """The split screen's [(volume, axis, offset)], one side at a time: each
     side's covariance from its moments, its own eigh and tied-pair search,
@@ -206,7 +231,6 @@ def reference_screen(pts, box, params):
     stacked screen did before it fitted all sides of a node as one stack.
     Built on the package's slab summaries and search constants."""
     from pregrasp import decomposition as d
-    from pregrasp.geom import rotation_about_axis
 
     floor = 2.0 * d.EXTENT_FLOOR
 
@@ -546,6 +570,113 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
     return [pg for key in sorted(buckets) for pg in buckets[key]]
 
 
+def reference_sample_node(node, mask, gripper, sampling, grasp_type):
+    """`sample_node` one direction at a time: a per-type generator yields
+    box-frame directions (with the axial offset of a cylinder direction), the
+    ray from the box center picks its exit faces, the direction is kept iff a
+    free sub-face contains the exit point, and the kept samples are sorted
+    stably by (face, cell)."""
+    from pregrasp.classifier import GraspType
+    from pregrasp.decomposition import OrientedBox
+    from pregrasp.facemask import FaceId, cells_containing, face_frame, subfaces
+    from pregrasp.geom import cross, unit
+    from pregrasp.sampler import PreGrasp
+
+    def angle_steps(span_deg, step_deg, inclusive):
+        n = int(np.floor(span_deg / step_deg + 1e-9))
+        return [k * step_deg for k in range(n + 1 if inclusive else n)]
+
+    def sphere_directions():
+        step = sampling.angular_step
+        phis = angle_steps(360.0, step, inclusive=False)
+        for theta in angle_steps(180.0, step, inclusive=True):
+            polar = theta < 1e-9 or abs(theta - 180.0) < 1e-9
+            for phi in ([0.0] if polar else phis):
+                th, ph = np.radians(theta), np.radians(phi)
+                yield np.array([np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph),
+                                np.cos(th)]), None
+
+    def cylinder_directions(length):
+        yield np.array([1.0, 0.0, 0.0]), length / 2.0
+        yield np.array([-1.0, 0.0, 0.0]), -length / 2.0
+        n_stations = int(np.floor(length / sampling.axial_step + 1e-9)) + 1
+        stations = (np.arange(n_stations) - (n_stations - 1) / 2.0) * sampling.axial_step
+        for z in stations:
+            for phi in angle_steps(360.0, sampling.angular_step, inclusive=False):
+                ph = np.radians(phi)
+                yield np.array([0.0, np.cos(ph), np.sin(ph)]), z
+
+    def circle_directions():
+        for phi in angle_steps(360.0, sampling.angular_step, inclusive=False):
+            ph = np.radians(phi)
+            yield np.array([np.cos(ph), np.sin(ph), 0.0]), None
+
+    def exit_faces(d_local, half):
+        t = np.full(3, np.inf)
+        for axis in range(3):
+            if abs(d_local[axis]) > 1e-15:
+                t[axis] = half[axis] / abs(d_local[axis])
+        tmin = float(t.min())
+        faces = [FaceId(2 * axis + (0 if d_local[axis] > 0 else 1))
+                 for axis in range(3) if t[axis] <= tmin * (1.0 + 1e-9)]
+        return faces, tmin
+
+    def closing_from_axis(preferred, fallback, approach):
+        c = preferred - (preferred @ approach) * approach
+        if np.linalg.norm(c) < 1e-8:
+            c = fallback - (fallback @ approach) * approach
+        return unit(c)
+
+    box, gt = node.box, GraspType(grasp_type)
+    half, axis_u = box.half_extents, box.axis(0)
+    frame = box
+    if gt == GraspType.CYLINDRICAL:
+        radius = float(np.hypot(half[1], half[2])) + gripper.standoff
+        directions = cylinder_directions(2.0 * float(half[0]) + 2.0 * gripper.standoff)
+    elif gt == GraspType.THREE_FINGERTIP:
+        radius = float(np.hypot(half[0], half[1])) + gripper.standoff
+        directions = circle_directions()
+        frame = OrientedBox(box.center, box.rotation, np.ones(3))
+    else:
+        radius = float(np.linalg.norm(half)) + gripper.standoff
+        directions = sphere_directions()
+    cells = [subfaces(f, mask, gt, frame) for f in FaceId]
+
+    samples = []
+    for d_local, z in directions:
+        faces, tmin = exit_faces(d_local, frame.half_extents)
+        p = d_local * tmin
+        if z is not None:
+            p[0] = z
+        for face in faces:
+            lr, du = face_frame(face)
+            free = [sf.cell for sf in cells_containing(cells[face], p[lr], p[du]) if sf.free]
+            if free:
+                break
+        else:
+            continue
+        hit = (int(face), free[0])
+        if z is None:
+            d_world = box.rotation @ d_local
+            position = box.center + radius * d_world
+        elif d_local[0]:
+            d_world = d_local[0] * axis_u
+            position = box.center + axis_u * z
+        else:
+            d_world = box.rotation @ d_local
+            position = box.center + axis_u * z + d_world * radius
+        approach = -d_world
+        if gt == GraspType.CYLINDRICAL:
+            closing = unit(cross(axis_u, approach), fallback=box.axis(1).copy())
+        elif gt == GraspType.THREE_FINGERTIP:
+            closing = box.axis(2).copy()
+        else:
+            closing = closing_from_axis(axis_u, box.axis(1), approach)
+        samples.append(PreGrasp(position, approach, closing, gt, node.id, hit))
+    samples.sort(key=lambda pg: pg.source_subface)
+    return samples
+
+
 # ---------------------------------------------------------------------------
 # Ray-tube first-contact reference
 # ---------------------------------------------------------------------------
@@ -580,6 +711,29 @@ def reference_first_hit(points, origin, direction, tube_r):
     return int(np.argmin(np.where(ok, t, np.inf)))
 
 
+def reference_finger_rays(pg, gripper):
+    """Closing rays (origin, direction) of the fingers of one pre-grasp, each
+    paired finger turned by its own Rodrigues matrix: the thumb (not for
+    TwoFingertip), then the fingers at + and - the preshape spread."""
+    from pregrasp.classifier import GRASP_PRESHAPE, GraspType
+
+    tip = pg.position + pg.approach * gripper.finger_length
+    half_ap = gripper.max_aperture / 2.0
+    c = pg.closing_dir
+    rays = []
+    grasp_type = GraspType(pg.grasp_type)
+    if grasp_type != GraspType.TWO_FINGERTIP:
+        rays.append((tip + c * half_ap, -c))
+    spread = np.radians(GRASP_PRESHAPE[grasp_type][0])
+    for s in (spread, -spread):
+        if s == 0.0:
+            rays.append((tip - c * half_ap, c.copy()))
+            continue
+        rot = rotation_about_axis(pg.approach, s)
+        rays.append((tip + rot @ (-c * half_ap), rot @ c))
+    return rays
+
+
 def reference_contacts(pg, cloud, gripper, tube_r=0.005):
     """Contacts of one pre-grasp from a scan of every cloud point for every
     finger ray: the first point along each ray within tube_r, normals toward
@@ -590,12 +744,12 @@ def reference_contacts(pg, cloud, gripper, tube_r=0.005):
     """
     from pregrasp.errors import NoContacts
     from pregrasp.geom import unit
-    from pregrasp.graspeval import ContactPoint, finger_rays
+    from pregrasp.graspeval import ContactPoint
 
     pts = cloud.points
     centroid = cloud.centroid
     contacts = []
-    for origin, direction in finger_rays(pg, gripper):
+    for origin, direction in reference_finger_rays(pg, gripper):
         i = reference_first_hit(pts, origin, direction, tube_r)
         if i is None:
             continue

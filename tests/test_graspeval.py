@@ -11,7 +11,8 @@ import helpers
 import oracles
 from pregrasp import graspeval
 from pregrasp.classifier import GraspType
-from pregrasp.decomposition import decompose
+from pregrasp.decomposition import DecompNode, OrientedBox, decompose
+from pregrasp.facemask import FaceMask
 from pregrasp.errors import ConfigError, EmptyWrenchSet, NoContacts
 from pregrasp.graspeval import (ContactIndex, ContactPoint, EvalParams,
                                 epsilon_quality, estimate_contacts,
@@ -19,7 +20,7 @@ from pregrasp.graspeval import (ContactIndex, ContactPoint, EvalParams,
 from pregrasp.pipeline import RunConfig, _ranking_section
 from pregrasp.pointcloud import SYNTH_KINDS, PointCloud, synth_shape
 from pregrasp.sampler import (GripperConfig, PreGrasp, SamplingParams,
-                              generate_pool)
+                              generate_pool, sample_node)
 
 MU = 0.5
 EDGES = 8
@@ -66,7 +67,7 @@ def cross_polytope_wrenches():
 
 def test_finger_rays_cylindrical_canonical(gripper):
     pg = make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL)
-    rays = finger_rays(pg, gripper)
+    rays = finger_rays([pg], gripper)
     assert len(rays) == 3
     thumb_o, thumb_d = rays[0]
     assert np.allclose(thumb_o, (0.08, 0.0, 0.05))    # fingertip plane, +closing
@@ -78,7 +79,7 @@ def test_finger_rays_cylindrical_canonical(gripper):
 
 def test_finger_rays_spherical_spread(gripper):
     pg = make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL)
-    rays = finger_rays(pg, gripper)
+    rays = finger_rays([pg], gripper)
     assert len(rays) == 3
     c30, s30 = np.cos(np.radians(30.0)), np.sin(np.radians(30.0))
     assert np.allclose(rays[1][0], (0.08, 0.05 * s30, -0.05 * c30))
@@ -93,7 +94,7 @@ def test_finger_rays_spherical_spread(gripper):
 
 def test_finger_rays_two_fingertip_drops_thumb(gripper):
     pg = make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.TWO_FINGERTIP)
-    rays = finger_rays(pg, gripper)
+    rays = finger_rays([pg], gripper)
     assert len(rays) == 2                              # no thumb
     assert np.allclose(rays[0][0], (0.08, 0.05, 0.0))  # 90 deg spread: across y
     assert np.allclose(rays[0][1], (0.0, -1.0, 0.0))
@@ -105,10 +106,38 @@ def test_finger_ray_origins_lie_in_fingertip_plane(gripper):
     pg = make_pregrasp((0.02, -0.01, 0.3), (0, -1, 0), (1, 0, 0),
                        GraspType.SPHERICAL)
     tip = pg.position + pg.approach * gripper.finger_length
-    for origin, direction in finger_rays(pg, gripper):
+    for origin, direction in finger_rays([pg], gripper):
         assert abs((origin - tip) @ pg.approach) < 1e-12
         assert abs(direction @ pg.approach) < 1e-12
         assert np.isclose(np.linalg.norm(origin - tip), gripper.max_aperture / 2)
+
+
+def mixed_pool():
+    """Pre-grasps of all four grasp types sampled on a rotated box, shuffled so
+    that the types interleave."""
+    box = OrientedBox(np.array([0.1, -0.2, 0.3]),
+                      oracles.rotation_from_quaternion(np.array([0.9, 0.1, -0.3, 0.2])),
+                      np.array([0.04, 0.025, 0.015]))
+    node = DecompNode(0, box, np.arange(10), None, ())
+    mask = FaceMask(np.zeros((6, 5), dtype=int))
+    pool = [pg for gt in GraspType
+            for pg in sample_node(node, mask, GripperConfig(), SamplingParams(), gt)]
+    order = np.random.default_rng(4).permutation(len(pool))
+    return [pool[i] for i in order]
+
+
+@pytest.mark.bitexact
+def test_finger_rays_match_reference_bytes(gripper):
+    """The stacked build gives each pre-grasp's rays the bytes of building
+    them one pre-grasp at a time, over a pool that mixes the grasp types,
+    with an empty sequence giving no rays."""
+    pool = mixed_pool() + sphere_pool() + edge_pool()
+    got = finger_rays(pool, gripper)
+    want = [ray for pg in pool for ray in oracles.reference_finger_rays(pg, gripper)]
+    assert got.shape == (len(want), 2, 3)
+    assert [row[0].tobytes() for row in got] == [o.tobytes() for o, _ in want]
+    assert [row[1].tobytes() for row in got] == [d.tobytes() for _, d in want]
+    assert finger_rays([], gripper).shape == (0, 2, 3)
 
 
 # ===========================================================================
@@ -123,7 +152,7 @@ def test_pinch_contacts_match_ray_oracle(small_sphere_cloud, gripper):
                        GraspType.TWO_FINGERTIP)
     contacts = estimate_contacts(pg, small_sphere_cloud, gripper, tube_r=0.005)
     assert len(contacts) == 2
-    for (origin, direction), contact in zip(finger_rays(pg, gripper), contacts):
+    for (origin, direction), contact in zip(finger_rays([pg], gripper), contacts):
         idx = oracles.first_contact_reference(
             small_sphere_cloud.points, origin, direction, 0.005)
         assert idx is not None
@@ -254,7 +283,7 @@ def test_contacts_match_reference_on_edge_rays(sphere_cloud, sphere_tree, grippe
         pool + edge_pool(), sphere_cloud, gripper)
     assert touched >= len(pool) and missed == 1
     inside, inner = inner_pool()
-    for origin, _ in finger_rays(inner[0], inside):
+    for origin, _ in finger_rays([inner[0]], inside):
         assert (np.abs(origin) < 0.05).all()     # the sphere's radius
     touched, _ = assert_contacts_match_reference(inner, sphere_cloud, inside)
     assert touched == 2
@@ -283,8 +312,9 @@ def test_contacts_match_reference_far_and_large_coordinates(sphere_cloud, sphere
     for case_pool, cloud in outlier_and_far_cases(sphere_cloud, pool):
         touched, _ = assert_contacts_match_reference(case_pool, cloud, gripper)
         assert touched > 0
+    rays = finger_rays(pool, gripper)
     _, count = ContactIndex(outlier_and_far_cases(sphere_cloud, pool)[0][1], 0.005)._spans(
-        *graspeval._ray_arrays([ray for pg in pool for ray in finger_rays(pg, gripper)]))
+        rays[:, 0], rays[:, 1])
     assert (count == -1).any() and (count > 0).any()
 
 
@@ -336,7 +366,7 @@ def test_contact_on_the_tube_boundary_counts():
     gripper = exact_gripper()
     r = 2.0 ** -7
     cloud = boundary_cloud()
-    rel = cloud.points[0] - finger_rays(axis_pregrasp(), gripper)[0][0]
+    rel = cloud.points[0] - finger_rays([axis_pregrasp()], gripper)[0][0]
     assert rel @ rel - rel[2] ** 2 == r * r
     contacts = estimate_contacts(axis_pregrasp(), cloud, gripper, r)
     assert contacts[0].position.tobytes() == cloud.points[0].tobytes()
@@ -449,7 +479,7 @@ def test_repeated_ray_is_searched_once(small_sphere_cloud, gripper, monkeypatch)
     """The two paired rays of a zero-spread preshape are one ray: it is
     searched once, and its contact is still listed for both fingers."""
     pg = make_pregrasp((0.0932, 0, 0), (-1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL)
-    rays = finger_rays(pg, gripper)
+    rays = finger_rays([pg], gripper)
     assert rays[1][0].tobytes() == rays[2][0].tobytes()
     assert rays[1][1].tobytes() == rays[2][1].tobytes()
     searched = []
@@ -562,7 +592,7 @@ def assert_odd_rows_in_each_phase(monkeypatch):
     its line behind its origin (t < 0): the front keeps those 3 rows, the
     rest only the contact's lone row, which must still be doubled."""
     pg, cloud = lone_candidate_case()
-    origin, direction = finger_rays(pg, GripperConfig())[0]
+    origin, direction = finger_rays([pg], GripperConfig())[0]
     behind = [origin - k * 0.005 * direction for k in (0.5, 1.0, 1.5)]
     cloud = PointCloud(np.vstack([cloud.points, behind]))
     log = search_log(monkeypatch)
@@ -594,8 +624,8 @@ def test_contact_search_memory_is_bounded(kind, gripper):
     below 2 MB: each pass builds about `_CHUNK_ROWS` rows of each kind."""
     cloud = synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), 10000, seed=1)
     pool = planned_pool(cloud, gripper)[:graspeval._POOL_SLICE]
-    origins, directions = graspeval._ray_arrays(
-        [ray for pg in pool for ray in finger_rays(pg, gripper)])
+    rays = finger_rays(pool, gripper)
+    origins, directions = rays[:, 0], rays[:, 1]
     index = ContactIndex(cloud, EvalParams.tube_radius)
     tracemalloc.start()
     try:
@@ -768,6 +798,46 @@ def test_zero_support_scores_positive_zero():
     sign that a reduction order could pick."""
     q = epsilon_quality(np.vstack([np.zeros(6), np.eye(6)]), n_dirs=14896)
     assert np.float64(q).tobytes() == np.float64(0.0).tobytes()
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("n_dirs", [1, 1024, 14896])
+def test_quality_stack_matches_per_set_bytes(n_dirs):
+    """Qualities of a (g, k, 6) stack, chunked over the sets, equal each
+    set's own quality and the row maxima reference bit for bit, for 2 and 3
+    contacts (the first of a ranked candidate's), a set with an exactly zero
+    support among them."""
+    centroid, contact_sets = ranked_contact_sets()
+    for k in (2, 3):
+        sets = [wrench_set(c[:k], MU, EDGES, centroid) for c in contact_sets if len(c) >= k]
+        # supports max(0, max_i d_i): zero on the all-negative first direction
+        zero_support = np.zeros((k * EDGES, 6))
+        zero_support[1:7] = np.eye(6)
+        sets.append(zero_support)
+        stack = np.stack(sets)
+        assert stack.shape[1] == k * EDGES and len(stack) > 2
+        got = epsilon_quality(stack, n_dirs)
+        assert got.shape == (len(stack),)
+        assert got[-1].tobytes() == np.float64(0.0).tobytes() and (got > 0.0).any()
+        assert got.tobytes() == np.array([epsilon_quality(ws, n_dirs) for ws in sets]).tobytes()
+        assert got.tobytes() == np.array(
+            [oracles.reference_epsilon_quality(ws, n_dirs) for ws in sets]).tobytes()
+
+
+def test_quality_memory_is_bounded():
+    """Grading one pool slice of 3-contact grasps (24 wrenches each) at the
+    default direction count peaks below 2 MB: the support products are
+    built about 1 MB at a time, not the slice's 25 MB at once."""
+    stack = np.random.default_rng(2).normal(size=(graspeval._POOL_SLICE, 3 * EDGES, 6))
+    epsilon_quality(stack[:1])        # the cached lattice is not part of the peak
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        epsilon_quality(stack)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, f"epsilon_quality peaked {peak / 1e6:.2f} MB above its start"
 
 
 def test_single_contact_scores_zero():

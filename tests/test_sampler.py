@@ -93,10 +93,10 @@ def test_preshape_table():
 
 
 def test_angle_steps():
-    assert _angle_steps(360.0, 30.0, inclusive=False) == [k * 30.0 for k in range(12)]
-    assert _angle_steps(180.0, 30.0, inclusive=True) == [k * 30.0 for k in range(7)]
+    assert _angle_steps(360.0, 30.0, inclusive=False).tolist() == [k * 30.0 for k in range(12)]
+    assert _angle_steps(180.0, 30.0, inclusive=True).tolist() == [k * 30.0 for k in range(7)]
     # non-divisible span floors
-    assert _angle_steps(360.0, 50.0, inclusive=False) == [k * 50.0 for k in range(7)]
+    assert _angle_steps(360.0, 50.0, inclusive=False).tolist() == [k * 50.0 for k in range(7)]
 
 
 # ===========================================================================
@@ -327,6 +327,56 @@ def test_sample_node_matches_reference_samplers(box_name, gripper, sampling):
             assert json.dumps(got) == json.dumps(want), (combo, grasp_type)
             emitted += len(got)
     assert emitted > 0
+
+
+ARRAY_PASS_BOXES = {
+    "criterion_6": REFERENCE_BOXES["criterion_6"],
+    "rotated": REFERENCE_BOXES["rotated"],
+    # tied extents: rays through edges and corners tie between exit faces
+    "cube": helpers.axis_box((0.01, 0.02, -0.03), (0.03, 0.03, 0.03)),
+    "rotated_cube": OrientedBox(np.array([-0.2, 0.1, 0.4]),
+                                oracles.rotation_from_quaternion(np.array([0.3, 0.5, -0.3, 0.2])),
+                                np.array([0.02, 0.02, 0.02])),
+    # a column-major rotation, as a transposed eigenvector matrix would be
+    "fortran_rotation": OrientedBox(
+        np.array([0.1, -0.1, 0.05]),
+        np.asfortranarray(oracles.rotation_from_quaternion(np.array([0.3, 0.5, -0.3, 0.7]))),
+        np.array([0.05, 0.02, 0.015])),
+}
+
+# all free, each face blocked alone, and pairs of adjacent faces blocked
+ARRAY_PASS_MASKS = ([[0] * 6] + [[int(f == k) for f in range(6)] for k in range(6)]
+                    + [[1, 0, 1, 0, 0, 0], [0, 0, 0, 1, 1, 0], [0, 1, 0, 0, 0, 1]])
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("box_name", sorted(ARRAY_PASS_BOXES))
+@pytest.mark.parametrize("angular_step,axial_step", [(7.0, 0.013), (10.0, 0.005),
+                                                     (45.0, 0.01), (180.0, 0.02)])
+def test_sample_node_matches_reference_bytes(box_name, angular_step, axial_step):
+    """The per-node array pass gives the bytes of the one-direction-at-a-time
+    loop: positions, approaches, closing directions and (face, cell) order,
+    for every grasp type (cylinder caps included), on masks with no face,
+    one face and two adjacent faces blocked, at steps that do and do not
+    divide 180 and 360."""
+    node = leaf_node(ARRAY_PASS_BOXES[box_name], nid=5)
+    sampling = SamplingParams(angular_step, axial_step)
+    emitted = set()
+    for combo in ARRAY_PASS_MASKS:
+        mask = face_mask(combo)
+        for grasp_type, gripper in itertools.product(
+                GraspType, (GripperConfig(), GripperConfig(standoff=0.0))):
+            got = sample_node(node, mask, gripper, sampling, grasp_type)
+            want = oracles.reference_sample_node(node, mask, gripper, sampling, grasp_type)
+            assert [pg.source_subface for pg in got] == [pg.source_subface for pg in want]
+            for field in ("position", "approach", "closing_dir"):
+                assert [getattr(pg, field).tobytes() for pg in got] == \
+                    [getattr(pg, field).tobytes() for pg in want], (combo, grasp_type, field)
+            assert all(pg.grasp_type == grasp_type and pg.source_node == 5 for pg in got)
+            emitted.update((grasp_type, pg.source_subface[0]) for pg in got)
+    # every grasp type kept samples, on the caps too
+    assert {gt for gt, _ in emitted} == set(GraspType)
+    assert {(GraspType.CYLINDRICAL, int(f)) for f in (FaceId.PLUS_U, FaceId.MINUS_U)} <= emitted
 
 
 # ===========================================================================
