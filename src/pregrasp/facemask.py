@@ -220,10 +220,3 @@ def subfaces(face, mask, grasp_type, box):
         rules = {0: (FaceDir.DOWN,), 2: (FaceDir.UP,)}
         return _grid_cells(face, mask, box, 1, 3, rules)
     return _grid_cells(face, mask, box, 3, 3, _RULES_3X3)
-
-
-def cells_containing(cell_list, lr, du, tol=CELL_TOL):
-    """Cells whose closed rect contains the face-local point (lr, du)."""
-    return [sf for sf in cell_list
-            if sf.rect[0] - tol <= lr <= sf.rect[2] + tol
-            and sf.rect[1] - tol <= du <= sf.rect[3] + tol]

@@ -3,17 +3,6 @@
 import numpy as np
 
 
-def unit(v, fallback=None):
-    """Normalize v; return `fallback` (or raise) when the norm is ~0."""
-    v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
-    if n < 1e-12:
-        if fallback is None:
-            raise ValueError("cannot normalize a zero vector")
-        return np.asarray(fallback, dtype=float)
-    return v / n
-
-
 def aligned(a):
     """Copy of an (n, ...) array whose items a[i] each start on a 16-byte
     boundary, as a fresh array of one item does.
@@ -31,8 +20,8 @@ def aligned(a):
 
 
 def row_norms(v):
-    """Euclidean norm of each row of an (n, 3) array, with the bits `unit`
-    gets for that row on its own.
+    """Euclidean norm of each row of an (n, 3) array, with the bits that
+    np.linalg.norm gives that row as a fresh 3-vector.
 
     A stacked 1x3 @ 3x1 product takes the BLAS dot routine of a 1-D norm,
     where a row-wise sum or einsum can round differently; its rows are
@@ -43,8 +32,9 @@ def row_norms(v):
 
 
 def unit_rows(v, fallback=None):
-    """Normalize each row of an (n, 3) array, bit for bit as `unit` does; a
-    row whose norm is ~0 takes the matching row of the (n, 3) `fallback`.
+    """Normalize each row of an (n, 3) array, bit for bit as the one-vector
+    `unit` of tests/oracles.py does; a row whose norm is ~0 takes the
+    matching row of the (n, 3) `fallback`.
 
     Raises:
         ValueError: a row's norm is ~0 and there is no fallback.

@@ -10,9 +10,10 @@ every finger ray of a slice is searched in batched passes that visit only
 the points in cells along the rays' paths, screen them with pair products
 and decide each ray with the arithmetic of a scan of every point, on the
 cells at the ray's front first and on its other cells only when a point
-there could still come first.  The contacts of a slice's candidates build
-their (k, 6) arrays of friction-cone edge wrenches, rows [force | torque], in
-one broadcast, and grasps are scored with the largest-ball (epsilon) quality:
+there could still come first.  A grasp's contacts are a (k, 2, 3) array of
+(position, normal) rows.  The contacts of a slice's candidates build their
+(k, 6) arrays of friction-cone edge wrenches, rows [force | torque], in one
+broadcast, and grasps are scored with the largest-ball (epsilon) quality:
 the radius of the biggest origin-centered ball inside the convex hull of
 those rows, estimated by support-function sampling.
 """
@@ -20,7 +21,7 @@ those rows, estimated by support-function sampling.
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar, List
+from typing import ClassVar
 
 import numpy as np
 
@@ -46,15 +47,9 @@ _QUALITY_BYTES = 1 << 20
 
 
 @dataclass
-class ContactPoint:
-    position: np.ndarray
-    normal: np.ndarray      # unit, toward the object interior
-
-
-@dataclass
 class GraspCandidate:
     pool_index: int
-    contacts: List[ContactPoint]
+    contacts: np.ndarray    # (k, 2, 3): position, unit normal toward the interior
     quality: float          # 0 whenever fewer than 2 contacts
 
 
@@ -71,14 +66,16 @@ class EvalParams:
 # Finger rays and contacts
 # ===========================================================================
 
-def _finger_count(grasp_type):
-    """Fingers of a grasp type: no thumb for TwoFingertip."""
-    return 2 if GraspType(grasp_type) == GraspType.TWO_FINGERTIP else 3
+# Per grasp-type code of a pool row: the spread of the paired fingers about
+# the approach axis (radians), and whether a thumb closes too.
+_SPREAD = np.radians([GRASP_PRESHAPE[t][0] for t in GraspType])
+_THUMB = np.array([t != GraspType.TWO_FINGERTIP for t in GraspType])
 
 
-def finger_rays(pregrasps, gripper):
-    """Closing rays of the fingers of a sequence of pre-grasps, as an
-    (n_rays, 2, 3) array of (origin, direction) rows, pre-grasp by pre-grasp.
+def finger_rays(pool, gripper):
+    """Closing rays of the fingers of a pre-grasp pool (`sampler.POOL_DTYPE`
+    rows), as an (n_rays, 2, 3) array of (origin, direction) rows, pre-grasp
+    by pre-grasp.
 
     Thumb: from the +closing_dir side at half aperture, closing along
     -closing_dir (omitted for TwoFingertip).  The two paired fingers start on
@@ -88,25 +85,23 @@ def finger_rays(pregrasps, gripper):
     every product is taken on operands aligned like fresh arrays, so every
     ray has the bits it gets when its pre-grasp's rays are built alone.
     """
-    types = [GraspType(pg.grasp_type) for pg in pregrasps]
-    vectors = np.array([(pg.position, pg.approach, pg.closing_dir) for pg in pregrasps])
-    position, approach, c = vectors.reshape(-1, 3, 3).transpose(1, 0, 2)
-    tip = position + approach * gripper.finger_length
+    approach, c, code = pool["approach"], pool["closing_dir"], pool["grasp_type"]
+    tip = pool["position"] + approach * gripper.finger_length
     half_ap = gripper.max_aperture / 2.0
-    rays = np.empty((len(types), 3, 2, 3))
+    rays = np.empty((len(pool), 3, 2, 3))
     rays[:, 0] = np.stack((tip + c * half_ap, -c), axis=1)
     # a zero spread's rotation would be the identity, whose product can only
     # change the sign of a zero component
     rays[:, 1:] = np.stack((tip - c * half_ap, c), axis=1)[:, None]
-    spread = np.radians([GRASP_PRESHAPE[t][0] for t in types])
+    spread = _SPREAD[code]
     turned = np.flatnonzero(spread != 0.0)
     back, closing = aligned(-c[turned] * half_ap)[:, :, None], aligned(c[turned])[:, :, None]
     for finger, s in ((1, spread[turned]), (2, -spread[turned])):
         rot = rotations_about_axes(approach[turned], s)
         rays[turned, finger, 0] = tip[turned] + (rot @ back)[:, :, 0]
         rays[turned, finger, 1] = (rot @ closing)[:, :, 0]
-    fingers = np.ones((len(types), 3), dtype=bool)
-    fingers[:, 0] = [_finger_count(t) == 3 for t in types]
+    fingers = np.ones((len(pool), 3), dtype=bool)
+    fingers[:, 0] = _THUMB[code]
     return rays[fingers]
 
 
@@ -428,26 +423,29 @@ def _search(index, origins, directions):
     return index.first_hits(origins[new], directions[new])[np.cumsum(new) - 1]
 
 
-def _contact_rows(index, hits, directions):
-    """Positions and inward normals, as two (n, 3) arrays, of the contacts at
-    points `hits` of rays along `directions`: normals point from the
-    contact toward the cloud centroid, or against the ray when the contact
-    is the centroid."""
+def _contacts(index, hits, directions):
+    """(n, 2, 3) (position, inward normal) rows of the contacts at points
+    `hits` of rays along `directions`: normals point from the contact toward
+    the cloud centroid, or against the ray when the contact is the
+    centroid."""
     positions = index.points.take(hits, axis=0)
-    return positions, unit_rows(index.centroid - positions, fallback=-directions)
+    return np.stack((positions, unit_rows(index.centroid - positions, fallback=-directions)),
+                    axis=1)
 
 
 def estimate_contacts(pg, cloud, gripper, tube_r=EvalParams.tube_radius, index=None, found=None):
-    """First cloud point along each closing ray within perpendicular distance
-    tube_r.  Normals point from the contact toward the cloud centroid (the
-    object interior).  Rays that touch nothing contribute no contact; a ray
-    equal to the previous one repeats its contact without a second search.
+    """Contacts of the one-row pool `pg`, as a (k, 2, 3) array of (position,
+    normal) rows: the first cloud point along each closing ray within
+    perpendicular distance tube_r.  Normals point from the contact toward
+    the cloud centroid (the object interior).  Rays that touch nothing
+    contribute no contact; a ray equal to the previous one repeats its
+    contact without a second search.
 
     `index` is a `ContactIndex` of `cloud` for `tube_r` (rank_pool builds one
     per cloud); one is built here when it is None.  `found` is the
-    pre-grasp's contacts as (positions, normals) arrays, one row per ray
-    that touched, from the search `rank_pool` makes for a slice of the pool;
-    given them, the rays are neither built nor searched here.
+    pre-grasp's contacts, one row per ray that touched, from the search
+    `rank_pool` makes for a slice of the pool; given them, the rays are
+    neither built nor searched here.
 
     Raises:
         NoContacts: no finger ray touched the cloud.
@@ -458,46 +456,34 @@ def estimate_contacts(pg, cloud, gripper, tube_r=EvalParams.tube_radius, index=N
     elif index.points is not cloud.points or index.tube_r != tube_r:
         raise ValueError("contact index built for another cloud or tube radius")
     if found is None:
-        rays = finger_rays([pg], gripper)
+        rays = finger_rays(pg, gripper)
         origins, directions = rays[:, 0], rays[:, 1]
         hits = _search(index, origins, directions)
-        found = _contact_rows(index, hits[hits >= 0], directions[hits >= 0])
-    # fresh 3-vectors, which start 16-byte aligned like any new array: a row
-    # of `found` may not, and some BLAS kernels round a dot product of a
-    # vector that starts off a 16-byte boundary differently (geom.row_norms)
-    contacts = [ContactPoint(p.copy(), n.copy()) for p, n in zip(*found)]
-    if not contacts:
-        raise NoContacts(f"no finger touched the cloud from {pg.position.tolist()}")
-    return contacts
+        found = _contacts(index, hits[hits >= 0], directions[hits >= 0])
+    if len(found) == 0:
+        raise NoContacts(f"no finger touched the cloud from {pg['position'][0].tolist()}")
+    return found
 
 
 # ===========================================================================
 # Wrenches and quality
 # ===========================================================================
 
-def wrench_set(contacts, mu, m_edges, centroid):
-    """Friction-cone edge wrenches as a (len(contacts) * m_edges, 6) array.
+def wrench_set(positions, normals, mu, m_edges, centroid):
+    """Friction-cone edge wrenches of g grasps of k contacts each, in one
+    broadcast: (g, k, 3) contact positions and normals in, (g, k * m_edges,
+    6) wrenches out.
 
     Rows are [force | torque], contact-major, then cone edge k at angle
     2 pi k / m_edges about the normal.  Unit forces at half-angle atan(mu)
     around each contact normal; torques (p - centroid) x f scaled by rho = the
-    largest contact distance from the centroid (1 when every contact sits on
-    it).  mu = 0 degenerates every edge to the normal itself.  No contacts
-    give a (0, 6) array.
+    grasp's largest contact distance from the centroid (1 when every contact
+    sits on it).  mu = 0 degenerates every edge to the normal itself.  No
+    contacts give no rows.
     """
-    if not contacts:
-        return np.empty((0, 6))
-    positions = np.array([c.position for c in contacts])
-    normals = np.array([c.normal for c in contacts])
-    return _wrench_batch(positions[None], normals[None], mu, m_edges, centroid)[0]
-
-
-def _wrench_batch(positions, normals, mu, m_edges, centroid):
-    """`wrench_set` of g grasps of k contacts each in one broadcast: (g, k, 3)
-    contact positions and normals in, (g, k * m_edges, 6) wrenches out."""
     g, k = positions.shape[:2]
     arms = (positions - np.asarray(centroid, dtype=float)).reshape(-1, 3)
-    rho = row_norms(arms).reshape(g, k).max(axis=1)
+    rho = row_norms(arms).reshape(g, k).max(axis=1, initial=0.0)
     rho[rho == 0.0] = 1.0
     normals = unit_rows(normals.reshape(-1, 3))
     n, e1, e2 = (a[:, None, :] for a in (normals, *perpendicular_frames(normals)))  # (g k, 1, 3)
@@ -567,34 +553,34 @@ def _rank_slice(part, first, cloud, index, gripper, params):
     search of all their rays, one wrench broadcast and one quality call per
     contact count."""
     rays = finger_rays(part, gripper)
-    n_rays = np.array([_finger_count(pg.grasp_type) for pg in part], dtype=np.int64)
+    n_rays = 2 + _THUMB[part["grasp_type"]]
     directions = rays[:, 1]
     hits = _search(index, rays[:, 0], directions)
     touched = hits >= 0
-    positions, normals = _contact_rows(index, hits[touched], directions[touched])
+    contacts = _contacts(index, hits[touched], directions[touched])
     counts = np.add.reduceat(touched.astype(np.int64), np.cumsum(n_rays) - n_rays)
     starts = np.cumsum(counts) - counts
     quality = np.zeros(len(part))
     for k in np.unique(counts[counts >= 2]).tolist():
         which = np.flatnonzero(counts == k)
-        rows = starts[which][:, None] + np.arange(k)
-        batch = _wrench_batch(positions[rows], normals[rows], gripper.friction_mu,
+        batch = contacts[starts[which][:, None] + np.arange(k)]
+        wrenches = wrench_set(batch[:, :, 0], batch[:, :, 1], gripper.friction_mu,
                               params.cone_edges, index.centroid)
-        quality[which] = epsilon_quality(batch, params.quality_dirs)
+        quality[which] = epsilon_quality(wrenches, params.quality_dirs)
     graded = []
-    for i, (pg, s, k, q) in enumerate(zip(part, starts.tolist(), counts.tolist(),
-                                          quality.tolist())):
+    for i, (s, k, q) in enumerate(zip(starts.tolist(), counts.tolist(), quality.tolist())):
+        found = contacts[s:s + k]
         try:
-            contacts = estimate_contacts(pg, cloud, gripper, params.tube_radius, index=index,
-                                         found=(positions[s:s + k], normals[s:s + k]))
+            found = estimate_contacts(part[i:i + 1], cloud, gripper, params.tube_radius,
+                                      index=index, found=found)
         except NoContacts:
-            contacts = []
-        graded.append(GraspCandidate(first + i, contacts, q))
+            pass
+        graded.append(GraspCandidate(first + i, found, q))
     return graded
 
 
 def rank_pool(pool, cloud, gripper, params=None):
-    """Evaluate and sort a pre-grasp pool.
+    """Evaluate and sort a pre-grasp pool (a `sampler.POOL_DTYPE` array).
 
     Candidates with fewer than 2 contacts score 0.  Sort is stable by
     (quality desc, contact count desc, pool order asc), so re-ranking a

@@ -89,26 +89,31 @@ def _mask_section(tree, masks):
     return section
 
 def _pool_section(pool):
+    # per grasp-type code: (name, spread angle, fingertip mode)
+    types = [(t.value, float(GRASP_PRESHAPE[t][0]), bool(GRASP_PRESHAPE[t][1]))
+             for t in GraspType]
+    faces = [f.name for f in FaceId]
     return [{
-        "position": pg.position.tolist(),
-        "approach": pg.approach.tolist(),
-        "closing_dir": pg.closing_dir.tolist(),
-        "grasp_type": pg.grasp_type.value,
-        "spread_angle": float(GRASP_PRESHAPE[pg.grasp_type][0]),
-        "fingertip_mode": bool(GRASP_PRESHAPE[pg.grasp_type][1]),
-        "source_node": pg.source_node,
-        "source_face": FaceId(pg.source_subface[0]).name,
-        "source_cell": pg.source_subface[1],
-    } for pg in pool]
+        "position": position,
+        "approach": approach,
+        "closing_dir": closing,
+        "grasp_type": types[code][0],
+        "spread_angle": types[code][1],
+        "fingertip_mode": types[code][2],
+        "source_node": node,
+        "source_face": faces[face],
+        "source_cell": cell,
+    } for position, approach, closing, code, node, face, cell in zip(
+        *(pool[name].tolist() for name in pool.dtype.names))]
 
 def _ranking_section(candidates):
     return [{
         "pool_index": c.pool_index,
         "contact_count": len(c.contacts),
         "contacts": [{
-            "position": ct.position.tolist(),
-            "normal": ct.normal.tolist(),
-        } for ct in c.contacts],
+            "position": position,
+            "normal": normal,
+        } for position, normal in c.contacts.tolist()],
         "quality": float(c.quality),
     } for c in candidates]
 

@@ -19,7 +19,6 @@ import json
 import logging
 import operator
 import os
-import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -346,11 +345,13 @@ def _union_of_boxes(rng, boxes, n):
 # ===========================================================================
 
 def save_results(path, payload):
-    """Write a JSON result document atomically (temp file + rename)."""
+    """Write a JSON result document atomically (temp file + rename).  The
+    file gets mode 0o666 less the umask, as a plain `open` would give it."""
     path = str(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(prefix=".pregrasp-", suffix=".json", dir=directory)
+    tmp = os.path.join(directory, f".pregrasp-{os.urandom(8).hex()}.json")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2)

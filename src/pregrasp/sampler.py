@@ -10,12 +10,13 @@ then stations x angles around the longest axis for Cylindrical; the circle of
 the two largest extents for ThreeFingertip): the ray from the box center
 along each direction picks its exit faces, and the direction is kept iff a
 free sub-face contains the exit point.  Every sample faces the box: the
-approach ray points back through the node's box.
+approach ray points back through the node's box.  The pool is one
+`POOL_DTYPE` array, a row per pre-grasp.
 """
 
 import logging
 from dataclasses import dataclass
-from typing import ClassVar, Tuple
+from typing import ClassVar
 
 import numpy as np
 
@@ -44,14 +45,12 @@ class SamplingParams:
     BOUNDS: ClassVar[dict] = {"angular_step": "in (0, 180]", "axial_step": "> 0"}
 
 
-@dataclass
-class PreGrasp:
-    position: np.ndarray
-    approach: np.ndarray         # unit, points at the box
-    closing_dir: np.ndarray      # unit, orthogonal to approach
-    grasp_type: GraspType
-    source_node: int
-    source_subface: Tuple[int, int]   # (FaceId, cell)
+# A pre-grasp pool row: the approach is a unit vector pointing at the box and
+# the closing direction a unit vector orthogonal to it; the grasp type is an
+# index into tuple(GraspType), the source sub-face a (FaceId, cell) pair.
+POOL_DTYPE = np.dtype([("position", "f8", 3), ("approach", "f8", 3), ("closing_dir", "f8", 3),
+                       ("grasp_type", "i8"), ("source_node", "i8"), ("source_face", "i8"),
+                       ("source_cell", "i8")], align=True)
 
 
 # ===========================================================================
@@ -168,8 +167,8 @@ def _dots(u, v):
 
 
 def sample_node(node, mask, gripper, sampling, grasp_type):
-    """Pre-grasps of one node on its grasp type's enclosing surface, ordered
-    by (face, cell, emission order).
+    """Pre-grasps of one node on its grasp type's enclosing surface, as a
+    `POOL_DTYPE` array ordered by (face, cell, emission order).
 
     Sphere: radius |half extents| + standoff, closing along the longest box
     axis made orthogonal to the approach.  Cylinder: inward radial samples on
@@ -225,11 +224,11 @@ def sample_node(node, mask, gripper, sampling, grasp_type):
         v = box.axis(1)
         closing[flat] = v - _dots(v, approach[flat])[:, None] * approach[flat]
         closing = unit_rows(closing)
-    # fresh 3-vectors: a row of an (n, 3) block may start off a 16-byte
-    # boundary, and some BLAS kernels round its dot products differently
-    return [PreGrasp(p.copy(), a.copy(), c.copy(), gt, node.id, hit)
-            for p, a, c, hit in zip(position, approach, closing,
-                                    zip(face.tolist(), cell.tolist()))]
+    pool = np.zeros(len(rows), POOL_DTYPE)
+    pool["position"], pool["approach"], pool["closing_dir"] = position, approach, closing
+    pool["grasp_type"], pool["source_node"] = tuple(GraspType).index(gt), node.id
+    pool["source_face"], pool["source_cell"] = face, cell
+    return pool
 
 
 # ===========================================================================
@@ -237,13 +236,14 @@ def sample_node(node, mask, gripper, sampling, grasp_type):
 # ===========================================================================
 
 def generate_pool(tree, classes, masks, gripper, sampling):
-    """All pre-grasps of the selected nodes, ordered by
-    (node id, face, cell, sample index).  Deterministic."""
-    pool = []
+    """All pre-grasps of the selected nodes, as one `POOL_DTYPE` array
+    ordered by (node id, face, cell, sample index).  Deterministic."""
+    parts = [np.zeros(0, POOL_DTYPE)]
     for nid in sorted(select_nodes(tree, classes, gripper)):
         grasp_type = classes[nid][1]
         samples = sample_node(tree.node(nid), masks[nid], gripper, sampling, grasp_type)
         logger.debug("node %d (%s): %d samples", nid, GraspType(grasp_type).value, len(samples))
-        pool.extend(samples)
+        parts.append(samples)
+    pool = np.concatenate(parts)
     logger.info("pre-grasp pool: %d candidates", len(pool))
     return pool

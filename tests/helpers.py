@@ -161,10 +161,21 @@ def random_rotation(rng):
     return oracles.rotation_from_quaternion(rng.standard_normal(4))
 
 
+def source_subface(pre_grasp):
+    """(face, cell) of a pool row's source sub-face."""
+    return int(pre_grasp["source_face"]), int(pre_grasp["source_cell"])
+
+
+def grasp_type_of(pre_grasp):
+    """The GraspType of a pool row."""
+    return tuple(GraspType)[pre_grasp["grasp_type"]]
+
+
 def subface_is_free(tree, classes, masks, pre_grasp):
-    """Whether a pre-grasp's source sub-face is free in its node's mask."""
-    face_index, cell = pre_grasp.source_subface
-    node = tree.node(pre_grasp.source_node)
+    """Whether a pre-grasp's (a pool row's) source sub-face is free in its
+    node's mask."""
+    face_index, cell = source_subface(pre_grasp)
+    node = tree.node(int(pre_grasp["source_node"]))
     cells = subfaces(FaceId(face_index), masks[node.id],
                      classes[node.id][1], node.box)
     return cells[cell].free

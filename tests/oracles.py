@@ -9,23 +9,21 @@ code because the package must agree with them exactly:
   search must agree with, built on the package's public `evaluate_split`;
 - `reference_samples`, the three separate per-surface samplers the package's
   single sampling loop replaced, built on the package's sub-face schemes and
-  `PreGrasp`;
+  `POOL_DTYPE`;
 - `reference_wrench_set`, the per-edge friction-cone loop (with the
   per-contact `perpendicular_frame`) the package's broadcast `wrench_set`
-  replaced, built on the package's `unit`;
+  replaced;
 - `reference_sample_node`, the one-direction-at-a-time sampling loop that
   the package's per-node array pass replaced, built on the package's
-  sub-face schemes, `unit`, `cross` and `PreGrasp`;
+  sub-face schemes, `cross` and `POOL_DTYPE`;
 - `rotation_about_axis`, one Rodrigues matrix at a time, which the
-  package's stacked `rotations_about_axes` replaced, built on the package's
-  `unit`;
+  package's stacked `rotations_about_axes` replaced;
 - `reference_finger_rays`, the one-pre-grasp-at-a-time finger rays with a
   Rodrigues matrix per paired finger, which the package's stacked build
   replaced, built on `rotation_about_axis`;
 - `reference_contacts`, the scan of every cloud point for every finger ray
   that the package's voxel-indexed contact search replaced, built on
-  `reference_finger_rays` and the package's `unit`, `ContactPoint` and
-  `NoContacts`;
+  `reference_finger_rays` and the package's `NoContacts`;
 - `reference_slab_summaries`, the per-slab gather and point-major (n_s, 49)
   projection that the package's slab-local, direction-major split screen
   replaced, built on the package's `_Slabs`;
@@ -40,9 +38,59 @@ code because the package must agree with them exactly:
   package's sliced, batched ranking replaced, built on `reference_contacts`,
   `reference_wrench_set` and the package's `epsilon_quality` and
   `GraspCandidate`.
+
+`unit` normalizes one vector at a time, as the package's `unit_rows` does
+each row, and `cells_containing` tests one point against a face's cells, as
+the package's sampler tests all its exit points at once.  The oracles take a
+pre-grasp as one row of a `POOL_DTYPE` pool and copy its vectors before any
+BLAS call: a record column's rows may start off a 16-byte boundary, where
+some BLAS kernels round a product differently (see the package's
+`geom.aligned`).
 """
 
 import numpy as np
+
+# ---------------------------------------------------------------------------
+# One vector, one point, one pool row at a time
+# ---------------------------------------------------------------------------
+
+def unit(v, fallback=None):
+    """Normalize v; return `fallback` (or raise) when the norm is ~0."""
+    v = np.asarray(v, dtype=float)
+    n = np.linalg.norm(v)
+    if n < 1e-12:
+        if fallback is None:
+            raise ValueError("cannot normalize a zero vector")
+        return np.asarray(fallback, dtype=float)
+    return v / n
+
+
+def cells_containing(cell_list, lr, du):
+    """Cells whose closed rect (CELL_TOL slack) contains the face-local point
+    (lr, du)."""
+    from pregrasp.facemask import CELL_TOL as tol
+
+    return [sf for sf in cell_list
+            if sf.rect[0] - tol <= lr <= sf.rect[2] + tol
+            and sf.rect[1] - tol <= du <= sf.rect[3] + tol]
+
+
+def pool_of(samples):
+    """A `POOL_DTYPE` pool of (position, approach, closing_dir, grasp type,
+    node id, (face, cell)) samples."""
+    from pregrasp.classifier import GraspType
+    from pregrasp.sampler import POOL_DTYPE
+
+    pool = np.zeros(len(samples), POOL_DTYPE)
+    for i, (p, a, c, grasp_type, nid, (face, cell)) in enumerate(samples):
+        pool[i] = (p, a, c, tuple(GraspType).index(GraspType(grasp_type)), nid, face, cell)
+    return pool
+
+
+def row_vectors(pg):
+    """Fresh copies of a pool row's position, approach and closing_dir."""
+    return pg["position"].copy(), pg["approach"].copy(), pg["closing_dir"].copy()
+
 
 # ---------------------------------------------------------------------------
 # Rotated-box cloud fixtures
@@ -213,8 +261,6 @@ def reference_slab_summaries(X, coord, offsets, dirs):
 def rotation_about_axis(axis, angle_rad):
     """Rodrigues rotation matrix about an axis (normalized here), one matrix
     at a time."""
-    from pregrasp.geom import unit
-
     a = unit(axis)
     k = np.array([
         [0.0, -a[2], a[1]],
@@ -318,8 +364,6 @@ def reference_screen(pts, box, params):
 def perpendicular_frame(n):
     """Two unit vectors completing a right-handed frame with normal n, built
     one contact at a time from the global axis least parallel to n."""
-    from pregrasp.geom import unit
-
     n = unit(n)
     g = np.zeros(3)
     g[int(np.argmin(np.abs(n)))] = 1.0
@@ -329,23 +373,22 @@ def perpendicular_frame(n):
 
 
 def reference_wrench_set(contacts, mu, m_edges, centroid):
-    """Friction-cone edge wrenches built one contact and one edge at a time,
-    rows [force | torque] stacked as a (len(contacts) * m_edges, 6) array."""
-    from pregrasp.geom import unit
-
+    """Friction-cone edge wrenches of a (k, 2, 3) array of (position, normal)
+    contacts, built one contact and one edge at a time, rows [force | torque]
+    stacked as a (k * m_edges, 6) array."""
     centroid = np.asarray(centroid, dtype=float)
-    if not contacts:
+    if len(contacts) == 0:
         return np.empty((0, 6))
-    rho = max(float(np.linalg.norm(c.position - centroid)) for c in contacts)
+    rho = max(float(np.linalg.norm(position - centroid)) for position, _ in contacts)
     if rho <= 0.0:
         rho = 1.0
     alpha = np.arctan(mu)
     cos_a, sin_a = np.cos(alpha), np.sin(alpha)
     rows = []
-    for c in contacts:
-        n = unit(c.normal)
+    for position, normal in contacts:
+        n = unit(normal.copy())
         e1, e2 = perpendicular_frame(n)
-        arm = c.position - centroid
+        arm = position - centroid
         for k in range(m_edges):
             theta = 2.0 * np.pi * k / m_edges
             f = cos_a * n + sin_a * (np.cos(theta) * e1 + np.sin(theta) * e2)
@@ -441,9 +484,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
     kept sample by its (face, cell) and returns the buckets in key order.
     """
     from pregrasp.classifier import GraspType
-    from pregrasp.facemask import FaceId, cells_containing, face_frame, subfaces
-    from pregrasp.geom import unit
-    from pregrasp.sampler import PreGrasp
+    from pregrasp.facemask import FaceId, face_frame, subfaces
 
     def angle_steps(span_deg, step_deg, inclusive):
         n = int(np.floor(span_deg / step_deg + 1e-9))
@@ -493,7 +534,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
                 d_world = box.rotation @ d_local
                 approach = -d_world
                 closing = closing_from_axis(box.axis(0), box.axis(1), approach)
-                buckets.setdefault(hit, []).append(PreGrasp(
+                buckets.setdefault(hit, []).append((
                     box.center + radius * d_world, approach, closing, gt, node.id, hit))
         return buckets
 
@@ -509,7 +550,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
         for face in (FaceId.PLUS_U, FaceId.MINUS_U):
             if cells[int(face)][0].free:
                 sign = 1.0 if face == FaceId.PLUS_U else -1.0
-                buckets.setdefault((int(face), 0), []).append(PreGrasp(
+                buckets.setdefault((int(face), 0), []).append((
                     box.center + sign * axis_u * (length / 2.0), -sign * axis_u,
                     box.axis(1).copy(), gt, node.id, (int(face), 0)))
         n_stations = int(np.floor(length / sampling.axial_step + 1e-9)) + 1
@@ -527,7 +568,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
                 radial = box.rotation @ d_local
                 approach = -radial
                 closing = unit(np.cross(axis_u, approach))
-                buckets.setdefault(hit, []).append(PreGrasp(
+                buckets.setdefault(hit, []).append((
                     box.center + axis_u * z + radial * radius, approach, closing,
                     gt, node.id, hit))
         return buckets
@@ -555,7 +596,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
             if hit is None:
                 continue
             d_world = box.rotation @ d_local
-            buckets.setdefault(hit, []).append(PreGrasp(
+            buckets.setdefault(hit, []).append((
                 box.center + radius * d_world, -d_world, box.axis(2).copy(),
                 gt, node.id, hit))
         return buckets
@@ -567,7 +608,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
         buckets = circle()
     else:
         buckets = spherical(gt)
-    return [pg for key in sorted(buckets) for pg in buckets[key]]
+    return pool_of([pg for key in sorted(buckets) for pg in buckets[key]])
 
 
 def reference_sample_node(node, mask, gripper, sampling, grasp_type):
@@ -578,9 +619,8 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
     stably by (face, cell)."""
     from pregrasp.classifier import GraspType
     from pregrasp.decomposition import OrientedBox
-    from pregrasp.facemask import FaceId, cells_containing, face_frame, subfaces
-    from pregrasp.geom import cross, unit
-    from pregrasp.sampler import PreGrasp
+    from pregrasp.facemask import FaceId, face_frame, subfaces
+    from pregrasp.geom import cross
 
     def angle_steps(span_deg, step_deg, inclusive):
         n = int(np.floor(span_deg / step_deg + 1e-9))
@@ -672,9 +712,9 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
             closing = box.axis(2).copy()
         else:
             closing = closing_from_axis(axis_u, box.axis(1), approach)
-        samples.append(PreGrasp(position, approach, closing, gt, node.id, hit))
-    samples.sort(key=lambda pg: pg.source_subface)
-    return samples
+        samples.append((position, approach, closing, gt, node.id, hit))
+    samples.sort(key=lambda sample: sample[5])
+    return pool_of(samples)
 
 
 # ---------------------------------------------------------------------------
@@ -712,16 +752,17 @@ def reference_first_hit(points, origin, direction, tube_r):
 
 
 def reference_finger_rays(pg, gripper):
-    """Closing rays (origin, direction) of the fingers of one pre-grasp, each
-    paired finger turned by its own Rodrigues matrix: the thumb (not for
-    TwoFingertip), then the fingers at + and - the preshape spread."""
+    """Closing rays (origin, direction) of the fingers of one pre-grasp (a
+    pool row), each paired finger turned by its own Rodrigues matrix: the
+    thumb (not for TwoFingertip), then the fingers at + and - the preshape
+    spread."""
     from pregrasp.classifier import GRASP_PRESHAPE, GraspType
 
-    tip = pg.position + pg.approach * gripper.finger_length
+    position, approach, c = row_vectors(pg)
+    tip = position + approach * gripper.finger_length
     half_ap = gripper.max_aperture / 2.0
-    c = pg.closing_dir
     rays = []
-    grasp_type = GraspType(pg.grasp_type)
+    grasp_type = tuple(GraspType)[pg["grasp_type"]]
     if grasp_type != GraspType.TWO_FINGERTIP:
         rays.append((tip + c * half_ap, -c))
     spread = np.radians(GRASP_PRESHAPE[grasp_type][0])
@@ -729,22 +770,21 @@ def reference_finger_rays(pg, gripper):
         if s == 0.0:
             rays.append((tip - c * half_ap, c.copy()))
             continue
-        rot = rotation_about_axis(pg.approach, s)
+        rot = rotation_about_axis(approach, s)
         rays.append((tip + rot @ (-c * half_ap), rot @ c))
     return rays
 
 
 def reference_contacts(pg, cloud, gripper, tube_r=0.005):
-    """Contacts of one pre-grasp from a scan of every cloud point for every
-    finger ray: the first point along each ray within tube_r, normals toward
-    the cloud centroid.
+    """Contacts of one pre-grasp (a pool row) from a scan of every cloud
+    point for every finger ray, as a (k, 2, 3) array of (position, normal)
+    rows: the first point along each ray within tube_r, normals toward the
+    cloud centroid.
 
     Raises:
         NoContacts: no finger ray touched the cloud.
     """
     from pregrasp.errors import NoContacts
-    from pregrasp.geom import unit
-    from pregrasp.graspeval import ContactPoint
 
     pts = cloud.points
     centroid = cloud.centroid
@@ -754,10 +794,10 @@ def reference_contacts(pg, cloud, gripper, tube_r=0.005):
         if i is None:
             continue
         p = pts[i]
-        contacts.append(ContactPoint(p.copy(), unit(centroid - p, fallback=-direction)))
+        contacts.append((p, unit(centroid - p, fallback=-direction)))
     if not contacts:
-        raise NoContacts(f"no finger touched the cloud from {pg.position}")
-    return contacts
+        raise NoContacts(f"no finger touched the cloud from {pg['position']}")
+    return np.array(contacts)
 
 
 def reference_epsilon_quality(wrenches, n_dirs):
@@ -782,7 +822,7 @@ def reference_rank_pool(pool, cloud, gripper, params):
         try:
             contacts = reference_contacts(pg, cloud, gripper, params.tube_radius)
         except NoContacts:
-            contacts = []
+            contacts = np.empty((0, 2, 3))
         quality = 0.0
         if len(contacts) >= 2:
             ws = reference_wrench_set(contacts, gripper.friction_mu, params.cone_edges,

@@ -21,8 +21,7 @@ from pregrasp import (ClassifierThresholds, DecompParams, GraspType,
 from pregrasp.classifier import ShapeCategory, classify, pca
 from pregrasp.cli import main as cli_main
 from pregrasp.facemask import FaceId, compute_face_states, face_mask, subfaces
-from pregrasp.graspeval import (ContactPoint, EvalParams, epsilon_quality,
-                                rank_pool, wrench_set)
+from pregrasp.graspeval import epsilon_quality, rank_pool
 from pregrasp.pipeline import RunConfig, run_pipeline
 from pregrasp.pointcloud import PointCloud
 from pregrasp.sampler import (SamplingParams, generate_pool, sample_node,
@@ -158,9 +157,9 @@ def test_criterion_06_sampling_free_subfaces_only(capsys):
             for gtype in surfaces:
                 cells = {int(f): subfaces(f, mask, gtype, box) for f in FaceId}
                 for pg in sample_node(node, mask, gripper, sampling, gtype):
-                    face, cell = pg.source_subface
+                    face, cell = helpers.source_subface(pg)
                     assert cells[face][cell].free
-                    assert helpers.ray_hits_box(box, pg.position, pg.approach)
+                    assert helpers.ray_hits_box(box, pg["position"], pg["approach"])
                     total += 1
 
         # pipeline fixtures
@@ -173,11 +172,11 @@ def test_criterion_06_sampling_free_subfaces_only(capsys):
             classes = helpers.classes_for(tree, cloud)
             masks = helpers.masks_for(tree, gripper.finger_length)
             pool = generate_pool(tree, classes, masks, gripper, sampling)
-            assert pool
+            assert len(pool)
             for pg in pool:
                 assert helpers.subface_is_free(tree, classes, masks, pg)
-                box = tree.node(pg.source_node).box
-                assert helpers.ray_hits_box(box, pg.position, pg.approach)
+                box = tree.node(pg["source_node"]).box
+                assert helpers.ray_hits_box(box, pg["position"], pg["approach"])
             total += len(pool)
 
         # three-fingertip circle, all free, 30 degrees -> exactly 12
@@ -204,25 +203,23 @@ def test_criterion_07_traversal_gating(capsys):
 
 def test_criterion_08_quality_metric(capsys, small_sphere_cloud, gripper):
     def body():
-        from test_graspeval import (antipodal_contacts,
-                                    cross_polytope_wrenches, make_pregrasp,
-                                    sphere_pool)
+        from test_graspeval import (cross_polytope_wrenches, make_pregrasp,
+                                    sphere_pool, wrenches_of)
         got = epsilon_quality(cross_polytope_wrenches(), n_dirs=14896)
         exact = 1.0 / np.sqrt(6.0)
         cross_err = abs(got - exact) / exact
         assert cross_err <= 0.05
 
-        single = wrench_set(
-            [ContactPoint(np.array([0.04, 0.0, 0.0]), np.array([-1.0, 0, 0]))],
-            0.5, 8, np.zeros(3))
+        single = wrenches_of(np.array([[[0.04, 0.0, 0.0], [-1.0, 0, 0]]]),
+                             0.5, 8, np.zeros(3))
         assert epsilon_quality(single, n_dirs=14896) == 0.0
 
         from pregrasp.graspeval import estimate_contacts
         pinch = make_pregrasp((0.08, 0, 0), (-1, 0, 0), (0, 0, 1),
                               GraspType.TWO_FINGERTIP)
         contacts = estimate_contacts(pinch, small_sphere_cloud, gripper)
-        wrenches = wrench_set(contacts, gripper.friction_mu, 8,
-                              small_sphere_cloud.centroid)
+        wrenches = wrenches_of(contacts, gripper.friction_mu, 8,
+                               small_sphere_cloud.centroid)
         est = epsilon_quality(wrenches, n_dirs=14896)
         ref = oracles.epsilon_support_reference(wrenches, n_dirs=2 ** 20)
         pinch_err = abs(est - ref) / ref

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import helpers
+from oracles import cells_containing
 
 from pregrasp import DecompParams, GraspType, GripperConfig, decompose
 from pregrasp.facemask import (
@@ -13,7 +14,6 @@ from pregrasp.facemask import (
     FaceId,
     FaceMask,
     adjacent_face,
-    cells_containing,
     compute_face_states,
     face_frame,
     face_mask,

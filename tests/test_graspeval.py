@@ -14,12 +14,12 @@ from pregrasp.classifier import GraspType
 from pregrasp.decomposition import DecompNode, OrientedBox, decompose
 from pregrasp.facemask import FaceMask
 from pregrasp.errors import ConfigError, EmptyWrenchSet, NoContacts
-from pregrasp.graspeval import (ContactIndex, ContactPoint, EvalParams,
-                                epsilon_quality, estimate_contacts,
-                                finger_rays, rank_pool, wrench_set)
+from pregrasp.graspeval import (ContactIndex, EvalParams, epsilon_quality,
+                                estimate_contacts, finger_rays, rank_pool,
+                                wrench_set)
 from pregrasp.pipeline import RunConfig, _ranking_section
 from pregrasp.pointcloud import SYNTH_KINDS, PointCloud, synth_shape
-from pregrasp.sampler import (GripperConfig, PreGrasp, SamplingParams,
+from pregrasp.sampler import (POOL_DTYPE, GripperConfig, SamplingParams,
                               generate_pool, sample_node)
 
 MU = 0.5
@@ -27,18 +27,26 @@ EDGES = 8
 
 
 def make_pregrasp(position, approach, closing, grasp_type):
-    return PreGrasp(np.asarray(position, dtype=float),
-                    np.asarray(approach, dtype=float),
-                    np.asarray(closing, dtype=float),
-                    grasp_type, 0, (0, 0))
+    """A one-row pool."""
+    return oracles.pool_of([(position, approach, closing, grasp_type, 0, (0, 0))])
+
+
+def pool_rows(*pools):
+    """The rows of one-row pools (or longer ones) as one pool."""
+    return np.concatenate(pools) if pools else np.zeros(0, POOL_DTYPE)
+
+
+def wrenches_of(contacts, mu, edges, centroid):
+    """`wrench_set` of one grasp's (k, 2, 3) contacts."""
+    return wrench_set(contacts[None, :, 0], contacts[None, :, 1], mu, edges, centroid)[0]
 
 
 def antipodal_contacts(r=0.04):
     """Two ideal contacts facing each other across the origin."""
-    return [
-        ContactPoint(np.array([+r, 0.0, 0.0]), np.array([-1.0, 0.0, 0.0])),
-        ContactPoint(np.array([-r, 0.0, 0.0]), np.array([+1.0, 0.0, 0.0])),
-    ]
+    return np.array([
+        [[+r, 0.0, 0.0], [-1.0, 0.0, 0.0]],
+        [[-r, 0.0, 0.0], [+1.0, 0.0, 0.0]],
+    ])
 
 
 def icosahedral_cage(rotation=np.eye(3), r=0.04):
@@ -51,8 +59,7 @@ def icosahedral_cage(rotation=np.eye(3), r=0.04):
             verts += [(0.0, a, b), (a, b, 0.0), (b, 0.0, a)]
     verts = np.asarray(verts)
     verts = r * verts / np.linalg.norm(verts, axis=1, keepdims=True)
-    return [ContactPoint(rotation @ v, rotation @ (-v / np.linalg.norm(v)))
-            for v in verts]
+    return np.array([(rotation @ v, rotation @ (-v / np.linalg.norm(v))) for v in verts])
 
 
 def cross_polytope_wrenches():
@@ -67,7 +74,7 @@ def cross_polytope_wrenches():
 
 def test_finger_rays_cylindrical_canonical(gripper):
     pg = make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL)
-    rays = finger_rays([pg], gripper)
+    rays = finger_rays(pg, gripper)
     assert len(rays) == 3
     thumb_o, thumb_d = rays[0]
     assert np.allclose(thumb_o, (0.08, 0.0, 0.05))    # fingertip plane, +closing
@@ -79,7 +86,7 @@ def test_finger_rays_cylindrical_canonical(gripper):
 
 def test_finger_rays_spherical_spread(gripper):
     pg = make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL)
-    rays = finger_rays([pg], gripper)
+    rays = finger_rays(pg, gripper)
     assert len(rays) == 3
     c30, s30 = np.cos(np.radians(30.0)), np.sin(np.radians(30.0))
     assert np.allclose(rays[1][0], (0.08, 0.05 * s30, -0.05 * c30))
@@ -94,7 +101,7 @@ def test_finger_rays_spherical_spread(gripper):
 
 def test_finger_rays_two_fingertip_drops_thumb(gripper):
     pg = make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.TWO_FINGERTIP)
-    rays = finger_rays([pg], gripper)
+    rays = finger_rays(pg, gripper)
     assert len(rays) == 2                              # no thumb
     assert np.allclose(rays[0][0], (0.08, 0.05, 0.0))  # 90 deg spread: across y
     assert np.allclose(rays[0][1], (0.0, -1.0, 0.0))
@@ -105,10 +112,11 @@ def test_finger_rays_two_fingertip_drops_thumb(gripper):
 def test_finger_ray_origins_lie_in_fingertip_plane(gripper):
     pg = make_pregrasp((0.02, -0.01, 0.3), (0, -1, 0), (1, 0, 0),
                        GraspType.SPHERICAL)
-    tip = pg.position + pg.approach * gripper.finger_length
-    for origin, direction in finger_rays([pg], gripper):
-        assert abs((origin - tip) @ pg.approach) < 1e-12
-        assert abs(direction @ pg.approach) < 1e-12
+    position, approach, _ = oracles.row_vectors(pg[0])
+    tip = position + approach * gripper.finger_length
+    for origin, direction in finger_rays(pg, gripper):
+        assert abs((origin - tip) @ approach) < 1e-12
+        assert abs(direction @ approach) < 1e-12
         assert np.isclose(np.linalg.norm(origin - tip), gripper.max_aperture / 2)
 
 
@@ -120,10 +128,9 @@ def mixed_pool():
                       np.array([0.04, 0.025, 0.015]))
     node = DecompNode(0, box, np.arange(10), None, ())
     mask = FaceMask(np.zeros((6, 5), dtype=int))
-    pool = [pg for gt in GraspType
-            for pg in sample_node(node, mask, GripperConfig(), SamplingParams(), gt)]
-    order = np.random.default_rng(4).permutation(len(pool))
-    return [pool[i] for i in order]
+    pool = pool_rows(*(sample_node(node, mask, GripperConfig(), SamplingParams(), gt)
+                       for gt in GraspType))
+    return pool[np.random.default_rng(4).permutation(len(pool))]
 
 
 @pytest.mark.bitexact
@@ -131,13 +138,13 @@ def test_finger_rays_match_reference_bytes(gripper):
     """The stacked build gives each pre-grasp's rays the bytes of building
     them one pre-grasp at a time, over a pool that mixes the grasp types,
     with an empty sequence giving no rays."""
-    pool = mixed_pool() + sphere_pool() + edge_pool()
+    pool = pool_rows(mixed_pool(), sphere_pool(), edge_pool())
     got = finger_rays(pool, gripper)
     want = [ray for pg in pool for ray in oracles.reference_finger_rays(pg, gripper)]
     assert got.shape == (len(want), 2, 3)
     assert [row[0].tobytes() for row in got] == [o.tobytes() for o, _ in want]
     assert [row[1].tobytes() for row in got] == [d.tobytes() for _, d in want]
-    assert finger_rays([], gripper).shape == (0, 2, 3)
+    assert finger_rays(pool_rows(), gripper).shape == (0, 2, 3)
 
 
 # ===========================================================================
@@ -152,18 +159,18 @@ def test_pinch_contacts_match_ray_oracle(small_sphere_cloud, gripper):
                        GraspType.TWO_FINGERTIP)
     contacts = estimate_contacts(pg, small_sphere_cloud, gripper, tube_r=0.005)
     assert len(contacts) == 2
-    for (origin, direction), contact in zip(finger_rays([pg], gripper), contacts):
+    for (origin, direction), (position, _) in zip(finger_rays(pg, gripper), contacts):
         idx = oracles.first_contact_reference(
             small_sphere_cloud.points, origin, direction, 0.005)
         assert idx is not None
-        assert np.allclose(small_sphere_cloud.points[idx], contact.position)
-    assert np.isclose(contacts[0].position[1], -0.04, atol=2e-3)
-    assert np.isclose(contacts[1].position[1], +0.04, atol=2e-3)
-    for contact in contacts:
-        assert np.isclose(np.linalg.norm(contact.normal), 1.0)
+        assert np.allclose(small_sphere_cloud.points[idx], position)
+    assert np.isclose(contacts[0, 0, 1], -0.04, atol=2e-3)
+    assert np.isclose(contacts[1, 0, 1], +0.04, atol=2e-3)
+    for position, normal in contacts:
+        assert np.isclose(np.linalg.norm(normal), 1.0)
         # normals face the interior (toward the centroid)
-        inward = small_sphere_cloud.centroid - contact.position
-        assert contact.normal @ inward > 0.0
+        inward = small_sphere_cloud.centroid - position
+        assert normal @ inward > 0.0
 
 
 def test_no_contacts_raises(small_sphere_cloud, gripper):
@@ -208,15 +215,16 @@ def assert_contacts_match_reference(pool, cloud, gripper, tube_r=0.005):
             ref = oracles.reference_contacts(pg, cloud, gripper, tube_r)
         except NoContacts:
             with pytest.raises(NoContacts):
-                estimate_contacts(pg, cloud, gripper, tube_r, index=index)
-            assert batched[i] == []
+                estimate_contacts(pool[i:i + 1], cloud, gripper, tube_r, index=index)
+            assert batched[i].shape == (0, 2, 3)
             missed += 1
             continue
-        for got in (estimate_contacts(pg, cloud, gripper, tube_r, index=index), batched[i]):
+        for got in (estimate_contacts(pool[i:i + 1], cloud, gripper, tube_r, index=index),
+                    batched[i]):
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
-                assert g.position.tobytes() == r.position.tobytes()
-                assert g.normal.tobytes() == r.normal.tobytes()
+                assert g[0].tobytes() == r[0].tobytes()
+                assert g[1].tobytes() == r[1].tobytes()
         touched += 1
     return touched, missed
 
@@ -263,27 +271,27 @@ def axis_pregrasp():
 def edge_pool():
     """Rays along -z and +z (zero direction components in the slab test),
     then a miss."""
-    return [make_pregrasp((-0.1, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL),
-            make_pregrasp((0, -0.1, 0), (0, 1, 0), (1, 0, 0), GraspType.SPHERICAL),
-            make_pregrasp((1.0, 1.0, 1.0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL)]
+    return pool_rows(make_pregrasp((-0.1, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL),
+                     make_pregrasp((0, -0.1, 0), (0, 1, 0), (1, 0, 0), GraspType.SPHERICAL),
+                     make_pregrasp((1.0, 1.0, 1.0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL))
 
 
 def inner_pool():
     """A narrow gripper and two pre-grasps whose finger origins lie inside
     the 5 cm sphere's box (and inside the sphere)."""
-    return GripperConfig(max_aperture=0.04), [
+    return GripperConfig(max_aperture=0.04), pool_rows(
         make_pregrasp((-0.08, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL),
-        make_pregrasp((0, 0, -0.07), (0, 0, 1), (0, 1, 0), GraspType.CYLINDRICAL)]
+        make_pregrasp((0, 0, -0.07), (0, 0, 1), (0, 1, 0), GraspType.CYLINDRICAL))
 
 
 @pytest.mark.bitexact
 def test_contacts_match_reference_on_edge_rays(sphere_cloud, sphere_tree, gripper):
     pool = planned_pool(sphere_cloud, gripper, sphere_tree)
     touched, missed = assert_contacts_match_reference(
-        pool + edge_pool(), sphere_cloud, gripper)
+        pool_rows(pool, edge_pool()), sphere_cloud, gripper)
     assert touched >= len(pool) and missed == 1
     inside, inner = inner_pool()
-    for origin, _ in finger_rays([inner[0]], inside):
+    for origin, _ in finger_rays(inner[:1], inside):
         assert (np.abs(origin) < 0.05).all()     # the sphere's radius
     touched, _ = assert_contacts_match_reference(inner, sphere_cloud, inside)
     assert touched == 2
@@ -297,8 +305,8 @@ def outlier_and_far_cases(cloud, pool):
     and `pool` moved near 1e6 m."""
     outlier = PointCloud(np.vstack([cloud.points, [1e4, 1e4, 1e4]]))
     shift = np.array([1e6, -1e6, 1e6])
-    far_pool = [PreGrasp(pg.position + shift, pg.approach, pg.closing_dir,
-                         pg.grasp_type, pg.source_node, pg.source_subface) for pg in pool]
+    far_pool = pool.copy()
+    far_pool["position"] += shift
     return [(pool, outlier), (far_pool, PointCloud(cloud.points + shift))]
 
 
@@ -355,8 +363,8 @@ def test_contact_ties_go_to_the_lowest_index():
     assert order.index(1) < order.index(0)
     pg = axis_pregrasp()
     contacts = estimate_contacts(pg, cloud, gripper, 2.0 ** -7, index=index)
-    assert [c.position.tobytes() for c in contacts] == [cloud.points[0].tobytes()] * 3
-    assert_contacts_match_reference([pg], cloud, gripper, 2.0 ** -7)
+    assert [c[0].tobytes() for c in contacts] == [cloud.points[0].tobytes()] * 3
+    assert_contacts_match_reference(pg, cloud, gripper, 2.0 ** -7)
 
 
 @pytest.mark.bitexact
@@ -366,11 +374,11 @@ def test_contact_on_the_tube_boundary_counts():
     gripper = exact_gripper()
     r = 2.0 ** -7
     cloud = boundary_cloud()
-    rel = cloud.points[0] - finger_rays([axis_pregrasp()], gripper)[0][0]
+    rel = cloud.points[0] - finger_rays(axis_pregrasp(), gripper)[0][0]
     assert rel @ rel - rel[2] ** 2 == r * r
     contacts = estimate_contacts(axis_pregrasp(), cloud, gripper, r)
-    assert contacts[0].position.tobytes() == cloud.points[0].tobytes()
-    assert_contacts_match_reference([axis_pregrasp()], cloud, gripper, r)
+    assert contacts[0, 0].tobytes() == cloud.points[0].tobytes()
+    assert_contacts_match_reference(axis_pregrasp(), cloud, gripper, r)
 
 
 def lone_candidate_case():
@@ -380,10 +388,10 @@ def lone_candidate_case():
     tube, where the scan's per-row product keeps it inside (x86-64
     OpenBLAS).  The 3000 other points, 15 cm away, make the cloud large
     enough for the index to be used."""
-    pg = PreGrasp(np.array([0.0004, 0.0732, -0.0951]),
-                  np.array([-0.003386952230513614, -0.6097222946756489, 0.7926078803103396]),
-                  np.array([-0.07027377756200023, 0.7907979857227814, 0.6080297212833911]),
-                  GraspType.CYLINDRICAL, 0, (0, 0))
+    pg = make_pregrasp([0.0004, 0.0732, -0.0951],
+                       [-0.003386952230513614, -0.6097222946756489, 0.7926078803103396],
+                       [-0.07027377756200023, 0.7907979857227814, 0.6080297212833911],
+                       GraspType.CYLINDRICAL)
     hit = np.array([-0.004813389530020996, 0.023736792334463533, -0.03137114093809743])
     rng = np.random.default_rng(0)
     return pg, PointCloud(np.vstack([hit, hit + 0.15 + 0.01 * rng.random((3000, 3))]))
@@ -392,7 +400,7 @@ def lone_candidate_case():
 @pytest.mark.bitexact
 def test_contact_single_candidate_keeps_scan_bits(gripper):
     pg, cloud = lone_candidate_case()
-    assert_contacts_match_reference([pg], cloud, gripper)
+    assert_contacts_match_reference(pg, cloud, gripper)
 
 
 # A ray and a point 5 mm from it (found by a random search) where t from a
@@ -479,7 +487,7 @@ def test_repeated_ray_is_searched_once(small_sphere_cloud, gripper, monkeypatch)
     """The two paired rays of a zero-spread preshape are one ray: it is
     searched once, and its contact is still listed for both fingers."""
     pg = make_pregrasp((0.0932, 0, 0), (-1, 0, 0), (0, 0, 1), GraspType.CYLINDRICAL)
-    rays = finger_rays([pg], gripper)
+    rays = finger_rays(pg, gripper)
     assert rays[1][0].tobytes() == rays[2][0].tobytes()
     assert rays[1][1].tobytes() == rays[2][1].tobytes()
     searched = []
@@ -492,10 +500,10 @@ def test_repeated_ray_is_searched_once(small_sphere_cloud, gripper, monkeypatch)
     monkeypatch.setattr(ContactIndex, "first_hits", counting)
     contacts = estimate_contacts(pg, small_sphere_cloud, gripper)
     assert searched == [2] and len(contacts) == 3
-    assert contacts[1].position.tobytes() == contacts[2].position.tobytes()
-    assert contacts[1] is not contacts[2]
+    assert contacts[1, 0].tobytes() == contacts[2, 0].tobytes()
+    assert not np.shares_memory(contacts[1], contacts[2])
     searched.clear()
-    ranked = rank_pool([pg], small_sphere_cloud, gripper)
+    ranked = rank_pool(pg, small_sphere_cloud, gripper)
     assert searched == [2] and len(ranked[0].contacts) == 3
 
 
@@ -508,10 +516,10 @@ def test_contact_at_the_centroid_takes_the_normal_against_the_ray():
     cloud = PointCloud(np.array([[q, 0.0, -0.25], [q, 0.0, 0.0], [q, 0.0, 0.25]]))
     assert cloud.centroid.tolist() == [q, 0.0, 0.0]
     contacts = estimate_contacts(axis_pregrasp(), cloud, gripper, 2.0 ** -7)
-    assert [c.normal.tolist() for c in contacts] == [[0.0, 0.0, 1.0]] + [[0.0, 0.0, -1.0]] * 2
-    assert_contacts_match_reference([axis_pregrasp()], cloud, gripper, 2.0 ** -7)
+    assert contacts[:, 1].tolist() == [[0.0, 0.0, 1.0]] + [[0.0, 0.0, -1.0]] * 2
+    assert_contacts_match_reference(axis_pregrasp(), cloud, gripper, 2.0 ** -7)
     single = PointCloud(cloud.points[1:2])
-    touched, _ = assert_contacts_match_reference([axis_pregrasp()], single, gripper, 2.0 ** -7)
+    touched, _ = assert_contacts_match_reference(axis_pregrasp(), single, gripper, 2.0 ** -7)
     assert touched == 1
 
 
@@ -529,17 +537,18 @@ def small_passes(request, monkeypatch):
 def test_boundary_cases_match_reference_in_small_passes(small_passes, sphere_cloud,
                                                         sphere_tree, gripper):
     pool = planned_pool(sphere_cloud, gripper, sphere_tree)[::4]
-    touched, missed = assert_contacts_match_reference(pool + edge_pool(), sphere_cloud, gripper)
+    touched, missed = assert_contacts_match_reference(pool_rows(pool, edge_pool()), sphere_cloud,
+                                                      gripper)
     assert touched >= len(pool) and missed == 1
     inside, inner = inner_pool()
     assert assert_contacts_match_reference(inner, sphere_cloud, inside) == (2, 0)
     for case_pool, cloud in outlier_and_far_cases(sphere_cloud, pool):
         assert assert_contacts_match_reference(case_pool, cloud, gripper)[0] > 0
     for cloud in (tie_cloud(), boundary_cloud()):
-        assert assert_contacts_match_reference([axis_pregrasp()] * 3, cloud, exact_gripper(),
-                                               2.0 ** -7) == (3, 0)
+        assert assert_contacts_match_reference(pool_rows(*[axis_pregrasp()] * 3), cloud,
+                                               exact_gripper(), 2.0 ** -7) == (3, 0)
     pg, cloud = lone_candidate_case()
-    assert assert_contacts_match_reference([pg, pg], cloud, gripper) == (2, 0)
+    assert assert_contacts_match_reference(pool_rows(pg, pg), cloud, gripper) == (2, 0)
     origin, direction = SCREEN_EDGE_RAY
     cloud = PointCloud(np.vstack([SCREEN_EDGE_POINT, 0.5 + 0.1 * far_points()]))
     first_hits_match_reference(cloud, np.stack([origin] * 3), np.stack([direction] * 3),
@@ -592,7 +601,7 @@ def assert_odd_rows_in_each_phase(monkeypatch):
     its line behind its origin (t < 0): the front keeps those 3 rows, the
     rest only the contact's lone row, which must still be doubled."""
     pg, cloud = lone_candidate_case()
-    origin, direction = finger_rays([pg], GripperConfig())[0]
+    origin, direction = finger_rays(pg, GripperConfig())[0]
     behind = [origin - k * 0.005 * direction for k in (0.5, 1.0, 1.5)]
     cloud = PointCloud(np.vstack([cloud.points, behind]))
     log = search_log(monkeypatch)
@@ -638,7 +647,7 @@ def test_contact_search_memory_is_bounded(kind, gripper):
 
 
 def test_contact_index_must_match_cloud_and_tube(small_sphere_cloud, sphere_cloud, gripper):
-    pg = sphere_pool()[1]
+    pg = sphere_pool()[1:2]
     index = ContactIndex(small_sphere_cloud, 0.005)
     with pytest.raises(ValueError):
         estimate_contacts(pg, small_sphere_cloud, gripper, 0.004, index=index)
@@ -654,12 +663,12 @@ def test_contact_index_must_match_cloud_and_tube(small_sphere_cloud, sphere_clou
 
 def test_wrench_count_and_force_geometry():
     contacts = antipodal_contacts()
-    wrenches = wrench_set(contacts, MU, EDGES, np.zeros(3))
+    wrenches = wrenches_of(contacts, MU, EDGES, np.zeros(3))
     assert wrenches.shape == (len(contacts) * EDGES, 6) == (16, 6)
     cos_alpha = np.cos(np.arctan(MU))
     sin_alpha = np.sin(np.arctan(MU))
     forces, torques = wrenches[:, :3], wrenches[:, 3:]
-    normals = np.repeat([c.normal for c in contacts], EDGES, axis=0)
+    normals = np.repeat(contacts[:, 1], EDGES, axis=0)
     assert np.allclose(np.linalg.norm(forces, axis=1), 1.0)
     assert np.allclose(np.einsum("ij,ij->i", forces, normals), cos_alpha)  # cone half-angle
     # contact sits on the lever axis at distance rho, so the scaled
@@ -669,23 +678,23 @@ def test_wrench_count_and_force_geometry():
 
 
 def test_zero_friction_degenerates_to_normals():
-    wrenches = wrench_set(antipodal_contacts(), 0.0, EDGES, np.zeros(3))
-    normals = np.repeat([c.normal for c in antipodal_contacts()], EDGES, axis=0)
+    wrenches = wrenches_of(antipodal_contacts(), 0.0, EDGES, np.zeros(3))
+    normals = np.repeat(antipodal_contacts()[:, 1], EDGES, axis=0)
     assert np.allclose(wrenches[:, :3], normals)
     assert np.allclose(wrenches[:, 3:], 0.0)
 
 
 def test_wrench_torque_scaling_is_rho_invariant():
     """Doubling the object scale leaves the scaled torques unchanged."""
-    small = wrench_set(antipodal_contacts(0.04), MU, EDGES, np.zeros(3))
-    large = wrench_set(antipodal_contacts(0.08), MU, EDGES, np.zeros(3))
+    small = wrenches_of(antipodal_contacts(0.04), MU, EDGES, np.zeros(3))
+    large = wrenches_of(antipodal_contacts(0.08), MU, EDGES, np.zeros(3))
     assert small.shape == large.shape
     assert np.allclose(small[:, :3], large[:, :3])
     assert np.allclose(small[:, 3:], large[:, 3:])
 
 
 def test_empty_contacts_yield_no_wrenches():
-    assert wrench_set([], MU, EDGES, np.zeros(3)).shape == (0, 6)
+    assert wrenches_of(np.empty((0, 2, 3)), MU, EDGES, np.zeros(3)).shape == (0, 6)
 
 
 def axis_contacts():
@@ -694,7 +703,7 @@ def axis_contacts():
     normals = np.vstack([np.eye(3), -np.eye(3),
                          [[1.0, 1.0, 0.0], [1.0, 1.0, 1.0]]])
     normals /= np.linalg.norm(normals, axis=1, keepdims=True)
-    return [ContactPoint(-0.04 * n, n) for n in normals]
+    return np.stack((-0.04 * normals, normals), axis=1)
 
 
 @functools.lru_cache(maxsize=1)
@@ -707,7 +716,7 @@ def ranked_contact_sets():
                          helpers.masks_for(tree, cfg.gripper.finger_length),
                          cfg.gripper, cfg.sampling)
     ranked = rank_pool(pool, cloud, cfg.gripper, cfg.evaluation)
-    return cloud.centroid, [c.contacts for c in ranked if c.contacts]
+    return cloud.centroid, [c.contacts for c in ranked if len(c.contacts)]
 
 
 @pytest.mark.bitexact
@@ -716,19 +725,21 @@ def ranked_contact_sets():
 def test_wrench_set_matches_reference_bytes(mu, edges):
     """The broadcast wrench array equals the per-edge reference bit for bit."""
     origin = np.zeros(3)
+    at_origin = axis_contacts()
+    at_origin[:, 0] = 0.0
     cases = [
         (antipodal_contacts(), origin),
         (icosahedral_cage(), origin),
         (antipodal_contacts()[:1], origin),
         (axis_contacts(), origin),
-        ([ContactPoint(np.zeros(3), c.normal) for c in axis_contacts()], origin),
-        ([], origin),
+        (at_origin, origin),
+        (np.empty((0, 2, 3)), origin),
     ]
     centroid, sets = ranked_contact_sets()
     assert len(sets) > 100
     cases += [(contacts, centroid) for contacts in sets]
     for contacts, center in cases:
-        got = wrench_set(contacts, mu, edges, center)
+        got = wrenches_of(contacts, mu, edges, center)
         ref = oracles.reference_wrench_set(contacts, mu, edges, center)
         assert got.shape == ref.shape == (len(contacts) * edges, 6)
         assert got.dtype == ref.dtype
@@ -759,7 +770,7 @@ def test_pinch_quality_matches_fine_reference(small_sphere_cloud, gripper):
     pg = make_pregrasp((0.08, 0, 0), (-1, 0, 0), (0, 0, 1),
                        GraspType.TWO_FINGERTIP)
     contacts = estimate_contacts(pg, small_sphere_cloud, gripper, tube_r=0.005)
-    wrenches = wrench_set(contacts, MU, EDGES, small_sphere_cloud.centroid)
+    wrenches = wrenches_of(contacts, MU, EDGES, small_sphere_cloud.centroid)
     got = epsilon_quality(wrenches, n_dirs=14896)
     ref = oracles.epsilon_support_reference(wrenches, n_dirs=2 ** 20)
     assert got > 0.0
@@ -770,7 +781,7 @@ def test_ideal_pinch_has_no_torsional_resistance():
     """Point contacts exactly on the pinch axis cannot resist torque about
     it: the support collapses to zero in that direction and the quality is
     exactly 0 (origin on the hull boundary)."""
-    wrenches = wrench_set(antipodal_contacts(), MU, EDGES, np.zeros(3))
+    wrenches = wrenches_of(antipodal_contacts(), MU, EDGES, np.zeros(3))
     assert epsilon_quality(wrenches, n_dirs=14896) == 0.0
 
 
@@ -780,11 +791,11 @@ def test_quality_matches_row_maxima_bytes():
     row maxima of the same product, on ranked contact sets, on sets whose
     supports are exactly zero and on sets with the origin outside."""
     origin = np.zeros(3)
-    sets = [wrench_set(c, mu, EDGES, origin) for mu in (0.0, MU)
+    sets = [wrenches_of(c, mu, EDGES, origin) for mu in (0.0, MU)
             for c in (antipodal_contacts(), antipodal_contacts()[:1], icosahedral_cage())]
     sets += [cross_polytope_wrenches(), np.vstack([np.zeros(6), np.eye(6)])]
     centroid, contact_sets = ranked_contact_sets()
-    sets += [wrench_set(c, MU, EDGES, centroid) for c in contact_sets]
+    sets += [wrenches_of(c, MU, EDGES, centroid) for c in contact_sets]
     for ws in sets:
         for n_dirs in (64, 1024, 14896):
             got = epsilon_quality(ws, n_dirs)
@@ -809,7 +820,7 @@ def test_quality_stack_matches_per_set_bytes(n_dirs):
     support among them."""
     centroid, contact_sets = ranked_contact_sets()
     for k in (2, 3):
-        sets = [wrench_set(c[:k], MU, EDGES, centroid) for c in contact_sets if len(c) >= k]
+        sets = [wrenches_of(c[:k], MU, EDGES, centroid) for c in contact_sets if len(c) >= k]
         # supports max(0, max_i d_i): zero on the all-negative first direction
         zero_support = np.zeros((k * EDGES, 6))
         zero_support[1:7] = np.eye(6)
@@ -841,27 +852,26 @@ def test_quality_memory_is_bounded():
 
 
 def test_single_contact_scores_zero():
-    contacts = [ContactPoint(np.array([0.04, 0.0, 0.0]),
-                             np.array([-1.0, 0.0, 0.0]))]
-    wrenches = wrench_set(contacts, MU, EDGES, np.zeros(3))
+    contacts = np.array([[[0.04, 0.0, 0.0], [-1.0, 0.0, 0.0]]])
+    wrenches = wrenches_of(contacts, MU, EDGES, np.zeros(3))
     assert epsilon_quality(wrenches, n_dirs=1024) == 0.0
 
 
 @pytest.mark.parametrize("n_dirs", [0, 14897])
 def test_quality_dirs_outside_the_lattice_raise(n_dirs):
-    wrenches = wrench_set(icosahedral_cage(), MU, EDGES, np.zeros(3))
+    wrenches = wrenches_of(icosahedral_cage(), MU, EDGES, np.zeros(3))
     with pytest.raises(ValueError, match="n_dirs"):
         epsilon_quality(wrenches, n_dirs=n_dirs)
 
 
 def test_empty_wrench_set_raises():
     with pytest.raises(EmptyWrenchSet):
-        epsilon_quality(wrench_set([], MU, EDGES, np.zeros(3)), n_dirs=1024)
+        epsilon_quality(wrenches_of(np.empty((0, 2, 3)), MU, EDGES, np.zeros(3)), n_dirs=1024)
 
 
 def test_quality_prefix_monotone_in_directions():
     """More directions never raise the estimate (prefix sequence)."""
-    wrenches = wrench_set(icosahedral_cage(), MU, EDGES, np.zeros(3))
+    wrenches = wrenches_of(icosahedral_cage(), MU, EDGES, np.zeros(3))
     estimates = [epsilon_quality(wrenches, n_dirs=n)
                  for n in (64, 256, 1024, 4096, 14896)]
     for coarse, fine in zip(estimates, estimates[1:]):
@@ -874,21 +884,21 @@ def test_quality_rotation_invariance():
     estimate unchanged within 2% (exactly, for the 24 rotations that map the
     direction lattice to itself); arbitrary rotations stay within a
     documented 25% sampling-anisotropy envelope."""
-    base = epsilon_quality(wrench_set(icosahedral_cage(), MU, EDGES,
-                                      np.zeros(3)), n_dirs=1024)
+    base = epsilon_quality(wrenches_of(icosahedral_cage(), MU, EDGES,
+                                       np.zeros(3)), n_dirs=1024)
     assert base > 0.0
     for rot in helpers.signed_permutation_rotations():
         rotated = epsilon_quality(
-            wrench_set(icosahedral_cage(rot), MU, EDGES, np.zeros(3)),
+            wrenches_of(icosahedral_cage(rot), MU, EDGES, np.zeros(3)),
             n_dirs=1024)
         assert abs(rotated - base) / base <= 0.02
-    base_all = epsilon_quality(wrench_set(icosahedral_cage(), MU, EDGES,
-                                          np.zeros(3)), n_dirs=14896)
+    base_all = epsilon_quality(wrenches_of(icosahedral_cage(), MU, EDGES,
+                                           np.zeros(3)), n_dirs=14896)
     rng = np.random.default_rng(5)
     for _ in range(5):
         rot = helpers.random_rotation(rng)
         rotated = epsilon_quality(
-            wrench_set(icosahedral_cage(rot), MU, EDGES, np.zeros(3)),
+            wrenches_of(icosahedral_cage(rot), MU, EDGES, np.zeros(3)),
             n_dirs=14896)
         assert abs(rotated - base_all) / base_all <= 0.25
 
@@ -899,14 +909,14 @@ def test_quality_rotation_invariance():
 
 def sphere_pool():
     """One caging spherical grasp, one pinch, one miss — in worst order."""
-    return [
+    return pool_rows(
         make_pregrasp((1.0, 1.0, 1.0), (1, 0, 0), (0, 0, 1),
                       GraspType.SPHERICAL),                       # miss
         make_pregrasp((0.08, 0, 0), (-1, 0, 0), (0, 0, 1),
                       GraspType.TWO_FINGERTIP),                   # 2 contacts
         make_pregrasp((0.0932, 0, 0), (-1, 0, 0), (0, 0, 1),
                       GraspType.SPHERICAL),                       # 3 contacts
-    ]
+    )
 
 
 def test_rank_pool_orders_by_quality(small_sphere_cloud, gripper):
@@ -920,31 +930,31 @@ def test_rank_pool_orders_by_quality(small_sphere_cloud, gripper):
 
 
 def test_rank_pool_is_a_permutation(small_sphere_cloud, gripper):
-    pool = sphere_pool() * 2
+    pool = pool_rows(sphere_pool(), sphere_pool())
     ranked = rank_pool(pool, small_sphere_cloud, gripper)
     assert sorted(c.pool_index for c in ranked) == list(range(len(pool)))
 
 
 def test_rank_pool_duplicates_keep_pool_order(small_sphere_cloud, gripper):
-    pool = [sphere_pool()[1]] * 3
+    pool = sphere_pool()[[1, 1, 1]]
     ranked = rank_pool(pool, small_sphere_cloud, gripper)
     assert [c.pool_index for c in ranked] == [0, 1, 2]
     assert len({round(c.quality, 15) for c in ranked}) == 1
 
 
 def test_rank_pool_all_misses_preserve_order(small_sphere_cloud, gripper):
-    pool = [make_pregrasp((1.0 + 0.1 * k, 1.0, 1.0), (1, 0, 0), (0, 0, 1),
-                          GraspType.SPHERICAL) for k in range(4)]
+    pool = pool_rows(*(make_pregrasp((1.0 + 0.1 * k, 1.0, 1.0), (1, 0, 0), (0, 0, 1),
+                                     GraspType.SPHERICAL) for k in range(4)))
     ranked = rank_pool(pool, small_sphere_cloud, gripper)
     assert [c.pool_index for c in ranked] == [0, 1, 2, 3]
-    assert all(c.quality == 0.0 and not c.contacts for c in ranked)
+    assert all(c.quality == 0.0 and not len(c.contacts) for c in ranked)
 
 
 def test_rank_pool_quality_sequence_stable_under_permutation(
         small_sphere_cloud, gripper):
     pool = sphere_pool()
     ranked = rank_pool(pool, small_sphere_cloud, gripper)
-    shuffled = [pool[2], pool[0], pool[1]]
+    shuffled = pool[[2, 0, 1]]
     ranked2 = rank_pool(shuffled, small_sphere_cloud, gripper)
     assert np.allclose([c.quality for c in ranked],
                        [c.quality for c in ranked2])
@@ -983,10 +993,10 @@ def rank_case(name, request):
         return planned_pool(cloud, gripper), cloud, gripper
     cloud = request.getfixturevalue("small_sphere_cloud")
     if name == "empty":
-        return [], cloud, gripper
+        return pool_rows(), cloud, gripper
     if name == "all-miss":
-        return [make_pregrasp((1.0 + 0.1 * k, 1.0, 1.0), (1, 0, 0), (0, 0, 1),
-                              GraspType.SPHERICAL) for k in range(4)], cloud, gripper
+        return pool_rows(*(make_pregrasp((1.0 + 0.1 * k, 1.0, 1.0), (1, 0, 0), (0, 0, 1),
+                                         GraspType.SPHERICAL) for k in range(4))), cloud, gripper
     if name == "one":
         return sphere_pool()[2:], cloud, gripper
     # a 10k shape at the dense sampling of perfbench's dense-pool workload,

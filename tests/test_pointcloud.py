@@ -1,6 +1,8 @@
 """Point-cloud loading, synthesis and basic cloud statistics."""
 
 import json
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -319,3 +321,18 @@ def test_results_roundtrip(tmp_path):
     save_results(path, payload)
     assert load_results(path) == payload
     assert json.loads(path.read_text()) == payload
+
+
+@pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
+def test_results_mode_follows_umask(tmp_path, umask, mode):
+    """The document gets 0o666 less the umask, as a plain open gives it; a
+    payload that fails to serialize leaves no file behind."""
+    old = os.umask(umask)
+    try:
+        save_results(tmp_path / "run.json", {"pool": []})
+        with pytest.raises(TypeError):
+            save_results(tmp_path / "bad.json", {"pool": object()})
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "run.json").stat().st_mode) == mode
+    assert [f.name for f in tmp_path.iterdir()] == ["run.json"]

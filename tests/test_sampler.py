@@ -12,7 +12,10 @@ from pregrasp.classifier import GRASP_PRESHAPE, GraspType, ShapeCategory
 from pregrasp.decomposition import DecompNode, DecompTree, OrientedBox
 from pregrasp.facemask import FaceId, face_mask, subfaces
 from pregrasp.pipeline import _pool_section
-from pregrasp.sampler import (GripperConfig, SamplingParams, _angle_steps,
+from pregrasp.graspeval import finger_rays, rank_pool
+from pregrasp.pipeline import RunConfig, run_pipeline
+from pregrasp.pointcloud import synth_shape
+from pregrasp.sampler import (POOL_DTYPE, GripperConfig, SamplingParams, _angle_steps,
                               generate_pool, sample_node, select_nodes)
 
 
@@ -57,12 +60,19 @@ def test_small_child_promotes_parent(gripper):
 
 
 def test_oversized_leaf_selects_nothing(gripper, sampling):
+    """No node fits the 10 cm aperture: the pool has no rows, and a zero-row
+    pool goes through the rays, the ranking and the run document."""
     tree = single_node_tree(helpers.axis_box((0, 0, 0), (0.09, 0.075, 0.05)))
     classes = helpers.constant_classes(
         tree, ShapeCategory.THREE_DIMENSIONAL_LARGE, GraspType.SPHERICAL)
     assert select_nodes(tree, classes, gripper) == []
-    assert generate_pool(tree, classes, helpers.free_masks(tree),
-                         gripper, sampling) == []
+    pool = generate_pool(tree, classes, helpers.free_masks(tree), gripper, sampling)
+    assert pool.dtype == POOL_DTYPE and pool["position"].shape == (0, 3)
+    assert finger_rays(pool, gripper).shape == (0, 2, 3)
+    cloud = synth_shape("box", (0.2, 0.15, 0.1), 2000, seed=1)
+    assert rank_pool(pool, cloud, gripper) == []
+    doc = run_pipeline(cloud, RunConfig())
+    assert (doc["pool"], doc["ranking"], doc["best_index"]) == ([], [], None)
 
 
 def test_aperture_boundary_is_inclusive(gripper):
@@ -118,21 +128,22 @@ def test_sphere_sample_geometry(gripper, sampling, free_mask):
     node = leaf_node(box, nid=4)
     radius = float(np.linalg.norm(box.half_extents)) + gripper.standoff
     for pg in sample_node(node, free_mask, gripper, sampling, GraspType.SPHERICAL):
-        assert pg.grasp_type == GraspType.SPHERICAL
-        assert pg.source_node == 4
-        assert np.isclose(np.linalg.norm(pg.position - box.center), radius)
-        assert np.isclose(np.linalg.norm(pg.approach), 1.0)
-        assert np.isclose(np.linalg.norm(pg.closing_dir), 1.0)
-        assert abs(pg.approach @ pg.closing_dir) < 1e-9
+        position, approach, closing = oracles.row_vectors(pg)
+        assert helpers.grasp_type_of(pg) == GraspType.SPHERICAL
+        assert pg["source_node"] == 4
+        assert np.isclose(np.linalg.norm(position - box.center), radius)
+        assert np.isclose(np.linalg.norm(approach), 1.0)
+        assert np.isclose(np.linalg.norm(closing), 1.0)
+        assert abs(approach @ closing) < 1e-9
         # the approach ray points back through the box center
-        assert helpers.ray_hits_box(box, pg.position, pg.approach)
+        assert helpers.ray_hits_box(box, position, approach)
 
 
 def test_two_fingertip_reuses_sphere_surface(gripper, sampling, free_mask):
     node = leaf_node(helpers.axis_box((0, 0, 0), (0.015, 0.015, 0.015)))
     got = sample_node(node, free_mask, gripper, sampling, GraspType.TWO_FINGERTIP)
     assert len(got) == 62
-    assert all(pg.grasp_type == GraspType.TWO_FINGERTIP for pg in got)
+    assert all(helpers.grasp_type_of(pg) == GraspType.TWO_FINGERTIP for pg in got)
     assert all(entry["spread_angle"] == 90.0 and entry["fingertip_mode"] is True
                for entry in _pool_section(got))
 
@@ -149,13 +160,13 @@ def test_sphere_blocked_face_drops_its_directions(gripper, sampling):
     blocked = sample_node(node, mask, gripper, sampling, GraspType.SPHERICAL)
     new_cells = {int(f): subfaces(f, mask, GraspType.SPHERICAL, box)
                  for f in FaceId}
-    kept = {tuple(np.round(pg.position, 12)) for pg in blocked}
+    kept = {tuple(np.round(pg["position"], 12)) for pg in blocked}
     for pg in free:
-        face, cell = pg.source_subface
+        face, cell = helpers.source_subface(pg)
         still_free = new_cells[face][cell].free
-        assert (tuple(np.round(pg.position, 12)) in kept) == still_free
+        assert (tuple(np.round(pg["position"], 12)) in kept) == still_free
     assert len(free) == 62 and len(blocked) == 37
-    assert all(pg.source_subface[0] != int(FaceId.PLUS_W) for pg in blocked)
+    assert all(pg["source_face"] != int(FaceId.PLUS_W) for pg in blocked)
 
 
 # ===========================================================================
@@ -170,13 +181,13 @@ def test_cylinder_rows_times_angles_plus_caps(gripper, sampling, free_mask):
     got = sample_node(leaf_node(box), free_mask, gripper, sampling,
                       GraspType.CYLINDRICAL)
     cap_faces = (int(FaceId.PLUS_U), int(FaceId.MINUS_U))
-    caps = [pg for pg in got if pg.source_subface[0] in cap_faces]
-    lateral = [pg for pg in got if pg.source_subface[0] not in cap_faces]
+    caps = [pg for pg in got if pg["source_face"] in cap_faces]
+    lateral = [pg for pg in got if pg["source_face"] not in cap_faces]
     assert oracles.cylinder_lateral_station_count(0.08, sampling.axial_step) == 5
     assert len(caps) == 2
     assert len(lateral) == 3 * 12
     assert len(got) == 38
-    axial = sorted({round(float((pg.position - box.center) @ box.axis(0)), 9)
+    axial = sorted({round(float((pg["position"] - box.center) @ box.axis(0)), 9)
                     for pg in lateral})
     assert axial == [-0.02, 0.0, 0.02]
 
@@ -189,9 +200,9 @@ def test_cylinder_cap_block_propagates_to_end_strips(gripper, sampling):
     mask = face_mask([True, False, False, False, False, False])
     got = sample_node(leaf_node(box), mask, gripper, sampling, GraspType.CYLINDRICAL)
     assert len(got) == 25
-    assert all(pg.source_subface[0] != int(FaceId.PLUS_U) for pg in got)
-    axial = sorted({round(float((pg.position - box.center) @ box.axis(0)), 9)
-                    for pg in got if pg.source_subface[0] >= 2})
+    assert all(pg["source_face"] != int(FaceId.PLUS_U) for pg in got)
+    axial = sorted({round(float((pg["position"] - box.center) @ box.axis(0)), 9)
+                    for pg in got if pg["source_face"] >= 2})
     assert axial == [-0.02, 0.0]
 
 
@@ -202,7 +213,7 @@ def test_cylinder_blocked_lateral_face(gripper, sampling):
     mask = face_mask([False, False, True, False, False, False])
     got = sample_node(leaf_node(box), mask, gripper, sampling, GraspType.CYLINDRICAL)
     assert len(got) == 29
-    assert all(pg.source_subface[0] != int(FaceId.PLUS_V) for pg in got)
+    assert all(pg["source_face"] != int(FaceId.PLUS_V) for pg in got)
 
 
 def test_cylinder_sample_geometry(gripper, sampling, free_mask):
@@ -211,22 +222,23 @@ def test_cylinder_sample_geometry(gripper, sampling, free_mask):
     lat_r = float(np.hypot(0.012, 0.008)) + gripper.standoff
     half_len = 0.03 + gripper.standoff
     for pg in sample_node(node, free_mask, gripper, sampling, GraspType.CYLINDRICAL):
-        rel = pg.position - box.center
+        position, approach, closing = oracles.row_vectors(pg)
+        rel = position - box.center
         axial = float(rel @ box.axis(0))
         radial = rel - axial * box.axis(0)
-        if pg.source_subface[0] in (int(FaceId.PLUS_U), int(FaceId.MINUS_U)):
+        if pg["source_face"] in (int(FaceId.PLUS_U), int(FaceId.MINUS_U)):
             assert np.isclose(abs(axial), half_len)
             assert np.linalg.norm(radial) < 1e-12
-            assert np.allclose(pg.approach, -np.sign(axial) * box.axis(0))
+            assert np.allclose(approach, -np.sign(axial) * box.axis(0))
         else:
             assert abs(axial) <= 0.03 + 1e-12
             assert np.isclose(np.linalg.norm(radial), lat_r)
             # approach is the inward radial: opposite the radial offset
-            assert np.allclose(pg.approach, -radial / np.linalg.norm(radial))
-        assert abs(pg.approach @ pg.closing_dir) < 1e-9
-        assert np.isclose(np.linalg.norm(pg.closing_dir), 1.0)
-        assert helpers.ray_hits_box(box, pg.position, pg.approach)
-        assert pg.grasp_type == GraspType.CYLINDRICAL
+            assert np.allclose(approach, -radial / np.linalg.norm(radial))
+        assert abs(approach @ closing) < 1e-9
+        assert np.isclose(np.linalg.norm(closing), 1.0)
+        assert helpers.ray_hits_box(box, position, approach)
+        assert helpers.grasp_type_of(pg) == GraspType.CYLINDRICAL
 
 
 # ===========================================================================
@@ -241,7 +253,7 @@ def test_circle_counts_and_blocking(gripper, sampling, free_mask):
     mask = face_mask([True, False, False, False, False, False])
     kept = sample_node(plate, mask, gripper, sampling, GraspType.THREE_FINGERTIP)
     assert len(kept) == 9
-    assert {pg.source_subface for pg in kept} == {(1, 0), (2, 0), (3, 0)}
+    assert {helpers.source_subface(pg) for pg in kept} == {(1, 0), (2, 0), (3, 0)}
 
 
 def test_circle_sample_geometry(gripper, sampling, free_mask):
@@ -250,13 +262,14 @@ def test_circle_sample_geometry(gripper, sampling, free_mask):
     radius = float(np.hypot(0.05, 0.04)) + gripper.standoff
     got = sample_node(node, free_mask, gripper, sampling, GraspType.THREE_FINGERTIP)
     for pg in got:
-        rel = pg.position - box.center
+        position, approach, closing = oracles.row_vectors(pg)
+        rel = position - box.center
         assert abs(float(rel @ box.axis(2))) < 1e-12   # in the big-face plane
         assert np.isclose(np.linalg.norm(rel), radius)
-        assert np.allclose(pg.closing_dir, box.axis(2))  # across the thin side
-        assert abs(pg.approach @ pg.closing_dir) < 1e-12
-        assert helpers.ray_hits_box(box, pg.position, pg.approach)
-        assert pg.grasp_type == GraspType.THREE_FINGERTIP
+        assert np.allclose(closing, box.axis(2))  # across the thin side
+        assert abs(approach @ closing) < 1e-12
+        assert helpers.ray_hits_box(box, position, approach)
+        assert helpers.grasp_type_of(pg) == GraspType.THREE_FINGERTIP
     assert all(entry["fingertip_mode"] is True for entry in _pool_section(got))
 
 
@@ -279,9 +292,9 @@ def test_samples_only_on_free_subfaces(grasp_type, gripper, sampling):
         counts[combo] = len(got)
         cells = {int(f): subfaces(f, mask, grasp_type, box) for f in FaceId}
         for pg in got:
-            face, cell = pg.source_subface
+            face, cell = helpers.source_subface(pg)
             assert cells[face][cell].free
-            assert helpers.ray_hits_box(box, pg.position, pg.approach)
+            assert helpers.ray_hits_box(box, pg["position"], pg["approach"])
     assert counts[(False,) * 6] > 0
     assert counts[(True,) * 6] == 0
     for combo, count in counts.items():
@@ -368,12 +381,14 @@ def test_sample_node_matches_reference_bytes(box_name, angular_step, axial_step)
                 GraspType, (GripperConfig(), GripperConfig(standoff=0.0))):
             got = sample_node(node, mask, gripper, sampling, grasp_type)
             want = oracles.reference_sample_node(node, mask, gripper, sampling, grasp_type)
-            assert [pg.source_subface for pg in got] == [pg.source_subface for pg in want]
+            assert [helpers.source_subface(pg) for pg in got] == \
+                [helpers.source_subface(pg) for pg in want]
             for field in ("position", "approach", "closing_dir"):
-                assert [getattr(pg, field).tobytes() for pg in got] == \
-                    [getattr(pg, field).tobytes() for pg in want], (combo, grasp_type, field)
-            assert all(pg.grasp_type == grasp_type and pg.source_node == 5 for pg in got)
-            emitted.update((grasp_type, pg.source_subface[0]) for pg in got)
+                assert [pg[field].tobytes() for pg in got] == \
+                    [pg[field].tobytes() for pg in want], (combo, grasp_type, field)
+            assert all(helpers.grasp_type_of(pg) == grasp_type and pg["source_node"] == 5
+                       for pg in got)
+            emitted.update((grasp_type, int(pg["source_face"])) for pg in got)
     # every grasp type kept samples, on the caps too
     assert {gt for gt, _ in emitted} == set(GraspType)
     assert {(GraspType.CYLINDRICAL, int(f)) for f in (FaceId.PLUS_U, FaceId.MINUS_U)} <= emitted
@@ -394,17 +409,18 @@ def test_pool_is_valid_on_fixtures(tree_fx, cloud_fx, gripper, sampling, request
     classes = helpers.classes_for(tree, cloud)
     masks = helpers.masks_for(tree, gripper.finger_length)
     pool = generate_pool(tree, classes, masks, gripper, sampling)
-    assert pool, f"{tree_fx} produced an empty pool"
+    assert len(pool), f"{tree_fx} produced an empty pool"
     selected = set(select_nodes(tree, classes, gripper))
     for pg in pool:
-        assert pg.source_node in selected
-        assert pg.grasp_type == classes[pg.source_node][1]
+        position, approach, closing = oracles.row_vectors(pg)
+        assert pg["source_node"] in selected
+        assert helpers.grasp_type_of(pg) == classes[pg["source_node"]][1]
         assert helpers.subface_is_free(tree, classes, masks, pg)
-        box = tree.node(pg.source_node).box
-        assert helpers.ray_hits_box(box, pg.position, pg.approach)
-        assert np.isclose(np.linalg.norm(pg.approach), 1.0)
-        assert np.isclose(np.linalg.norm(pg.closing_dir), 1.0)
-        assert abs(pg.approach @ pg.closing_dir) < 1e-9
+        box = tree.node(pg["source_node"]).box
+        assert helpers.ray_hits_box(box, position, approach)
+        assert np.isclose(np.linalg.norm(approach), 1.0)
+        assert np.isclose(np.linalg.norm(closing), 1.0)
+        assert abs(approach @ closing) < 1e-9
 
 
 def test_pool_ordering_and_determinism(dumbbell_tree, dumbbell_cloud,
@@ -412,13 +428,13 @@ def test_pool_ordering_and_determinism(dumbbell_tree, dumbbell_cloud,
     classes = helpers.classes_for(dumbbell_tree, dumbbell_cloud)
     masks = helpers.masks_for(dumbbell_tree, gripper.finger_length)
     pool = generate_pool(dumbbell_tree, classes, masks, gripper, sampling)
-    keys = [(pg.source_node,) + pg.source_subface for pg in pool]
+    keys = [(int(pg["source_node"]),) + helpers.source_subface(pg) for pg in pool]
     assert keys == sorted(keys)
     again = generate_pool(dumbbell_tree, classes, masks, gripper, sampling)
     assert len(again) == len(pool)
     for a, b in zip(pool, again):
-        assert a.source_node == b.source_node
-        assert a.source_subface == b.source_subface
-        assert np.array_equal(a.position, b.position)
-        assert np.array_equal(a.approach, b.approach)
-        assert np.array_equal(a.closing_dir, b.closing_dir)
+        assert a["source_node"] == b["source_node"]
+        assert helpers.source_subface(a) == helpers.source_subface(b)
+        assert np.array_equal(a["position"], b["position"])
+        assert np.array_equal(a["approach"], b["approach"])
+        assert np.array_equal(a["closing_dir"], b["closing_dir"])
