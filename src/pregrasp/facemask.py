@@ -4,13 +4,12 @@ A gripper can reach a box from its six rectangular faces, but neighbouring
 parts occlude some of them.  Each face gets a binary state (0 free, 1 blocked)
 by testing the face's outward slab against every other leaf box; a 6x5 mask
 matrix then pairs every face with its four adjacent faces (left, down, right,
-up), and per-grasp-type sub-face schemes turn the mask into reachable surface
-cells for the samplers.
+up), and a per-grasp-type grid table turns the mask into one array of
+reachable surface cells per node for the samplers.
 """
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Tuple
 
 import numpy as np
 
@@ -76,25 +75,19 @@ class FaceMask:
         self.matrix = np.asarray(self.matrix, dtype=int).reshape(6, 5)
 
     def face_blocked(self, face):
-        return bool(self.matrix[int(face), 0])
+        """Whether `face` is blocked; an array of faces gives an array."""
+        return self.matrix[face, 0] != 0
 
     def adjacent_blocked(self, face, direction):
-        return bool(self.matrix[int(face), 1 + int(direction)])
+        """Whether the face met walking off `face` toward `direction` is
+        blocked; arrays of faces and directions broadcast."""
+        return self.matrix[face, 1 + np.asarray(direction)] != 0
 
 
-@dataclass
-class SubFace:
-    """One cell of a face's sub-division scheme.
-
-    rect is (lr_min, du_min, lr_max, du_max) in the face's local 2D frame,
-    meters, centered on the face.  free already accounts for the face itself
-    and any adjacent faces the cell depends on.
-    """
-
-    face: FaceId
-    cell: int
-    rect: Tuple[float, float, float, float]
-    free: bool
+# A face's sub-division into cells: `rect` is (lr_min, du_min, lr_max,
+# du_max) in the face's local 2D frame, meters, centered on the face; `free`
+# already accounts for the face itself and the adjacent faces the cell needs.
+SUBFACE_DTYPE = np.dtype([("face", "i8"), ("cell", "i8"), ("rect", "f8", 4), ("free", "?")])
 
 
 # ===========================================================================
@@ -166,57 +159,53 @@ def face_mask(states):
 # Sub-face schemes
 # ===========================================================================
 
-def _grid_cells(face, mask, box, n_lr, n_du, requirements):
-    """Cells of an n_lr x n_du grid with closed rects and freeness rules.
-
-    requirements maps cell -> tuple of FaceDir whose adjacent faces must also
-    be free.  Cell ids are row-major from the bottom-left (lr_min, du_min).
-    """
-    lr_axis, du_axis = face_frame(face)
-    ha = float(box.half_extents[lr_axis])
-    hb = float(box.half_extents[du_axis])
-    face_free = not mask.face_blocked(face)
-    out = []
-    for row in range(n_du):
-        for col in range(n_lr):
-            cell = row * n_lr + col
-            rect = (-ha + 2.0 * ha * col / n_lr, -hb + 2.0 * hb * row / n_du,
-                    -ha + 2.0 * ha * (col + 1) / n_lr, -hb + 2.0 * hb * (row + 1) / n_du)
-            free = face_free and all(
-                not mask.adjacent_blocked(face, d) for d in requirements.get(cell, ()))
-            out.append(SubFace(FaceId(int(face)), cell, rect, free))
-    return out
-
-
-_RULES_3X3 = {
-    0: (FaceDir.LEFT, FaceDir.DOWN), 1: (FaceDir.DOWN,), 2: (FaceDir.RIGHT, FaceDir.DOWN),
-    3: (FaceDir.LEFT,), 5: (FaceDir.RIGHT,),
-    6: (FaceDir.LEFT, FaceDir.UP), 7: (FaceDir.UP,), 8: (FaceDir.RIGHT, FaceDir.UP),
+# (n_lr, n_du) grid of the faces of each axis (U, V, W) per grasp type.
+# Cylindrical: single-cell caps and three strips along U on the lateral faces
+# (U is du on +/-V, lr on +/-W); Spherical / TwoFingertip: 3x3;
+# ThreeFingertip: the whole face as one cell.
+_GRIDS = {
+    GraspType.CYLINDRICAL: ((1, 1), (1, 3), (3, 1)),
+    GraspType.SPHERICAL: ((3, 3),) * 3,
+    GraspType.TWO_FINGERTIP: ((3, 3),) * 3,
+    GraspType.THREE_FINGERTIP: ((1, 1),) * 3,
 }
 
 
-def subfaces(face, mask, grasp_type, box):
-    """Sub-faces of one face under the node's grasp-type scheme.
+def _cell_table(grids):
+    """Every cell of a grasp type's grids in (face, cell) order: face, cell,
+    col, row, (n_lr, n_du), (lr_axis, du_axis), and the (left, down, right,
+    up) adjacent faces it needs.  On each face axis split into more than one
+    cell, an edge cell needs the adjacent face beyond that edge: edge cells of
+    a 3x3 grid need one neighbour, corner cells two, the end strips of a
+    cylinder their cap."""
+    face, cell = np.array([(f, c) for f in range(6) for c in range(np.prod(grids[f // 2]))]).T
+    n_lr, n_du = np.array(grids)[face // 2].T
+    row, col = np.divmod(cell, n_lr)
+    needs = np.stack(((col == 0) & (n_lr > 1), (row == 0) & (n_du > 1),
+                      (col == n_lr - 1) & (n_lr > 1), (row == n_du - 1) & (n_du > 1)), axis=1)
+    axes = np.array([face_frame(f) for f in face]).T
+    return face, cell, col, row, (n_lr, n_du), axes, needs
 
-    Cylindrical: the four lateral faces split into 3 strips along the longest
-    axis (end strips also need the cap face on that end); cap faces are single
-    cells.  Spherical / TwoFingertip: a 3x3 grid per face where edge cells
-    need the adjacent face and corner cells need both.  ThreeFingertip: the
-    whole face as one cell.
 
-    A cell is free only if its face is free and all its associated adjacent
-    faces are free.
+_CELLS = {g: _cell_table(grids) for g, grids in _GRIDS.items()}
+
+
+def subfaces(mask, grasp_type, box):
+    """The cells of all six faces under a grasp type's scheme, as one
+    `SUBFACE_DTYPE` array in (face, cell) order.
+
+    Each face is an n_lr x n_du grid (`_GRIDS`) with closed rects; cell ids
+    are row-major from the bottom-left (lr_min, du_min).  A cell is free iff
+    its face is free and every adjacent face it needs (`_cell_table`) is
+    free.
     """
-    g = GraspType(grasp_type)
-    axis = int(face) // 2
-    if g == GraspType.THREE_FINGERTIP or (g == GraspType.CYLINDRICAL and axis == 0):
-        return _grid_cells(face, mask, box, 1, 1, {})
-    if g == GraspType.CYLINDRICAL:
-        # strips along U; U is the du direction on +/-V faces, lr on +/-W faces
-        lr_axis, _ = face_frame(face)
-        if lr_axis == 0:
-            rules = {0: (FaceDir.LEFT,), 2: (FaceDir.RIGHT,)}
-            return _grid_cells(face, mask, box, 3, 1, rules)
-        rules = {0: (FaceDir.DOWN,), 2: (FaceDir.UP,)}
-        return _grid_cells(face, mask, box, 1, 3, rules)
-    return _grid_cells(face, mask, box, 3, 3, _RULES_3X3)
+    face, cell, col, row, (n_lr, n_du), (lr_axis, du_axis), needs = _CELLS[GraspType(grasp_type)]
+    ha, hb = box.half_extents[lr_axis], box.half_extents[du_axis]
+    cells = np.zeros(len(face), SUBFACE_DTYPE)
+    cells["face"], cells["cell"] = face, cell
+    cells["rect"] = np.stack((-ha + 2.0 * ha * col / n_lr, -hb + 2.0 * hb * row / n_du,
+                              -ha + 2.0 * ha * (col + 1) / n_lr,
+                              -hb + 2.0 * hb * (row + 1) / n_du), axis=1)
+    cells["free"] = ~mask.face_blocked(face) & ~(
+        needs & mask.adjacent_blocked(face[:, None], tuple(FaceDir))).any(axis=1)
+    return cells

@@ -72,21 +72,12 @@ def _mask_all(tree, delta_block):
     return [face_mask(compute_face_states(tree, n.id, delta_block)) for n in tree.nodes]
 
 def _mask_section(tree, masks):
-    section = []
-    for n in tree.nodes:
-        mask = masks[n.id]
-        counts = {}
-        for gt in GraspType:
-            free = 0
-            for face in FaceId:
-                free += sum(1 for sf in subfaces(face, mask, gt, n.box) if sf.free)
-            counts[gt.value] = free
-        section.append({
-            "node_id": n.id,
-            "matrix": mask.matrix.tolist(),
-            "free_subface_counts": counts,
-        })
-    return section
+    return [{
+        "node_id": n.id,
+        "matrix": masks[n.id].matrix.tolist(),
+        "free_subface_counts": {gt.value: int(subfaces(masks[n.id], gt, n.box)["free"].sum())
+                                for gt in GraspType},
+    } for n in tree.nodes]
 
 def _pool_section(pool):
     # per grasp-type code: (name, spread angle, fingertip mode)

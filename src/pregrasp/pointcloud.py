@@ -150,6 +150,7 @@ def _parse_ply(lines):
     if not lines or lines[0].strip() != "ply":
         raise ParseError(1, "not a PLY file (missing 'ply' magic)")
     n_vertices = None
+    n_before = 0   # data rows of the elements declared before the vertex element
     vertex_props = []
     in_vertex_element = False
     data_start = None
@@ -163,11 +164,13 @@ def _parse_ply(lines):
         elif line.startswith("element"):
             parts = line.split()
             in_vertex_element = len(parts) == 3 and parts[1] == "vertex"
-            if in_vertex_element:
-                try:
+            if n_vertices is None:
+                if len(parts) != 3 or not parts[2].isdecimal():
+                    raise ParseError(i, f"expected 'element <name> <count>', got {line!r}")
+                if in_vertex_element:
                     n_vertices = int(parts[2])
-                except ValueError:
-                    raise ParseError(i, f"bad vertex count {parts[2]!r}") from None
+                else:
+                    n_before += int(parts[2])
         elif line.startswith("property") and in_vertex_element:
             vertex_props.append(line.split()[-1])
         elif line == "end_header":
@@ -188,6 +191,9 @@ def _parse_ply(lines):
             break
         line = raw.strip()
         if not line:
+            continue
+        if n_before:
+            n_before -= 1
             continue
         row = line.split()
         if len(row) < len(vertex_props):
@@ -365,5 +371,19 @@ def save_results(path, payload):
 
 
 def load_results(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+    """A run document read back from its JSON file.
+
+    Raises:
+        ParseError: the file is not valid UTF-8 JSON (on the decoder's line),
+            or its top level is not an object (on the line where it starts).
+    """
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        text = fh.read()
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+    if not isinstance(doc, dict):
+        line = text[:len(text) - len(text.lstrip())].count("\n") + 1
+        raise ParseError(line, f"a run document is a JSON object, not {type(doc).__name__}")
+    return doc

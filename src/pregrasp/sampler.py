@@ -22,7 +22,7 @@ import numpy as np
 
 from .classifier import GraspType, ShapeCategory
 from .decomposition import OrientedBox
-from .facemask import CELL_TOL, FaceId, face_frame, subfaces
+from .facemask import CELL_TOL, face_frame, subfaces
 from .geom import aligned, cross, row_norms, unit_rows
 
 logger = logging.getLogger(__name__)
@@ -131,8 +131,8 @@ def _exit_cells(d_local, offset, cells, half):
     The ray from the box center along a direction leaves through its exit
     faces (ties within 1e-9 kept, in axis order); at an axial offset the exit
     point takes the offset as its U coordinate.  A direction keeps the first
-    of its exit faces with a free cell whose closed rect (CELL_TOL slack)
-    holds the exit point, and the first such cell.
+    free cell, in the (face, cell) order of `cells`, that lies on one of its
+    exit faces and whose closed rect (CELL_TOL slack) holds the exit point.
     """
     with np.errstate(divide="ignore"):
         t = np.where(np.abs(d_local) > 1e-15, half / np.abs(d_local), np.inf)
@@ -141,23 +141,17 @@ def _exit_cells(d_local, offset, cells, half):
     p = d_local * tmin[:, None]
     p[:, 0] = np.where(np.isnan(offset), p[:, 0], offset)
     faces = 2 * np.arange(3) + (d_local <= 0.0)
-    found = np.full(t.shape, -1)
-    for face in FaceId:
-        axis = int(face) // 2
-        free = [sf for sf in cells[face] if sf.free]
-        rows = np.flatnonzero(exits[:, axis] & (faces[:, axis] == face))
-        if not free or not len(rows):
-            continue
-        lo_lr, lo_du, hi_lr, hi_du = np.array([sf.rect for sf in free]).T
-        lr_axis, du_axis = face_frame(face)
-        lr, du = p[rows, lr_axis][:, None], p[rows, du_axis][:, None]
-        inside = ((lo_lr - CELL_TOL <= lr) & (lr <= hi_lr + CELL_TOL)
-                  & (lo_du - CELL_TOL <= du) & (du <= hi_du + CELL_TOL))
-        held = inside.any(axis=1)
-        found[rows[held], axis] = np.array([sf.cell for sf in free])[inside[held].argmax(axis=1)]
-    kept = np.flatnonzero((found >= 0).any(axis=1))
-    axis = (found[kept] >= 0).argmax(axis=1)
-    return kept, faces[kept, axis], found[kept, axis]
+    free = cells[cells["free"]]
+    axis = free["face"] // 2
+    lr_axis, du_axis = np.array([face_frame(f) for f in range(6)])[free["face"]].T
+    lo_lr, lo_du, hi_lr, hi_du = free["rect"].T
+    lr, du = p[:, lr_axis], p[:, du_axis]
+    hit = (exits[:, axis] & (faces[:, axis] == free["face"])
+           & (lo_lr - CELL_TOL <= lr) & (lr <= hi_lr + CELL_TOL)
+           & (lo_du - CELL_TOL <= du) & (du <= hi_du + CELL_TOL))
+    kept = np.flatnonzero(hit.any(axis=1))
+    first = free[hit[kept].argmax(axis=1)] if len(kept) else free[:0]
+    return kept, first["face"], first["cell"]
 
 
 def _dots(u, v):
@@ -194,7 +188,7 @@ def sample_node(node, mask, gripper, sampling, grasp_type):
     else:
         radius = float(np.linalg.norm(half)) + gripper.standoff
     d_local, offset = _direction_table(gt, length, sampling)
-    cells = [subfaces(f, mask, gt, frame) for f in FaceId]
+    cells = subfaces(mask, gt, frame)
     rows, face, cell = _exit_cells(d_local, offset, cells, frame.half_extents)
     order = np.lexsort((cell, face))
     rows, face, cell = rows[order], face[order], cell[order]

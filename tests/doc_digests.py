@@ -15,19 +15,24 @@ document without ``timings_ms``, dumped as JSON with sorted keys.  The clouds:
 
 The clouds and configs come from ``perfbench/workloads.py``, which is only
 read.  The documents are planned by whatever ``pregrasp`` is on PYTHONPATH, so
-to compare two trees, run this script once per tree's ``src`` and diff:
+to compare two trees, run it on one and name the other's ``src``:
 
-    PYTHONPATH=/path/to/other/src python tests/doc_digests.py > before.txt
-    PYTHONPATH=src python tests/doc_digests.py > after.txt
-    diff before.txt after.txt
+    PYTHONPATH=src python tests/doc_digests.py --against /path/to/other/src
+
+``--against`` reruns the script in a subprocess with ``PYTHONPATH`` set to
+that directory and the rest of the environment unchanged (so
+``OPENBLAS_CORETYPE`` and ``PYTHONHASHSEED`` carry over), prints each label
+whose digest differs and exits 1 if any digest or label differs.
 
 Pytest does not collect this file (it is not named ``test_*.py``).  A full run
 takes about 15 s on two CPUs.
 """
 
+import argparse
 import hashlib
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -81,19 +86,51 @@ def documents():
                 load_cloud(path), workloads.make_config(workload, path, path + ".json"))
 
 
-def main():
-    import pregrasp
-
-    print(f"pregrasp from {os.path.dirname(pregrasp.__file__)}", file=sys.stderr)
+def digests():
+    """(label, digest) for every cloud, planned in a temporary directory."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="doc-digests-") as tmp:
         os.chdir(tmp)
         try:
             for label, doc in documents():
-                print(label, digest(doc), flush=True)
+                yield label, digest(doc)
         finally:
             os.chdir(cwd)
 
 
+def against(src):
+    """Compare this interpreter's digests with those of the package in `src`,
+    planned by this script in a subprocess with PYTHONPATH=src and the rest
+    of the environment unchanged.  Prints each label whose digest differs (or
+    that only one side has); returns 1 if any does, else 0."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+                         stdout=subprocess.PIPE, text=True, check=True).stdout
+    theirs = dict(line.split() for line in out.splitlines())
+    ours = dict(digests())
+    differ = [label for label in {**theirs, **ours} if theirs.get(label) != ours.get(label)]
+    for label in differ:
+        print(label, flush=True)
+    print(f"{len(ours) - len(differ)} of {len(ours)} digests equal; {len(theirs)} in {src}",
+          file=sys.stderr)
+    return 1 if differ else 0
+
+
+def main(argv=None):
+    import pregrasp
+
+    parser = argparse.ArgumentParser(description="Print the digests of the run documents.")
+    parser.add_argument("--against", metavar="SRC",
+                        help="compare with the pregrasp package in SRC instead: print each "
+                             "label whose digest differs, exit 1 if any does")
+    args = parser.parse_args(argv)
+    print(f"pregrasp from {os.path.dirname(pregrasp.__file__)}", file=sys.stderr)
+    if args.against:
+        return against(args.against)
+    for label, value in digests():
+        print(label, value, flush=True)
+    return 0
+
+
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

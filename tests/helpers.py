@@ -171,45 +171,56 @@ def grasp_type_of(pre_grasp):
     return tuple(GraspType)[pre_grasp["grasp_type"]]
 
 
+def free_subfaces(mask, grasp_type, box):
+    """The (face, cell) pairs of a box's free sub-faces under a grasp type."""
+    cells = subfaces(mask, grasp_type, box)
+    free = cells[cells["free"]]
+    return set(zip(free["face"].tolist(), free["cell"].tolist()))
+
+
 def subface_is_free(tree, classes, masks, pre_grasp):
     """Whether a pre-grasp's (a pool row's) source sub-face is free in its
     node's mask."""
-    face_index, cell = source_subface(pre_grasp)
     node = tree.node(int(pre_grasp["source_node"]))
-    cells = subfaces(FaceId(face_index), masks[node.id],
-                     classes[node.id][1], node.box)
-    return cells[cell].free
+    return source_subface(pre_grasp) in free_subfaces(
+        masks[node.id], classes[node.id][1], node.box)
 
 
 def exhaustive_subface_consistency():
     """Check sub-face freeness == (face free) AND (required neighbours free)
-    for every grasp type, face and face-state combination; returns the number
-    of cells checked (64 combinations x 128 cells)."""
+    for every grasp type, face and face-state combination, against explicit
+    per-type rule tables; returns the number of cells checked (64
+    combinations x 128 cells)."""
     box = axis_box((0, 0, 0), (0.1, 0.06, 0.03))
     rules_3x3 = {0: (0, 1), 1: (1,), 2: (2, 1), 3: (0,), 4: (), 5: (2,),
                  6: (0, 3), 7: (3,), 8: (2, 3)}
     checked = 0
     for states in itertools.product((0, 1), repeat=6):
         mask = face_mask(np.array(states))
-        for face in FaceId:
-            axis = int(face) // 2
-            for grasp in GraspType:
-                cells = subfaces(face, mask, grasp, box)
-                for sf in cells:
-                    if grasp is GraspType.THREE_FINGERTIP or (
-                            grasp is GraspType.CYLINDRICAL and axis == 0):
-                        need = ()
-                    elif grasp is GraspType.CYLINDRICAL:
-                        lr_axis, _ = face_frame(face)
-                        strip_rules = ({0: (0,), 2: (2,)} if lr_axis == 0
-                                       else {0: (1,), 2: (3,)})
-                        need = strip_rules.get(sf.cell, ())
-                    else:
-                        need = rules_3x3[sf.cell]
-                    expected = not states[int(face)] and all(
-                        not states[int(ADJACENT_TABLE[face][d])] for d in need)
-                    assert sf.free == expected
-                    checked += 1
+        for grasp in GraspType:
+            cells = subfaces(mask, grasp, box)
+            # (face, cell) order, each face's cell ids counting from 0
+            assert np.all(np.diff(cells["face"]) >= 0)
+            for face in FaceId:
+                ids = cells["cell"][cells["face"] == int(face)].tolist()
+                assert ids == list(range(len(ids)))
+            for sf in cells:
+                face, cell = FaceId(int(sf["face"])), int(sf["cell"])
+                axis = int(face) // 2
+                if grasp is GraspType.THREE_FINGERTIP or (
+                        grasp is GraspType.CYLINDRICAL and axis == 0):
+                    need = ()
+                elif grasp is GraspType.CYLINDRICAL:
+                    lr_axis, _ = face_frame(face)
+                    strip_rules = ({0: (0,), 2: (2,)} if lr_axis == 0
+                                   else {0: (1,), 2: (3,)})
+                    need = strip_rules.get(cell, ())
+                else:
+                    need = rules_3x3[cell]
+                expected = not states[int(face)] and all(
+                    not states[int(ADJACENT_TABLE[face][d])] for d in need)
+                assert sf["free"] == expected
+                checked += 1
     return checked
 
 

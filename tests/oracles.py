@@ -66,13 +66,22 @@ def unit(v, fallback=None):
 
 
 def cells_containing(cell_list, lr, du):
-    """Cells whose closed rect (CELL_TOL slack) contains the face-local point
-    (lr, du)."""
+    """Cells (`SUBFACE_DTYPE` rows) whose closed rect (CELL_TOL slack)
+    contains the face-local point (lr, du)."""
     from pregrasp.facemask import CELL_TOL as tol
 
     return [sf for sf in cell_list
-            if sf.rect[0] - tol <= lr <= sf.rect[2] + tol
-            and sf.rect[1] - tol <= du <= sf.rect[3] + tol]
+            if sf["rect"][0] - tol <= lr <= sf["rect"][2] + tol
+            and sf["rect"][1] - tol <= du <= sf["rect"][3] + tol]
+
+
+def cells_by_face(mask, grasp_type, box):
+    """A box's sub-faces under a grasp type, one `SUBFACE_DTYPE` array per
+    FaceId."""
+    from pregrasp.facemask import FaceId, subfaces
+
+    cells = subfaces(mask, grasp_type, box)
+    return [cells[cells["face"] == int(f)] for f in FaceId]
 
 
 def pool_of(samples):
@@ -484,7 +493,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
     kept sample by its (face, cell) and returns the buckets in key order.
     """
     from pregrasp.classifier import GraspType
-    from pregrasp.facemask import FaceId, face_frame, subfaces
+    from pregrasp.facemask import FaceId, face_frame
 
     def angle_steps(span_deg, step_deg, inclusive):
         n = int(np.floor(span_deg / step_deg + 1e-9))
@@ -494,8 +503,8 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
         for face in face_order:
             lr_axis, du_axis = face_frame(face)
             for sf in cells_containing(face_cells[int(face)], p[lr_axis], p[du_axis]):
-                if sf.free:
-                    return int(face), sf.cell
+                if sf["free"]:
+                    return int(face), int(sf["cell"])
         return None
 
     def exit_faces(d_local, half):
@@ -517,7 +526,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
     def spherical(gt):
         box = node.box
         radius = float(np.linalg.norm(box.half_extents)) + gripper.standoff
-        cells = [subfaces(f, mask, gt, box) for f in FaceId]
+        cells = cells_by_face(mask, gt, box)
         buckets = {}
         step = sampling.angular_step
         phis = angle_steps(360.0, step, inclusive=False)
@@ -545,10 +554,10 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
         axis_u = box.axis(0)
         radius = float(np.hypot(box.half_extents[1], box.half_extents[2])) + gripper.standoff
         length = 2.0 * hu + 2.0 * gripper.standoff
-        cells = [subfaces(f, mask, gt, box) for f in FaceId]
+        cells = cells_by_face(mask, gt, box)
         buckets = {}
         for face in (FaceId.PLUS_U, FaceId.MINUS_U):
-            if cells[int(face)][0].free:
+            if cells[int(face)][0]["free"]:
                 sign = 1.0 if face == FaceId.PLUS_U else -1.0
                 buckets.setdefault((int(face), 0), []).append((
                     box.center + sign * axis_u * (length / 2.0), -sign * axis_u,
@@ -579,7 +588,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
         box = node.box
         gt = GraspType.THREE_FINGERTIP
         radius = float(np.hypot(box.half_extents[0], box.half_extents[1])) + gripper.standoff
-        cells = [subfaces(f, mask, gt, box) for f in FaceId]
+        cells = cells_by_face(mask, gt, box)
         in_plane = (FaceId.PLUS_U, FaceId.MINUS_U, FaceId.PLUS_V, FaceId.MINUS_V)
         buckets = {}
         for phi in angle_steps(360.0, sampling.angular_step, inclusive=False):
@@ -590,7 +599,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
             best = max(align.values())
             hit = None
             for face in in_plane:
-                if align[face] >= best - 1e-12 and cells[int(face)][0].free:
+                if align[face] >= best - 1e-12 and cells[int(face)][0]["free"]:
                     hit = (int(face), 0)
                     break
             if hit is None:
@@ -619,7 +628,7 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
     stably by (face, cell)."""
     from pregrasp.classifier import GraspType
     from pregrasp.decomposition import OrientedBox
-    from pregrasp.facemask import FaceId, face_frame, subfaces
+    from pregrasp.facemask import FaceId, face_frame
     from pregrasp.geom import cross
 
     def angle_steps(span_deg, step_deg, inclusive):
@@ -680,7 +689,7 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
     else:
         radius = float(np.linalg.norm(half)) + gripper.standoff
         directions = sphere_directions()
-    cells = [subfaces(f, mask, gt, frame) for f in FaceId]
+    cells = cells_by_face(mask, gt, frame)
 
     samples = []
     for d_local, z in directions:
@@ -690,7 +699,8 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
             p[0] = z
         for face in faces:
             lr, du = face_frame(face)
-            free = [sf.cell for sf in cells_containing(cells[face], p[lr], p[du]) if sf.free]
+            free = [int(sf["cell"]) for sf in cells_containing(cells[face], p[lr], p[du])
+                    if sf["free"]]
             if free:
                 break
         else:

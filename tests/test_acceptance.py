@@ -20,7 +20,7 @@ from pregrasp import (ClassifierThresholds, DecompParams, GraspType,
                       GripperConfig, decompose, synth_shape)
 from pregrasp.classifier import ShapeCategory, classify, pca
 from pregrasp.cli import main as cli_main
-from pregrasp.facemask import FaceId, compute_face_states, face_mask, subfaces
+from pregrasp.facemask import FaceId, compute_face_states, face_mask
 from pregrasp.graspeval import epsilon_quality, rank_pool
 from pregrasp.pipeline import RunConfig, run_pipeline
 from pregrasp.pointcloud import PointCloud
@@ -131,9 +131,8 @@ def test_criterion_05_face_mask(capsys):
         # neighbours (and the +W face itself); -W keeps all nine cells
         box = helpers.axis_box((0, 0, 0), (0.1, 0.06, 0.03))
         mask = face_mask([0, 0, 0, 0, 1, 0])
-        free = {f: {sf.cell for sf in
-                    subfaces(f, mask, GraspType.SPHERICAL, box) if sf.free}
-                for f in FaceId}
+        pairs = helpers.free_subfaces(mask, GraspType.SPHERICAL, box)
+        free = {f: {cell for face, cell in pairs if face == f} for f in FaceId}
         assert free[FaceId.PLUS_U] == free[FaceId.MINUS_U] == set(range(6))
         assert free[FaceId.PLUS_V] == free[FaceId.MINUS_V] == {0, 1, 3, 4, 6, 7}
         assert free[FaceId.PLUS_W] == set()
@@ -155,10 +154,9 @@ def test_criterion_06_sampling_free_subfaces_only(capsys):
         for combo in itertools.product((0, 1), repeat=6):
             mask = face_mask(list(combo))
             for gtype in surfaces:
-                cells = {int(f): subfaces(f, mask, gtype, box) for f in FaceId}
+                free = helpers.free_subfaces(mask, gtype, box)
                 for pg in sample_node(node, mask, gripper, sampling, gtype):
-                    face, cell = helpers.source_subface(pg)
-                    assert cells[face][cell].free
+                    assert helpers.source_subface(pg) in free
                     assert helpers.ray_hits_box(box, pg["position"], pg["approach"])
                     total += 1
 

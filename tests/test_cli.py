@@ -397,6 +397,19 @@ def test_export_viz_rejects_bad_top_k(sphere_xyz, tmp_path, capsys):
     assert "--top-k" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("data, line, reason", [
+    (b'{"tree": {"nodes": [\n', 2, "invalid JSON: Expecting value"),
+    (b"\n[1, 2]\n", 2, "a run document is a JSON object, not list"),
+    (b"\xff\xfe{}", 1, "invalid JSON: Expecting value"),
+])
+def test_export_viz_rejects_a_bad_document(tmp_path, capsys, data, line, reason):
+    doc_path, obj = tmp_path / "bad.json", tmp_path / "scene.obj"
+    doc_path.write_bytes(data)
+    assert main(["export-viz", "--input", str(doc_path), "--out", str(obj)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: line {line}: {reason}"]
+    assert not obj.exists()
+
+
 # ===========================================================================
 # packaging entry point
 # ===========================================================================

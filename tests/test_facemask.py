@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import helpers
-from oracles import cells_containing
+from oracles import cells_by_face, cells_containing
 
 from pregrasp import DecompParams, GraspType, GripperConfig, decompose
+from pregrasp.decomposition import DecompNode, DecompTree
 from pregrasp.facemask import (
     FaceDir,
     FaceId,
@@ -18,9 +19,11 @@ from pregrasp.facemask import (
     face_frame,
     face_mask,
     face_slab,
+    SUBFACE_DTYPE,
     obb_overlap,
     subfaces,
 )
+from pregrasp.pipeline import _mask_section
 
 ALL_FACES = list(FaceId)
 ALL_DIRS = list(FaceDir)
@@ -193,56 +196,86 @@ def _mask_with(blocked_faces):
     return face_mask(states)
 
 
+@pytest.mark.parametrize("grasp_type, per_face", [
+    (GraspType.SPHERICAL, (9,) * 6),
+    (GraspType.TWO_FINGERTIP, (9,) * 6),
+    (GraspType.THREE_FINGERTIP, (1,) * 6),
+    (GraspType.CYLINDRICAL, (1, 1, 3, 3, 3, 3)),
+])
+def test_subfaces_one_array_in_face_cell_order(grasp_type, per_face):
+    box = helpers.axis_box((0, 0, 0), (0.05, 0.03, 0.015))
+    cells = subfaces(_mask_with([]), grasp_type, box)
+    assert cells.dtype == SUBFACE_DTYPE
+    assert cells["face"].tolist() == [f for f in range(6) for _ in range(per_face[f])]
+    assert cells["cell"].tolist() == [c for f in range(6) for c in range(per_face[f])]
+    assert cells["free"].all()
+
+
+def test_document_free_subface_counts():
+    """A 10x6x3 cm box with +W blocked.  Spherical / TwoFingertip: +W loses
+    its 9 cells, the U faces their top row and the V faces their right column
+    (3 each), -W keeps 9: 0 + 9 + 4 * 6 = 33.  ThreeFingertip: the 5 free
+    faces.  Cylindrical: 2 caps, 3 strips on each of +/-V and -W, none on
+    +W: 11."""
+    box = helpers.axis_box((0, 0, 0), (0.05, 0.03, 0.015))
+    tree = DecompTree([DecompNode(0, box, np.arange(10))])
+    (entry,) = _mask_section(tree, [_mask_with([FaceId.PLUS_W])])
+    assert entry["free_subface_counts"] == {
+        "Spherical": 33, "TwoFingertip": 33, "ThreeFingertip": 5, "Cylindrical": 11}
+
+
 def test_three_fingertip_single_cell_ignores_neighbours():
     box = helpers.axis_box((0, 0, 0), (0.05, 0.05, 0.0025))
     mask = _mask_with([FaceId.PLUS_V, FaceId.MINUS_W])
-    cells = subfaces(FaceId.PLUS_U, mask, GraspType.THREE_FINGERTIP, box)
+    by_face = cells_by_face(mask, GraspType.THREE_FINGERTIP, box)
+    cells = by_face[FaceId.PLUS_U]
     assert len(cells) == 1
-    assert cells[0].free
-    assert cells[0].rect == (-0.05, -0.0025, 0.05, 0.0025)
-    blocked = subfaces(FaceId.PLUS_V, mask, GraspType.THREE_FINGERTIP, box)
-    assert not blocked[0].free
+    assert cells[0]["free"]
+    assert tuple(cells[0]["rect"].tolist()) == (-0.05, -0.0025, 0.05, 0.0025)
+    blocked = by_face[FaceId.PLUS_V]
+    assert not blocked[0]["free"]
 
 
 def test_spherical_three_by_three_tiling():
     box = helpers.axis_box((0, 0, 0), (0.09, 0.06, 0.03))
-    cells = subfaces(FaceId.PLUS_U, _mask_with([]), GraspType.SPHERICAL, box)
+    cells = cells_by_face(_mask_with([]), GraspType.SPHERICAL, box)[FaceId.PLUS_U]
     assert len(cells) == 9
     # row-major from bottom-left in the (v, w) face frame
     lr, du = 0.06, 0.03
     for i, sf in enumerate(cells):
         col, row = i % 3, i // 3
-        x0, y0, x1, y1 = sf.rect
+        x0, y0, x1, y1 = sf["rect"]
         assert x0 == pytest.approx(-lr + 2 * lr * col / 3)
         assert y0 == pytest.approx(-du + 2 * du * row / 3)
         assert x1 == pytest.approx(x0 + 2 * lr / 3)
         assert y1 == pytest.approx(y0 + 2 * du / 3)
-        assert sf.free
-    total_area = sum((r[2] - r[0]) * (r[3] - r[1]) for r in (sf.rect for sf in cells))
+        assert sf["free"]
+    total_area = sum((r[2] - r[0]) * (r[3] - r[1]) for r in cells["rect"])
     assert total_area == pytest.approx(4 * lr * du)
 
 
 def test_spherical_propagation_blocks_exact_rows():
     box = helpers.axis_box((0, 0, 0), (0.1, 0.1, 0.1))
-    mask = _mask_with([FaceId.PLUS_W])
+    cells = cells_by_face(_mask_with([FaceId.PLUS_W]), GraspType.SPHERICAL, box)
     # +W is "up" from the U faces: top row (6,7,8) lost, nothing else
     for face in (FaceId.PLUS_U, FaceId.MINUS_U):
-        free = {sf.cell for sf in subfaces(face, mask, GraspType.SPHERICAL, box) if sf.free}
+        free = set(cells[face]["cell"][cells[face]["free"]].tolist())
         assert free == {0, 1, 2, 3, 4, 5}
     # +W is "right" from the V faces: right column (2,5,8) lost
     for face in (FaceId.PLUS_V, FaceId.MINUS_V):
-        free = {sf.cell for sf in subfaces(face, mask, GraspType.SPHERICAL, box) if sf.free}
+        free = set(cells[face]["cell"][cells[face]["free"]].tolist())
         assert free == {0, 1, 3, 4, 6, 7}
     # the blocked face itself loses everything
-    assert not any(sf.free for sf in subfaces(FaceId.PLUS_W, mask, GraspType.SPHERICAL, box))
+    assert not cells[FaceId.PLUS_W]["free"].any()
     # the opposite face is untouched
-    assert all(sf.free for sf in subfaces(FaceId.MINUS_W, mask, GraspType.SPHERICAL, box))
+    assert cells[FaceId.MINUS_W]["free"].all()
 
 
 def test_spherical_corner_cells_need_both_neighbours():
     box = helpers.axis_box((0, 0, 0), (0.1, 0.1, 0.1))
     mask = _mask_with([FaceId.MINUS_V, FaceId.MINUS_W])  # left and down of +U
-    free = {sf.cell for sf in subfaces(FaceId.PLUS_U, mask, GraspType.SPHERICAL, box) if sf.free}
+    cells = cells_by_face(mask, GraspType.SPHERICAL, box)[FaceId.PLUS_U]
+    free = set(cells["cell"][cells["free"]].tolist())
     # left column (0,3,6) and bottom row (0,1,2) lost; centre column/rows stay
     assert free == {4, 5, 7, 8}
 
@@ -250,25 +283,26 @@ def test_spherical_corner_cells_need_both_neighbours():
 def test_cylindrical_caps_are_single_cells():
     box = helpers.axis_box((0, 0, 0), (0.1, 0.02, 0.02))
     mask = _mask_with([FaceId.MINUS_U])
-    plus = subfaces(FaceId.PLUS_U, mask, GraspType.CYLINDRICAL, box)
-    minus = subfaces(FaceId.MINUS_U, mask, GraspType.CYLINDRICAL, box)
-    assert len(plus) == 1 and plus[0].free
-    assert len(minus) == 1 and not minus[0].free
+    by_face = cells_by_face(mask, GraspType.CYLINDRICAL, box)
+    plus, minus = by_face[FaceId.PLUS_U], by_face[FaceId.MINUS_U]
+    assert len(plus) == 1 and plus[0]["free"]
+    assert len(minus) == 1 and not minus[0]["free"]
 
 
 def test_cylindrical_lateral_end_strips_need_their_cap():
     box = helpers.axis_box((0, 0, 0), (0.1, 0.02, 0.02))
     mask = _mask_with([FaceId.MINUS_U])
+    by_face = cells_by_face(mask, GraspType.CYLINDRICAL, box)
     for face in (FaceId.PLUS_V, FaceId.MINUS_V, FaceId.PLUS_W, FaceId.MINUS_W):
-        cells = subfaces(face, mask, GraspType.CYLINDRICAL, box)
+        cells = by_face[face]
         assert len(cells) == 3
-        free = {sf.cell for sf in cells if sf.free}
+        free = set(cells["cell"][cells["free"]].tolist())
         assert free == {1, 2}, f"{face.name}: strip toward -U must drop"
         # strips run along the long axis: each rect spans the full short side
         lr_axis, du_axis = face_frame(face)
         long_in_lr = lr_axis == 0
         for sf in cells:
-            x0, y0, x1, y1 = sf.rect
+            x0, y0, x1, y1 = sf["rect"]
             if long_in_lr:
                 assert (y0, y1) == (-box.half_extents[du_axis], box.half_extents[du_axis])
                 assert x1 - x0 == pytest.approx(2 * box.half_extents[0] / 3)
@@ -279,14 +313,14 @@ def test_cylindrical_lateral_end_strips_need_their_cap():
 
 def test_cells_containing_closed_rects():
     box = helpers.axis_box((0, 0, 0), (0.09, 0.06, 0.03))
-    cells = subfaces(FaceId.PLUS_U, _mask_with([]), GraspType.SPHERICAL, box)
+    cells = cells_by_face(_mask_with([]), GraspType.SPHERICAL, box)[FaceId.PLUS_U]
     inside = cells_containing(cells, -0.05, -0.02)
-    assert [sf.cell for sf in inside] == [0]
+    assert [sf["cell"] for sf in inside] == [0]
     # a grid line belongs to both cells it separates
     on_line = cells_containing(cells, -0.02, 0.0)
-    assert [sf.cell for sf in on_line] == [3, 4]
+    assert [sf["cell"] for sf in on_line] == [3, 4]
     corner = cells_containing(cells, -0.02, 0.01)
-    assert [sf.cell for sf in corner] == [3, 4, 6, 7]
+    assert [sf["cell"] for sf in corner] == [3, 4, 6, 7]
     assert cells_containing(cells, 0.07, 0.0) == []
 
 

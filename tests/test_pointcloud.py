@@ -131,6 +131,55 @@ def test_ply_missing_coordinates(tmp_path):
         load_cloud(path)
 
 
+PLY_MATERIAL_FIRST = """ply
+format ascii 1.0
+element material 1
+property uchar red
+property uchar green
+property uchar blue
+element vertex 4
+property float x
+property float y
+property float z
+end_header
+255 128 0
+0 0 0
+1 0 0
+0 1 0
+0 0 1
+"""
+
+
+def test_ply_skips_the_rows_of_elements_declared_before_the_vertices(tmp_path):
+    path = tmp_path / "cloud.ply"
+    path.write_text(PLY_MATERIAL_FIRST)
+    cloud = load_cloud(path)
+    np.testing.assert_array_equal(cloud.points, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+def test_ply_element_with_fewer_properties_before_the_vertices(tmp_path):
+    header = ("ply\nformat ascii 1.0\nelement camera 1\nproperty float view_px\n"
+              "element vertex 4\nproperty float x\nproperty float y\nproperty float z\n"
+              "end_header\n0.5\n")
+    path = tmp_path / "cloud.ply"
+    path.write_text(header + "0 0 0\n1 0 0\n0 1 0\n0 0 1\n")
+    np.testing.assert_array_equal(load_cloud(path).points[3], [0, 0, 1])
+    # a fault in the vertex rows keeps its own line number: data from line 11
+    path.write_text(header + "0 0 0\n1 0 0\n0 abc 0\n0 0 1\n")
+    err = _parse_error(path)
+    assert str(err) == f"line 13: {BAD_NUMBER}"
+
+
+@pytest.mark.parametrize("declaration", [
+    "element material abc", "element material -1", "element material", "element vertex x"])
+def test_ply_bad_count_before_the_vertices(tmp_path, declaration):
+    path = tmp_path / "cloud.ply"
+    path.write_text(PLY_MATERIAL_FIRST.replace("element material 1", declaration))
+    err = _parse_error(path)
+    assert err.line == 3
+    assert str(err) == f"line 3: expected 'element <name> <count>', got {declaration!r}"
+
+
 # ---------------------------------------------------------------------------
 # obj
 # ---------------------------------------------------------------------------

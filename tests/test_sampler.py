@@ -10,7 +10,7 @@ import helpers
 import oracles
 from pregrasp.classifier import GRASP_PRESHAPE, GraspType, ShapeCategory
 from pregrasp.decomposition import DecompNode, DecompTree, OrientedBox
-from pregrasp.facemask import FaceId, face_mask, subfaces
+from pregrasp.facemask import FaceId, face_mask
 from pregrasp.pipeline import _pool_section
 from pregrasp.graspeval import finger_rays, rank_pool
 from pregrasp.pipeline import RunConfig, run_pipeline
@@ -158,12 +158,10 @@ def test_sphere_blocked_face_drops_its_directions(gripper, sampling):
                        GraspType.SPHERICAL)
     mask = face_mask([False] * 4 + [True, False])
     blocked = sample_node(node, mask, gripper, sampling, GraspType.SPHERICAL)
-    new_cells = {int(f): subfaces(f, mask, GraspType.SPHERICAL, box)
-                 for f in FaceId}
+    new_free = helpers.free_subfaces(mask, GraspType.SPHERICAL, box)
     kept = {tuple(np.round(pg["position"], 12)) for pg in blocked}
     for pg in free:
-        face, cell = helpers.source_subface(pg)
-        still_free = new_cells[face][cell].free
+        still_free = helpers.source_subface(pg) in new_free
         assert (tuple(np.round(pg["position"], 12)) in kept) == still_free
     assert len(free) == 62 and len(blocked) == 37
     assert all(pg["source_face"] != int(FaceId.PLUS_W) for pg in blocked)
@@ -290,10 +288,9 @@ def test_samples_only_on_free_subfaces(grasp_type, gripper, sampling):
         mask = face_mask(list(combo))
         got = sample_node(node, mask, gripper, sampling, grasp_type)
         counts[combo] = len(got)
-        cells = {int(f): subfaces(f, mask, grasp_type, box) for f in FaceId}
+        free = helpers.free_subfaces(mask, grasp_type, box)
         for pg in got:
-            face, cell = helpers.source_subface(pg)
-            assert cells[face][cell].free
+            assert helpers.source_subface(pg) in free
             assert helpers.ray_hits_box(box, pg["position"], pg["approach"])
     assert counts[(False,) * 6] > 0
     assert counts[(True,) * 6] == 0
