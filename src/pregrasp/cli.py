@@ -133,41 +133,44 @@ def _cmd_synth(ns):
 def _cmd_export_viz(ns):
     _check(ns.top_k >= 1, "--top-k", ">= 1", ns.top_k)
     doc = load_results(ns.input)
-    lines = ["# pregrasp scene export"]
-    n_verts = 0
+    try:
+        lines = ["# pregrasp scene export"]
+        n_verts = 0
 
-    for node in doc.get("tree", {}).get("nodes", ()):
-        box = OrientedBox.from_dict(node["box"])
-        lines.append(f"g box_{node['id']}")
-        for corner in box.corners():
-            lines.append("v " + " ".join(f"{v:.6f}" for v in corner))
-        for a, b in _BOX_EDGES:
-            lines.append(f"l {n_verts + a + 1} {n_verts + b + 1}")
-        n_verts += 8
+        for node in doc.get("tree", {}).get("nodes", ()):
+            box = OrientedBox.from_dict(node["box"])
+            lines.append(f"g box_{node['id']}")
+            for corner in box.corners():
+                lines.append("v " + " ".join(f"{v:.6f}" for v in corner))
+            for a, b in _BOX_EDGES:
+                lines.append(f"l {n_verts + a + 1} {n_verts + b + 1}")
+            n_verts += 8
 
-    best_rank = {}      # pool index -> 1-based rank among the displayed top-k
-    ranking = doc.get("ranking", ())
-    for r, entry in enumerate(ranking[:ns.top_k], start=1):
-        best_rank.setdefault(entry["pool_index"], r)
+        best_rank = {}      # pool index -> 1-based rank among the displayed top-k
+        ranking = doc.get("ranking", ())
+        for r, entry in enumerate(ranking[:ns.top_k], start=1):
+            best_rank.setdefault(entry["pool_index"], r)
 
-    for i, pg in enumerate(doc.get("pool", ())):
-        rank = best_rank.get(i)
-        if rank == 1:
-            lines.append("g best")
-        elif rank is not None:
-            lines.append(f"g best_{rank}")
-        else:
-            lines.append(f"g grasp_{i}")
-        pos = np.asarray(pg["position"])
-        approach = np.asarray(pg["approach"])
-        closing = np.asarray(pg["closing_dir"])
-        third = np.cross(approach, closing)
-        for point in (pos, pos + 0.03 * approach, pos + 0.02 * closing,
-                      pos + 0.02 * third):
-            lines.append("v " + " ".join(f"{v:.6f}" for v in point))
-        for end in (2, 3, 4):
-            lines.append(f"l {n_verts + 1} {n_verts + end}")
-        n_verts += 4
+        for i, pg in enumerate(doc.get("pool", ())):
+            rank = best_rank.get(i)
+            if rank == 1:
+                lines.append("g best")
+            elif rank is not None:
+                lines.append(f"g best_{rank}")
+            else:
+                lines.append(f"g grasp_{i}")
+            pos = np.asarray(pg["position"])
+            approach = np.asarray(pg["approach"])
+            closing = np.asarray(pg["closing_dir"])
+            third = np.cross(approach, closing)
+            for point in (pos, pos + 0.03 * approach, pos + 0.02 * closing,
+                          pos + 0.02 * third):
+                lines.append("v " + " ".join(f"{v:.6f}" for v in point))
+            for end in (2, 3, 4):
+                lines.append(f"l {n_verts + 1} {n_verts + end}")
+            n_verts += 4
+    except (AttributeError, IndexError, KeyError, TypeError, ValueError) as exc:
+        raise PreGraspError(f"{ns.input}: not a run document: {type(exc).__name__}: {exc}")
 
     with open(ns.out, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -19,6 +19,13 @@ A cloud is recursively partitioned into a binary tree of oriented boxes:
 4. recurse while a node holds at least ``min_points`` points.
 
 Node ids are assigned breadth-first from 0.
+
+Memory is bounded by the cloud's size: the tied-pair search (60 rows per
+set), the sweep (18) and the slab projections (49) reduce their per-point
+products in blocks of ``_BLOCK_BYTES``, with running extremes.  Those
+products only choose grid angles and sweep steps; the box comes from table
+rotations and the whole ``X @ R``, so a block's own gemm rounding could
+only matter where two choices tie to within a few ulps.
 """
 
 import itertools
@@ -162,8 +169,8 @@ _MIN_AREA_ANGLES = np.radians(np.arange(0.0, 90.0, 3.0))
 _MIN_AREA_BASIS = _rot2_basis(np.cos(_MIN_AREA_ANGLES), np.sin(_MIN_AREA_ANGLES))
 _MIN_AREA_TURNS = np.array([(np.cos(a), np.sin(a)) for a in _MIN_AREA_ANGLES.tolist()])
 
-# Tied sides searched per block: bounds the (block, 60, n) search product.
-_TIED_BLOCK = 8
+# Bytes of one block of the per-point products (see the module docstring).
+_BLOCK_BYTES = 2 << 20
 
 # Per round of the rotation sweep: the stacked 2D rotation rows of its 9
 # angles, and per box axis the (9, 3, 3) rotations about it by those angles.
@@ -174,12 +181,26 @@ _SWEEP_STEPS = [(_rot2_basis(np.cos(a), np.sin(a)),
                           for h in np.radians(10.0) / 2.0 ** np.arange(_REFINE_STEPS))]
 
 
+def _extremes(basis, p2):
+    """(g, r) max and min over the points of basis @ p2[s].T for each set of
+    the (g, n, 2) stack `p2`, reduced over runs of points that fit in
+    `_BLOCK_BYTES`, and that (g, r, n) product if it is one run (else None)."""
+    r, (g, n, _) = len(basis), p2.shape
+    step = max(1, _BLOCK_BYTES // (8 * r * g))
+    uv = basis @ p2[:, :step].transpose(0, 2, 1)
+    hi, lo = uv.max(axis=2), uv.min(axis=2)
+    for a in range(step, n, step):
+        uv = basis @ p2[:, a:a + step].transpose(0, 2, 1)
+        hi, lo = np.maximum(hi, uv.max(axis=2)), np.minimum(lo, uv.min(axis=2))
+    return hi, lo, (uv if step >= n else None)
+
+
 def _min_area_turns(p2):
     """(cos, sin) of the grid angle that minimizes the bounding-rectangle area
     of each 2D point set of the (t, n, 2) stack `p2`, as (t, 2) rows."""
     k = len(_MIN_AREA_TURNS)
-    uv = _MIN_AREA_BASIS @ p2.transpose(0, 2, 1)                   # (t, 2k, n)
-    spans = np.maximum(uv.max(axis=2) - uv.min(axis=2), 2 * EXTENT_FLOOR)
+    hi, lo, _ = _extremes(_MIN_AREA_BASIS, p2)                     # (t, 2k) each
+    spans = np.maximum(hi - lo, 2 * EXTENT_FLOOR)
     return _MIN_AREA_TURNS[np.argmin(spans[:, :k] * spans[:, k:], axis=1)]
 
 
@@ -192,14 +213,15 @@ def _pca_axes(cov, X):
     PCA leaves the basis of a (near-)degenerate eigenspace arbitrary — for a
     square cross-section the returned pair can sit at any in-plane angle, far
     outside the reach of the local refinement sweep, so the tie is resolved
-    geometrically here.  The tied sets are searched `_TIED_BLOCK` at a time.
+    geometrically here.  The tied sets are searched in blocks of `_BLOCK_BYTES`.
     """
     lam, axes = eigh_descending(cov)
+    step = max(1, _BLOCK_BYTES // (8 * len(_MIN_AREA_BASIS) * X.shape[1]))
     for i, j in ((0, 1), (1, 2), (0, 1)):
         untied = (lam[:, j] <= 0.0) | (lam[:, i] > _TIED_EIGENVALUE_RATIO * lam[:, j])
         tied = np.flatnonzero(~untied)
-        for start in range(0, len(tied), _TIED_BLOCK):
-            blk = tied[start:start + _TIED_BLOCK]
+        for start in range(0, len(tied), step):
+            blk = tied[start:start + step]
             Xb = X if len(blk) == len(X) else X[blk]       # fit_obb's stack: no copy
             c, s = _min_area_turns(Xb @ axes[blk][:, :, (i, j)]).T[:, :, None]
             a_old, b_old = axes[blk, :, i], axes[blk, :, j]
@@ -222,8 +244,13 @@ def _sweep(X, R):
     of the (g, n, 3) stack `X` along its axes in the (g, 3, 3) stack `R`.
 
     Returns the refined (g, 3, 3) axes and the (g,) floor-clamped volumes of
-    the sets' extents along them.
+    the sets' extents along them.  Swept in blocks of sets that fit in
+    `_BLOCK_BYTES`; in a larger set a step rotates its two columns on its own.
     """
+    step = max(1, _BLOCK_BYTES // (8 * len(_SWEEP_STEPS[0][0]) * X.shape[1]))
+    if step < len(X):
+        parts = [_sweep(X[a:a + step], R[a:a + step]) for a in range(0, len(X), step)]
+        return tuple(np.concatenate(part) for part in zip(*parts))
     R = R.copy()
     P = X @ R
     ext = _extents(P.transpose(0, 2, 1))
@@ -234,8 +261,8 @@ def _sweep(X, R):
             # rotating about a box axis only mixes the other two projected
             # columns, so the sweep needs no full re-projection
             j, k = (axis + 1) % 3, (axis + 2) % 3
-            uv = basis @ P[:, :, (j, k)].transpose(0, 2, 1)     # (g, 2m, n)
-            hi, lo = uv.max(axis=2), uv.min(axis=2)
+            pjk = P[:, :, (j, k)]
+            hi, lo, uv = _extremes(basis, pjk)                  # (g, 2m) each
             exts = np.empty((len(X), m, 3))
             exts[:, :, axis] = ext[:, axis:axis + 1]
             exts[:, :, j] = hi[:, :m] - lo[:, :m]
@@ -245,9 +272,13 @@ def _sweep(X, R):
             kb = np.argmin(vols[g], axis=1)
             best_vol[g] = vols[g, kb]
             R[g] = R[g] @ turns[axis, kb]
-            P[g, :, j], P[g, :, k] = uv[g, kb], uv[g, m + kb]
+            if uv is None:
+                uv = basis[np.stack([kb, m + kb], axis=1)] @ pjk[g].transpose(0, 2, 1)
+                P[g, :, j], P[g, :, k] = uv[:, 0], uv[:, 1]
+            else:
+                P[g, :, j], P[g, :, k] = uv[g, kb], uv[g, m + kb]
             ext[g] = exts[g, kb]
-            del uv          # before the next step's product
+            del uv, pjk     # before the next step's product
     return R, best_vol
 
 
@@ -385,9 +416,9 @@ def _slab_summaries(X, coord, offsets, dirs):
 
     The points are gathered once in slab order, so each slab is a contiguous
     run of rows, and copied once as coordinate rows for `_project`, so each
-    slab's projections take contiguous slices and come out direction-major.
-    Ties go to the first point in slab order.
-    """
+    slab's projections (in runs of points that fit `_BLOCK_BYTES`) take
+    contiguous slices and come out direction-major.  Ties go to the first
+    point in slab order."""
     order = np.argsort(coord, kind="stable")
     bounds = np.concatenate(([0], np.searchsorted(coord[order], offsets), [len(coord)]))
     n_slabs, m = len(bounds) - 1, len(dirs)
@@ -396,7 +427,7 @@ def _slab_summaries(X, coord, offsets, dirs):
                    np.full((n_slabs, m), np.inf), np.zeros((n_slabs, m), dtype=int))
     Xo = X[order]
     XT = Xo.T.copy()
-    rows = np.arange(m)
+    rows, step = np.arange(m), max(1, _BLOCK_BYTES // (8 * m))
     for j in range(n_slabs):
         a, b = bounds[j], bounds[j + 1]
         if a == b:
@@ -404,10 +435,14 @@ def _slab_summaries(X, coord, offsets, dirs):
         Xs = Xo[a:b]
         slabs.s1[j] = Xs.sum(axis=0)
         slabs.s2[j] = Xs.T @ Xs
-        proj = _project(XT[:, a:b], dirs)
-        top, bot = proj.argmax(axis=1), proj.argmin(axis=1)
-        slabs.hi[j], slabs.hi_idx[j] = proj[rows, top], order[a + top]
-        slabs.lo[j], slabs.lo_idx[j] = proj[rows, bot], order[a + bot]
+        for c in range(a, b, step):
+            proj = _project(XT[:, c:min(b, c + step)], dirs)
+            top, bot = proj.argmax(axis=1), proj.argmin(axis=1)
+            hi, lo = proj[rows, top], proj[rows, bot]
+            up, down = (hi > slabs.hi[j], lo < slabs.lo[j]) if c > a else (slice(None),) * 2
+            slabs.hi[j, up], slabs.hi_idx[j, up] = hi[up], order[c + top[up]]
+            slabs.lo[j, down], slabs.lo_idx[j, down] = lo[down], order[c + bot[down]]
+            del proj        # before the next run's projection
     return slabs
 
 

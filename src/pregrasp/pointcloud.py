@@ -172,6 +172,8 @@ def _parse_ply(lines):
                 else:
                     n_before += int(parts[2])
         elif line.startswith("property") and in_vertex_element:
+            if line.split()[1:2] == ["list"]:     # its rows hold a count, then that many values
+                raise ParseError(i, f"vertex list properties are not supported: {line!r}")
             vertex_props.append(line.split()[-1])
         elif line == "end_header":
             data_start = i

@@ -5,6 +5,8 @@ document without ``timings_ms``, dumped as JSON with sorted keys.  The clouds:
 
 * the six synth shapes at 5k points, ``pregrasp synth`` default dimensions,
   default config;
+* the dumbbell at 200k points, seed 1, default config: its root box fit and
+  split screen reduce their per-point products block by block;
 * three 5k-point clouds whose pools hold the grasp types the others' do
   not: the box (Spherical) and the plate (ThreeFingertip) with a 25 cm
   gripper aperture, and a sphere of radius 1.5 cm (TwoFingertip);
@@ -25,7 +27,7 @@ that directory and the rest of the environment unchanged (so
 whose digest differs and exits 1 if any digest or label differs.
 
 Pytest does not collect this file (it is not named ``test_*.py``).  A full run
-takes about 15 s on two CPUs.
+takes about 20 s on two CPUs.
 """
 
 import argparse
@@ -42,6 +44,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import workloads  # noqa: E402
 
 SYNTH_POINTS, SYNTH_SEED, WORKLOAD_SEED = 5000, 1, 1
+LARGE_POINTS = 200000
 
 # (label, synth kind, dimensions, gripper max_aperture)
 GRASP_TYPE_CLOUDS = (
@@ -64,6 +67,9 @@ def documents():
     for kind in workloads.SHAPE_DIMS:
         cloud = workloads.make_cloud(workloads.CloudSpec(kind, SYNTH_POINTS), SYNTH_SEED)
         yield f"synth:{kind}-{SYNTH_POINTS}", run_pipeline(cloud, workloads.make_config(plain))
+
+    cloud = workloads.make_cloud(workloads.CloudSpec("dumbbell", LARGE_POINTS), SYNTH_SEED)
+    yield f"synth:dumbbell-{LARGE_POINTS}", run_pipeline(cloud, workloads.make_config(plain))
 
     for label, kind, dims, aperture in GRASP_TYPE_CLOUDS:
         cloud = synth_shape(kind, dims, SYNTH_POINTS, SYNTH_SEED)

@@ -27,9 +27,13 @@ code because the package must agree with them exactly:
 - `reference_slab_summaries`, the per-slab gather and point-major (n_s, 49)
   projection that the package's slab-local, direction-major split screen
   replaced, built on the package's `_Slabs`;
+- `reference_fit_obb`, the box fit with each per-point product built whole
+  (`pca_axes`' (60, n) tied-pair search, `sweep_volume`'s (18, n) steps),
+  which the package's block-by-block reductions replaced, built on the
+  package's search constants;
 - `reference_screen`, the one-side-at-a-time PCA and rotation sweep that the
-  package's stacked split screen replaced, built on the package's slab
-  summaries and search constants;
+  package's stacked split screen replaced, built on `pca_axes`,
+  `sweep_volume` and the package's slab summaries and search constants;
 - `reference_epsilon_quality`, the per-direction row maxima of one wrench
   set's (n_dirs, k) support product, which the package's stacked (g, k,
   n_dirs) products reduced along contiguous memory replaced, built on the
@@ -279,6 +283,98 @@ def rotation_about_axis(axis, angle_rad):
     return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
 
 
+def rot2_basis(cos, sin):
+    return np.concatenate([np.stack([cos, sin], axis=1), np.stack([-sin, cos], axis=1)])
+
+
+def min_area_angle(p2):
+    """The 3 degree grid angle in [0, 90) that minimizes the bounding
+    rectangle of the (n, 2) points `p2`, from one (60, n) product."""
+    from pregrasp.decomposition import EXTENT_FLOOR
+
+    angles = np.radians(np.arange(0.0, 90.0, 3.0))
+    k = len(angles)
+    uv = rot2_basis(np.cos(angles), np.sin(angles)) @ p2.T
+    spans = np.maximum(uv.max(axis=1) - uv.min(axis=1), 2.0 * EXTENT_FLOOR)
+    return float(angles[int(np.argmin(spans[:k] * spans[k:]))])
+
+
+def pca_axes(cov, X):
+    """Principal axes of one (3, 3) covariance, each near-tied pair turned
+    by `min_area_angle` on the centred points `X`: the box fit's PCA step,
+    one point set and one whole product at a time."""
+    from pregrasp.decomposition import _TIED_EIGENVALUE_RATIO
+
+    evals, evecs = np.linalg.eigh(cov)
+    lam, axes = np.maximum(evals[::-1], 0.0), evecs[:, ::-1].copy()
+    for i, j in ((0, 1), (1, 2), (0, 1)):
+        if lam[j] <= 0.0 or lam[i] > _TIED_EIGENVALUE_RATIO * lam[j]:
+            continue
+        theta = min_area_angle(X @ axes[:, (i, j)])
+        c, s = np.cos(theta), np.sin(theta)
+        a_new = c * axes[:, i] + s * axes[:, j]
+        b_new = -s * axes[:, i] + c * axes[:, j]
+        axes[:, i], axes[:, j] = a_new, b_new
+    return axes
+
+
+def sweep_volume(X, R):
+    """The box fit's rotation sweep of the centred points `X` from the axes
+    `R`, one point set and one whole (18, n) product per step.  Returns the
+    floor-clamped volume and the refined axes."""
+    from pregrasp.decomposition import _REFINE_STEPS, EXTENT_FLOOR
+
+    floor = 2.0 * EXTENT_FLOOR
+    P = X @ R
+    ext = P.max(axis=0) - P.min(axis=0)
+    best_vol = float(np.prod(np.maximum(ext, floor)))
+    for rnd in range(_REFINE_STEPS):
+        half_range = np.radians(10.0) / (2.0 ** rnd)
+        angles = np.linspace(-half_range, half_range, 9)
+        m = len(angles)
+        basis = rot2_basis(np.cos(angles), np.sin(angles))
+        for axis in range(3):
+            j, k = (axis + 1) % 3, (axis + 2) % 3
+            uv = basis @ P[:, (j, k)].T
+            hi, lo = uv.max(axis=1), uv.min(axis=1)
+            exts = np.empty((m, 3))
+            exts[:, axis] = ext[axis]
+            exts[:, j] = hi[:m] - lo[:m]
+            exts[:, k] = hi[m:] - lo[m:]
+            vols = np.maximum(exts, floor).prod(axis=1)
+            kb = int(np.argmin(vols))
+            if vols[kb] < best_vol:
+                best_vol = float(vols[kb])
+                e = np.zeros(3)
+                e[axis] = 1.0
+                R = R @ rotation_about_axis(e, float(angles[kb]))
+                P[:, j], P[:, k] = uv[kb], uv[m + kb]
+                ext = exts[kb]
+    return best_vol, R
+
+
+def reference_fit_obb(points):
+    """The box fit as (center, rotation, half_extents), with every per-point
+    product built whole: `pca_axes`, `sweep_volume`, then the package's
+    canonical form (extents descending, dominant axes sign-fixed, det +1)."""
+    from pregrasp.decomposition import EXTENT_FLOOR
+
+    pts = np.asarray(points, dtype=float)
+    mean = pts.mean(axis=0)
+    X = pts - mean
+    R = sweep_volume(X, pca_axes(X.T @ X / len(X), X))[1]
+    P = X @ R
+    R = R[:, np.argsort(-(P.max(axis=0) - P.min(axis=0)), kind="stable")]
+    for c in (0, 1):
+        col = R[:, c]
+        if col[int(np.argmax(np.abs(col)))] < 0.0:
+            R[:, c] = -col
+    R[:, 2] = np.cross(R[:, 0], R[:, 1])
+    P = X @ R
+    lo, hi = P.min(axis=0), P.max(axis=0)
+    return mean + R @ ((lo + hi) / 2.0), R, np.maximum((hi - lo) / 2.0, EXTENT_FLOOR)
+
+
 def reference_screen(pts, box, params):
     """The split screen's [(volume, axis, offset)], one side at a time: each
     side's covariance from its moments, its own eigh and tied-pair search,
@@ -287,66 +383,13 @@ def reference_screen(pts, box, params):
     Built on the package's slab summaries and search constants."""
     from pregrasp import decomposition as d
 
-    floor = 2.0 * d.EXTENT_FLOOR
-
-    def rot2_basis(cos, sin):
-        return np.concatenate([np.stack([cos, sin], axis=1), np.stack([-sin, cos], axis=1)])
-
-    def min_area_angle(p2):
-        angles = np.radians(np.arange(0.0, 90.0, 3.0))
-        k = len(angles)
-        uv = rot2_basis(np.cos(angles), np.sin(angles)) @ p2.T
-        spans = np.maximum(uv.max(axis=1) - uv.min(axis=1), floor)
-        return float(angles[int(np.argmin(spans[:k] * spans[k:]))])
-
-    def pca_axes(cov, X):
-        evals, evecs = np.linalg.eigh(cov)
-        lam, axes = np.maximum(evals[::-1], 0.0), evecs[:, ::-1].copy()
-        for i, j in ((0, 1), (1, 2), (0, 1)):
-            if lam[j] <= 0.0 or lam[i] > d._TIED_EIGENVALUE_RATIO * lam[j]:
-                continue
-            theta = min_area_angle(X @ axes[:, (i, j)])
-            c, s = np.cos(theta), np.sin(theta)
-            a_new = c * axes[:, i] + s * axes[:, j]
-            b_new = -s * axes[:, i] + c * axes[:, j]
-            axes[:, i], axes[:, j] = a_new, b_new
-        return axes
-
-    def sweep_volume(X, R):
-        P = X @ R
-        ext = P.max(axis=0) - P.min(axis=0)
-        best_vol = float(np.prod(np.maximum(ext, floor)))
-        for rnd in range(d._REFINE_STEPS):
-            half_range = np.radians(10.0) / (2.0 ** rnd)
-            angles = np.linspace(-half_range, half_range, 9)
-            m = len(angles)
-            basis = rot2_basis(np.cos(angles), np.sin(angles))
-            for axis in range(3):
-                j, k = (axis + 1) % 3, (axis + 2) % 3
-                uv = basis @ P[:, (j, k)].T
-                hi, lo = uv.max(axis=1), uv.min(axis=1)
-                exts = np.empty((m, 3))
-                exts[:, axis] = ext[axis]
-                exts[:, j] = hi[:m] - lo[:m]
-                exts[:, k] = hi[m:] - lo[m:]
-                vols = np.maximum(exts, floor).prod(axis=1)
-                kb = int(np.argmin(vols))
-                if vols[kb] < best_vol:
-                    best_vol = float(vols[kb])
-                    e = np.zeros(3)
-                    e[axis] = 1.0
-                    R = R @ rotation_about_axis(e, float(angles[kb]))
-                    P[:, j], P[:, k] = uv[kb], uv[m + kb]
-                    ext = exts[kb]
-        return best_vol
-
     def side_volume(X, side):
         count, s1, s2, hi, lo, coreset = side
         if float((hi - lo).max()) < d._COINCIDENT_SPAN:
             return None
         mean = s1 / count
         C = X[coreset] - mean
-        return sweep_volume(C, pca_axes(s2 / count - np.outer(mean, mean), C))
+        return sweep_volume(C, pca_axes(s2 / count - np.outer(mean, mean), C))[0]
 
     X = pts - pts.mean(axis=0)
     dirs = d.SCREEN_DIRECTIONS @ box.rotation.T

@@ -410,6 +410,20 @@ def test_export_viz_rejects_a_bad_document(tmp_path, capsys, data, line, reason)
     assert not obj.exists()
 
 
+@pytest.mark.parametrize("doc, reason", [
+    ({"tree": 5}, "AttributeError: 'int' object has no attribute 'get'"),
+    ({"tree": {"nodes": [{"id": 0}]}}, "KeyError: 'box'"),
+    ({"ranking": 3}, "TypeError: 'int' object is not subscriptable"),
+], ids=["tree-not-an-object", "node-without-box", "ranking-not-a-list"])
+def test_export_viz_rejects_a_malformed_run_document(tmp_path, capsys, doc, reason):
+    doc_path, obj = tmp_path / "bad.json", tmp_path / "scene.obj"
+    doc_path.write_text(json.dumps(doc))
+    assert main(["export-viz", "--input", str(doc_path), "--out", str(obj)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {doc_path}: not a run document: {reason}"]
+    assert not obj.exists()
+
+
 # ===========================================================================
 # packaging entry point
 # ===========================================================================

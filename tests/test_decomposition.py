@@ -51,6 +51,57 @@ def test_fit_obb_beats_grid_oracle_on_frozen_clouds():
     assert worst <= 1.05, f"worst fit/grid volume ratio {worst:.4f}"
 
 
+def _large_fit_clouds():
+    """Four synth shapes at 100k and 200k points, each as generated and
+    randomly rotated, and a rotated 200k-point cube surface, whose 3
+    eigenvalues tie."""
+    rng = np.random.default_rng(31)
+    clouds = {}
+    for kind in ("sphere", "cylinder", "dumbbell", "lshape"):
+        for n in (100_000, 200_000):
+            pts = synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), n, seed=3).points
+            clouds[f"{kind}-{n}"] = pts
+            clouds[f"{kind}-{n}-rotated"] = pts @ helpers.random_rotation(rng).T
+    cube = oracles.box_surface_points(rng, (0.05, 0.05, 0.05), 200_000)
+    clouds["cube-200000-rotated"] = cube @ helpers.random_rotation(rng).T
+    return clouds
+
+
+@pytest.mark.bitexact
+def test_fit_obb_matches_whole_product_reference_bytes():
+    """fit_obb, which reduces its tied-pair search and rotation sweep in
+    blocks at these sizes, gives the bytes of the reference that builds
+    every per-point product whole."""
+    for name, pts in _large_fit_clouds().items():
+        box = fit_obb(pts)
+        center, rotation, half = oracles.reference_fit_obb(pts)
+        assert box.center.tobytes() == center.tobytes(), name
+        assert box.rotation.tobytes() == rotation.tobytes(), name
+        assert box.half_extents.tobytes() == half.tobytes(), name
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["sphere", "dumbbell", "lshape"])
+def test_fit_and_decompose_memory_is_bounded(kind):
+    """On a 200k-point cloud, fit_obb peaks below 6x and decompose below 10x
+    the cloud's own bytes: no (rows, n) product is built whole."""
+    cloud = synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), 200_000, seed=1)
+    size = cloud.points.nbytes
+    fit_peak = _traced_peak(lambda: fit_obb(cloud.points))
+    assert fit_peak < 6 * size, f"{kind}: fit_obb peaked {fit_peak / size:.1f}x the cloud"
+    tree_peak = _traced_peak(lambda: decompose(cloud))
+    assert tree_peak < 10 * size, f"{kind}: decompose peaked {tree_peak / size:.1f}x the cloud"
+
+
 def test_fit_obb_square_cross_section_brick():
     # tied second/third eigenvalues: PCA alone cannot resolve the in-plane
     # angle, the planar rectangle repair must
@@ -308,7 +359,19 @@ SLAB_CLOUDS = {
 def test_slab_summaries_match_reference_bytes(case, request, monkeypatch):
     """Every field of the slab summaries equals the per-slab (n_s, 49)
     reference's, byte for byte, on all 3 axes of every searched node."""
-    cloud = SLAB_CLOUDS[case](request)
+    _check_slab_summaries(SLAB_CLOUDS[case](request), monkeypatch)
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("case", ["lattice", "lshape"])
+def test_slab_summaries_in_runs_match_reference_bytes(case, request, monkeypatch):
+    """Slabs projected in runs of 100 points give the same summaries: the
+    lattice's exactly tied extremes stay with the first point in slab order."""
+    monkeypatch.setattr(decomposition, "_BLOCK_BYTES", 8 * len(SCREEN_DIRECTIONS) * 100)
+    _check_slab_summaries(SLAB_CLOUDS[case](request), monkeypatch)
+
+
+def _check_slab_summaries(cloud, monkeypatch):
     params = DecompParams()
     real = decomposition._slab_summaries
     calls = []
@@ -371,25 +434,29 @@ def _stacked_point_sets():
 
 
 @pytest.mark.bitexact
-def test_stacked_fit_matches_stacks_of_one():
+def test_stacked_fit_matches_stacks_of_one(monkeypatch):
     """_pca_axes and _sweep give each point set of a stack the bytes of its
-    own stack-of-one call, tied and rank-deficient sets included."""
+    own stack-of-one call, tied and rank-deficient sets included: with the
+    whole stack in one block, and with a block budget that splits the tied
+    search into blocks of 4 sets and the sweep into blocks of 13."""
     X = _stacked_point_sets()
     cov = np.stack([x.T @ x / len(x) for x in X])
     lam = np.linalg.eigvalsh(cov)[:, ::-1]
     assert (lam[:, 2] <= 1e-18).sum() == 2                       # planar, collinear
     ratio = decomposition._TIED_EIGENVALUE_RATIO
     tied = (lam[:, 0] <= ratio * lam[:, 1]) | (lam[:, 1] <= ratio * lam[:, 2])
-    assert tied.sum() > decomposition._TIED_BLOCK                # two tied blocks
-    axes = decomposition._pca_axes(cov, X)
-    R, vols = decomposition._sweep(X, axes)
-    assert R.shape == (len(X), 3, 3) and vols.shape == (len(X),)
-    for g in range(len(X)):
-        one_axes = decomposition._pca_axes(cov[g:g + 1], X[g:g + 1])
-        one_R, one_vol = decomposition._sweep(X[g:g + 1], one_axes)
-        assert axes[g].tobytes() == one_axes[0].tobytes(), g
-        assert R[g].tobytes() == one_R[0].tobytes(), g
-        assert vols[g].tobytes() == one_vol[0].tobytes(), g
+    assert tied.sum() > 4                                        # two tied blocks
+    ones = [decomposition._pca_axes(cov[g:g + 1], X[g:g + 1]) for g in range(len(X))]
+    ones = [(a, *decomposition._sweep(X[g:g + 1], a)) for g, a in enumerate(ones)]
+    for budget in (decomposition._BLOCK_BYTES, 4 * 8 * 60 * X.shape[1]):
+        monkeypatch.setattr(decomposition, "_BLOCK_BYTES", budget)
+        axes = decomposition._pca_axes(cov, X)
+        R, vols = decomposition._sweep(X, axes)
+        assert R.shape == (len(X), 3, 3) and vols.shape == (len(X),)
+        for g, (one_axes, one_R, one_vol) in enumerate(ones):
+            assert axes[g].tobytes() == one_axes[0].tobytes(), (budget, g)
+            assert R[g].tobytes() == one_R[0].tobytes(), (budget, g)
+            assert vols[g].tobytes() == one_vol[0].tobytes(), (budget, g)
 
 
 @pytest.mark.parametrize("kind", ["sphere", "cylinder", "dumbbell"])
@@ -398,13 +465,7 @@ def test_screen_memory_is_bounded(kind):
     tied-pair search runs a block of sides at a time."""
     cloud = synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), 10000, seed=1)
     box = fit_obb(cloud.points)
-    tracemalloc.start()
-    try:
-        start = tracemalloc.get_traced_memory()[0]
-        decomposition._screen(cloud.points, box, DecompParams())
-        peak = tracemalloc.get_traced_memory()[1] - start
-    finally:
-        tracemalloc.stop()
+    peak = _traced_peak(lambda: decomposition._screen(cloud.points, box, DecompParams()))
     assert peak < 5e6, f"{kind}: _screen peaked {peak / 1e6:.2f} MB above its start"
 
 

@@ -131,6 +131,26 @@ def test_ply_missing_coordinates(tmp_path):
         load_cloud(path)
 
 
+def test_ply_rejects_a_list_property_in_the_vertex_element(tmp_path):
+    # the row would load as (0.5, 0.5, 1) if the list counted as one column
+    path = tmp_path / "cloud.ply"
+    path.write_text("ply\nformat ascii 1.0\nelement vertex 4\n"
+                    "property list uchar float tags\nproperty float x\nproperty float y\n"
+                    "property float z\nend_header\n" + "2 0.5 0.5 1 2 3\n" * 4)
+    err = _parse_error(path)
+    assert err.line == 4
+    assert str(err) == ("line 4: vertex list properties are not supported: "
+                        "'property list uchar float tags'")
+
+
+def test_ply_list_property_of_a_later_face_element(tmp_path):
+    path = _ply(tmp_path, 4, ("x", "y", "z"), "0 0 0\n1 0 0\n0 1 0\n0 0 1\n3 0 1 2\n")
+    text = path.read_text().replace(
+        "end_header", "element face 1\nproperty list uchar int vertex_indices\nend_header")
+    path.write_text(text)
+    np.testing.assert_array_equal(load_cloud(path).points[1], [1.0, 0.0, 0.0])
+
+
 PLY_MATERIAL_FIRST = """ply
 format ascii 1.0
 element material 1
