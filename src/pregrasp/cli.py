@@ -159,9 +159,11 @@ def _cmd_export_viz(ns):
                 lines.append(f"g best_{rank}")
             else:
                 lines.append(f"g grasp_{i}")
-            pos = np.asarray(pg["position"])
-            approach = np.asarray(pg["approach"])
-            closing = np.asarray(pg["closing_dir"])
+            pos, approach, closing = (np.asarray(pg[k], dtype=float)
+                                      for k in ("position", "approach", "closing_dir"))
+            if not pos.shape == approach.shape == closing.shape == (3,):
+                raise ValueError(f"pool entry {i}: position, approach and closing_dir "
+                                 "need 3 components each")
             third = np.cross(approach, closing)
             for point in (pos, pos + 0.03 * approach, pos + 0.02 * closing,
                           pos + 0.02 * third):

@@ -135,23 +135,6 @@ class DecompTree:
     def leaf_ids(self):
         return [n.id for n in self.nodes if n.is_leaf]
 
-    def ancestors_of(self, nid):
-        out = []
-        p = self.nodes[nid].parent
-        while p is not None:
-            out.append(p)
-            p = self.nodes[p].parent
-        return out
-
-    def descendants_of(self, nid):
-        out = []
-        stack = list(self.nodes[nid].children)
-        while stack:
-            c = stack.pop()
-            out.append(c)
-            stack.extend(self.nodes[c].children)
-        return out
-
 
 # ===========================================================================
 # Minimum-volume box fitting
@@ -273,7 +256,8 @@ def _sweep(X, R):
             best_vol[g] = vols[g, kb]
             R[g] = R[g] @ turns[axis, kb]
             if uv is None:
-                uv = basis[np.stack([kb, m + kb], axis=1)] @ pjk[g].transpose(0, 2, 1)
+                pjk = pjk if len(g) == len(X) else pjk[g]     # no copy when every set won
+                uv = basis[np.stack([kb, m + kb], axis=1)] @ pjk.transpose(0, 2, 1)
                 P[g, :, j], P[g, :, k] = uv[:, 0], uv[:, 1]
             else:
                 P[g, :, j], P[g, :, k] = uv[g, kb], uv[g, m + kb]

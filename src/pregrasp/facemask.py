@@ -1,20 +1,19 @@
 """Face reachability of decomposition boxes.
 
 A gripper can reach a box from its six rectangular faces, but neighbouring
-parts occlude some of them.  Each face gets a binary state (0 free, 1 blocked)
-by testing the face's outward slab against every other leaf box; a 6x5 mask
-matrix then pairs every face with its four adjacent faces (left, down, right,
-up), and a per-grasp-type grid table turns the mask into one array of
-reachable surface cells per node for the samplers.
+parts occlude some of them.  A node's mask is its six face states (0 free, 1
+blocked), and a tree's masks are one (n_nodes, 6) array, built in one pass of
+stacked separating-axis tests of every face slab against every leaf box.
+Through each face's four `NEIGHBOURS`, a grid table per grasp type turns a
+node's states into one array of reachable surface cells for the samplers, and
+the run document's 6x5 mask matrix is `states[MASK_COLUMNS]`.
 """
 
-from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
 
 from .classifier import GraspType
-from .decomposition import OrientedBox
 from .geom import cross
 
 # Overlaps shallower than this are treated as touching, not blocking: boxes
@@ -25,64 +24,23 @@ PENETRATION_EPS = 1e-3
 # Slack of a sub-face's closed rect when testing whether it holds a point.
 CELL_TOL = 1e-12
 
-
-class FaceId(IntEnum):
-    PLUS_U = 0
-    MINUS_U = 1
-    PLUS_V = 2
-    MINUS_V = 3
-    PLUS_W = 4
-    MINUS_W = 5
+# (face, leaf) pairs per stacked overlap test; a block holds at least one node.
+_BLOCK_PAIRS = 4096
 
 
-class FaceDir(IntEnum):
-    LEFT = 0
-    DOWN = 1
-    RIGHT = 2
-    UP = 3
+# The six faces in mask row order: the + and then the - face of u, v and w.
+FaceId = IntEnum("FaceId", "PLUS_U MINUS_U PLUS_V MINUS_V PLUS_W MINUS_W", start=0)
 
+# Per face of axis a: the box axes of its in-face (left-right, down-up)
+# directions, ((a+1)%3, (a+2)%3).
+FACE_FRAMES = (np.arange(6)[:, None] // 2 + (1, 2)) % 3
 
-# Adjacency is fixed per face axis and independent of the face sign:
-# left/right walk the next box axis, down/up the one after.
-_ADJACENT = {
-    0: (FaceId.MINUS_V, FaceId.MINUS_W, FaceId.PLUS_V, FaceId.PLUS_W),   # +/-U
-    1: (FaceId.MINUS_W, FaceId.MINUS_U, FaceId.PLUS_W, FaceId.PLUS_U),   # +/-V
-    2: (FaceId.MINUS_U, FaceId.MINUS_V, FaceId.PLUS_U, FaceId.PLUS_V),   # +/-W
-}
+# Per face: the faces met walking off it to the left, down, right and up, the
+# minus and then the plus faces of its frame axes.
+NEIGHBOURS = 2 * FACE_FRAMES[:, [0, 1, 0, 1]] + (1, 1, 0, 0)
 
-# In-face 2D frame: (left-right axis index, down-up axis index) in box axes.
-_FACE_FRAME = {0: (1, 2), 1: (2, 0), 2: (0, 1)}
-
-
-def adjacent_face(face, direction):
-    """The face met when walking off `face` toward `direction`."""
-    return _ADJACENT[int(face) // 2][int(direction)]
-
-
-def face_frame(face):
-    """Box-axis indices of a face's (left-right, down-up) in-plane directions."""
-    return _FACE_FRAME[int(face) // 2]
-
-
-@dataclass
-class FaceMask:
-    """6x5 binary matrix: rows follow FaceId, columns are
-    (center, left, down, right, up); 0 = free, 1 = blocked."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=int).reshape(6, 5)
-
-    def face_blocked(self, face):
-        """Whether `face` is blocked; an array of faces gives an array."""
-        return self.matrix[face, 0] != 0
-
-    def adjacent_blocked(self, face, direction):
-        """Whether the face met walking off `face` toward `direction` is
-        blocked; arrays of faces and directions broadcast."""
-        return self.matrix[face, 1 + np.asarray(direction)] != 0
-
+# Columns of the 6x5 mask matrix: the face itself, then its neighbours.
+MASK_COLUMNS = np.column_stack((np.arange(6), NEIGHBOURS))
 
 # A face's sub-division into cells: `rect` is (lr_min, du_min, lr_max,
 # du_max) in the face's local 2D frame, meters, centered on the face; `free`
@@ -94,65 +52,82 @@ SUBFACE_DTYPE = np.dtype([("face", "i8"), ("cell", "i8"), ("rect", "f8", 4), ("f
 # Blocking test
 # ===========================================================================
 
-def face_slab(box, face, depth):
-    """The face of `box` extruded outward by `depth` (an OrientedBox)."""
-    axis = int(face) // 2
-    sign = 1.0 if int(face) % 2 == 0 else -1.0
-    normal = sign * box.axis(axis)
-    center = box.center + normal * (box.half_extents[axis] + depth / 2.0)
-    half = box.half_extents.copy()
-    half[axis] = depth / 2.0
-    return OrientedBox(center, box.rotation.copy(), half)
+def _face_slabs(center, rotation, half, depth):
+    """The six faces of each of n boxes extruded outward by `depth`, in
+    FaceId order: slab centers and half-extents, each (n, 6, 3)."""
+    face = np.arange(6)
+    axis, sign = face // 2, 1.0 - 2.0 * (face % 2)
+    normal = sign[:, None] * np.swapaxes(rotation, -1, -2)[:, axis]
+    slab_center = center[:, None] + normal * (half[:, axis] + depth / 2.0)[..., None]
+    return slab_center, np.where(np.eye(3, dtype=bool)[axis], depth / 2.0, half[:, None])
+
+
+def _dot3(u, v):
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
+def _reach(axes, rotation, half):
+    """A box's half-width along each row of `axes` (..., k, 3)."""
+    proj = sum(axes[..., i:i + 1] * rotation[..., None, i, :] for i in range(3))
+    return _dot3(np.abs(proj), half[..., None, :])
 
 
 def obb_overlap(a, b, min_penetration=0.0):
-    """Separating-axis test for two oriented boxes.
+    """Separating-axis test (Gottschalk, Lin, Manocha, "OBBTree", 1996) of
+    boxes given as (center, rotation, half_extents) arrays, (..., 3),
+    (..., 3, 3) and (..., 3), whose leading dimensions broadcast.
 
-    Returns True only when the boxes overlap by more than `min_penetration`
-    along every candidate axis, so face-to-face touching does not count.
+    The axes tested are each box's three and their pairwise cross products
+    of norm above 1e-9.  A pair overlaps only by more than `min_penetration`
+    along every axis, so face-to-face touching does not count.
     """
-    axes = [a.axis(i) for i in range(3)] + [b.axis(i) for i in range(3)]
-    for i in range(3):
-        for j in range(3):
-            c = cross(a.axis(i), b.axis(j))
-            n = np.linalg.norm(c)
-            if n > 1e-9:
-                axes.append(c / n)
-    t = b.center - a.center
-    for L in axes:
-        ra = float(np.sum(a.half_extents * np.abs(L @ a.rotation)))
-        rb = float(np.sum(b.half_extents * np.abs(L @ b.rotation)))
-        if abs(float(t @ L)) >= ra + rb - min_penetration:
-            return False
-    return True
+    (ca, ra, ha), (cb, rb, hb) = a, b
+    ua, ub = np.swapaxes(ra, -1, -2), np.swapaxes(rb, -1, -2)
+    c = cross(ua[..., :, None, :], ub[..., None, :, :])
+    c = c.reshape(c.shape[:-3] + (9, 3))
+    norm = np.sqrt(_dot3(c, c))
+    kept = norm > 1e-9
+    c /= np.where(kept, norm, 1.0)[..., None]
+    axes = np.concatenate([np.broadcast_to(x, c.shape[:-2] + x.shape[-2:]) for x in (ua, ub, c)],
+                          axis=-2)
+    dist = np.abs(_dot3(axes, (cb - ca)[..., None, :]))
+    separated = dist >= _reach(axes, ra, ha) + _reach(axes, rb, hb) - min_penetration
+    separated[..., 6:] &= kept
+    return ~separated.any(axis=-1)
 
 
-def compute_face_states(tree, node_id, delta_block):
-    """Per-face blocked states (6,) for one node of a decomposition tree.
+def compute_face_states(tree, delta_block):
+    """Blocked states of every node's six faces, as an (n_nodes, 6) int
+    array (rows by node id, columns by FaceId; 0 free, 1 blocked).
 
-    A face is blocked iff any *other* leaf box (ancestors and descendants of
-    the node excluded) overlaps the face slab extruded by `delta_block`.
+    A face is blocked iff a leaf box outside the node's subtree overlaps the
+    face's slab, extruded outward by `delta_block`, by more than
+    PENETRATION_EPS.  Ancestors are never leaves; a leaf is in a node's
+    subtree iff its preorder number falls in the node's preorder span.
     """
-    node = tree.node(node_id)
-    skip = {node_id, *tree.ancestors_of(node_id), *tree.descendants_of(node_id)}
-    neighbours = [tree.node(nid).box for nid in tree.leaf_ids() if nid not in skip]
-    states = np.zeros(6, dtype=int)
-    for face in FaceId:
-        slab = face_slab(node.box, face, delta_block)
-        states[int(face)] = int(any(
-            obb_overlap(slab, nb, min_penetration=PENETRATION_EPS) for nb in neighbours))
+    boxes = [nd.box for nd in tree.nodes]
+    center, rotation, half = (np.array([getattr(box, k) for box in boxes])
+                              for k in ("center", "rotation", "half_extents"))
+    slab_center, slab_half = _face_slabs(center, rotation, half, delta_block)
+    pre, stack = [], [0]
+    while stack:
+        pre.append(stack.pop())
+        stack.extend(tree.node(pre[-1]).children[::-1])
+    first, size = np.argsort(pre), np.ones(len(boxes), dtype=int)
+    for nid in pre[:0:-1]:
+        size[tree.node(nid).parent] += size[nid]
+
+    leaves = np.array(tree.leaf_ids())
+    states = np.zeros((len(boxes), 6), dtype=int)
+    step = max(1, _BLOCK_PAIRS // (6 * len(leaves)))
+    for lo in range(0, len(boxes), step):
+        nodes = slice(lo, lo + step)
+        hit = obb_overlap((slab_center[nodes, :, None], rotation[nodes, None, None],
+                           slab_half[nodes, :, None]),
+                          (center[leaves], rotation[leaves], half[leaves]), PENETRATION_EPS)
+        span = first[leaves] - first[nodes, None]
+        states[nodes] = (hit & ((span < 0) | (span >= size[nodes, None]))[:, None]).any(axis=2)
     return states
-
-
-def face_mask(states):
-    """Assemble the 6x5 mask matrix from per-face states."""
-    states = np.asarray(states, dtype=int).reshape(6)
-    m = np.zeros((6, 5), dtype=int)
-    for face in FaceId:
-        m[int(face), 0] = states[int(face)]
-        for d in FaceDir:
-            m[int(face), 1 + int(d)] = states[int(adjacent_face(face, d))]
-    return FaceMask(m)
 
 
 # ===========================================================================
@@ -183,16 +158,16 @@ def _cell_table(grids):
     row, col = np.divmod(cell, n_lr)
     needs = np.stack(((col == 0) & (n_lr > 1), (row == 0) & (n_du > 1),
                       (col == n_lr - 1) & (n_lr > 1), (row == n_du - 1) & (n_du > 1)), axis=1)
-    axes = np.array([face_frame(f) for f in face]).T
-    return face, cell, col, row, (n_lr, n_du), axes, needs
+    return face, cell, col, row, (n_lr, n_du), FACE_FRAMES[face].T, needs
 
 
 _CELLS = {g: _cell_table(grids) for g, grids in _GRIDS.items()}
 
 
-def subfaces(mask, grasp_type, box):
-    """The cells of all six faces under a grasp type's scheme, as one
-    `SUBFACE_DTYPE` array in (face, cell) order.
+def subfaces(states, grasp_type, box):
+    """The cells of all six faces under a grasp type's scheme, given a
+    node's six face states, as one `SUBFACE_DTYPE` array in (face, cell)
+    order.
 
     Each face is an n_lr x n_du grid (`_GRIDS`) with closed rects; cell ids
     are row-major from the bottom-left (lr_min, du_min).  A cell is free iff
@@ -206,6 +181,6 @@ def subfaces(mask, grasp_type, box):
     cells["rect"] = np.stack((-ha + 2.0 * ha * col / n_lr, -hb + 2.0 * hb * row / n_du,
                               -ha + 2.0 * ha * (col + 1) / n_lr,
                               -hb + 2.0 * hb * (row + 1) / n_du), axis=1)
-    cells["free"] = ~mask.face_blocked(face) & ~(
-        needs & mask.adjacent_blocked(face[:, None], tuple(FaceDir))).any(axis=1)
+    blocked = np.asarray(states) != 0
+    cells["free"] = ~blocked[face] & ~(needs & blocked[NEIGHBOURS[face]]).any(axis=1)
     return cells

@@ -14,7 +14,7 @@ from typing import Optional
 from .classifier import GRASP_PRESHAPE, ClassifierThresholds, GraspType, classify, pca
 from .decomposition import DecompParams, decompose
 from .errors import check_params
-from .facemask import FaceId, compute_face_states, face_mask, subfaces
+from .facemask import MASK_COLUMNS, FaceId, compute_face_states, subfaces
 from .graspeval import EvalParams, rank_pool
 from .sampler import GripperConfig, SamplingParams, generate_pool
 
@@ -68,13 +68,10 @@ def _classification_section(classes):
         "grasp_type": grasp.value,
     } for i, (cat, grasp, lams) in enumerate(classes)]
 
-def _mask_all(tree, delta_block):
-    return [face_mask(compute_face_states(tree, n.id, delta_block)) for n in tree.nodes]
-
 def _mask_section(tree, masks):
     return [{
         "node_id": n.id,
-        "matrix": masks[n.id].matrix.tolist(),
+        "matrix": masks[n.id][MASK_COLUMNS].tolist(),
         "free_subface_counts": {gt.value: int(subfaces(masks[n.id], gt, n.box)["free"].sum())
                                 for gt in GraspType},
     } for n in tree.nodes]
@@ -141,7 +138,7 @@ def run_pipeline(cloud, cfg, upto="rank"):
         doc["classifications"] = _classification_section(classes)
     if last >= 2:
         t0 = time.perf_counter()
-        masks = _mask_all(tree, cfg.gripper.finger_length)
+        masks = compute_face_states(tree, cfg.gripper.finger_length)
         timings["mask"] = (time.perf_counter() - t0) * 1e3
         doc["masks"] = _mask_section(tree, masks)
     if last >= 3:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .classifier import GraspType, ShapeCategory
 from .decomposition import OrientedBox
-from .facemask import CELL_TOL, face_frame, subfaces
+from .facemask import CELL_TOL, FACE_FRAMES, subfaces
 from .geom import aligned, cross, row_norms, unit_rows
 
 logger = logging.getLogger(__name__)
@@ -143,7 +143,7 @@ def _exit_cells(d_local, offset, cells, half):
     faces = 2 * np.arange(3) + (d_local <= 0.0)
     free = cells[cells["free"]]
     axis = free["face"] // 2
-    lr_axis, du_axis = np.array([face_frame(f) for f in range(6)])[free["face"]].T
+    lr_axis, du_axis = FACE_FRAMES[free["face"]].T
     lo_lr, lo_du, hi_lr, hi_du = free["rect"].T
     lr, du = p[:, lr_axis], p[:, du_axis]
     hit = (exits[:, axis] & (faces[:, axis] == free["face"])
@@ -160,9 +160,9 @@ def _dots(u, v):
     return np.matmul(np.broadcast_to(u, (len(v), 1, 3)), aligned(v)[:, :, None])[:, 0, 0]
 
 
-def sample_node(node, mask, gripper, sampling, grasp_type):
-    """Pre-grasps of one node on its grasp type's enclosing surface, as a
-    `POOL_DTYPE` array ordered by (face, cell, emission order).
+def sample_node(node, states, gripper, sampling, grasp_type):
+    """Pre-grasps of one node with face `states`, as a `POOL_DTYPE` array
+    ordered by (face, cell, emission order).
 
     Sphere: radius |half extents| + standoff, closing along the longest box
     axis made orthogonal to the approach.  Cylinder: inward radial samples on
@@ -188,7 +188,7 @@ def sample_node(node, mask, gripper, sampling, grasp_type):
     else:
         radius = float(np.linalg.norm(half)) + gripper.standoff
     d_local, offset = _direction_table(gt, length, sampling)
-    cells = subfaces(mask, gt, frame)
+    cells = subfaces(states, gt, frame)
     rows, face, cell = _exit_cells(d_local, offset, cells, frame.half_extents)
     order = np.lexsort((cell, face))
     rows, face, cell = rows[order], face[order], cell[order]
@@ -230,8 +230,8 @@ def sample_node(node, mask, gripper, sampling, grasp_type):
 # ===========================================================================
 
 def generate_pool(tree, classes, masks, gripper, sampling):
-    """All pre-grasps of the selected nodes, as one `POOL_DTYPE` array
-    ordered by (node id, face, cell, sample index).  Deterministic."""
+    """All pre-grasps of the selected nodes, with face states `masks[nid]`, as
+    one `POOL_DTYPE` array ordered by (node id, face, cell, sample index)."""
     parts = [np.zeros(0, POOL_DTYPE)]
     for nid in sorted(select_nodes(tree, classes, gripper)):
         grasp_type = classes[nid][1]

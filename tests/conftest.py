@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from pregrasp import DecompParams, GripperConfig, SamplingParams, decompose, synth_shape
-from pregrasp.facemask import FaceMask
 
 
 # Shape fixtures reused across modules.  Session scope: decomposition is the
@@ -57,4 +56,4 @@ def sampling():
 
 @pytest.fixture
 def free_mask():
-    return FaceMask(np.zeros((6, 5), dtype=int))
+    return np.zeros(6, dtype=int)

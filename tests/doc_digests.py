@@ -7,6 +7,9 @@ document without ``timings_ms``, dumped as JSON with sorted keys.  The clouds:
   default config;
 * the dumbbell at 200k points, seed 1, default config: its root box fit and
   split screen reduce their per-point products block by block;
+* the dumbbell at 20k points, seed 1, split down to ``min_points=100`` at
+  ``volume_ratio=1.0``, defaults otherwise: 215 nodes, so its mask has
+  hundreds of blocked faces and its pool 1,369 rows;
 * three 5k-point clouds whose pools hold the grasp types the others' do
   not: the box (Spherical) and the plate (ThreeFingertip) with a 25 cm
   gripper aperture, and a sphere of radius 1.5 cm (TwoFingertip);
@@ -45,6 +48,7 @@ import workloads  # noqa: E402
 
 SYNTH_POINTS, SYNTH_SEED, WORKLOAD_SEED = 5000, 1, 1
 LARGE_POINTS = 200000
+FINE_POINTS, FINE_SPLIT = 20000, (100, 1.0)    # (min_points, volume_ratio)
 
 # (label, synth kind, dimensions, gripper max_aperture)
 GRASP_TYPE_CLOUDS = (
@@ -70,6 +74,11 @@ def documents():
 
     cloud = workloads.make_cloud(workloads.CloudSpec("dumbbell", LARGE_POINTS), SYNTH_SEED)
     yield f"synth:dumbbell-{LARGE_POINTS}", run_pipeline(cloud, workloads.make_config(plain))
+
+    cloud = workloads.make_cloud(workloads.CloudSpec("dumbbell", FINE_POINTS), SYNTH_SEED)
+    cfg = workloads.make_config(plain)
+    cfg.decomposition.min_points, cfg.decomposition.volume_ratio = FINE_SPLIT
+    yield f"synth:dumbbell-{FINE_POINTS}-fine", run_pipeline(cloud, cfg)
 
     for label, kind, dims, aperture in GRASP_TYPE_CLOUDS:
         cloud = synth_shape(kind, dims, SYNTH_POINTS, SYNTH_SEED)

@@ -12,8 +12,7 @@ import numpy as np
 
 from pregrasp.classifier import GraspType, classify, pca
 from pregrasp.decomposition import DecompNode, DecompTree, OrientedBox
-from pregrasp.facemask import (FaceId, compute_face_states, face_frame,
-                               face_mask, subfaces)
+from pregrasp.facemask import FACE_FRAMES, FaceId, subfaces
 
 import oracles
 
@@ -79,6 +78,15 @@ def exact_lshape_tree():
     ])
 
 
+def three_level_tree():
+    """`stacked_boxes_tree` with a child enclosed in the lower box."""
+    tree = stacked_boxes_tree()
+    tree.node(1).children = (3,)
+    tree.nodes.append(DecompNode(3, axis_box((0.0, 0.0, -0.05), (0.09, 0.09, 0.04)),
+                                 np.arange(100), 1, ()))
+    return tree
+
+
 def oversized_parent_tree():
     """Parent with second-largest dimension 0.15 m; two children at 0.07 m."""
     parent = axis_box((0.0, 0.0, 0.0), (0.09, 0.075, 0.05))
@@ -105,17 +113,12 @@ def classes_for(tree, cloud, thresholds=None):
     return out
 
 
-def masks_for(tree, delta_block):
-    return {n.id: face_mask(compute_face_states(tree, n.id, delta_block))
-            for n in tree.nodes}
-
-
 def constant_classes(tree, category, grasp):
     return {n.id: (category, grasp, np.ones(3)) for n in tree.nodes}
 
 
 def free_masks(tree):
-    return {n.id: face_mask([False] * 6) for n in tree.nodes}
+    return np.zeros((len(tree.nodes), 6), dtype=int)
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +199,8 @@ def exhaustive_subface_consistency():
                  6: (0, 3), 7: (3,), 8: (2, 3)}
     checked = 0
     for states in itertools.product((0, 1), repeat=6):
-        mask = face_mask(np.array(states))
         for grasp in GraspType:
-            cells = subfaces(mask, grasp, box)
+            cells = subfaces(states, grasp, box)
             # (face, cell) order, each face's cell ids counting from 0
             assert np.all(np.diff(cells["face"]) >= 0)
             for face in FaceId:
@@ -211,7 +213,7 @@ def exhaustive_subface_consistency():
                         grasp is GraspType.CYLINDRICAL and axis == 0):
                     need = ()
                 elif grasp is GraspType.CYLINDRICAL:
-                    lr_axis, _ = face_frame(face)
+                    lr_axis = FACE_FRAMES[face, 0]
                     strip_rules = ({0: (0,), 2: (2,)} if lr_axis == 0
                                    else {0: (1,), 2: (3,)})
                     need = strip_rules.get(cell, ())
@@ -279,7 +281,10 @@ def check_tree_invariants(points, tree, params, checks):
         ok((node.id in tree.leaf_ids()) == node.is_leaf, f"node {node.id}: leaf bookkeeping")
         if node.parent is not None:
             ok(node.id > node.parent, f"node {node.id}: ids grow downward")
-            ok(0 in tree.ancestors_of(node.id), f"node {node.id}: rooted")
+            root, hops = node.id, 0
+            while tree.node(root).parent is not None and hops <= len(tree.nodes):
+                root, hops = tree.node(root).parent, hops + 1
+            ok(root == 0, f"node {node.id}: rooted")
             ok(node.box.volume <= tree.node(node.parent).box.volume * (1.0 + 1e-12),
                f"node {node.id}: volume shrinks downward")
 

@@ -7,6 +7,10 @@ code because the package must agree with them exactly:
 
 - `exhaustive_split`, the full-point split search the package's screened
   search must agree with, built on the package's public `evaluate_split`;
+- `reference_face_states`, the per-node face test (`reference_face_slab`,
+  the one-axis-at-a-time `reference_obb_overlap` and a walk of the tree)
+  that the package's one-pass stacked test replaced, built on the package's
+  `cross` and `PENETRATION_EPS`;
 - `reference_samples`, the three separate per-surface samplers the package's
   single sampling loop replaced, built on the package's sub-face schemes and
   `POOL_DTYPE`;
@@ -526,6 +530,68 @@ def cylinder_lateral_station_count(length, axial_step):
 
 
 # ---------------------------------------------------------------------------
+# Face states one node, one face and one leaf at a time
+# ---------------------------------------------------------------------------
+
+def reference_face_slab(box, face, depth):
+    """Face `face` of `box` extruded outward by `depth`, as (center,
+    rotation, half_extents)."""
+    axis = int(face) // 2
+    sign = 1.0 if int(face) % 2 == 0 else -1.0
+    normal = sign * box.axis(axis)
+    center = box.center + normal * (box.half_extents[axis] + depth / 2.0)
+    half = box.half_extents.copy()
+    half[axis] = depth / 2.0
+    return center, box.rotation.copy(), half
+
+
+def reference_obb_overlap(a, b, min_penetration=0.0):
+    """Separating-axis test for two (center, rotation, half_extents) boxes,
+    one candidate axis at a time."""
+    from pregrasp.geom import cross
+
+    (ca, ra, ha), (cb, rb, hb) = a, b
+    axes = [ra[:, i] for i in range(3)] + [rb[:, i] for i in range(3)]
+    for i in range(3):
+        for j in range(3):
+            c = cross(ra[:, i], rb[:, j])
+            n = np.linalg.norm(c)
+            if n > 1e-9:
+                axes.append(c / n)
+    t = cb - ca
+    for L in axes:
+        reach_a = float(np.sum(ha * np.abs(L @ ra)))
+        reach_b = float(np.sum(hb * np.abs(L @ rb)))
+        if abs(float(t @ L)) >= reach_a + reach_b - min_penetration:
+            return False
+    return True
+
+
+def reference_face_states(tree, node_id, delta_block):
+    """The six face states (0 free, 1 blocked) of one tree node: each face's
+    slab is tested against every leaf box that is neither the node, nor one
+    of its ancestors (found by walking `parent`), nor one of its descendants
+    (found by walking `children`)."""
+    from pregrasp.facemask import PENETRATION_EPS
+
+    skip, nid = {node_id}, tree.node(node_id).parent
+    while nid is not None:
+        skip.add(nid)
+        nid = tree.node(nid).parent
+    stack = list(tree.node(node_id).children)
+    while stack:
+        nid = stack.pop()
+        skip.add(nid)
+        stack.extend(tree.node(nid).children)
+    box = tree.node(node_id).box
+    neighbours = [(nb.center, nb.rotation, nb.half_extents)
+                  for nb in (tree.node(nid).box for nid in tree.leaf_ids() if nid not in skip)]
+    return np.array([int(any(
+        reference_obb_overlap(reference_face_slab(box, face, delta_block), nb, PENETRATION_EPS)
+        for nb in neighbours)) for face in range(6)])
+
+
+# ---------------------------------------------------------------------------
 # Per-surface samplers (reference for the single sampling loop)
 # ---------------------------------------------------------------------------
 
@@ -536,7 +602,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
     kept sample by its (face, cell) and returns the buckets in key order.
     """
     from pregrasp.classifier import GraspType
-    from pregrasp.facemask import FaceId, face_frame
+    from pregrasp.facemask import FACE_FRAMES, FaceId
 
     def angle_steps(span_deg, step_deg, inclusive):
         n = int(np.floor(span_deg / step_deg + 1e-9))
@@ -544,7 +610,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
 
     def first_free_cell(face_cells, face_order, p):
         for face in face_order:
-            lr_axis, du_axis = face_frame(face)
+            lr_axis, du_axis = FACE_FRAMES[face]
             for sf in cells_containing(face_cells[int(face)], p[lr_axis], p[du_axis]):
                 if sf["free"]:
                     return int(face), int(sf["cell"])
@@ -671,7 +737,7 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
     stably by (face, cell)."""
     from pregrasp.classifier import GraspType
     from pregrasp.decomposition import OrientedBox
-    from pregrasp.facemask import FaceId, face_frame
+    from pregrasp.facemask import FACE_FRAMES, FaceId
     from pregrasp.geom import cross
 
     def angle_steps(span_deg, step_deg, inclusive):
@@ -741,7 +807,7 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
         if z is not None:
             p[0] = z
         for face in faces:
-            lr, du = face_frame(face)
+            lr, du = FACE_FRAMES[face]
             free = [int(sf["cell"]) for sf in cells_containing(cells[face], p[lr], p[du])
                     if sf["free"]]
             if free:

@@ -20,7 +20,7 @@ from pregrasp import (ClassifierThresholds, DecompParams, GraspType,
                       GripperConfig, decompose, synth_shape)
 from pregrasp.classifier import ShapeCategory, classify, pca
 from pregrasp.cli import main as cli_main
-from pregrasp.facemask import FaceId, compute_face_states, face_mask
+from pregrasp.facemask import FaceId, compute_face_states
 from pregrasp.graspeval import epsilon_quality, rank_pool
 from pregrasp.pipeline import RunConfig, run_pipeline
 from pregrasp.pointcloud import PointCloud
@@ -124,13 +124,14 @@ def test_criterion_05_face_mask(capsys):
         assert checked == 64 * 128
 
         tree = helpers.stacked_boxes_tree()
-        assert list(compute_face_states(tree, 1, 0.08)) == [0, 0, 0, 0, 1, 0]
-        assert list(compute_face_states(tree, 2, 0.08)) == [0, 0, 0, 0, 0, 1]
+        states = compute_face_states(tree, 0.08)
+        assert states[1].tolist() == [0, 0, 0, 0, 1, 0]
+        assert states[2].tolist() == [0, 0, 0, 0, 0, 1]
 
         # blocking +W removes exactly the +W-adjacent row/column of the 3x3
         # neighbours (and the +W face itself); -W keeps all nine cells
         box = helpers.axis_box((0, 0, 0), (0.1, 0.06, 0.03))
-        mask = face_mask([0, 0, 0, 0, 1, 0])
+        mask = [0, 0, 0, 0, 1, 0]
         pairs = helpers.free_subfaces(mask, GraspType.SPHERICAL, box)
         free = {f: {cell for face, cell in pairs if face == f} for f in FaceId}
         assert free[FaceId.PLUS_U] == free[FaceId.MINUS_U] == set(range(6))
@@ -152,7 +153,7 @@ def test_criterion_06_sampling_free_subfaces_only(capsys):
                     GraspType.THREE_FINGERTIP)
         total = 0
         for combo in itertools.product((0, 1), repeat=6):
-            mask = face_mask(list(combo))
+            mask = list(combo)
             for gtype in surfaces:
                 free = helpers.free_subfaces(mask, gtype, box)
                 for pg in sample_node(node, mask, gripper, sampling, gtype):
@@ -168,7 +169,7 @@ def test_criterion_06_sampling_free_subfaces_only(capsys):
             cloud = synth_shape(kind, dims, n, seed=seed)
             tree = decompose(cloud, DecompParams())
             classes = helpers.classes_for(tree, cloud)
-            masks = helpers.masks_for(tree, gripper.finger_length)
+            masks = compute_face_states(tree, gripper.finger_length)
             pool = generate_pool(tree, classes, masks, gripper, sampling)
             assert len(pool)
             for pg in pool:
@@ -181,7 +182,7 @@ def test_criterion_06_sampling_free_subfaces_only(capsys):
         plate = helpers.DecompNode(
             0, helpers.axis_box((0, 0, 0), (0.05, 0.04, 0.0025)),
             np.arange(10), None, ())
-        twelve = sample_node(plate, face_mask([0] * 6), gripper, sampling,
+        twelve = sample_node(plate, [0] * 6, gripper, sampling,
                              GraspType.THREE_FINGERTIP)
         assert len(twelve) == 12
         return f"{total} samples checked; circle fixture yields 12"

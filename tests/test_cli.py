@@ -414,7 +414,12 @@ def test_export_viz_rejects_a_bad_document(tmp_path, capsys, data, line, reason)
     ({"tree": 5}, "AttributeError: 'int' object has no attribute 'get'"),
     ({"tree": {"nodes": [{"id": 0}]}}, "KeyError: 'box'"),
     ({"ranking": 3}, "TypeError: 'int' object is not subscriptable"),
-], ids=["tree-not-an-object", "node-without-box", "ranking-not-a-list"])
+    ({"pool": [{"position": [0, 0], "approach": [1, 0], "closing_dir": [0, 1]}]},
+     "ValueError: pool entry 0: position, approach and closing_dir need 3 components each"),
+    ({"pool": [{"position": [0, 0, 0], "approach": [1, 0, 0], "closing_dir": [0, 1, 0, 0]}]},
+     "ValueError: pool entry 0: position, approach and closing_dir need 3 components each"),
+], ids=["tree-not-an-object", "node-without-box", "ranking-not-a-list", "pool-2d-vectors",
+        "pool-4d-closing"])
 def test_export_viz_rejects_a_malformed_run_document(tmp_path, capsys, doc, reason):
     doc_path, obj = tmp_path / "bad.json", tmp_path / "scene.obj"
     doc_path.write_text(json.dumps(doc))

@@ -518,12 +518,16 @@ def test_decompose_ids_in_discovery_order(dumbbell_tree):
             assert a > node.id
 
 
-def test_tree_ancestry_helpers(dumbbell_tree):
+def test_tree_parent_links_reach_the_root(dumbbell_tree):
+    for node in dumbbell_tree.nodes:
+        for child in node.children:
+            assert dumbbell_tree.node(child).parent == node.id
     for leaf in dumbbell_tree.leaf_ids():
-        ancestors = dumbbell_tree.ancestors_of(leaf)
-        assert ancestors[-1] == 0
-        assert leaf in dumbbell_tree.descendants_of(0)
-        assert dumbbell_tree.descendants_of(leaf) == []
+        nid, hops = leaf, 0
+        while dumbbell_tree.node(nid).parent is not None:
+            nid, hops = dumbbell_tree.node(nid).parent, hops + 1
+            assert hops < len(dumbbell_tree.nodes)
+        assert nid == 0
 
 
 def test_invariant_suite_runs_enough_checks():

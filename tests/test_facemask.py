@@ -1,38 +1,42 @@
 """Face occlusion states, the 6x5 mask and per-grasp-type sub-face schemes."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import helpers
+import oracles
 from oracles import cells_by_face, cells_containing
 
 from pregrasp import DecompParams, GraspType, GripperConfig, decompose
-from pregrasp.decomposition import DecompNode, DecompTree
+from pregrasp.decomposition import DecompNode, DecompTree, OrientedBox
 from pregrasp.facemask import (
-    FaceDir,
+    FACE_FRAMES,
+    MASK_COLUMNS,
+    NEIGHBOURS,
     FaceId,
-    FaceMask,
-    adjacent_face,
+    _face_slabs,
     compute_face_states,
-    face_frame,
-    face_mask,
-    face_slab,
     SUBFACE_DTYPE,
     obb_overlap,
     subfaces,
 )
 from pregrasp.pipeline import _mask_section
+from pregrasp.pointcloud import SYNTH_KINDS, PointCloud, synth_shape
 
 ALL_FACES = list(FaceId)
-ALL_DIRS = list(FaceDir)
 
 EXPECTED_ADJACENT = helpers.ADJACENT_TABLE
 
 
+def triple(box):
+    return box.center, box.rotation, box.half_extents
+
+
 # ---------------------------------------------------------------------------
-# face ids, adjacency, mask assembly
+# face ids, adjacency, mask matrix
 # ---------------------------------------------------------------------------
 
 def test_face_id_layout():
@@ -44,34 +48,30 @@ def test_face_id_layout():
 
 
 def test_adjacency_matches_hand_table():
+    assert NEIGHBOURS.shape == (6, 4)
     for face in ALL_FACES:
-        for d in ALL_DIRS:
-            assert adjacent_face(face, d) is EXPECTED_ADJACENT[face][int(d)]
+        assert NEIGHBOURS[face].tolist() == [int(f) for f in EXPECTED_ADJACENT[face]]
 
 
 def test_adjacent_faces_are_perpendicular():
     for face in ALL_FACES:
-        for d in ALL_DIRS:
-            other = adjacent_face(face, d)
-            assert int(other) // 2 != int(face) // 2
-        neighbours = {adjacent_face(face, d) for d in ALL_DIRS}
-        assert len(neighbours) == 4
-        assert face not in neighbours
-        # the two neighbours along lr/du match the face frame axes
-        lr_axis, du_axis = face_frame(face)
-        assert int(adjacent_face(face, FaceDir.RIGHT)) == 2 * lr_axis
-        assert int(adjacent_face(face, FaceDir.UP)) == 2 * du_axis
+        neighbours = NEIGHBOURS[face].tolist()
+        assert all(other // 2 != int(face) // 2 for other in neighbours)
+        assert len(set(neighbours)) == 4
+        # left/right walk the lr frame axis, down/up the du one
+        lr_axis, du_axis = FACE_FRAMES[face]
+        assert neighbours == [2 * lr_axis + 1, 2 * du_axis + 1, 2 * lr_axis, 2 * du_axis]
+        assert sorted((int(face) // 2, lr_axis, du_axis)) == [0, 1, 2]
 
 
 def test_mask_assembly_all_64_state_combinations():
+    assert MASK_COLUMNS.tolist() == [[int(f), *map(int, EXPECTED_ADJACENT[f])] for f in ALL_FACES]
     for states in itertools.product((0, 1), repeat=6):
-        mask = face_mask(np.array(states))
+        matrix = np.array(states)[MASK_COLUMNS]
         for face in ALL_FACES:
-            assert mask.face_blocked(face) == bool(states[int(face)])
-            assert mask.matrix[int(face), 0] == states[int(face)]
-            for d in ALL_DIRS:
-                expected = states[int(EXPECTED_ADJACENT[face][int(d)])]
-                assert mask.adjacent_blocked(face, d) == bool(expected)
+            assert matrix[face, 0] == states[face]
+            for d in range(4):
+                assert matrix[face, 1 + d] == states[int(EXPECTED_ADJACENT[face][d])]
 
 
 # ---------------------------------------------------------------------------
@@ -80,109 +80,189 @@ def test_mask_assembly_all_64_state_combinations():
 
 def test_face_slab_extrudes_outward():
     box = helpers.axis_box((1.0, 2.0, 3.0), (0.1, 0.2, 0.3))
-    slab = face_slab(box, FaceId.PLUS_U, 0.08)
-    np.testing.assert_allclose(slab.center, [1.14, 2.0, 3.0])
-    np.testing.assert_allclose(slab.half_extents, [0.04, 0.2, 0.3])
-    slab = face_slab(box, FaceId.MINUS_W, 0.02)
-    np.testing.assert_allclose(slab.center, [1.0, 2.0, 2.69])
-    np.testing.assert_allclose(slab.half_extents, [0.1, 0.2, 0.01])
+    centers, halves = _face_slabs(*(x[None] for x in triple(box)), 0.08)
+    assert centers.shape == halves.shape == (1, 6, 3)
+    np.testing.assert_allclose(centers[0, FaceId.PLUS_U], [1.14, 2.0, 3.0])
+    np.testing.assert_allclose(halves[0, FaceId.PLUS_U], [0.04, 0.2, 0.3])
+    centers, halves = _face_slabs(*(x[None] for x in triple(box)), 0.02)
+    np.testing.assert_allclose(centers[0, FaceId.MINUS_W], [1.0, 2.0, 2.69])
+    np.testing.assert_allclose(halves[0, FaceId.MINUS_W], [0.1, 0.2, 0.01])
+
+
+@pytest.mark.bitexact
+def test_face_slabs_match_reference_bytes():
+    """Every slab of a stack of rotated boxes has the bits of extruding one
+    face of one box at a time."""
+    rng = np.random.default_rng(5)
+    boxes = [OrientedBox(rng.uniform(-1, 1, 3), helpers.random_rotation(rng),
+                         np.sort(rng.uniform(0.01, 0.1, 3))[::-1]) for _ in range(8)]
+    centers, halves = _face_slabs(*(np.array(x) for x in zip(*map(triple, boxes))), 0.08)
+    for i, box in enumerate(boxes):
+        for face in ALL_FACES:
+            center, _, half = oracles.reference_face_slab(box, face, 0.08)
+            assert centers[i, face].tobytes() == center.tobytes()
+            assert halves[i, face].tobytes() == half.tobytes()
 
 
 def test_obb_overlap_separated_touching_overlapping():
-    a = helpers.axis_box((0.0, 0.0, 0.0), (0.1, 0.1, 0.1))
-    assert not obb_overlap(a, helpers.axis_box((0.3, 0.0, 0.0), (0.1, 0.1, 0.1)))
+    a = triple(helpers.axis_box((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)))
+    assert not obb_overlap(a, triple(helpers.axis_box((0.3, 0.0, 0.0), (0.1, 0.1, 0.1))))
     # exact face-to-face touch is not an overlap
-    assert not obb_overlap(a, helpers.axis_box((0.2, 0.0, 0.0), (0.1, 0.1, 0.1)))
-    assert obb_overlap(a, helpers.axis_box((0.15, 0.0, 0.0), (0.1, 0.1, 0.1)))
+    assert not obb_overlap(a, triple(helpers.axis_box((0.2, 0.0, 0.0), (0.1, 0.1, 0.1))))
+    assert obb_overlap(a, triple(helpers.axis_box((0.15, 0.0, 0.0), (0.1, 0.1, 0.1))))
     # full containment
-    assert obb_overlap(a, helpers.axis_box((0.0, 0.0, 0.0), (0.01, 0.01, 0.01)))
+    assert obb_overlap(a, triple(helpers.axis_box((0.0, 0.0, 0.0), (0.01, 0.01, 0.01))))
 
 
 def test_obb_overlap_penetration_threshold():
-    a = helpers.axis_box((0.0, 0.0, 0.0), (0.1, 0.1, 0.1))
-    shallow = helpers.axis_box((0.2 - 0.0005, 0.0, 0.0), (0.1, 0.1, 0.1))
-    deep = helpers.axis_box((0.2 - 0.002, 0.0, 0.0), (0.1, 0.1, 0.1))
+    a = triple(helpers.axis_box((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)))
+    shallow = triple(helpers.axis_box((0.2 - 0.0005, 0.0, 0.0), (0.1, 0.1, 0.1)))
+    deep = triple(helpers.axis_box((0.2 - 0.002, 0.0, 0.0), (0.1, 0.1, 0.1)))
     assert not obb_overlap(a, shallow, min_penetration=1e-3)
     assert obb_overlap(a, deep, min_penetration=1e-3)
 
 
 def test_obb_overlap_rotated_pair():
-    a = helpers.axis_box((0.0, 0.0, 0.0), (0.1, 0.1, 0.1))
+    a = triple(helpers.axis_box((0.0, 0.0, 0.0), (0.1, 0.1, 0.1)))
     c, s = np.cos(np.pi / 4), np.sin(np.pi / 4)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    from pregrasp.decomposition import OrientedBox
-    diamond_far = OrientedBox(np.array([0.25, 0.0, 0.0]), rot, np.array([0.1, 0.1, 0.1]))
     # corner at x = 0.25 - 0.1*sqrt(2) = 0.109 -> separated from |x| <= 0.1
-    assert not obb_overlap(a, diamond_far)
-    diamond_near = OrientedBox(np.array([0.23, 0.0, 0.0]), rot, np.array([0.1, 0.1, 0.1]))
-    assert obb_overlap(a, diamond_near)
+    assert not obb_overlap(a, (np.array([0.25, 0.0, 0.0]), rot, np.full(3, 0.1)))
+    assert obb_overlap(a, (np.array([0.23, 0.0, 0.0]), rot, np.full(3, 0.1)))
+
+
+def test_obb_overlap_broadcasts_like_one_pair_at_a_time():
+    """A (4, 1) stack against a (5,) stack gives the (4, 5) table of the
+    one-pair reference test, rotated pairs and touching faces included."""
+    rng = np.random.default_rng(11)
+    rots = (np.eye(3), helpers.random_rotation(rng), helpers.random_rotation(rng))
+    boxes = [(rng.uniform(-0.15, 0.15, 3), rots[i % 3], rng.uniform(0.02, 0.1, 3))
+             for i in range(9)]
+    # box 4 touches box 0's +x face
+    center, _, half = boxes[0]
+    boxes[4] = (center + (half[0] + 0.05, 0.0, 0.0), np.eye(3), np.array([0.05, *half[1:]]))
+    a = tuple(np.array(x)[:, None] for x in zip(*boxes[:4]))
+    b = tuple(np.array(x) for x in zip(*boxes[4:]))
+    got = obb_overlap(a, b, 1e-3)
+    want = [[oracles.reference_obb_overlap(p, q, 1e-3) for q in boxes[4:]] for p in boxes[:4]]
+    assert got.shape == (4, 5) and got.dtype == bool
+    assert got.tolist() == want
+    assert got.any() and not got.all()
+    assert not got[0, 0]
 
 
 # ---------------------------------------------------------------------------
 # face states on trees
 # ---------------------------------------------------------------------------
 
+def blocked_faces(states):
+    return [FaceId(i).name for i, s in enumerate(states) if s]
+
+
 def test_stacked_boxes_block_exactly_the_touching_faces():
-    tree = helpers.stacked_boxes_tree()
-    lower = compute_face_states(tree, 1, delta_block=0.08)
-    upper = compute_face_states(tree, 2, delta_block=0.08)
-    assert list(lower) == [0, 0, 0, 0, 1, 0]  # only +W (toward the upper box)
-    assert list(upper) == [0, 0, 0, 0, 0, 1]  # only -W
+    states = compute_face_states(helpers.stacked_boxes_tree(), delta_block=0.08)
+    assert states.shape == (3, 6) and states.dtype == int
+    assert states[1].tolist() == [0, 0, 0, 0, 1, 0]  # only +W (toward the upper box)
+    assert states[2].tolist() == [0, 0, 0, 0, 0, 1]  # only -W
+    assert states[0].tolist() == [0] * 6  # both leaves lie in the root's subtree
 
 
 def test_exact_lshape_blocks_one_junction_face_per_leg():
-    tree = helpers.exact_lshape_tree()
-    leg_a = compute_face_states(tree, 1, delta_block=0.08)
-    leg_b = compute_face_states(tree, 2, delta_block=0.08)
-    assert [FaceId(i) for i, s in enumerate(leg_a) if s] == [FaceId.PLUS_V]
-    assert [FaceId(i) for i, s in enumerate(leg_b) if s] == [FaceId.MINUS_U]
+    states = compute_face_states(helpers.exact_lshape_tree(), delta_block=0.08)
+    assert blocked_faces(states[1]) == ["PLUS_V"]
+    assert blocked_faces(states[2]) == ["MINUS_U"]
 
 
 def test_delta_block_controls_reach():
     tree = helpers.stacked_boxes_tree()
     # push the upper box 20 mm away
     tree.node(2).box.center[2] += 0.02
-    near = compute_face_states(tree, 1, delta_block=0.01)
-    far = compute_face_states(tree, 1, delta_block=0.08)
-    assert list(near) == [0, 0, 0, 0, 0, 0]
-    assert list(far) == [0, 0, 0, 0, 1, 0]
+    near = compute_face_states(tree, delta_block=0.01)
+    far = compute_face_states(tree, delta_block=0.08)
+    assert near[1].tolist() == [0, 0, 0, 0, 0, 0]
+    assert far[1].tolist() == [0, 0, 0, 0, 1, 0]
 
 
 def test_face_states_ignore_ancestors_and_descendants():
     # three levels: the middle node's states must skip its parent and child
-    tree = helpers.stacked_boxes_tree()
-    child = helpers.axis_box((0.0, 0.0, -0.05), (0.09, 0.09, 0.04))
-    from pregrasp.decomposition import DecompNode
-    tree.node(1).children = (3,)
-    tree.nodes.append(DecompNode(3, child, np.arange(100), 1, ()))
-    states = compute_face_states(tree, 1, delta_block=0.08)
+    states = compute_face_states(helpers.three_level_tree(), delta_block=0.08)
     # still only the face toward the upper sibling; the enclosed child and the
     # enclosing root do not block
-    assert list(states) == [0, 0, 0, 0, 1, 0]
+    assert states[1].tolist() == [0, 0, 0, 0, 1, 0]
+    # the child is blocked by its parent's sibling through its own +W slab
+    assert states[3].tolist() == [0, 0, 0, 0, 1, 0]
 
 
 def test_pipeline_dumbbell_masks(dumbbell_tree):
-    grip = GripperConfig()
+    states = compute_face_states(dumbbell_tree, GripperConfig().finger_length)
     end_big, neck, end_small = dumbbell_tree.leaf_ids()
-    blocked = {nid: [FaceId(i).name for i, s in
-                     enumerate(compute_face_states(dumbbell_tree, nid, grip.finger_length)) if s]
-               for nid in (end_big, neck, end_small)}
-    assert blocked[end_big] == ["PLUS_U"]
-    assert blocked[neck] == ["PLUS_U", "MINUS_U"]
-    assert blocked[end_small] == ["MINUS_U"]
+    assert blocked_faces(states[end_big]) == ["PLUS_U"]
+    assert blocked_faces(states[neck]) == ["PLUS_U", "MINUS_U"]
+    assert blocked_faces(states[end_small]) == ["MINUS_U"]
 
 
 def test_pipeline_lshape_masks(lshape_tree):
     # the fitted split leaves a few-mm sliver, so the sliver-side leaf also
     # blocks one lateral face; the junction faces are blocked on both leaves
-    grip = GripperConfig()
+    states = compute_face_states(lshape_tree, GripperConfig().finger_length)
     leaf1, leaf2 = lshape_tree.leaf_ids()
-    blocked1 = [FaceId(i).name for i, s in
-                enumerate(compute_face_states(lshape_tree, leaf1, grip.finger_length)) if s]
-    blocked2 = [FaceId(i).name for i, s in
-                enumerate(compute_face_states(lshape_tree, leaf2, grip.finger_length)) if s]
-    assert blocked1 == ["PLUS_V"]
-    assert blocked2 == ["MINUS_U", "PLUS_V"]
+    assert blocked_faces(states[leaf1]) == ["PLUS_V"]
+    assert blocked_faces(states[leaf2]) == ["MINUS_U", "PLUS_V"]
+
+
+def _decomposed_trees():
+    """122 trees of the synth shapes at 3k points, as generated and rotated
+    and shifted: every shape at seeds 1-3 split at (min_points,
+    volume_ratio) of (500, 0.9), (300, 0.9) and (100, 0.9), and at seed 1
+    at (200, 1.0); the dumbbell as generated and the L-shape moved, split at
+    (50, 1.0) into 50 nodes or more."""
+    cases = [(kind, seed, moved, split) for kind in SYNTH_KINDS for seed in (1, 2, 3)
+             for moved in (False, True)
+             for split in ((500, 0.9), (300, 0.9), (100, 0.9)) + ((200, 1.0),) * (seed == 1)]
+    cases += [("dumbbell", 1, False, (50, 1.0)), ("lshape", 1, True, (50, 1.0))]
+    for kind, seed, moved, (min_points, ratio) in cases:
+        cloud = synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), 3000, seed)
+        if moved:
+            rng = np.random.default_rng(seed)
+            cloud = PointCloud(cloud.points @ helpers.random_rotation(rng).T
+                               + rng.uniform(-1.0, 1.0, 3))
+        yield decompose(cloud, DecompParams(min_points=min_points, volume_ratio=ratio))
+
+
+@pytest.mark.bitexact
+def test_face_states_match_reference_on_every_tree():
+    """The one-pass states equal the per-node, per-face, per-leaf reference
+    on the hand-built trees and on 122 decomposed trees, at two slab
+    depths."""
+    trees = [helpers.stacked_boxes_tree(), helpers.exact_lshape_tree(),
+             helpers.oversized_parent_tree(), helpers.three_level_tree()]
+    trees += list(_decomposed_trees())
+    assert len(trees) == 126 and min(len(t.nodes) for t in trees[-2:]) >= 50
+    blocked = 0
+    for i, tree in enumerate(trees):
+        delta = (0.08, 0.02)[i % 2]
+        want = [oracles.reference_face_states(tree, nid, delta) for nid in range(len(tree.nodes))]
+        got = compute_face_states(tree, delta)
+        assert got.tolist() == np.array(want).tolist(), f"tree {i}"
+        blocked += int(got.sum())
+    assert blocked > 500
+
+
+def test_face_states_memory_is_bounded():
+    """A 215-node tree (a 20k-point dumbbell split down to 100 points at
+    any volume gain) is masked in blocks of about 4k (face, leaf) pairs: the
+    tracemalloc peak stays below 8 MB."""
+    cloud = synth_shape("dumbbell", tuple(SYNTH_KINDS["dumbbell"].values()), 20000, seed=1)
+    tree = decompose(cloud, DecompParams(min_points=100, volume_ratio=1.0))
+    assert len(tree.nodes) == 215
+    tracemalloc.start()
+    try:
+        states = compute_face_states(tree, GripperConfig().finger_length)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert states.sum() > 300
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +273,7 @@ def _mask_with(blocked_faces):
     states = np.zeros(6, dtype=int)
     for f in blocked_faces:
         states[int(f)] = 1
-    return face_mask(states)
+    return states
 
 
 @pytest.mark.parametrize("grasp_type, per_face", [
@@ -219,7 +299,7 @@ def test_document_free_subface_counts():
     +W: 11."""
     box = helpers.axis_box((0, 0, 0), (0.05, 0.03, 0.015))
     tree = DecompTree([DecompNode(0, box, np.arange(10))])
-    (entry,) = _mask_section(tree, [_mask_with([FaceId.PLUS_W])])
+    (entry,) = _mask_section(tree, _mask_with([FaceId.PLUS_W])[None])
     assert entry["free_subface_counts"] == {
         "Spherical": 33, "TwoFingertip": 33, "ThreeFingertip": 5, "Cylindrical": 11}
 
@@ -299,7 +379,7 @@ def test_cylindrical_lateral_end_strips_need_their_cap():
         free = set(cells["cell"][cells["free"]].tolist())
         assert free == {1, 2}, f"{face.name}: strip toward -U must drop"
         # strips run along the long axis: each rect spans the full short side
-        lr_axis, du_axis = face_frame(face)
+        lr_axis, du_axis = FACE_FRAMES[face]
         long_in_lr = lr_axis == 0
         for sf in cells:
             x0, y0, x1, y1 = sf["rect"]
@@ -332,6 +412,7 @@ def test_exhaustive_subface_consistency():
 
 
 def test_mask_matrix_shape_and_types(free_mask):
-    assert free_mask.matrix.shape == (6, 5)
-    assert free_mask.matrix.dtype == int
-    assert not free_mask.face_blocked(FaceId.PLUS_U)
+    matrix = free_mask[MASK_COLUMNS]
+    assert matrix.shape == (6, 5)
+    assert matrix.dtype == int
+    assert not matrix.any()

@@ -12,8 +12,8 @@ import oracles
 from pregrasp import graspeval
 from pregrasp.classifier import GraspType
 from pregrasp.decomposition import DecompNode, OrientedBox, decompose
-from pregrasp.facemask import FaceMask
 from pregrasp.errors import ConfigError, EmptyWrenchSet, NoContacts
+from pregrasp.facemask import compute_face_states
 from pregrasp.graspeval import (ContactIndex, EvalParams, epsilon_quality,
                                 estimate_contacts, finger_rays, rank_pool,
                                 wrench_set)
@@ -127,8 +127,7 @@ def mixed_pool():
                       oracles.rotation_from_quaternion(np.array([0.9, 0.1, -0.3, 0.2])),
                       np.array([0.04, 0.025, 0.015]))
     node = DecompNode(0, box, np.arange(10), None, ())
-    mask = FaceMask(np.zeros((6, 5), dtype=int))
-    pool = pool_rows(*(sample_node(node, mask, GripperConfig(), SamplingParams(), gt)
+    pool = pool_rows(*(sample_node(node, np.zeros(6, dtype=int), GripperConfig(), SamplingParams(), gt)
                        for gt in GraspType))
     return pool[np.random.default_rng(4).permutation(len(pool))]
 
@@ -197,7 +196,7 @@ def planned_pool(cloud, gripper, tree=None):
     cfg = RunConfig()
     tree = tree or decompose(cloud, cfg.decomposition)
     return generate_pool(tree, helpers.classes_for(tree, cloud, cfg.thresholds),
-                         helpers.masks_for(tree, gripper.finger_length),
+                         compute_face_states(tree, gripper.finger_length),
                          gripper, SamplingParams())
 
 
@@ -713,7 +712,7 @@ def ranked_contact_sets():
     cfg = RunConfig()
     tree = decompose(cloud, cfg.decomposition)
     pool = generate_pool(tree, helpers.classes_for(tree, cloud, cfg.thresholds),
-                         helpers.masks_for(tree, cfg.gripper.finger_length),
+                         compute_face_states(tree, cfg.gripper.finger_length),
                          cfg.gripper, cfg.sampling)
     ranked = rank_pool(pool, cloud, cfg.gripper, cfg.evaluation)
     return cloud.centroid, [c.contacts for c in ranked if len(c.contacts)]
@@ -1007,7 +1006,7 @@ def rank_case(name, request):
     cfg = RunConfig()
     tree = decompose(cloud, cfg.decomposition)
     pool = generate_pool(tree, helpers.classes_for(tree, cloud, cfg.thresholds),
-                         helpers.masks_for(tree, gripper.finger_length), gripper,
+                         compute_face_states(tree, gripper.finger_length), gripper,
                          SamplingParams(10.0, 0.005))
     # every pool but the plate's spans several slices
     assert len(pool) > (0 if kind == "plate" else 2 * graspeval._POOL_SLICE)

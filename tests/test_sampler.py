@@ -10,7 +10,7 @@ import helpers
 import oracles
 from pregrasp.classifier import GRASP_PRESHAPE, GraspType, ShapeCategory
 from pregrasp.decomposition import DecompNode, DecompTree, OrientedBox
-from pregrasp.facemask import FaceId, face_mask
+from pregrasp.facemask import FaceId, compute_face_states
 from pregrasp.pipeline import _pool_section
 from pregrasp.graspeval import finger_rays, rank_pool
 from pregrasp.pipeline import RunConfig, run_pipeline
@@ -154,9 +154,9 @@ def test_sphere_blocked_face_drops_its_directions(gripper, sampling):
     that the 3x3 propagation rules blank (62 -> 37)."""
     box = helpers.axis_box((0, 0, 0), (0.05, 0.04, 0.03))
     node = leaf_node(box)
-    free = sample_node(node, face_mask([False] * 6), gripper, sampling,
+    free = sample_node(node, [False] * 6, gripper, sampling,
                        GraspType.SPHERICAL)
-    mask = face_mask([False] * 4 + [True, False])
+    mask = [False] * 4 + [True, False]
     blocked = sample_node(node, mask, gripper, sampling, GraspType.SPHERICAL)
     new_free = helpers.free_subfaces(mask, GraspType.SPHERICAL, box)
     kept = {tuple(np.round(pg["position"], 12)) for pg in blocked}
@@ -195,7 +195,7 @@ def test_cylinder_cap_block_propagates_to_end_strips(gripper, sampling):
     (a finger can't wrap there), so the whole z = +hu station row disappears
     along with the cap sample: 38 - 1 - 12 = 25."""
     box = helpers.axis_box((0, 0, 0), (0.02, 0.01, 0.01))
-    mask = face_mask([True, False, False, False, False, False])
+    mask = [True, False, False, False, False, False]
     got = sample_node(leaf_node(box), mask, gripper, sampling, GraspType.CYLINDRICAL)
     assert len(got) == 25
     assert all(pg["source_face"] != int(FaceId.PLUS_U) for pg in got)
@@ -208,7 +208,7 @@ def test_cylinder_blocked_lateral_face(gripper, sampling):
     """Blocking +V removes its 3 angular positions at every station (9 of the
     36 lateral samples) and leaves both caps."""
     box = helpers.axis_box((0, 0, 0), (0.02, 0.01, 0.01))
-    mask = face_mask([False, False, True, False, False, False])
+    mask = [False, False, True, False, False, False]
     got = sample_node(leaf_node(box), mask, gripper, sampling, GraspType.CYLINDRICAL)
     assert len(got) == 29
     assert all(pg["source_face"] != int(FaceId.PLUS_V) for pg in got)
@@ -248,7 +248,7 @@ def test_circle_counts_and_blocking(gripper, sampling, free_mask):
     got = sample_node(plate, free_mask, gripper, sampling, GraspType.THREE_FINGERTIP)
     assert len(got) == oracles.circle_grid_count(30.0) == 12
     # blocking +U drops the three angles binned to it (330, 0, 30 degrees)
-    mask = face_mask([True, False, False, False, False, False])
+    mask = [True, False, False, False, False, False]
     kept = sample_node(plate, mask, gripper, sampling, GraspType.THREE_FINGERTIP)
     assert len(kept) == 9
     assert {helpers.source_subface(pg) for pg in kept} == {(1, 0), (2, 0), (3, 0)}
@@ -285,7 +285,7 @@ def test_samples_only_on_free_subfaces(grasp_type, gripper, sampling):
     node = leaf_node(box)
     counts = {}
     for combo in itertools.product((False, True), repeat=6):
-        mask = face_mask(list(combo))
+        mask = list(combo)
         got = sample_node(node, mask, gripper, sampling, grasp_type)
         counts[combo] = len(got)
         free = helpers.free_subfaces(mask, grasp_type, box)
@@ -329,7 +329,7 @@ def test_sample_node_matches_reference_samplers(box_name, gripper, sampling):
               ([0] * 6, [1, 0, 0, 0, 0, 0], [0, 0, 1, 0, 0, 1], [0, 1, 0, 1, 1, 0])]
     emitted = 0
     for combo, grip, samp in cases:
-        mask = face_mask(combo)
+        mask = combo
         for grasp_type in GraspType:
             got = _pool_section(sample_node(node, mask, grip, samp, grasp_type))
             want = _pool_section(oracles.reference_samples(node, mask, grip, samp,
@@ -373,7 +373,7 @@ def test_sample_node_matches_reference_bytes(box_name, angular_step, axial_step)
     sampling = SamplingParams(angular_step, axial_step)
     emitted = set()
     for combo in ARRAY_PASS_MASKS:
-        mask = face_mask(combo)
+        mask = combo
         for grasp_type, gripper in itertools.product(
                 GraspType, (GripperConfig(), GripperConfig(standoff=0.0))):
             got = sample_node(node, mask, gripper, sampling, grasp_type)
@@ -404,7 +404,7 @@ def test_pool_is_valid_on_fixtures(tree_fx, cloud_fx, gripper, sampling, request
     tree = request.getfixturevalue(tree_fx)
     cloud = request.getfixturevalue(cloud_fx)
     classes = helpers.classes_for(tree, cloud)
-    masks = helpers.masks_for(tree, gripper.finger_length)
+    masks = compute_face_states(tree, gripper.finger_length)
     pool = generate_pool(tree, classes, masks, gripper, sampling)
     assert len(pool), f"{tree_fx} produced an empty pool"
     selected = set(select_nodes(tree, classes, gripper))
@@ -423,7 +423,7 @@ def test_pool_is_valid_on_fixtures(tree_fx, cloud_fx, gripper, sampling, request
 def test_pool_ordering_and_determinism(dumbbell_tree, dumbbell_cloud,
                                        gripper, sampling):
     classes = helpers.classes_for(dumbbell_tree, dumbbell_cloud)
-    masks = helpers.masks_for(dumbbell_tree, gripper.finger_length)
+    masks = compute_face_states(dumbbell_tree, gripper.finger_length)
     pool = generate_pool(dumbbell_tree, classes, masks, gripper, sampling)
     keys = [(int(pg["source_node"]),) + helpers.source_subface(pg) for pg in pool]
     assert keys == sorted(keys)
