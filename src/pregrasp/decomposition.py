@@ -327,7 +327,7 @@ def evaluate_split(points, parent_box, axis, offset):
     if len(idx_a) == 0 or len(idx_b) == 0:
         raise EmptySide(f"plane axis={axis} offset={offset:.6g} "
                         f"left {len(idx_a)}/{len(idx_b)} points")
-    return idx_a, idx_b, fit_obb(pts[idx_a]), fit_obb(pts[idx_b])
+    return idx_a, idx_b, fit_obb(pts.take(idx_a, axis=0)), fit_obb(pts.take(idx_b, axis=0))
 
 
 def candidate_offsets(half_extent, planes_per_axis):
@@ -390,6 +390,17 @@ class _Slabs:
     lo_idx: np.ndarray
 
 
+def _slab_order(coord):
+    """np.argsort(coord, kind="stable") and coord in that order, from numpy's
+    faster default sort unless two sorted values tie (or are NaN or ±0)."""
+    order = np.argsort(coord)
+    ranked = coord.take(order)
+    if not (ranked[1:] > ranked[:-1]).all():
+        order = np.argsort(coord, kind="stable")
+        ranked = coord.take(order)
+    return order, ranked
+
+
 def _slab_summaries(X, coord, offsets, dirs):
     """Cut the centred points `X` at the sorted `offsets` of `coord` and
     summarize each of the len(offsets) + 1 slabs.
@@ -403,13 +414,13 @@ def _slab_summaries(X, coord, offsets, dirs):
     slab's projections (in runs of points that fit `_BLOCK_BYTES`) take
     contiguous slices and come out direction-major.  Ties go to the first
     point in slab order."""
-    order = np.argsort(coord, kind="stable")
-    bounds = np.concatenate(([0], np.searchsorted(coord[order], offsets), [len(coord)]))
+    order, ranked = _slab_order(coord)
+    bounds = np.concatenate(([0], np.searchsorted(ranked, offsets), [len(coord)]))
     n_slabs, m = len(bounds) - 1, len(dirs)
     slabs = _Slabs(bounds, np.zeros((n_slabs, 3)), np.zeros((n_slabs, 3, 3)),
                    np.full((n_slabs, m), -np.inf), np.zeros((n_slabs, m), dtype=int),
                    np.full((n_slabs, m), np.inf), np.zeros((n_slabs, m), dtype=int))
-    Xo = X[order]
+    Xo = X.take(order, axis=0)
     XT = Xo.T.copy()
     rows, step = np.arange(m), max(1, _BLOCK_BYTES // (8 * m))
     for j in range(n_slabs):
@@ -473,7 +484,7 @@ def _screen(pts, box, params):
         return []
     count, s1, s2, _, _, coreset = (np.array(f) for f in zip(*sides))
     mean = s1 / count[:, None]
-    C = X[coreset] - mean[:, None, :]
+    C = X.take(coreset, axis=0) - mean[:, None, :]
     cov = s2 / count[:, None, None] - mean[:, :, None] * mean[:, None, :]
     _, vols = _sweep(C, _pca_axes(cov, C))
     return [(float(a + b), *plane) for (a, b), plane in zip(vols.reshape(-1, 2), planes)]
@@ -483,7 +494,7 @@ def _best_split_eval(node, cloud, params):
     """The finalist with the smallest summed child volume as (axis, offset,
     idx_a, idx_b, box_a, box_b), or None if it fails the acceptance test
     (volume ratio + per-child point minimum)."""
-    pts = cloud.points[node.point_indices]
+    pts = cloud.points.take(node.point_indices, axis=0)
     scored = _screen(pts, node.box, params)
     # refit in (axis, offset) order, so the strict < below keeps the first
     # of tied full-point volumes

@@ -7,11 +7,12 @@ Loaders accept three plain-text formats:
 * ``obj``  -- ``v`` lines only, everything else ignored
 
 All coordinates are meters.  Point order is preserved from the input file.
-A loader's per-line loop only splits lines and checks their value counts; the
-coordinate tokens of the whole file are then parsed in one numpy call, which
-reads each with Python's float().  A parse error names the first faulty line
-in file order, whatever the kind of fault.  Loaded points are a C-ordered
-float64 array.
+A loader reads its data lines in one ``np.loadtxt`` call.  If numpy rejects
+a line, or a value count or coordinate is wrong, a per-line loop reads the
+file with Python's float(), which takes tokens numpy does not (``1_0``,
+non-ASCII digits) and reads the others to the same bits, and names the first
+faulty line in file order, whatever the kind of fault.  Loaded points are a
+C-ordered float64 array.
 """
 
 import gc
@@ -93,8 +94,8 @@ def load_cloud(path, fmt=None):
     # The bulk parse leaves no container garbage, so no full collection runs
     # while a file is read.  Only a full collection empties the interpreter's
     # free lists, where a tuple or float left by earlier work keeps its whole
-    # small-object arena mapped; perfbench's large-scan peak RSS is 156 MB
-    # without this pass and 136-140 MB with it.
+    # small-object arena mapped; perfbench's large-scan peak RSS read 90-93 MB
+    # without this pass and 87-89 MB with it (4 runs each on 2 vCPUs).
     gc.collect()
 
     if len(pts) < MIN_POINTS:
@@ -131,7 +132,25 @@ def _parse_coordinates(tokens, line_nos):
     raise AssertionError("the bulk parse failed on rows that float() accepts")
 
 
+def _load_rows(rows, usecols=None):
+    """Columns usecols[:3] (None: each row's 3) of the stripped lines `rows`, by np.loadtxt;
+    None if numpy rejects a row, a row has another width or a coordinate is not finite."""
+    if not rows:        # np.loadtxt warns on empty input
+        return None
+    try:
+        pts = np.loadtxt(rows, dtype=float, comments=None, usecols=usecols, ndmin=2)
+    except ValueError:
+        return None
+    width = 3 if usecols is None else len(usecols)
+    if pts.shape != (len(rows), width) or not np.isfinite(pts[:, :3]).all():
+        return None
+    return np.ascontiguousarray(pts[:, :3])
+
+
 def _parse_xyz(lines):
+    rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
+    if (pts := _load_rows(rows)) is not None:
+        return pts
     tokens, line_nos = [], []
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -183,10 +202,16 @@ def _parse_ply(lines):
     if n_vertices is None:
         raise ParseError(data_start, "no vertex element declared")
     try:
-        xyz = operator.itemgetter(*[vertex_props.index(ax) for ax in ("x", "y", "z")])
+        cols = [vertex_props.index(ax) for ax in ("x", "y", "z")]
     except ValueError:
         raise ParseError(data_start, "vertex element lacks x/y/z properties") from None
+    rows = [s for s in map(str.strip, lines[data_start:]) if s][n_before:n_before + n_vertices]
+    # the last property's column makes numpy reject a row with too few values
+    pts = _load_rows(rows, cols + [len(vertex_props) - 1]) if len(rows) == n_vertices else None
+    if pts is not None:
+        return pts
 
+    xyz = operator.itemgetter(*cols)
     tokens, line_nos = [], []
     for i, raw in enumerate(lines[data_start:], start=data_start + 1):
         if len(line_nos) >= n_vertices:
@@ -210,6 +235,9 @@ def _parse_ply(lines):
 
 
 def _parse_obj(lines):
+    rows = [s for s in map(str.strip, lines) if s.startswith("v ") or s == "v"]
+    if (pts := _load_rows(rows, (1, 2, 3))) is not None:
+        return pts
     tokens, line_nos = [], []
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()

@@ -46,6 +46,10 @@ code because the package must agree with them exactly:
   package's sliced, batched ranking replaced, built on `reference_contacts`,
   `reference_wrench_set` and the package's `epsilon_quality` and
   `GraspCandidate`.
+- `reference_parse_lines`, the per-line loaders (split each line, check its
+  value count, read the coordinate tokens with Python's float()) that the
+  package's one `np.loadtxt` read per file replaced, built on the package's
+  `ParseError`.
 
 `unit` normalizes one vector at a time, as the package's `unit_rows` does
 each row, and `cells_containing` tests one point against a face's cells, as
@@ -950,3 +954,137 @@ def reference_rank_pool(pool, cloud, gripper, params):
         candidates.append(GraspCandidate(idx, contacts, quality))
     candidates.sort(key=lambda c: (-c.quality, -len(c.contacts), c.pool_index))
     return candidates
+
+
+def _reference_coordinates(tokens, line_nos):
+    """The (n, 3) float64 array of the coordinate tokens, three per row, row
+    k read from line line_nos[k]; a ParseError names the first faulty row."""
+    from pregrasp.errors import ParseError
+
+    try:
+        pts = np.array(tokens, dtype=float).reshape(-1, 3)
+        if np.isfinite(pts).all():
+            return pts
+    except ValueError:
+        pass
+    for k, line_no in enumerate(line_nos):
+        try:
+            row = [float(t) for t in tokens[3 * k:3 * k + 3]]
+        except ValueError as exc:
+            raise ParseError(line_no, f"bad number: {exc}") from None
+        if not np.isfinite(row).all():
+            raise ParseError(line_no, "non-finite coordinate")
+    raise AssertionError("the bulk parse failed on rows that float() accepts")
+
+
+def _reference_xyz(lines):
+    from pregrasp.errors import ParseError
+
+    tokens, line_nos = [], []
+    for i, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        row = line.split()
+        if len(row) != 3:
+            _reference_coordinates(tokens, line_nos)
+            raise ParseError(i, f"expected 3 values, got {len(row)}")
+        tokens += row
+        line_nos.append(i)
+    return _reference_coordinates(tokens, line_nos)
+
+
+def _reference_ply(lines):
+    from pregrasp.errors import ParseError
+
+    if not lines or lines[0].strip() != "ply":
+        raise ParseError(1, "not a PLY file (missing 'ply' magic)")
+    n_vertices = None
+    n_before = 0
+    vertex_props = []
+    in_vertex_element = False
+    data_start = None
+    for i, raw in enumerate(lines[1:], start=2):
+        line = raw.strip()
+        if line.startswith("comment") or not line:
+            continue
+        if line.startswith("format"):
+            if "ascii" not in line:
+                raise ParseError(i, "binary PLY is not supported; export ASCII 1.0")
+        elif line.startswith("element"):
+            parts = line.split()
+            in_vertex_element = len(parts) == 3 and parts[1] == "vertex"
+            if n_vertices is None:
+                if len(parts) != 3 or not parts[2].isdecimal():
+                    raise ParseError(i, f"expected 'element <name> <count>', got {line!r}")
+                if in_vertex_element:
+                    n_vertices = int(parts[2])
+                else:
+                    n_before += int(parts[2])
+        elif line.startswith("property") and in_vertex_element:
+            if line.split()[1:2] == ["list"]:
+                raise ParseError(i, f"vertex list properties are not supported: {line!r}")
+            vertex_props.append(line.split()[-1])
+        elif line == "end_header":
+            data_start = i
+            break
+    if data_start is None:
+        raise ParseError(len(lines), "missing end_header")
+    if n_vertices is None:
+        raise ParseError(data_start, "no vertex element declared")
+    try:
+        cols = [vertex_props.index(ax) for ax in ("x", "y", "z")]
+    except ValueError:
+        raise ParseError(data_start, "vertex element lacks x/y/z properties") from None
+
+    tokens, line_nos = [], []
+    for i, raw in enumerate(lines[data_start:], start=data_start + 1):
+        if len(line_nos) >= n_vertices:
+            break
+        line = raw.strip()
+        if not line:
+            continue
+        if n_before:
+            n_before -= 1
+            continue
+        row = line.split()
+        if len(row) < len(vertex_props):
+            _reference_coordinates(tokens, line_nos)
+            raise ParseError(i, f"expected {len(vertex_props)} vertex values, got {len(row)}")
+        tokens += [row[c] for c in cols]
+        line_nos.append(i)
+    pts = _reference_coordinates(tokens, line_nos)
+    if len(pts) < n_vertices:
+        raise ParseError(len(lines), f"vertex element promised {n_vertices} rows, found {len(pts)}")
+    return pts
+
+
+def _reference_obj(lines):
+    from pregrasp.errors import ParseError
+
+    tokens, line_nos = [], []
+    for i, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line.startswith("v ") and line != "v":
+            continue
+        row = line.split()
+        if len(row) < 4:
+            _reference_coordinates(tokens, line_nos)
+            raise ParseError(i, f"'v' line needs 3 coordinates, got {len(row) - 1}")
+        tokens += row[1:4]
+        line_nos.append(i)
+    return _reference_coordinates(tokens, line_nos)
+
+
+def reference_parse_lines(path, fmt):
+    """The (n, 3) float64 points of the `fmt` ('xyz', 'ply' or 'obj') file at
+    `path`, read line by line: each data line split in Python and its value
+    count checked, then the coordinate tokens of the file read with Python's
+    float() in one numpy call, and row by row on a fault.
+
+    Raises:
+        ParseError: on the first faulty line in file order.
+    """
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        lines = fh.read().splitlines()
+    return {"xyz": _reference_xyz, "ply": _reference_ply, "obj": _reference_obj}[fmt](lines)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import _mvbb_frozen as frozen
 import helpers
@@ -20,6 +22,7 @@ from pregrasp.decomposition import (
     OrientedBox,
     _project,
     _side_summary,
+    _slab_order,
     _slab_summaries,
     candidate_offsets,
     evaluate_split,
@@ -389,6 +392,45 @@ def _check_slab_summaries(cloud, monkeypatch):
     monkeypatch.setattr(decomposition, "_slab_summaries", checked)
     tree = decompose(cloud, params)
     assert len(calls) == 3 * len(_searched_nodes(tree, params)) > 0
+
+
+# Coordinates with forced ties: values from a small pool (signed zeros, NaN,
+# repeats) or any float, and projections of points drawn from a small lattice,
+# so whole points repeat.  Past 16 values numpy's default sort is not stable.
+_TIED_VALUES = st.sampled_from([0.0, -0.0, np.nan, 1.0, -1.0, 0.5, 1e-300, np.inf])
+_COORDS = st.one_of(
+    st.lists(st.one_of(_TIED_VALUES, st.floats()), max_size=300).map(np.array),
+    st.lists(st.tuples(*[st.sampled_from([0.0, -0.0, 0.01, 0.02, np.nan])] * 3),
+             min_size=1, max_size=300).map(lambda p: np.array(p) @ [0.6, 0.8, 0.0]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_COORDS)
+def test_slab_order_is_the_stable_order(coord):
+    """The screen's slab order equals the stable sort's, ties and all."""
+    order, ranked = _slab_order(coord)
+    want = np.argsort(coord, kind="stable")
+    assert order.dtype == want.dtype and order.tobytes() == want.tobytes()
+    assert ranked.tobytes() == coord[want].tobytes()
+
+
+def test_slab_order_sorts_stably_only_on_ties(sphere_cloud, monkeypatch):
+    """A tie-free cloud's slabs take only the default sort; the lattice's
+    repeated points take the stable one.  Sorts of 3 values are left out:
+    the box fit's canonical form sorts its extents stably."""
+    real, kinds = np.argsort, []
+
+    def spy(a, *args, kind=None, **kwargs):
+        if np.size(a) > 3:
+            kinds.append(kind)
+        return real(a, *args, kind=kind, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    decompose(sphere_cloud)
+    assert kinds and "stable" not in kinds
+    kinds.clear()
+    decompose(_lattice_cloud())
+    assert "stable" in kinds
 
 
 def _float_bytes(scored):
