@@ -14,7 +14,7 @@ from enum import IntEnum
 import numpy as np
 
 from .classifier import GraspType
-from .geom import cross
+from .geom import cross, dot3
 
 # Overlaps shallower than this are treated as touching, not blocking: boxes
 # fitted to adjacent parts interpenetrate by fit slack near shared junctions,
@@ -62,14 +62,10 @@ def _face_slabs(center, rotation, half, depth):
     return slab_center, np.where(np.eye(3, dtype=bool)[axis], depth / 2.0, half[:, None])
 
 
-def _dot3(u, v):
-    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
-
-
 def _reach(axes, rotation, half):
     """A box's half-width along each row of `axes` (..., k, 3)."""
     proj = sum(axes[..., i:i + 1] * rotation[..., None, i, :] for i in range(3))
-    return _dot3(np.abs(proj), half[..., None, :])
+    return dot3(np.abs(proj), half[..., None, :])
 
 
 def obb_overlap(a, b, min_penetration=0.0):
@@ -85,12 +81,12 @@ def obb_overlap(a, b, min_penetration=0.0):
     ua, ub = np.swapaxes(ra, -1, -2), np.swapaxes(rb, -1, -2)
     c = cross(ua[..., :, None, :], ub[..., None, :, :])
     c = c.reshape(c.shape[:-3] + (9, 3))
-    norm = np.sqrt(_dot3(c, c))
+    norm = np.sqrt(dot3(c, c))
     kept = norm > 1e-9
     c /= np.where(kept, norm, 1.0)[..., None]
     axes = np.concatenate([np.broadcast_to(x, c.shape[:-2] + x.shape[-2:]) for x in (ua, ub, c)],
                           axis=-2)
-    dist = np.abs(_dot3(axes, (cb - ca)[..., None, :]))
+    dist = np.abs(dot3(axes, (cb - ca)[..., None, :]))
     separated = dist >= _reach(axes, ra, ha) + _reach(axes, rb, hb) - min_penetration
     separated[..., 6:] &= kept
     return ~separated.any(axis=-1)

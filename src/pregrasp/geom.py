@@ -61,6 +61,14 @@ def rotations_about_axes(axes, angles):
                    + (1.0 - np.cos(angles))[:, None, None] * (k @ k))
 
 
+def dot3(u, v):
+    """u . v over the last axis of two broadcastable arrays, as the sum
+    u0 v0 + u1 v1 + u2 v2 of per-column products, left to right: elementwise
+    arithmetic, so each row's bits depend on neither its neighbours, its
+    alignment nor the BLAS kernel."""
+    return u[..., 0] * v[..., 0] + u[..., 1] * v[..., 1] + u[..., 2] * v[..., 2]
+
+
 def cross(a, b):
     """a x b over the last axis of two broadcastable arrays: the products and
     differences np.cross takes, in its order (so the same bits), without its

@@ -7,15 +7,16 @@ symmetrically about the approach axis.  Each ray's contact is the first cloud
 point encountered inside a thin tube around the ray.  `rank_pool` builds a
 sparse voxel index of the cloud once and works through the pool in slices:
 every finger ray of a slice is searched in batched passes that visit only
-the points in cells along the rays' paths, screen them with pair products
-and decide each ray with the arithmetic of a scan of every point, on the
-cells at the ray's front first and on its other cells only when a point
-there could still come first.  A grasp's contacts are a (k, 2, 3) array of
-(position, normal) rows.  The contacts of a slice's candidates build their
-(k, 6) arrays of friction-cone edge wrenches, rows [force | torque], in one
-broadcast, and grasps are scored with the largest-ball (epsilon) quality:
-the radius of the biggest origin-centered ball inside the convex hull of
-those rows, estimated by support-function sampling.
+the points in cells along the rays' paths and test each point with the
+arithmetic of a scan of every point, pair products summed per row
+(`geom.dot3`), on the cells at the ray's front first and on its other cells
+only when a point there could still come first.  A grasp's contacts are a
+(k, 2, 3) array of (position, normal) rows.  The contacts of a slice's
+candidates build their (k, 6) arrays of friction-cone edge wrenches, rows
+[force | torque], in one broadcast, and grasps are scored with the
+largest-ball (epsilon) quality: the radius of the biggest origin-centered
+ball inside the convex hull of those rows, estimated by support-function
+sampling.
 """
 
 import logging
@@ -27,8 +28,8 @@ import numpy as np
 
 from .classifier import GRASP_PRESHAPE, GraspType
 from .errors import EmptyWrenchSet, NoContacts, check_params
-from .geom import (aligned, cross, perpendicular_frames, rotations_about_axes, row_norms,
-                   unit_rows)
+from .geom import (aligned, cross, dot3, perpendicular_frames, rotations_about_axes,
+                   row_norms, unit_rows)
 
 logger = logging.getLogger(__name__)
 
@@ -144,33 +145,20 @@ _CELL_REACH = (2.83 / 2.0) ** 2
 # The 27 cell offsets of a cell's 3x3x3 block.
 _BLOCK = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
 
-# The point screen keeps a ray-point row when q - t~^2 <= r^2 + slack (r^2 + q),
-# with q = rel.rel and t~ = rel.d summed as pair products (einsum).  The exact
-# test accepts fl(q' - fl(t^2)) <= r^2 with q' an einsum and t a gemv, each
-# rounded in its own way.  A 3-term dot product in any order, with or without
-# FMA, is off by at most gamma_3 sum |a_i b_i| with gamma_3 = 3u / (1 - 3u),
-# u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-# sec. 3.1).  For a unit d (|d|^2 within 1e-12 of 1) and Q = |rel|^2:
-#   |t - t~| <= 2 gamma_3 |rel|,  |q - q'| <= 2 gamma_3 Q,
-#   |fl(t^2) - fl(t~^2)| <= |t - t~| |t + t~| + u (t^2 + t~^2) <= (12 + 2) u Q,
-# to first order in u.  An accepted row has q' - fl(t^2) <= r^2 (1 + u), so its
-# screen value is at most (r^2 (1 + u) + 6 u Q + 14 u Q)(1 + u)
-# <= r^2 + 21 u (r^2 + q), as Q <= q (1 + 3.01 u).  The bound as computed, two
-# roundings below r^2 + 64 u (r^2 + q), is above that: every row the exact
-# test could accept survives the screen, barring underflow.
-_SCREEN_SLACK = 64 * 2.0 ** -53
-
 # A ray's search first decides it on its cells whose center t lies within
 # _FRONT cell sides of its nearest cell's.
 _FRONT = 2
 
 # A point p of a cell with center c has (p - o).d >= (c - o).d - |p - c| |d|.
-# `_decide` takes t_p as a gemv of fl(p - o) with d, `_tube_cells` t_c as pair
-# products of fl(c - o) with d: each is off from the exact value by at most
-# (u + gamma_3 (1 + u)) |x| |d| <= 4.01 u |x| for x = p - o or c - o (Higham,
-# as for _SCREEN_SLACK).  Let M be the largest coordinate magnitude of the
-# padded cloud box (M >= 2 r, as the padding is 2 r a side) and S = M plus the
-# ray origin's largest coordinate magnitude.  Then |c - o| <= sqrt(3) S and
+# `_tube_rows` takes t_p and `_tube_cells` t_c as 3-term dot products of
+# fl(p - o) and fl(c - o) with d.  A 3-term dot product summed in any order,
+# with or without FMA, is off by at most gamma_3 sum |a_i b_i|, with
+# gamma_3 = 3u / (1 - 3u) and u = 2^-53 (Higham, Accuracy and Stability of
+# Numerical Algorithms, 2002, sec. 3.1).  So each t is off from the exact
+# value by at most (u + gamma_3 (1 + u)) |x| |d| <= 4.01 u |x| for x = p - o
+# or c - o.  Let M be the largest coordinate magnitude of the padded cloud box
+# (M >= 2 r, as the padding is 2 r a side) and S = M plus the ray origin's
+# largest coordinate magnitude.  Then |c - o| <= sqrt(3) S and
 # |p - c| <= 1.74 r <= 0.87 M, so the two products err by at most
 # 4.01 u (2 |c - o| + |p - c|) <= 17.4 u S.  p's cell is
 # floor(fl(fl(p - lo) / 2 r)) and its center fl(lo + fl((k + 1/2) 2 r)), so on
@@ -280,69 +268,29 @@ class ContactIndex:
         # sorting them, several times slower on these pairs
         ray, cell = np.divmod(pair[_run_heads(pair)], n_occ)
         rel = self._centers.take(cell, axis=0) - origins.take(ray, axis=0)
-        t = np.einsum("ij,ij->i", rel, directions.take(ray, axis=0))
-        near = np.einsum("ij,ij->i", rel, rel) - t * t <= _CELL_REACH * self.cell ** 2
+        t = dot3(rel, directions.take(ray, axis=0))
+        near = dot3(rel, rel) - t * t <= _CELL_REACH * self.cell ** 2
         return ray[near], cell[near], t[near]
 
-    def _screened(self, origins, directions, ray, cell):
-        """Ray-point rows of the (ray, cell) pairs that the point screen
-        keeps, sorted by ray, then by point."""
+    def _tube_rows(self, origins, directions, ray, cell):
+        """(ray, point, t) of the ray-point rows of the (ray, cell) pairs
+        (sorted by ray) that lie in their ray's tube, t = rel.d >= 0 and
+        rel.rel - t * t <= tube_r ** 2, each dot product summed as pair
+        products (`geom.dot3`), as a scan of every point sums them; sorted by
+        ray.  A row's bits depend only on its point and ray."""
         lo, hi = self._bounds[cell], self._bounds[cell + 1]
         pt = self.order[_ranges(lo, hi)]
         ray = np.repeat(ray, hi - lo)
         rel = self.points.take(pt, axis=0) - origins.take(ray, axis=0)
-        q = np.einsum("ij,ij->i", rel, rel)
-        t = np.einsum("ij,ij->i", rel, directions.take(ray, axis=0))
-        r2 = self.tube_r * self.tube_r
-        keep = q - t * t <= r2 + _SCREEN_SLACK * (r2 + q)
-        n_pts = len(self.points)
-        return np.divmod(np.sort(ray[keep] * n_pts + pt[keep]), n_pts)
-
-    def _decide(self, origins, directions, ray, pt, best_t, hits):
-        """Merge into `best_t` and `hits` each ray's first point within
-        tube_r, among its rows (sorted by ray, then by point), with the
-        arithmetic of a scan of every point: a per-ray gemv for t, ties on t
-        to the lowest point, here and against the ray's earlier best.
-
-        Each ray's rows start at an even row of one fresh block, so they lie
-        at the alignment of a fresh array's rows, and the rows of a ray with
-        an odd count end with its last point repeated, which doubles a lone
-        row as the scan's many rows need (a 1-row product would take numpy's
-        dot path); a one-point cloud keeps its 1-row product, as its scan
-        does.  Directions are copied to 4-wide rows for the same alignment.
-        A row's t thus does not depend on which other rows the ray has (the
-        point screen relies on this too), so deciding a ray's rows in parts
-        gives what deciding them at once would.
-        """
-        heads = np.flatnonzero(_run_heads(ray))
-        length = np.diff(np.append(heads, len(ray)))
-        padded = length + (length & 1)
-        start = np.cumsum(padded) - padded
-        last = np.repeat(heads + length - 1, padded)
-        rows = np.minimum(np.arange(padded.sum()) - np.repeat(start - heads, padded), last)
-        rays = ray[heads]
-        rel = self.points.take(pt[rows], axis=0) - origins.take(ray[rows], axis=0)
-        dirs = np.zeros((len(rays), 4))
-        dirs[:, :3] = directions.take(rays, axis=0)
-        dirs = dirs[:, :3]
-        used = padded if len(self.points) > 1 else length
-        t = np.full(len(rel), np.inf)
-        for s, m, d in zip(start.tolist(), used.tolist(), dirs):
-            np.matmul(rel[s:s + m], d, out=t[s:s + m])
-        r = self.tube_r
-        perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
-        key = np.where((t >= 0.0) & (perp2 <= r * r), t, np.inf)
-        best = np.minimum.reduceat(key, start)
-        at = np.where(key == np.repeat(best, padded), np.arange(len(key)), len(key))
-        first = np.minimum.reduceat(at, start)
-        touched = best < np.inf
-        rays, best, first = rays[touched], best[touched], pt[rows[first[touched]]]
-        won = (best < best_t[rays]) | ((best == best_t[rays]) & (first < hits[rays]))
-        best_t[rays[won]], hits[rays[won]] = best[won], first[won]
+        t = dot3(rel, directions.take(ray, axis=0))
+        keep = (t >= 0.0) & (dot3(rel, rel) - t * t <= self.tube_r * self.tube_r)
+        return ray[keep], pt[keep], t[keep]
 
     def _search_pairs(self, origins, directions, ray, cell, best_t, hits):
-        """`_screened` and `_decide` over the (ray, cell) pairs (sorted by
-        ray), in passes of about `_CHUNK_ROWS` ray-point rows."""
+        """Merge into `best_t` and `hits` each ray's least t among the
+        `_tube_rows` of the (ray, cell) pairs (sorted by ray), and among
+        equal t its lowest point, here and against the ray's earlier best;
+        in passes of about `_CHUNK_ROWS` ray-point rows."""
         if len(ray) == 0:
             return
         heads = np.flatnonzero(_run_heads(ray))
@@ -350,9 +298,16 @@ class ContactIndex:
         size = self._bounds[cell + 1] - self._bounds[cell]
         for c, e in _batches(np.add.reduceat(size, heads), _CHUNK_ROWS):
             sel = slice(heads[c], ends[e - 1])
-            r, pt = self._screened(origins, directions, ray[sel], cell[sel])
-            if len(r):
-                self._decide(origins, directions, r, pt, best_t, hits)
+            r, pt, t = self._tube_rows(origins, directions, ray[sel], cell[sel])
+            if len(r) == 0:
+                continue
+            first = np.flatnonzero(_run_heads(r))
+            best = np.minimum.reduceat(t, first)
+            tied = t == np.repeat(best, np.diff(np.append(first, len(r))))
+            pick = np.minimum.reduceat(np.where(tied, pt, len(self.points)), first)
+            rays = r[first]
+            won = (best < best_t[rays]) | ((best == best_t[rays]) & (pick < hits[rays]))
+            best_t[rays[won]], hits[rays[won]] = best[won], pick[won]
 
     def _search_in_order(self, origins, directions, ray, cell, tc, best_t, hits):
         """Decide the rays of the (ray, cell) pairs (sorted by ray; tc the
@@ -381,15 +336,14 @@ class ContactIndex:
         block around a sample's cell reaches at least 2 * tube_r beyond it,
         so the blocks hold every such point.  A ray that would need more
         block cells than the cloud has points takes every occupied cell.
-        Cells far from a ray's line, and then points whose pair-product
-        distance rules out the tube, are screened off.  A ray is decided on
-        its cells near the front first; it stops there when no point of its
-        other cells can come before (or tie with) that contact, and is
-        decided on them too otherwise.  Each part is decided with the
-        arithmetic of a scan of every point, and the parts' contacts merge
-        by (t, point index) (see `_decide`), so each ray gets the scan's
-        contact.  Each pass builds about `_CHUNK_ROWS` rows: ray samples,
-        then (ray, cell) pairs, then ray-point pairs.
+        Cells far from a ray's line are screened off, and each point of the
+        rest is tested with the arithmetic of a scan of every point (see
+        `_tube_rows`).  A ray is decided on its cells near the front first;
+        it stops there when no point of its other cells can come before (or
+        tie with) that contact, and is decided on them too otherwise.  The
+        parts' contacts merge by (t, point index), so each ray gets the
+        scan's contact.  Each pass builds about `_CHUNK_ROWS` rows: ray
+        samples, then (ray, cell) pairs, then ray-point pairs.
         """
         origins = np.asarray(origins, dtype=float).reshape(-1, 3)
         directions = np.asarray(directions, dtype=float).reshape(-1, 3)

@@ -18,6 +18,7 @@ C-ordered float64 array.
 import gc
 import json
 import logging
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -106,30 +107,23 @@ def load_cloud(path, fmt=None):
 
 def _parse_coordinates(tokens, line_nos):
     """The (n, 3) float64 array of the coordinate tokens, three per row, row
-    k read from line line_nos[k].
-
-    One bulk parse: numpy reads each token with Python's float(), so the
-    values are those of float().  On a bad number or a non-finite value the
-    rows are parsed again one by one in file order, so the error names the
-    first faulty row (in a row, a bad number comes before a non-finite value).
+    k read from line line_nos[k] with Python's float(), row by row in file
+    order, so an error names the first faulty row (in a row, a bad number
+    comes before a non-finite value).
 
     Raises:
         ParseError
     """
-    try:
-        pts = np.array(tokens, dtype=float).reshape(-1, 3)
-        if np.isfinite(pts).all():
-            return pts
-    except ValueError:
-        pass
+    rows = []
     for k, line_no in enumerate(line_nos):
         try:
             row = [float(t) for t in tokens[3 * k:3 * k + 3]]
         except ValueError as exc:
             raise ParseError(line_no, f"bad number: {exc}") from None
-        if not np.isfinite(row).all():
+        if not all(map(math.isfinite, row)):
             raise ParseError(line_no, "non-finite coordinate")
-    raise AssertionError("the bulk parse failed on rows that float() accepts")
+        rows.append(row)
+    return np.array(rows, dtype=float).reshape(-1, 3)
 
 
 def _load_rows(rows, usecols=None):
@@ -235,13 +229,14 @@ def _parse_ply(lines):
 
 
 def _parse_obj(lines):
-    rows = [s for s in map(str.strip, lines) if s.startswith("v ") or s == "v"]
+    # a `v` line: `v` alone or followed by whitespace (a space, a tab, ...)
+    rows = [s for s in map(str.strip, lines) if s[:2].split() == ["v"]]
     if (pts := _load_rows(rows, (1, 2, 3))) is not None:
         return pts
     tokens, line_nos = [], []
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line.startswith("v ") and line != "v":
+        if line[:2].split() != ["v"]:
             continue
         row = line.split()
         if len(row) < 4:

@@ -27,7 +27,10 @@ code because the package must agree with them exactly:
   replaced, built on `rotation_about_axis`;
 - `reference_contacts`, the scan of every cloud point for every finger ray
   that the package's voxel-indexed contact search replaced, built on
-  `reference_finger_rays` and the package's `NoContacts`;
+  `reference_finger_rays` and the package's `NoContacts`; its
+  `reference_first_hit` sums each point's t = rel.d and rel.rel as
+  per-column products, the one arithmetic of the package's tube test
+  (`geom.dot3`), so the two agree bit for bit under any BLAS kernel;
 - `reference_slab_summaries`, the per-slab gather and point-major (n_s, 49)
   projection that the package's slab-local, direction-major split screen
   replaced, built on the package's `_Slabs`;
@@ -863,11 +866,13 @@ def first_contact_reference(points, origin, direction, tube_r):
 
 def reference_first_hit(points, origin, direction, tube_r):
     """Index of the first point along a ray within tube_r, or None, from a
-    scan of every point: t from one product of all points' offsets with the
-    direction, ties on t to the lowest index."""
+    scan of every point: t = rel.d and rel.rel for every point's offset rel,
+    each summed as per-column products, u0 v0 + u1 v1 + u2 v2, ties on t to
+    the lowest index."""
     rel = points - origin
-    t = rel @ direction
-    perp2 = np.einsum("ij,ij->i", rel, rel) - t * t
+    x, y, z = rel[:, 0], rel[:, 1], rel[:, 2]
+    t = x * direction[0] + y * direction[1] + z * direction[2]
+    perp2 = x * x + y * y + z * z - t * t
     ok = (t >= 0.0) & (perp2 <= tube_r * tube_r)
     if not ok.any():
         return None
@@ -1065,7 +1070,7 @@ def _reference_obj(lines):
     tokens, line_nos = [], []
     for i, raw in enumerate(lines, start=1):
         line = raw.strip()
-        if not line.startswith("v ") and line != "v":
+        if line[:2].split() != ["v"]:       # `v` alone or followed by whitespace
             continue
         row = line.split()
         if len(row) < 4:

@@ -3,9 +3,12 @@
 import functools
 import json
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import helpers
 import oracles
@@ -14,6 +17,7 @@ from pregrasp.classifier import GraspType
 from pregrasp.decomposition import DecompNode, OrientedBox, decompose
 from pregrasp.errors import ConfigError, EmptyWrenchSet, NoContacts
 from pregrasp.facemask import compute_face_states
+from pregrasp.geom import dot3, perpendicular_frames
 from pregrasp.graspeval import (ContactIndex, EvalParams, epsilon_quality,
                                 estimate_contacts, finger_rays, rank_pool,
                                 wrench_set)
@@ -381,12 +385,12 @@ def test_contact_on_the_tube_boundary_counts():
 
 
 def lone_candidate_case():
-    """A pre-grasp whose thumb ray has point 0 as its only candidate.  For
-    this ray (found by a random search) a 1-row product, which numpy
-    computes on its dot path, rounds t so that the point falls outside the
-    tube, where the scan's per-row product keeps it inside (x86-64
-    OpenBLAS).  The 3000 other points, 15 cm away, make the cloud large
-    enough for the index to be used."""
+    """A pre-grasp whose thumb ray has point 0 as its only candidate, its
+    contact.  For this ray (found by a random search) a 1-row BLAS product
+    rounds t so that the point falls outside the tube (x86-64 OpenBLAS); the
+    tube test's pair products give a lone row the bits they give it in a
+    scan of every point.  The 3000 other points, 15 cm away, make the cloud
+    large enough for the index to be used."""
     pg = make_pregrasp([0.0004, 0.0732, -0.0951],
                        [-0.003386952230513614, -0.6097222946756489, 0.7926078803103396],
                        [-0.07027377756200023, 0.7907979857227814, 0.6080297212833911],
@@ -402,15 +406,14 @@ def test_contact_single_candidate_keeps_scan_bits(gripper):
     assert_contacts_match_reference(pg, cloud, gripper)
 
 
-# A ray and a point 5 mm from it (found by a random search) where t from a
-# gemv and t from a pair-product sum round apart (x86-64 OpenBLAS, Prescott
-# to SkylakeX): q - t*t lands on tube_r**2 for the gemv and above it for the
-# pair products, so the point is a contact only if the point screen keeps
-# rows a little beyond the tube.
-SCREEN_EDGE_RAY = (np.array([-0.048, 0.068, 0.0019]),
-                   np.array([0.07737382677803742, -0.8711252567305109, -0.4849268790404629]))
-SCREEN_EDGE_POINT = np.array([-0.03646532394589977, -0.006618738810473027, -0.03867392639967364])
-SCREEN_EDGE_TUBE = 0.004999999999999985
+# A ray off every axis and a point on its tube's boundary (found by a search
+# of points a few ulps apart): with rel = point - origin and t = rel.d summed
+# as pair products, rel.rel - t*t equals TUBE_EDGE_R**2 (25 * 2**-20, exact)
+# in floating point.
+TUBE_EDGE_RAY = (np.array([-0.048, 0.068, 0.0019]),
+                 np.array([0.07737382677803742, -0.8711252567305109, -0.4849268790404629]))
+TUBE_EDGE_POINT = np.array([-0.03658049083001316, -0.006616947463912424, -0.03869552014963279])
+TUBE_EDGE_R = 5.0 / 1024
 
 
 def first_hits_match_reference(cloud, origins, directions, tube_r):
@@ -423,11 +426,68 @@ def first_hits_match_reference(cloud, origins, directions, tube_r):
 
 
 @pytest.mark.bitexact
-def test_point_screen_keeps_rows_the_exact_test_accepts():
-    origin, direction = SCREEN_EDGE_RAY
-    cloud = PointCloud(np.vstack([SCREEN_EDGE_POINT, 0.5 + 0.1 * far_points()]))
-    hits = first_hits_match_reference(cloud, origin[None], direction[None], SCREEN_EDGE_TUBE)
-    assert hits.tolist() == [0]
+def test_point_on_the_tube_boundary_is_a_contact():
+    """The tube is closed: its boundary point is the contact, and it drops
+    out of a tube one ulp thinner."""
+    origin, direction = TUBE_EDGE_RAY
+    rel = TUBE_EDGE_POINT - origin
+    t = dot3(rel, direction)
+    assert dot3(rel, rel) - t * t == TUBE_EDGE_R ** 2
+    cloud = PointCloud(np.vstack([TUBE_EDGE_POINT, 0.5 + 0.1 * far_points()]))
+    for tube_r, hit in ((TUBE_EDGE_R, 0), (np.nextafter(TUBE_EDGE_R, 0.0), -1)):
+        hits = first_hits_match_reference(cloud, origin[None], direction[None], tube_r)
+        assert hits.tolist() == [hit]
+
+
+# Ray directions for `tube_clouds`: three axes, on which every product of a
+# dyadic offset is exact, and two off-axis ones.
+_A = np.sqrt(0.5)
+TUBE_DIRECTIONS = np.array([[1.0, 0.0, 0.0], [0.0, -1.0, 0.0], [0.0, 0.0, 1.0],
+                            [_A, _A, 0.0], [0.0, -_A, _A]])
+_FAR = 0.5 + 0.1 * far_points()
+
+
+@st.composite
+def tube_clouds(draw):
+    """(cloud, origins, directions, tube_r): 1-3 rays from dyadic origins
+    and, per ray, points at dyadic t (some behind the origin) offset from its
+    line by 0, 1/2, 1 or 3/2 tube radii along one of four perpendiculars,
+    some of them repeated; then up to 20 points anywhere near the rays and
+    the 1000 points of a far cluster, in a drawn order.  On an axis ray
+    every product is exact, so its unit offsets lie exactly on the tube's
+    boundary and its offsets at one t tie on t; on the others they lie
+    within a few ulps of that."""
+    tube_r = 2.0 ** -draw(st.integers(5, 7))
+    coords = st.lists(st.integers(-32, 32), min_size=3, max_size=3)
+    offsets = st.tuples(st.integers(-16, 64), st.integers(0, 3), st.integers(0, 3))
+    origins, directions, near = [], [], []
+    for _ in range(draw(st.integers(1, 3))):
+        origin = np.array(draw(coords)) / 128.0
+        direction = TUBE_DIRECTIONS[draw(st.integers(0, len(TUBE_DIRECTIONS) - 1))]
+        e1, e2 = (e[0] for e in perpendicular_frames(direction[None]))
+        perps = (e1, -e1, e2, -e2)
+        for t, s, k in draw(st.lists(offsets, min_size=1, max_size=12)):
+            near.append(origin + t / 256.0 * direction + s / 2.0 * tube_r * perps[k])
+        origins.append(origin)
+        directions.append(direction)
+    near += [near[i] for i in draw(st.lists(st.integers(0, len(near) - 1), max_size=4))]
+    near += draw(st.lists(st.tuples(*[st.floats(-0.5, 0.5)] * 3), max_size=20))
+    points = np.vstack([np.array(near, dtype=float).reshape(-1, 3), _FAR])
+    order = draw(st.permutations(range(len(points))))
+    return PointCloud(points[order]), np.array(origins), np.array(directions), tube_r
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("rows", [40, graspeval._CHUNK_ROWS])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(tube_clouds())
+def test_first_hits_match_reference_on_tube_boundaries_and_ties(rows, case):
+    """`first_hits` equals a scan of every point on clouds with points on
+    the rays' tube boundaries and at equal t, in search passes of 40 rows
+    and of the default size."""
+    cloud, origins, directions, tube_r = case
+    with mock.patch.object(graspeval, "_CHUNK_ROWS", rows):
+        first_hits_match_reference(cloud, origins, directions, tube_r)
 
 
 def long_ray_case():
@@ -451,18 +511,19 @@ def offset_rod_case():
 
 
 def search_log(monkeypatch):
-    """A list that gets, per `ContactIndex._screened` call, the candidate
-    points of its (ray, cell) pairs and the points of the rows it keeps."""
+    """A list that gets, per `ContactIndex._tube_rows` call, the candidate
+    points of its (ray, cell) pairs and the points of its rows inside the
+    tube."""
     log = []
-    screened = ContactIndex._screened
+    tube_rows = ContactIndex._tube_rows
 
     def logged(index, origins, directions, ray, cell):
         lo, hi = index._bounds[cell], index._bounds[cell + 1]
-        kept = screened(index, origins, directions, ray, cell)
-        log.append((index.order[graspeval._ranges(lo, hi)], kept[1]))
-        return kept
+        rows = tube_rows(index, origins, directions, ray, cell)
+        log.append((index.order[graspeval._ranges(lo, hi)], rows[1]))
+        return rows
 
-    monkeypatch.setattr(ContactIndex, "_screened", logged)
+    monkeypatch.setattr(ContactIndex, "_tube_rows", logged)
     return log
 
 
@@ -510,7 +571,7 @@ def test_repeated_ray_is_searched_once(small_sphere_cloud, gripper, monkeypatch)
 def test_contact_at_the_centroid_takes_the_normal_against_the_ray():
     """Every ray of `axis_pregrasp` touches the point at the cloud's centroid
     first (the three points' mean is exact), so each normal falls back to
-    the reversed ray direction; a one-point cloud keeps its 1-row product."""
+    the reversed ray direction; a one-point cloud too."""
     gripper, q = exact_gripper(), 1.0 / 16
     cloud = PointCloud(np.array([[q, 0.0, -0.25], [q, 0.0, 0.0], [q, 0.0, 0.25]]))
     assert cloud.centroid.tolist() == [q, 0.0, 0.0]
@@ -548,10 +609,10 @@ def test_boundary_cases_match_reference_in_small_passes(small_passes, sphere_clo
                                                exact_gripper(), 2.0 ** -7) == (3, 0)
     pg, cloud = lone_candidate_case()
     assert assert_contacts_match_reference(pool_rows(pg, pg), cloud, gripper) == (2, 0)
-    origin, direction = SCREEN_EDGE_RAY
-    cloud = PointCloud(np.vstack([SCREEN_EDGE_POINT, 0.5 + 0.1 * far_points()]))
+    origin, direction = TUBE_EDGE_RAY
+    cloud = PointCloud(np.vstack([TUBE_EDGE_POINT, 0.5 + 0.1 * far_points()]))
     first_hits_match_reference(cloud, np.stack([origin] * 3), np.stack([direction] * 3),
-                               SCREEN_EDGE_TUBE)
+                               TUBE_EDGE_R)
     cloud, origins, directions, tube_r = long_ray_case()
     first_hits_match_reference(cloud, np.vstack([origins, origins + 0.001]),
                                np.vstack([directions] * 2), tube_r)
@@ -559,8 +620,8 @@ def test_boundary_cases_match_reference_in_small_passes(small_passes, sphere_clo
 
 # Each ray is decided on its front cells first, then, unless no point of its
 # other cells can come before or tie with that contact, on the rest.  Every
-# case is one ray whose search takes both phases, each in one `_screened`
-# call, under any pass size.
+# case is one ray whose search takes both phases, each in one `_tube_rows`
+# call, under any pass size; the log holds each phase's rows inside the tube.
 
 def assert_tie_across_phases(monkeypatch):
     """Points 0 and 1 lie at equal t on a ray along (1, 1, 0) from the
@@ -597,16 +658,18 @@ def assert_second_phase_decides(monkeypatch):
 
 def assert_odd_rows_in_each_phase(monkeypatch):
     """The thumb ray of `lone_candidate_case`, with three points added on
-    its line behind its origin (t < 0): the front keeps those 3 rows, the
-    rest only the contact's lone row, which must still be doubled."""
+    its line behind its origin (t < 0): they are the front's candidates but
+    lie outside the tube, so the front keeps no row and the rest only the
+    contact's lone row."""
     pg, cloud = lone_candidate_case()
     origin, direction = finger_rays(pg, GripperConfig())[0]
     behind = [origin - k * 0.005 * direction for k in (0.5, 1.0, 1.5)]
     cloud = PointCloud(np.vstack([cloud.points, behind]))
     log = search_log(monkeypatch)
     assert first_hits_match_reference(cloud, origin[None], direction[None], 0.005).tolist() == [0]
-    (_, kept_front), (_, kept_rest) = log
-    assert kept_front.tolist() == [3001, 3002, 3003] and kept_rest.tolist() == [0]
+    (front, kept_front), (_, kept_rest) = log
+    assert {3001, 3002, 3003} <= set(front.tolist())
+    assert kept_front.tolist() == [] and kept_rest.tolist() == [0]
 
 
 EARLY_EXIT_CASES = {"tie-across-phases": assert_tie_across_phases,

@@ -225,6 +225,18 @@ def test_obj_vertices_only(tmp_path):
     np.testing.assert_allclose(cloud.points[2], [0.0, 1.0, 0.0])
 
 
+@pytest.mark.parametrize("read", ["bulk", "per-line"])
+def test_obj_vertex_lines_may_separate_with_a_tab(tmp_path, monkeypatch, read):
+    """`v` followed by a tab is a vertex line, on both read paths; `vt` and
+    `vn` lines stay ignored."""
+    if read == "per-line":
+        monkeypatch.setattr(pointcloud, "_load_rows", lambda *_: None)
+    path = tmp_path / "cloud.obj"
+    path.write_text("v 0 0 0\nv\t1 0 0\nvt\t0.5 0.5\nv 0 1 0\nvn\t9 9 9\nv 0 0 1\nv\t1 1 1\n")
+    assert load_cloud(path).points.tolist() == [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+                                                [1, 1, 1]]
+
+
 # ---------------------------------------------------------------------------
 # fault order and number syntax (all three loaders)
 # ---------------------------------------------------------------------------
