@@ -7,8 +7,9 @@ A cloud is recursively partitioned into a binary tree of oriented boxes:
 2. screen a fixed grid of axis-parallel candidate planes through the box:
    the points are sorted once per axis into slabs between the planes (each
    slab a contiguous run of the sorted points, projected direction-major on
-   the screening directions), and each side of each plane is summed from its
-   slabs into exact moments and an extreme-point coreset of 2 x 49 points.
+   the screening directions), and the sides of all planes of an axis are
+   summarized by scans over its slabs into exact moments and extreme-point
+   coresets of 2 x 49 points.
    All sides on all three axes are then scored as one stack: one batch of
    covariances and eigen-decompositions (PCA), the min-area search on the
    sides with tied eigenvalues, and one rotation sweep over the coresets,
@@ -441,18 +442,37 @@ def _slab_summaries(X, coord, offsets, dirs):
     return slabs
 
 
-def _side_summary(slabs, first, stop):
-    """Point count, moment sums, per-direction extreme values (max, min) and
-    extreme-point coreset indices of slabs first..stop-1 (non-empty).  The
-    coreset holds one max and one min point per direction; a point extreme
-    in several directions repeats, which leaves its box fit unchanged."""
-    cols = np.arange(slabs.hi.shape[1])
-    top = first + slabs.hi[first:stop].argmax(axis=0)
-    bot = first + slabs.lo[first:stop].argmin(axis=0)
-    coreset = np.concatenate([slabs.hi_idx[top, cols], slabs.lo_idx[bot, cols]])
-    return (int(slabs.bounds[stop] - slabs.bounds[first]),
-            slabs.s1[first:stop].sum(axis=0), slabs.s2[first:stop].sum(axis=0),
-            slabs.hi[top, cols], slabs.lo[bot, cols], coreset)
+def _leaders(v, rises):
+    """Per row i and column of `v`, the last row j <= i that `rises(v[j],
+    max(v[:j]))` (row 0 always does): the row of the running maximum down
+    the rows that the tie rule `rises` picks."""
+    best = np.maximum.accumulate(v, axis=0)
+    rise = np.ones(v.shape, dtype=bool)
+    rise[1:] = rises(v[1:], best[:-1])
+    return np.maximum.accumulate(np.where(rise, np.arange(len(v))[:, None], 0), axis=0)
+
+
+def _side_summaries(slabs):
+    """Both sides, slabs 0..k-1 and k..s-1, of each inner slab bound k as
+    (s - 1, 2, ...) arrays: count, moment sums (s1, s2 flat), extremes (max,
+    min) and coreset indices (max, then min point per direction; repeats
+    leave a box fit unchanged), with the bits of summing each side alone:
+    +0.0, then its slabs in order, and extremes from the lowest tied slab."""
+    s = len(slabs.bounds) - 1
+    moments = np.concatenate((slabs.s1, slabs.s2.reshape(s, 9)), axis=1) + 0.0
+    above = moments.copy()
+    for j in range(1, s):     # a reversed cumsum would group these the other way
+        above[:s - j] += moments[j:]
+    picks = []
+    for v, idx in ((slabs.hi, slabs.hi_idx), (-slabs.lo, slabs.lo_idx)):
+        # scanned up the slabs for the above sides: the last tie is the lowest
+        at = np.stack((_leaders(v, np.greater)[:-1],
+                       s - 1 - _leaders(v[::-1], np.greater_equal)[-2::-1]), axis=1)
+        picks += [np.take_along_axis(a[:, None], at, axis=0) for a in (v, idx)]
+    hi, top, neg_lo, bot = picks
+    count = np.stack((slabs.bounds[1:-1], slabs.bounds[-1] - slabs.bounds[1:-1]), axis=1)
+    return (count, np.stack((np.cumsum(moments, axis=0)[:-1], above[1:]), axis=1),
+            hi, -neg_lo, np.concatenate((top, bot), axis=2))
 
 
 def _screen(pts, box, params):
@@ -469,20 +489,17 @@ def _screen(pts, box, params):
         # the expression evaluate_split partitions by, for bit-equal sides
         coord = (pts - box.center) @ box.axis(axis)
         slabs = _slab_summaries(X, coord, offsets, dirs)
-        n_slabs = len(offsets) + 1
-        for k, offset in enumerate(offsets, start=1):
-            below = slabs.bounds[k]
-            # an empty side, or the same partition as the previous offset
-            # (which ties bit for bit and wins the tie)
-            if below == slabs.bounds[k - 1] or below == len(pts):
-                continue
-            pair = (_side_summary(slabs, 0, k), _side_summary(slabs, k, n_slabs))
-            if not any(float((hi - lo).max()) < _COINCIDENT_SPAN for _, _, _, hi, lo, _ in pair):
-                planes.append((axis, float(offset)))
-                sides.extend(pair)
+        count, moments, hi, lo, coreset = _side_summaries(slabs)
+        # drop a plane with an empty or coincident side, or with the partition
+        # of the previous offset (which ties bit for bit and wins the tie)
+        keep = ((count[:, 0] > slabs.bounds[:-2]) & (count[:, 1] > 0)
+                & ~((hi - lo).max(axis=2) < _COINCIDENT_SPAN).any(axis=1))
+        planes += [(axis, float(offset)) for offset in offsets[keep]]
+        sides.append((count[keep], moments[keep], coreset[keep]))
     if not planes:
         return []
-    count, s1, s2, _, _, coreset = (np.array(f) for f in zip(*sides))
+    count, moments, coreset = (np.concatenate(f).reshape(-1, *f[0].shape[2:]) for f in zip(*sides))
+    s1, s2 = moments[:, :3], moments[:, 3:].reshape(-1, 3, 3)
     mean = s1 / count[:, None]
     C = X.take(coreset, axis=0) - mean[:, None, :]
     cov = s2 / count[:, None, None] - mean[:, :, None] * mean[:, None, :]

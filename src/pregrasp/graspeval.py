@@ -467,6 +467,27 @@ def _lattice_directions():
     return m / np.linalg.norm(m, axis=1, keepdims=True)
 
 
+# The certificate screens every 16th direction.  A computed 6-term product
+# d.w is off by at most gamma_6 sum |w_i| <= 6.01 u sum |w_i| in any order,
+# with or without FMA (|d_i| <= 1, u = 2^-53, no underflow; Higham 2002, sec.
+# 3.1), so two computations of it differ by less than 16 u sum |w_i|.
+_CERTIFICATE_STRIDE = 16
+_SUPPORT_SLACK = 16 * 2.0 ** -53
+
+
+def _supports(stack, dirs, floor):
+    """Least support over `dirs` of each set of the (g, k, 6) stack, and
+    whether one is <= its set's `floor`, from (sets, k, len(dirs)) products
+    of about _QUALITY_BYTES reduced over k along contiguous memory."""
+    least, low = np.empty(len(stack)), np.empty(len(stack), dtype=bool)
+    step = max(1, _QUALITY_BYTES // (8 * stack.shape[1] * len(dirs)))
+    for a in range(0, len(stack), step):
+        h = (stack[a:a + step] @ dirs.T).max(axis=1)
+        least[a:a + step] = h.min(axis=1)
+        low[a:a + step] = (h <= floor[a:a + step, None]).any(axis=1)
+    return least, low
+
+
 def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
     """Largest-ball grasp quality of a (k, 6) wrench array (rows as
     `wrench_set` builds them), from support-function sampling; of a (g, k, 6)
@@ -479,6 +500,11 @@ def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
     A larger n_dirs reuses the smaller run's directions, so estimates never
     increase under refinement.
 
+    A certificate over every 16th direction first scores 0 the sets with a
+    support below minus their rounding slack (the scan would find it <= 0
+    too); the scan grades the rest, each set's products independent of the
+    sets beside it, so every quality has the scan's bits.
+
     Raises:
         EmptyWrenchSet: wrenches has no rows.
         ValueError: n_dirs is outside 1..14896.
@@ -490,15 +516,14 @@ def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
     if not 1 <= n_dirs <= len(lattice):
         raise ValueError(f"n_dirs must be in 1..{len(lattice)}, got {n_dirs}")
     stack = wrenches.reshape(-1, *wrenches.shape[-2:])
-    g, k = stack.shape[:2]
-    quality = np.empty(g)
-    # (sets, k, n_dirs) products of about _QUALITY_BYTES, reduced over k along
-    # contiguous memory.  Max is exact, so only the sign of a zero support
-    # could depend on the order, and a zero support returns +0.0.
-    step = max(1, _QUALITY_BYTES // (8 * k * n_dirs))
-    for a in range(0, g, step):
-        h = (stack[a:a + step] @ lattice[:n_dirs].T).max(axis=1)
-        quality[a:a + step] = np.where((h <= 0.0).any(axis=1), 0.0, h.min(axis=1))
+    slack = _SUPPORT_SLACK * np.abs(stack).sum(axis=2).max(axis=1)
+    screened = np.ascontiguousarray(lattice[:n_dirs:_CERTIFICATE_STRIDE])
+    unsettled = np.flatnonzero(~_supports(stack, screened, -slack)[1])
+    # the full scan; max is exact, so only the sign of a zero support could
+    # depend on the order, and a zero support returns +0.0
+    least, low = _supports(stack[unsettled], lattice[:n_dirs], np.zeros(len(unsettled)))
+    quality = np.zeros(len(stack))
+    quality[unsettled] = np.where(low, 0.0, least)
     return float(quality[0]) if wrenches.ndim == 2 else quality
 
 

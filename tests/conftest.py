@@ -1,7 +1,21 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from pregrasp import DecompParams, GripperConfig, SamplingParams, decompose, synth_shape
+
+# Hypothesis writes a patch for a failing example with libcst, whose import
+# warns (mypy_extensions.TypedDict is deprecated).  Under filterwarnings =
+# error that warning would raise inside pytest's report hook: INTERNALERROR,
+# and the rest of the run lost.  Imported once here with the warning
+# ignored, the module is cached for the hook.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 # Shape fixtures reused across modules.  Session scope: decomposition is the

@@ -34,16 +34,21 @@ code because the package must agree with them exactly:
 - `reference_slab_summaries`, the per-slab gather and point-major (n_s, 49)
   projection that the package's slab-local, direction-major split screen
   replaced, built on the package's `_Slabs`;
+- `reference_side_summary`, one side's moments summed and extremes picked
+  over its slabs on their own, which the package's scans over all sides of
+  an axis (`_side_summaries`) replaced;
 - `reference_fit_obb`, the box fit with each per-point product built whole
   (`pca_axes`' (60, n) tied-pair search, `sweep_volume`'s (18, n) steps),
   which the package's block-by-block reductions replaced, built on the
   package's search constants;
 - `reference_screen`, the one-side-at-a-time PCA and rotation sweep that the
   package's stacked split screen replaced, built on `pca_axes`,
-  `sweep_volume` and the package's slab summaries and search constants;
+  `sweep_volume`, `reference_side_summary` and the package's slab summaries
+  and search constants;
 - `reference_epsilon_quality`, the per-direction row maxima of one wrench
   set's (n_dirs, k) support product, which the package's stacked (g, k,
-  n_dirs) products reduced along contiguous memory replaced, built on the
+  n_dirs) products reduced along contiguous memory replaced, and the full
+  scan whose bits the package's certificate pass must keep, built on the
   package's `_lattice_directions`;
 - `reference_rank_pool`, the one-candidate-at-a-time ranking loop that the
   package's sliced, batched ranking replaced, built on `reference_contacts`,
@@ -282,6 +287,20 @@ def reference_slab_summaries(X, coord, offsets, dirs):
     return slabs
 
 
+def reference_side_summary(slabs, first, stop):
+    """Point count, moment sums, per-direction extreme values (max, min) and
+    extreme-point coreset indices of slabs first..stop-1 (non-empty) of a
+    `_Slabs`, one side at a time: the moments summed down the slab rows, the
+    extremes picked by argmax and argmin (the lowest slab among ties)."""
+    cols = np.arange(slabs.hi.shape[1])
+    top = first + slabs.hi[first:stop].argmax(axis=0)
+    bot = first + slabs.lo[first:stop].argmin(axis=0)
+    coreset = np.concatenate([slabs.hi_idx[top, cols], slabs.lo_idx[bot, cols]])
+    return (int(slabs.bounds[stop] - slabs.bounds[first]),
+            slabs.s1[first:stop].sum(axis=0), slabs.s2[first:stop].sum(axis=0),
+            slabs.hi[top, cols], slabs.lo[bot, cols], coreset)
+
+
 def rotation_about_axis(axis, angle_rad):
     """Rodrigues rotation matrix about an axis (normalized here), one matrix
     at a time."""
@@ -390,8 +409,9 @@ def reference_screen(pts, box, params):
     """The split screen's [(volume, axis, offset)], one side at a time: each
     side's covariance from its moments, its own eigh and tied-pair search,
     then its own rotation sweep on its (98, 3) coreset, as the package's
-    stacked screen did before it fitted all sides of a node as one stack.
-    Built on the package's slab summaries and search constants."""
+    stacked screen did before it fitted all sides of a node as one stack,
+    with each side summarized by `reference_side_summary`.  Built on the
+    package's slab summaries and search constants."""
     from pregrasp import decomposition as d
 
     def side_volume(X, side):
@@ -413,8 +433,8 @@ def reference_screen(pts, box, params):
             below = slabs.bounds[k]
             if below == slabs.bounds[k - 1] or below == len(pts):
                 continue
-            vol_a = side_volume(X, d._side_summary(slabs, 0, k))
-            vol_b = side_volume(X, d._side_summary(slabs, k, len(offsets) + 1))
+            vol_a = side_volume(X, reference_side_summary(slabs, 0, k))
+            vol_b = side_volume(X, reference_side_summary(slabs, k, len(offsets) + 1))
             if vol_a is not None and vol_b is not None:
                 scored.append((vol_a + vol_b, axis, float(offset)))
     return scored

@@ -21,7 +21,7 @@ from pregrasp.decomposition import (
     DecompTree,
     OrientedBox,
     _project,
-    _side_summary,
+    _side_summaries,
     _slab_order,
     _slab_summaries,
     candidate_offsets,
@@ -318,12 +318,14 @@ def test_screen_slab_sums_match_direct_side_sums(lshape_cloud, lshape_tree):
         offsets[3] = offsets[4]                   # an empty slab between them
         coord = (pts - node.box.center) @ node.box.axis(axis)
         slabs = _slab_summaries(X, coord, offsets, dirs)
+        summaries = _side_summaries(slabs)
         for k in range(1, len(offsets) + 1):
             below = coord - offsets[k - 1] < 0.0
-            for first, stop, mask in ((0, k, below), (k, len(offsets) + 1, ~below)):
+            for i, mask in enumerate((below, ~below)):
                 if not mask.any():
                     continue
-                count, s1, s2, hi, lo, coreset = _side_summary(slabs, first, stop)
+                count, moments, hi, lo, coreset = (f[k - 1, i] for f in summaries)
+                s1, s2 = moments[:3], moments[3:].reshape(3, 3)
                 side = X[mask]
                 assert count == len(side)
                 np.testing.assert_allclose(s1, side.sum(axis=0), rtol=1e-12,
@@ -392,6 +394,54 @@ def _check_slab_summaries(cloud, monkeypatch):
     monkeypatch.setattr(decomposition, "_slab_summaries", checked)
     tree = decompose(cloud, params)
     assert len(calls) == 3 * len(_searched_nodes(tree, params)) > 0
+
+
+def _random_slabs(rng, n_slabs=17, m=49):
+    """Slab summaries drawn at random in the form `_slab_summaries` leaves
+    them: many slabs empty (zero moments, extremes -inf and +inf), extremes
+    from a few values so that slabs tie, signed zeros among the moments, and
+    often a single non-empty slab on a side."""
+    counts = rng.integers(1, 4, n_slabs) * (rng.random(n_slabs) < rng.random())
+    full = counts > 0
+    moments = np.where(full[:, None], rng.normal(size=(n_slabs, 12)), 0.0)
+    moments[rng.random(moments.shape) < 0.2] = -0.0
+    hi = np.where(full[:, None], rng.integers(-2, 3, (n_slabs, m)).astype(float), -np.inf)
+    lo = np.where(full[:, None], hi - rng.integers(0, 2, (n_slabs, m)), np.inf)
+    idx = np.where(full[:, None, None], rng.integers(0, 10 ** 6, (n_slabs, 2, m)), 0)
+    return decomposition._Slabs(np.concatenate(([0], np.cumsum(counts))),
+                                moments[:, :3].copy(), moments[:, 3:].reshape(-1, 3, 3),
+                                hi, idx[:, 0], lo, idx[:, 1])
+
+
+@pytest.mark.bitexact
+def test_side_summaries_match_one_side_at_a_time_bytes():
+    """The scans over an axis's slabs give every side the bits of summing
+    that side on its own (`oracles.reference_side_summary`): moments added
+    slab by slab from +0.0, extremes from the lowest of tied slabs, with
+    empty slabs, ties, signed zeros and one-slab sides."""
+    rng = np.random.default_rng(5)
+    sides = one_slab = 0
+    for _ in range(300):
+        slabs = _random_slabs(rng)
+        n_slabs, total = len(slabs.s1), slabs.bounds[-1]
+        got = _side_summaries(slabs)
+        assert got[0].shape == (n_slabs - 1, 2) and got[4].shape == (n_slabs - 1, 2, 98)
+        for k in range(1, n_slabs):
+            for i, (first, stop) in enumerate(((0, k), (k, n_slabs))):
+                if slabs.bounds[stop] == slabs.bounds[first]:
+                    continue
+                count, s1, s2, hi, lo, coreset = oracles.reference_side_summary(
+                    slabs, first, stop)
+                g_count, g_moments, g_hi, g_lo, g_coreset = (f[k - 1, i] for f in got)
+                assert g_count == count and 0 < count <= total
+                assert g_moments[:3].tobytes() == s1.tobytes()
+                assert g_moments[3:].tobytes() == s2.tobytes()
+                assert (g_hi.tobytes(), g_lo.tobytes()) == (hi.tobytes(), lo.tobytes())
+                assert g_coreset.dtype == coreset.dtype
+                assert g_coreset.tobytes() == coreset.tobytes()
+                sides += 1
+                one_slab += int((np.diff(slabs.bounds[first:stop + 1]) > 0).sum() == 1)
+    assert sides > 2000 and one_slab > 200
 
 
 # Coordinates with forced ties: values from a small pool (signed zeros, NaN,

@@ -769,14 +769,21 @@ def axis_contacts():
 
 
 @functools.lru_cache(maxsize=1)
-def ranked_contact_sets():
-    """Contact sets of every ranked candidate of one 5k cylinder plan."""
+def cylinder_pool():
+    """A 5k cylinder, the default config and its pool."""
     cloud = synth_shape("cylinder", (0.03, 0.2), 5000, seed=3)
     cfg = RunConfig()
     tree = decompose(cloud, cfg.decomposition)
     pool = generate_pool(tree, helpers.classes_for(tree, cloud, cfg.thresholds),
                          compute_face_states(tree, cfg.gripper.finger_length),
                          cfg.gripper, cfg.sampling)
+    return cloud, cfg, pool
+
+
+@functools.lru_cache(maxsize=1)
+def ranked_contact_sets():
+    """Contact sets of every ranked candidate of one 5k cylinder plan."""
+    cloud, cfg, pool = cylinder_pool()
     ranked = rank_pool(pool, cloud, cfg.gripper, cfg.evaluation)
     return cloud.centroid, [c.contacts for c in ranked if len(c.contacts)]
 
@@ -895,6 +902,71 @@ def test_quality_stack_matches_per_set_bytes(n_dirs):
         assert got.tobytes() == np.array([epsilon_quality(ws, n_dirs) for ws in sets]).tobytes()
         assert got.tobytes() == np.array(
             [oracles.reference_epsilon_quality(ws, n_dirs) for ws in sets]).tobytes()
+
+
+def _zero_only_along(d, eps):
+    """12 wrenches spanning the hyperplane normal to the unit 6-vector d,
+    shifted by -eps d: support -eps along d, and positive along every other
+    lattice direction, whose projection on the hyperplane is far longer
+    than eps."""
+    flat = np.vstack([np.eye(6), -np.eye(6)])
+    flat -= (flat @ d)[:, None] * d
+    return flat - eps * d
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("n_dirs", [1, 15, 16, 17, 1024, 14896])
+def test_certificate_keeps_full_scan_bytes(n_dirs):
+    """The certificate over every 16th direction changes no quality's bits:
+    a (g, 12, 6) stack and each of its sets alone equal the full-scan
+    reference, with sets settled by a screened direction, zero sets whose
+    only non-positive direction is unscreened, sets whose support is
+    exactly 0 on a screened direction (left to the scan), and positive sets."""
+    lattice = graspeval._lattice_directions()
+    screened = lattice[:n_dirs:16]
+    rng = np.random.default_rng(n_dirs)
+    settled_sets = [0.1 * rng.normal(size=(12, 6)) - d for d in screened[:4]]
+    settled_sets.append(_zero_only_along(lattice[0], 1.0))
+    exact_zero = np.vstack([np.zeros(6), np.eye(6), np.eye(6)[:5]])    # 0 along lattice[0]
+    positive = [cross_polytope_wrenches()] + [
+        cross_polytope_wrenches() @ np.linalg.qr(rng.normal(size=(6, 6)))[0] for _ in range(3)]
+    unscreened = []
+    if n_dirs > 1:
+        j = n_dirs - 1 if (n_dirs - 1) % 16 else n_dirs - 2
+        unscreened = [_zero_only_along(lattice[j], eps) for eps in (1e-3, 1e-9)]
+    sets = settled_sets + [exact_zero] + unscreened + positive
+    stack = np.stack(sets)
+    got = epsilon_quality(stack, n_dirs)
+    ref = np.array([oracles.reference_epsilon_quality(ws, n_dirs) for ws in sets])
+    assert got.tobytes() == ref.tobytes()
+    assert got.tobytes() == np.array([epsilon_quality(ws, n_dirs) for ws in sets]).tobytes()
+    slack = graspeval._SUPPORT_SLACK * np.abs(stack).sum(axis=2).max(axis=1)
+    settled = graspeval._supports(stack, np.ascontiguousarray(screened), -slack)[1]
+    n_settled = len(settled_sets)
+    assert settled[:n_settled].all() and not settled[n_settled:].any()
+    assert (got[:-len(positive)] == 0.0).all() and (got[-len(positive):] > 0.0).all()
+    assert np.signbit(got).sum() == 0
+
+
+def test_certificate_leaves_fewer_sets_to_the_scan(monkeypatch):
+    """On the default cylinder's pool, whose pinches score 0, the full scan
+    grades fewer sets than the quality calls hold: the certificate settles
+    the others, each of which scores +0.0."""
+    cloud, cfg, pool = cylinder_pool()
+    sets = {}       # direction count of a pass -> sets it saw, call by call
+    real = graspeval._supports
+
+    def supports(stack, dirs, floor):
+        sets.setdefault(len(dirs), []).append(len(stack))
+        return real(stack, dirs, floor)
+
+    monkeypatch.setattr(graspeval, "_supports", supports)
+    ranked = rank_pool(pool, cloud, cfg.gripper, cfg.evaluation)
+    graded = [c.quality for c in ranked if len(c.contacts) >= 2]
+    stacked, scanned = sets[cfg.evaluation.quality_dirs // 16], sets[cfg.evaluation.quality_dirs]
+    assert len(scanned) == len(stacked) > 0 and sum(stacked) == len(graded)
+    assert sum(scanned) < sum(stacked)
+    assert graded.count(0.0) >= sum(stacked) - sum(scanned)
 
 
 def test_quality_memory_is_bounded():
