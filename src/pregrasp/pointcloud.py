@@ -6,12 +6,14 @@ Loaders accept three plain-text formats:
 * ``ply``  -- ASCII 1.0, vertex element only (binary PLY is rejected)
 * ``obj``  -- ``v`` lines only, everything else ignored
 
-All coordinates are meters.  Point order is preserved from the input file.
-A loader reads its data lines in one ``np.loadtxt`` call.  If numpy rejects
-a line, or a value count or coordinate is wrong, a per-line loop reads the
-file with Python's float(), which takes tokens numpy does not (``1_0``,
-non-ASCII digits) and reads the others to the same bits, and names the first
-faulty line in file order, whatever the kind of fault.  Loaded points are a
+All coordinates are meters.  Point order is preserved from the input file,
+read as UTF-8 with or without a byte-order mark.  One reader serves all three
+formats: each names its data lines, its x y z columns and the value counts a
+line may have.  The data lines are read in one ``np.loadtxt`` call.  If numpy
+rejects a line, or a value count or coordinate is wrong, they are read line
+by line with Python's float(), which takes tokens numpy does not (``1_0``,
+non-ASCII digits) and reads the others to the same bits, and the first faulty
+line in file order is named, whatever the kind of fault.  Loaded points are a
 C-ordered float64 array.
 """
 
@@ -19,9 +21,10 @@ import gc
 import json
 import logging
 import math
-import operator
 import os
+import sys
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -83,15 +86,18 @@ def load_cloud(path, fmt=None):
     fmt = fmt.lower()
     if fmt not in ("xyz", "ply", "obj"):
         raise ParseError(0, f"unknown format {fmt!r} (expected xyz, ply or obj)")
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         lines = fh.read().splitlines()
 
     if fmt == "xyz":
-        pts = _parse_xyz(lines)
-    elif fmt == "ply":
-        pts = _parse_ply(lines)
+        pts = _read_rows(lines, lambda stripped: [s for s in stripped if s and s[0] != "#"],
+                         (0, 1, 2), range(3, 4), lambda n: f"expected 3 values, got {n}")
+    elif fmt == "obj":      # `v` alone or followed by whitespace (a space, a tab, ...)
+        pts = _read_rows(lines, lambda stripped: [s for s in stripped if s[:2].split() == ["v"]],
+                         (1, 2, 3), range(4, sys.maxsize),
+                         lambda n: f"'v' line needs 3 coordinates, got {n - 1}")
     else:
-        pts = _parse_obj(lines)
+        pts = _parse_ply(lines)
     # The bulk parse leaves no container garbage, so no full collection runs
     # while a file is read.  Only a full collection empties the interpreter's
     # free lists, where a tuple or float left by earlier work keeps its whole
@@ -105,58 +111,64 @@ def load_cloud(path, fmt=None):
     return PointCloud(pts, source_name=str(path))
 
 
-def _parse_coordinates(tokens, line_nos):
-    """The (n, 3) float64 array of the coordinate tokens, three per row, row
-    k read from line line_nos[k] with Python's float(), row by row in file
-    order, so an error names the first faulty row (in a row, a bad number
-    comes before a non-finite value).
+class _Line(str):
+    """A stripped line that carries its 1-based line number, `no`."""
 
-    Raises:
-        ParseError
-    """
-    rows = []
-    for k, line_no in enumerate(line_nos):
-        try:
-            row = [float(t) for t in tokens[3 * k:3 * k + 3]]
-        except ValueError as exc:
-            raise ParseError(line_no, f"bad number: {exc}") from None
-        if not all(map(math.isfinite, row)):
-            raise ParseError(line_no, "non-finite coordinate")
-        rows.append(row)
-    return np.array(rows, dtype=float).reshape(-1, 3)
+    def __new__(cls, text, no):
+        line = super().__new__(cls, text)
+        line.no = no
+        return line
 
 
-def _load_rows(rows, usecols=None):
-    """Columns usecols[:3] (None: each row's 3) of the stripped lines `rows`, by np.loadtxt;
-    None if numpy rejects a row, a row has another width or a coordinate is not finite."""
+def _read_rows(lines, select, cols, widths, short):
+    """The (n, 3) float64 points of a file's data rows: `select` picks them, in
+    file order, from the stripped lines; `cols` are their x y z columns;
+    `widths` (a range) are the value counts a row may have, and `short(count)`
+    names any other.  On any mismatch of the one np.loadtxt read, `select`
+    runs again on numbered lines, for the per-line read."""
+    pts = _load_rows(select(map(str.strip, lines)), cols, widths)
+    if pts is None:
+        pts = _parse_rows(select(_Line(s.strip(), i) for i, s in enumerate(lines, start=1)),
+                          cols, widths, short)
+    return pts
+
+
+def _load_rows(rows, cols, widths):
+    """Columns `cols` of the stripped lines `rows`, by np.loadtxt; None if numpy
+    rejects a row, a row's width is not in `widths` or a coordinate is not finite."""
     if not rows:        # np.loadtxt warns on empty input
         return None
+    # one width (x y z first): numpy rejects a row unlike the first; else the
+    # last column of the least width makes it reject a shorter row
+    usecols = None if len(widths) == 1 else (*cols, widths.start - 1)
     try:
         pts = np.loadtxt(rows, dtype=float, comments=None, usecols=usecols, ndmin=2)
     except ValueError:
         return None
-    width = 3 if usecols is None else len(usecols)
+    width = widths.start if usecols is None else len(usecols)
     if pts.shape != (len(rows), width) or not np.isfinite(pts[:, :3]).all():
         return None
     return np.ascontiguousarray(pts[:, :3])
 
 
-def _parse_xyz(lines):
-    rows = [s for s in map(str.strip, lines) if s and s[0] != "#"]
-    if (pts := _load_rows(rows)) is not None:
-        return pts
-    tokens, line_nos = [], []
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        row = line.split()
-        if len(row) != 3:
-            _parse_coordinates(tokens, line_nos)  # a fault on an earlier row comes first
-            raise ParseError(i, f"expected 3 values, got {len(row)}")
-        tokens += row
-        line_nos.append(i)
-    return _parse_coordinates(tokens, line_nos)
+def _parse_rows(rows, cols, widths, short):
+    """Columns `cols` of the `_Line`s `rows` as an (n, 3) float64 array, by
+    Python's float().  Rows are checked in file order, each for its width,
+    then its numbers, then their finiteness, so a ParseError names the first
+    faulty row."""
+    out = []
+    for row in rows:
+        values = row.split()
+        if len(values) not in widths:
+            raise ParseError(row.no, short(len(values)))
+        try:
+            xyz = [float(values[c]) for c in cols]
+        except ValueError as exc:
+            raise ParseError(row.no, f"bad number: {exc}") from None
+        if not all(map(math.isfinite, xyz)):
+            raise ParseError(row.no, "non-finite coordinate")
+        out.append(xyz)
+    return np.array(out, dtype=float).reshape(-1, 3)
 
 
 def _parse_ply(lines):
@@ -199,52 +211,14 @@ def _parse_ply(lines):
         cols = [vertex_props.index(ax) for ax in ("x", "y", "z")]
     except ValueError:
         raise ParseError(data_start, "vertex element lacks x/y/z properties") from None
-    rows = [s for s in map(str.strip, lines[data_start:]) if s][n_before:n_before + n_vertices]
-    # the last property's column makes numpy reject a row with too few values
-    pts = _load_rows(rows, cols + [len(vertex_props) - 1]) if len(rows) == n_vertices else None
-    if pts is not None:
-        return pts
-
-    xyz = operator.itemgetter(*cols)
-    tokens, line_nos = [], []
-    for i, raw in enumerate(lines[data_start:], start=data_start + 1):
-        if len(line_nos) >= n_vertices:
-            break
-        line = raw.strip()
-        if not line:
-            continue
-        if n_before:
-            n_before -= 1
-            continue
-        row = line.split()
-        if len(row) < len(vertex_props):
-            _parse_coordinates(tokens, line_nos)  # a fault on an earlier row comes first
-            raise ParseError(i, f"expected {len(vertex_props)} vertex values, got {len(row)}")
-        tokens += xyz(row)
-        line_nos.append(i)
-    pts = _parse_coordinates(tokens, line_nos)
+    n_props = len(vertex_props)
+    pts = _read_rows(lines, lambda stripped: [s for s in islice(stripped, data_start, None)
+                                              if s][n_before:n_before + n_vertices],
+                     cols, range(n_props, sys.maxsize),
+                     lambda n: f"expected {n_props} vertex values, got {n}")
     if len(pts) < n_vertices:
         raise ParseError(len(lines), f"vertex element promised {n_vertices} rows, found {len(pts)}")
     return pts
-
-
-def _parse_obj(lines):
-    # a `v` line: `v` alone or followed by whitespace (a space, a tab, ...)
-    rows = [s for s in map(str.strip, lines) if s[:2].split() == ["v"]]
-    if (pts := _load_rows(rows, (1, 2, 3))) is not None:
-        return pts
-    tokens, line_nos = [], []
-    for i, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if line[:2].split() != ["v"]:
-            continue
-        row = line.split()
-        if len(row) < 4:
-            _parse_coordinates(tokens, line_nos)  # a fault on an earlier row comes first
-            raise ParseError(i, f"'v' line needs 3 coordinates, got {len(row) - 1}")
-        tokens += row[1:4]
-        line_nos.append(i)
-    return _parse_coordinates(tokens, line_nos)
 
 
 # ===========================================================================

@@ -29,6 +29,11 @@ that directory and the rest of the environment unchanged (so
 ``OPENBLAS_CORETYPE`` and ``PYTHONHASHSEED`` carry over), prints each label
 whose digest differs and exits 1 if any digest or label differs.
 
+``--skeleton`` digests each document's discrete content instead (see
+`skeleton`), which a float's last bits change only where a decision flips:
+a tree, shape class, mask, pool row or ranking order that differs between
+two BLAS kernels is such a flip.
+
 Pytest does not collect this file (it is not named ``test_*.py``).  A full run
 takes about 20 s on two CPUs.
 """
@@ -61,6 +66,24 @@ GRASP_TYPE_CLOUDS = (
 def digest(doc):
     doc = {k: v for k, v in doc.items() if k != "timings_ms"}
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+def skeleton(doc):
+    """The discrete content of a full run document: each node's parent,
+    children and point count; each node's category and grasp type; each
+    mask's matrix and free sub-face counts; each pool row's grasp type and
+    source (node, face, cell); the ranking's pool-index order, contact counts
+    and which qualities are > 0; and `best_index`."""
+    return {
+        "nodes": [[n["parent"], n["children"], n["point_count"]] for n in doc["tree"]["nodes"]],
+        "classes": [[c["category"], c["grasp_type"]] for c in doc["classifications"]],
+        "masks": [[m["matrix"], m["free_subface_counts"]] for m in doc["masks"]],
+        "pool": [[p["grasp_type"], p["source_node"], p["source_face"], p["source_cell"]]
+                 for p in doc["pool"]],
+        "ranking": [[r["pool_index"], r["contact_count"], r["quality"] > 0]
+                    for r in doc["ranking"]],
+        "best_index": doc["best_index"],
+    }
 
 
 def documents():
@@ -101,28 +124,30 @@ def documents():
                 load_cloud(path), workloads.make_config(workload, path, path + ".json"))
 
 
-def digests():
-    """(label, digest) for every cloud, planned in a temporary directory."""
+def digests(skeletons=False):
+    """(label, digest) for every cloud, planned in a temporary directory; of
+    each document's skeleton if `skeletons`."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="doc-digests-") as tmp:
         os.chdir(tmp)
         try:
             for label, doc in documents():
-                yield label, digest(doc)
+                yield label, digest(skeleton(doc) if skeletons else doc)
         finally:
             os.chdir(cwd)
 
 
-def against(src):
+def against(src, skeletons=False):
     """Compare this interpreter's digests with those of the package in `src`,
     planned by this script in a subprocess with PYTHONPATH=src and the rest
     of the environment unchanged.  Prints each label whose digest differs (or
     that only one side has); returns 1 if any does, else 0."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__)], env=env,
+    out = subprocess.run([sys.executable, os.path.abspath(__file__)]
+                         + ["--skeleton"] * skeletons, env=env,
                          stdout=subprocess.PIPE, text=True, check=True).stdout
     theirs = dict(line.split() for line in out.splitlines())
-    ours = dict(digests())
+    ours = dict(digests(skeletons))
     differ = [label for label in {**theirs, **ours} if theirs.get(label) != ours.get(label)]
     for label in differ:
         print(label, flush=True)
@@ -138,11 +163,13 @@ def main(argv=None):
     parser.add_argument("--against", metavar="SRC",
                         help="compare with the pregrasp package in SRC instead: print each "
                              "label whose digest differs, exit 1 if any does")
+    parser.add_argument("--skeleton", action="store_true",
+                        help="digest each document's discrete content only")
     args = parser.parse_args(argv)
     print(f"pregrasp from {os.path.dirname(pregrasp.__file__)}", file=sys.stderr)
     if args.against:
-        return against(args.against)
-    for label, value in digests():
+        return against(args.against, args.skeleton)
+    for label, value in digests(args.skeleton):
         print(label, value, flush=True)
     return 0
 

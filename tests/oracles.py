@@ -54,9 +54,10 @@ code because the package must agree with them exactly:
   package's sliced, batched ranking replaced, built on `reference_contacts`,
   `reference_wrench_set` and the package's `epsilon_quality` and
   `GraspCandidate`.
-- `reference_parse_lines`, the per-line loaders (split each line, check its
-  value count, read the coordinate tokens with Python's float()) that the
-  package's one `np.loadtxt` read per file replaced, built on the package's
+- `reference_parse_lines`, the three per-format per-line loaders (split each
+  line, check its value count, read the coordinate tokens with Python's
+  float()) that the package's one `np.loadtxt` read per file and its one
+  per-line read for all formats replaced, built on the package's
   `ParseError`.
 
 `unit` normalizes one vector at a time, as the package's `unit_rows` does
@@ -1110,6 +1111,6 @@ def reference_parse_lines(path, fmt):
     Raises:
         ParseError: on the first faulty line in file order.
     """
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+    with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         lines = fh.read().splitlines()
     return {"xyz": _reference_xyz, "ply": _reference_ply, "obj": _reference_obj}[fmt](lines)

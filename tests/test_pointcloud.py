@@ -4,6 +4,7 @@ import json
 import os
 import stat
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -390,24 +391,40 @@ def parity_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("parity")
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(st.one_of(st.tuples(st.just("xyz"), _text(XYZ_LINES)),
-                 st.tuples(st.just("obj"), _text(OBJ_LINES)),
-                 st.tuples(st.just("ply"), _text(_ply_text()))))
-@example(("xyz", ""))
-@example(("xyz", "# only\r\n# comments\r\n"))
-@example(("xyz", "0 0 0 1\n" * 5))
-@example(("obj", "# no vertices\nf 1 2 3\n"))
-@example(("ply", PLY_HEADER.format(n=0, props=XYZ_PROPS)))
-@example(("ply", PLY_HEADER.format(n=5, props=XYZ_PROPS) + "0 0 0\n" * 4))
-@example(("ply", PLY_HEADER.format(n=4, props=XYZ_PROPS + "property float nx\n")
-          + "0 0 0\n" * 4))
+def _parity_cases(test):
+    """Run `test` on 300 drawn (format, text) cases and a few pinned ones."""
+    for case in (("xyz", ""), ("xyz", "# only\r\n# comments\r\n"), ("xyz", "0 0 0 1\n" * 5),
+                 ("obj", "# no vertices\nf 1 2 3\n"),
+                 ("ply", PLY_HEADER.format(n=0, props=XYZ_PROPS)),
+                 ("ply", PLY_HEADER.format(n=5, props=XYZ_PROPS) + "0 0 0\n" * 4),
+                 ("ply", PLY_HEADER.format(n=4, props=XYZ_PROPS + "property float nx\n")
+                  + "0 0 0\n" * 4)):
+        test = example(case)(test)
+    test = given(st.one_of(st.tuples(st.just("xyz"), _text(XYZ_LINES)),
+                           st.tuples(st.just("obj"), _text(OBJ_LINES)),
+                           st.tuples(st.just("ply"), _text(_ply_text()))))(test)
+    return settings(max_examples=300, deadline=None, derandomize=True, database=None)(test)
+
+
+@_parity_cases
 def test_bulk_read_matches_the_per_line_loaders(parity_dir, case):
     """load_cloud gives the per-line reference's array bytes, or its
     ParseError line and message, on texts with comments, blank lines, CRLF,
     extra PLY columns, elements before the vertices, short and long rows,
     non-finite values and tokens only float() accepts.  An empty file warns
     nothing (warnings are errors here)."""
+    _check_parity(parity_dir, case)
+
+
+@_parity_cases
+def test_per_line_read_matches_the_per_line_loaders(parity_dir, case):
+    """The same cases with the bulk read switched off, so that the shared
+    per-line read meets every text, the clean ones too."""
+    with mock.patch.object(pointcloud, "_load_rows", lambda *_: None):
+        _check_parity(parity_dir, case)
+
+
+def _check_parity(parity_dir, case):
     fmt, text = case
     path = parity_dir / f"cloud.{fmt}"
     path.write_bytes(text.encode("utf-8"))
@@ -432,16 +449,29 @@ def _clean_files(tmp_path, n=1000):
 
 def test_clean_files_take_the_bulk_read(tmp_path, monkeypatch):
     """A numpy whose reader rejects clean files would fall back to the
-    per-line loop on every file: make that loop raise."""
+    per-line read on every file: make that read raise."""
     paths = _clean_files(tmp_path)
     want = [oracles.reference_parse_lines(p, p.suffix[1:]) for p in paths]
 
     def per_line(*_):
-        raise AssertionError("the per-line loop ran")
+        raise AssertionError("the per-line read ran")
 
-    monkeypatch.setattr(pointcloud, "_parse_coordinates", per_line)
+    monkeypatch.setattr(pointcloud, "_parse_rows", per_line)
     for path, ref in zip(paths, want):
         assert load_cloud(path).points.tobytes() == ref.tobytes()
+
+
+def test_a_byte_order_mark_is_not_data(tmp_path):
+    """A file that starts with a UTF-8 byte-order mark loads the same points
+    as the file without it, on both reads: read as data, the mark would hide
+    an OBJ file's first vertex and fail an XYZ or PLY file."""
+    for path in _clean_files(tmp_path, n=10):
+        want = load_cloud(path).points.tobytes()
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load_cloud(path).points.tobytes() == want
+        with mock.patch.object(pointcloud, "_load_rows", lambda *_: None):
+            assert load_cloud(path).points.tobytes() == want
+        assert oracles.reference_parse_lines(path, path.suffix[1:]).tobytes() == want
 
 
 def test_load_memory_is_bounded(tmp_path):
