@@ -27,6 +27,24 @@ products in blocks of ``_BLOCK_BYTES``, with running extremes.  Those
 products only choose grid angles and sweep steps; the box comes from table
 rotations and the whole ``X @ R``, so a block's own gemm rounding could
 only matter where two choices tie to within a few ulps.
+
+A set too large for one block (the fit of a node, not the screen's
+coresets) decides each tied-pair angle and sweep step on a coreset of its
+extreme points (Barequet & Har-Peled, J. Algorithms 2001), a bool mask that
+its fit's searches share.  A search adds the points extreme along each of
+its projected columns.  A step picks its winning row on the coreset, then
+checks it on all points with the 2-row product ``basis[[k, m + k]]`` that
+the sweep's update takes anyway: the check passes when that product's max
+and min equal the coreset's bit for bit.  The choice is then the all-point
+choice, first-index ties included: a subset's max is at most the max and
+fl() is monotone, so no row's coreset volume (or area) exceeds its
+all-point one, while the winner's are equal.  A step whose coreset finds
+no volume below the current one has none on all points either.  A failed
+check adds the all-point extremes and decides the step again.  After
+``_CHECK_FAILS`` failed checks in one step, or a check that adds no new
+point (a kernel that rounds the two products differently), that step and
+the rest of the fit run on all points, as above: round shapes, where
+nearly every row ties, cost about what they cost without the coreset.
 """
 
 import itertools
@@ -156,6 +174,10 @@ _MIN_AREA_TURNS = np.array([(np.cos(a), np.sin(a)) for a in _MIN_AREA_ANGLES.tol
 # Bytes of one block of the per-point products (see the module docstring).
 _BLOCK_BYTES = 2 << 20
 
+# Failed coreset checks after which a grid step, and the rest of its box fit,
+# run on all points (see the module docstring).
+_CHECK_FAILS = 2
+
 # Per round of the rotation sweep: the stacked 2D rotation rows of its 9
 # angles, and per box axis the (9, 3, 3) rotations about it by those angles.
 _SWEEP_STEPS = [(_rot2_basis(np.cos(a), np.sin(a)),
@@ -179,20 +201,96 @@ def _extremes(basis, p2):
     return hi, lo, (uv if step >= n else None)
 
 
-def _min_area_turns(p2):
-    """(cos, sin) of the grid angle that minimizes the bounding-rectangle area
-    of each 2D point set of the (t, n, 2) stack `p2`, as (t, 2) rows."""
-    k = len(_MIN_AREA_TURNS)
-    hi, lo, _ = _extremes(_MIN_AREA_BASIS, p2)                     # (t, 2k) each
+class _Coreset:
+    """Extreme points of one point set, as a bool mask over its points, shared
+    by the grid searches of its box fit: a search whose product does not fit
+    in one block decides each step on them and checks the winner on all
+    points (see the module docstring)."""
+
+    def __init__(self, n):
+        self.mask = np.zeros(n, dtype=bool)
+        self.spent = False          # a step failed its checks: all points from then on
+
+    def take(self, basis, cols):
+        """This coreset for a search of the grid `basis` whose product with
+        the (n, c) projected points `cols` does not fit in one block, with
+        their extremes along each column added; else None."""
+        if self.spent or 8 * len(basis) * len(cols) <= _BLOCK_BYTES:
+            return None
+        rows = np.ascontiguousarray(cols.T)       # argmax along a strided axis copies
+        self._add(np.concatenate((rows.argmax(axis=1), rows.argmin(axis=1))))
+        return self
+
+    def _add(self, at):
+        self.mask[at] = True
+        self.idx = np.flatnonzero(self.mask)
+
+    def search(self, basis, p2, choose):
+        """`_grid_search` of the one (n, 2) set `p2`, decided on the coreset:
+        the choice and its winner's rows of basis @ p2.T (None if no row
+        wins), or None once a step fails `_CHECK_FAILS` checks or a check
+        finds no new extreme point."""
+        m, rows, fails = len(basis) // 2, None, 0
+        while True:
+            uv_core = basis @ p2[self.idx].T
+            hi, lo = uv_core.max(axis=1)[None], uv_core.min(axis=1)[None]
+            choice = choose(hi, lo)
+            if len(choice[0]) == 0:
+                return choice, None
+            if rows != [choice[1][0], m + choice[1][0]]:
+                rows = [choice[1][0], m + choice[1][0]]
+                uv = basis[rows] @ p2.T
+                at = np.concatenate((uv.argmax(axis=1), uv.argmin(axis=1)))
+            if (uv[[0, 1, 0, 1], at] == np.concatenate((hi[0, rows], lo[0, rows]))).all():
+                return choice, (uv[:1], uv[1:])
+            fails += 1
+            if fails == _CHECK_FAILS or self.mask[at].all():
+                self.spent = True
+                return None
+            self._add(at)
+
+
+def _grid_search(basis, p2, choose, core=None):
+    """A step of a grid search over each set of the (g, n, 2) stack `p2`.
+
+    `choose(hi, lo)` takes the (g, 2m) max and min over each set's points of
+    the rows of basis @ p2[s].T and returns (the sets a row wins, each one's
+    winning row k < m, ...).  Returns that choice and the winners' rows k and
+    m + k of the product, two (len(sets), n) arrays, or None where they were
+    not taken.  With a `core` (one set) the step is decided on its coreset."""
+    found = None if core is None or core.spent else core.search(basis, p2[0], choose)
+    if found is not None:
+        return found
+    hi, lo, uv = _extremes(basis, p2)
+    choice = choose(hi, lo)
+    if uv is not None:
+        won, kb = choice[:2]
+        uv = uv[won, kb], uv[won, len(basis) // 2 + kb]
+    return choice, uv
+
+
+def _min_area_choice(hi, lo):
+    """Every set's grid row of least bounding-rectangle area, from the (t, 2k)
+    extremes of the min-area grid, as `_grid_search` takes a choice."""
+    k = hi.shape[1] // 2
     spans = np.maximum(hi - lo, 2 * EXTENT_FLOOR)
-    return _MIN_AREA_TURNS[np.argmin(spans[:, :k] * spans[:, k:], axis=1)]
+    return np.arange(len(hi)), np.argmin(spans[:, :k] * spans[:, k:], axis=1)
 
 
-def _pca_axes(cov, X):
+def _min_area_turns(p2, core=None):
+    """(cos, sin) of the grid angle that minimizes the bounding-rectangle area
+    of each 2D point set of the (t, n, 2) stack `p2`, as (t, 2) rows; on the
+    coreset `core` of a one-set stack whose product does not fit a block."""
+    core = core and core.take(_MIN_AREA_BASIS, p2[0])
+    (_, kb), _ = _grid_search(_MIN_AREA_BASIS, p2, _min_area_choice, core)
+    return _MIN_AREA_TURNS[kb]
+
+
+def _pca_axes(cov, X, core=None):
     """Principal axes of each covariance of the (g, 3, 3) stack `cov`
     (columns, descending eigenvalue), with near-tied eigenvalue pairs
     re-oriented by a min-area rectangle search over the matching centred
-    points of the (g, n, 3) stack `X`.
+    points of the (g, n, 3) stack `X` (on the coreset `core` if g is 1).
 
     PCA leaves the basis of a (near-)degenerate eigenspace arbitrary — for a
     square cross-section the returned pair can sit at any in-plane angle, far
@@ -207,7 +305,7 @@ def _pca_axes(cov, X):
         for start in range(0, len(tied), step):
             blk = tied[start:start + step]
             Xb = X if len(blk) == len(X) else X[blk]       # fit_obb's stack: no copy
-            c, s = _min_area_turns(Xb @ axes[blk][:, :, (i, j)]).T[:, :, None]
+            c, s = _min_area_turns(Xb @ axes[blk][:, :, (i, j)], core).T[:, :, None]
             a_old, b_old = axes[blk, :, i], axes[blk, :, j]
             axes[blk, :, i] = c * a_old + s * b_old
             axes[blk, :, j] = -s * a_old + c * b_old
@@ -222,14 +320,32 @@ def _extents(cols):
     return cols.max(axis=-1) - cols.min(axis=-1)
 
 
-def _sweep(X, R):
+def _sweep_choice(hi, lo, ext, axis, best_vol):
+    """A sweep step's choice from the (g, 2m) extremes of its grid rows about
+    box axis `axis`, as `_grid_search` takes one: the sets whose least grid
+    volume drops below `best_vol`, the first row of each that attains it,
+    that volume and those extents (`ext` gives the unrotated axis's)."""
+    m = hi.shape[1] // 2
+    j, k = (axis + 1) % 3, (axis + 2) % 3
+    exts = np.empty((len(hi), m, 3))
+    exts[:, :, axis] = ext[:, axis:axis + 1]
+    exts[:, :, j] = hi[:, :m] - lo[:, :m]
+    exts[:, :, k] = hi[:, m:] - lo[:, m:]
+    vols = np.maximum(exts, 2.0 * EXTENT_FLOOR).prod(axis=2)
+    g = np.flatnonzero(vols.min(axis=1) < best_vol)
+    kb = np.argmin(vols[g], axis=1)
+    return g, kb, vols[g, kb], exts[g, kb]
+
+
+def _sweep(X, R, core=None):
     """Coordinate-descent sweep of small rotations about each axis, in
     `_REFINE_STEPS` rounds, minimizing the volume of each centred point set
     of the (g, n, 3) stack `X` along its axes in the (g, 3, 3) stack `R`.
 
     Returns the refined (g, 3, 3) axes and the (g,) floor-clamped volumes of
     the sets' extents along them.  Swept in blocks of sets that fit in
-    `_BLOCK_BYTES`; in a larger set a step rotates its two columns on its own.
+    `_BLOCK_BYTES`; a larger set is swept on its own, on the coreset `core`
+    if given.
     """
     step = max(1, _BLOCK_BYTES // (8 * len(_SWEEP_STEPS[0][0]) * X.shape[1]))
     if step < len(X):
@@ -239,6 +355,7 @@ def _sweep(X, R):
     P = X @ R
     ext = _extents(P.transpose(0, 2, 1))
     best_vol = np.maximum(ext, 2.0 * EXTENT_FLOOR).prod(axis=1)
+    core = core and core.take(_SWEEP_STEPS[0][0], P[0])
     for basis, turns in _SWEEP_STEPS:
         m = turns.shape[1]
         for axis in range(3):
@@ -246,23 +363,15 @@ def _sweep(X, R):
             # columns, so the sweep needs no full re-projection
             j, k = (axis + 1) % 3, (axis + 2) % 3
             pjk = P[:, :, (j, k)]
-            hi, lo, uv = _extremes(basis, pjk)                  # (g, 2m) each
-            exts = np.empty((len(X), m, 3))
-            exts[:, :, axis] = ext[:, axis:axis + 1]
-            exts[:, :, j] = hi[:, :m] - lo[:, :m]
-            exts[:, :, k] = hi[:, m:] - lo[:, m:]
-            vols = np.maximum(exts, 2.0 * EXTENT_FLOOR).prod(axis=2)
-            g = np.flatnonzero(vols.min(axis=1) < best_vol)
-            kb = np.argmin(vols[g], axis=1)
-            best_vol[g] = vols[g, kb]
+            (g, kb, vol, e), uv = _grid_search(
+                basis, pjk, lambda hi, lo: _sweep_choice(hi, lo, ext, axis, best_vol), core)
+            best_vol[g], ext[g] = vol, e
             R[g] = R[g] @ turns[axis, kb]
             if uv is None:
                 pjk = pjk if len(g) == len(X) else pjk[g]     # no copy when every set won
                 uv = basis[np.stack([kb, m + kb], axis=1)] @ pjk.transpose(0, 2, 1)
-                P[g, :, j], P[g, :, k] = uv[:, 0], uv[:, 1]
-            else:
-                P[g, :, j], P[g, :, k] = uv[g, kb], uv[g, m + kb]
-            ext[g] = exts[g, kb]
+                uv = uv[:, 0], uv[:, 1]
+            P[g, :, j], P[g, :, k] = uv
             del uv, pjk     # before the next step's product
     return R, best_vol
 
@@ -289,7 +398,8 @@ def fit_obb(points):
     if float(np.abs(X).max(initial=0.0)) < 1e-12:
         raise DegenerateInput("all points coincide")
 
-    R = _sweep(X[None], _pca_axes((X.T @ X / len(X))[None], X[None]))[0][0]
+    core = _Coreset(len(X))
+    R = _sweep(X[None], _pca_axes((X.T @ X / len(X))[None], X[None], core), core)[0][0]
 
     # canonical form: extents descending, dominant axes sign-fixed, det = +1
     ext = _extents((X @ R).T)

@@ -83,6 +83,142 @@ def test_fit_obb_matches_whole_product_reference_bytes():
         assert box.half_extents.tobytes() == half.tobytes(), name
 
 
+def _assert_reference_bytes(pts, name):
+    box = fit_obb(pts)
+    center, rotation, half = oracles.reference_fit_obb(pts)
+    assert box.center.tobytes() == center.tobytes(), name
+    assert box.rotation.tobytes() == rotation.tobytes(), name
+    assert box.half_extents.tobytes() == half.tobytes(), name
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("kind", sorted(SYNTH_KINDS))
+def test_coreset_fit_matches_reference_bytes(kind):
+    """The tied-pair search above 4,369 points and the sweep above 14,563
+    decide each step on a coreset and check it on all points.  At 5k, 20k
+    and 100k points the box has the bytes of the reference that takes every
+    step on all points."""
+    rng = np.random.default_rng(47)
+    for n in (5000, 20_000, 100_000):
+        pts = synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), n, seed=5).points
+        _assert_reference_bytes(pts, f"{kind}-{n}")
+        _assert_reference_bytes(pts @ helpers.random_rotation(rng).T, f"{kind}-{n}-rotated")
+
+
+@pytest.mark.bitexact
+def test_coreset_fit_matches_reference_bytes_on_ties_and_flat_clouds():
+    """A rotated cube surface (three tied eigenvalues), a box whose every
+    extreme point is a corner repeated 5,000 times (tied argmax), and a
+    planar and a collinear cloud, all above the sweep's block size."""
+    rng = np.random.default_rng(53)
+    n = 40_000
+    clouds = {"cube": oracles.box_surface_points(rng, (0.05, 0.05, 0.05), n)}
+    half = np.array([0.1, 0.06, 0.03])
+    corners = np.array([[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]) * half
+    corners = np.repeat(corners, 5000, axis=0)
+    inside = rng.uniform(-half, half, (n, 3))
+    clouds["repeated-corners"] = np.concatenate((inside, corners))[rng.permutation(n + len(corners))]
+    clouds["planar"] = np.c_[rng.uniform(-0.1, 0.1, (n, 2)), np.zeros(n)]
+    clouds["collinear"] = np.outer(rng.uniform(-0.1, 0.1, n), [0.6, 0.0, 0.8])
+    for name, pts in clouds.items():
+        _assert_reference_bytes(pts @ helpers.random_rotation(rng).T, name)
+
+
+def _spy_extremes(monkeypatch):
+    """(grid rows, points) of every set whose grid product is reduced on all
+    of its points, the only path that builds (18, n) or (60, n) products."""
+    seen = []
+    real = decomposition._extremes
+
+    def spy(basis, p2):
+        seen.append((len(basis), p2.shape[1]))
+        return real(basis, p2)
+
+    monkeypatch.setattr(decomposition, "_extremes", spy)
+    return seen
+
+
+def _synth_points(kind, n):
+    return synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), n, seed=3).points
+
+
+def test_coreset_fit_of_a_large_box_takes_no_all_point_grid_product(monkeypatch):
+    seen = _spy_extremes(monkeypatch)
+    pts = _synth_points("box", 100_000)
+    fit_obb(pts)
+    assert [call for call in seen if call[1] == len(pts)] == []
+
+
+def test_coreset_fit_of_a_large_sphere_falls_back_to_all_points(monkeypatch):
+    """Nearly every grid row of a sphere ties, so its checks fail until a
+    step runs on all points."""
+    seen = _spy_extremes(monkeypatch)
+    pts = _synth_points("sphere", 100_000)
+    fit_obb(pts)
+    assert any(n == len(pts) for _, n in seen)
+
+
+@pytest.mark.bitexact
+def test_coreset_fit_from_a_one_point_seed_matches_reference_bytes(monkeypatch):
+    """Each search's coreset cut back to the first point, with no limit on
+    failed checks: the checks alone add the extremes every step needs, and
+    the fit ends in the reference's box without a step on all points."""
+    monkeypatch.setattr(decomposition, "_CHECK_FAILS", 10 ** 9)
+    real_take, real_search = decomposition._Coreset.take, decomposition._Coreset.search
+    searches = []
+
+    def one_point(core, basis, cols):
+        core = real_take(core, basis, cols)
+        if core is not None:
+            core.mask[:] = False
+            core._add(np.array([0]))
+        return core
+
+    def search(core, basis, p2, choose):
+        found = real_search(core, basis, p2, choose)
+        searches.append((len(basis), found is not None))
+        return found
+
+    monkeypatch.setattr(decomposition._Coreset, "take", one_point)
+    monkeypatch.setattr(decomposition._Coreset, "search", search)
+    for kind in ("box", "dumbbell", "sphere"):
+        searches.clear()
+        _assert_reference_bytes(_synth_points(kind, 100_000), kind)
+        assert {rows for rows, _ in searches} == ({18} if kind == "box" else {18, 60}), kind
+        assert all(passed for _, passed in searches), kind
+
+
+class _GridRoundsDown(np.ndarray):
+    """A grid basis whose products with more than two rows come out one ulp
+    below the 2-row product's, as on a kernel that rounds the two products
+    differently: no coreset check can pass."""
+
+    def __matmul__(self, other):
+        out = np.asarray(self) @ other
+        return out if len(self) == 2 else np.nextafter(out, -np.inf)
+
+
+def test_coreset_check_that_adds_no_point_falls_back_to_all_points(monkeypatch):
+    """With no limit on failed checks, a fit still ends: a check whose
+    all-point extremes are all in the coreset already ends the step's
+    coreset search."""
+    monkeypatch.setattr(decomposition, "_CHECK_FAILS", 10 ** 9)
+    monkeypatch.setattr(decomposition, "_SWEEP_STEPS", [
+        (basis.view(_GridRoundsDown), turns) for basis, turns in decomposition._SWEEP_STEPS])
+    real_add, adds = decomposition._Coreset._add, []
+
+    def add(core, at):
+        adds.append(len(at))
+        assert len(adds) < 100, "the coreset search does not end"
+        real_add(core, at)
+
+    monkeypatch.setattr(decomposition._Coreset, "_add", add)
+    seen = _spy_extremes(monkeypatch)
+    pts = _synth_points("box", 100_000)
+    assert fit_obb(pts).contains(pts, tol=1e-9)
+    assert (18, len(pts)) in seen
+
+
 def _traced_peak(call):
     tracemalloc.start()
     try:
