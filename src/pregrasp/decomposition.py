@@ -6,10 +6,11 @@ A cloud is recursively partitioned into a binary tree of oriented boxes:
    coordinate-descent sweep of small rotations about each box axis),
 2. screen a fixed grid of axis-parallel candidate planes through the box:
    the points are sorted once per axis into slabs between the planes (each
-   slab a contiguous run of the sorted points, projected direction-major on
-   the screening directions), and the sides of all planes of an axis are
-   summarized by scans over its slabs into exact moments and extreme-point
-   coresets of 2 x 49 points.
+   slab a contiguous run of the sorted points and of their box-frame
+   coordinate rows, projected on the 49 integer screening vectors by one
+   (49, 3) @ (3, cols) product per block), and the sides of all planes of
+   an axis are summarized by scans over its slabs into exact moments and
+   extreme-point coresets of 2 x 49 points.
    All sides on all three axes are then scored as one stack: one batch of
    covariances and eigen-decompositions (PCA), the min-area search on the
    sides with tied eigenvalues, and one rotation sweep over the coresets,
@@ -449,18 +450,17 @@ def candidate_offsets(half_extent, planes_per_axis):
 
 def _screen_directions():
     """The primitive integer vectors with max-norm <= 2, one per antipodal
-    pair (first non-zero component positive), normalized: 49 directions."""
+    pair (first non-zero component positive): 49 vectors, as floats."""
     v = np.array(list(itertools.product(range(-2, 3), repeat=3)))
     v = v[np.gcd.reduce(np.abs(v), axis=1) == 1]
     first = v[np.arange(len(v)), np.argmax(v != 0, axis=1)]
-    v = v[first > 0].astype(float)
-    return v / np.linalg.norm(v, axis=1, keepdims=True)
+    return v[first > 0].astype(float)
 
 
-# Candidate sides are screened on their extreme points along these directions
-# of the parent box frame: an extreme-point coreset in the sense of Barequet &
-# Har-Peled (J. Algorithms 2001) and Agarwal, Har-Peled & Varadarajan (J. ACM
-# 2004).
+# Candidate sides are screened on their extreme points along these integer
+# vectors of the parent box frame: an extreme-point coreset in the sense of
+# Barequet & Har-Peled (J. Algorithms 2001) and Agarwal, Har-Peled &
+# Varadarajan (J. ACM 2004).
 SCREEN_DIRECTIONS = _screen_directions()
 
 # Best-screened planes that are refit on all of their points.  The screen
@@ -470,22 +470,14 @@ SCREEN_DIRECTIONS = _screen_directions()
 SCREEN_FINALISTS = 3
 
 # A side whose extreme points span less than this along every screening
-# direction is treated as coincident and skipped.  fit_obb rejects a side
-# whose points all lie within 1e-12 of their mean on each coordinate, so such
-# a side spans less than 2 * sqrt(3) * 1e-12 along any unit direction.
+# vector, divided by the vector's length, is treated as coincident and
+# skipped.  fit_obb rejects a side whose points all lie within 1e-12 of their
+# mean on each world coordinate, so within sqrt(3) * 1e-12 of it.  The box
+# frame is a rotation of the world frame, so such a side spans less than
+# 2 * sqrt(3) * 1e-12 along any unit direction of it too.  Rounding the
+# box-frame coordinates costs a few ulps of a point's distance from the box
+# center: below the 0.5e-12 left over for points within 100 m of it.
 _COINCIDENT_SPAN = 4e-12
-
-
-def _project(XT, dirs):
-    """(m, n) projections of the n points given as the coordinate rows of
-    `XT` (3, n) on the m rows of `dirs`, element by element, so a point's
-    projection does not depend on its batch.  Direction-major, so every pass
-    over the result runs along the points.  Accumulated in place to hold
-    fewer (m, n) temporaries."""
-    out = dirs[:, :1] * XT[0]
-    out += dirs[:, 1:2] * XT[1]
-    out += dirs[:, 2:3] * XT[2]
-    return out
 
 
 @dataclass
@@ -495,9 +487,9 @@ class _Slabs:
     bounds: np.ndarray       # (s + 1,) slab j holds sorted ranks bounds[j]:bounds[j + 1]
     s1: np.ndarray           # (s, 3) sum of the centred points per slab
     s2: np.ndarray           # (s, 3, 3) sum of their outer products
-    hi: np.ndarray           # (s, m) max projection per direction (-inf if empty)
+    hi: np.ndarray           # (s, m) max projection per screening vector (-inf if empty)
     hi_idx: np.ndarray       # (s, m) index of a point attaining it
-    lo: np.ndarray           # (s, m) min projection per direction (+inf if empty)
+    lo: np.ndarray           # (s, m) min projection per vector (+inf if empty)
     lo_idx: np.ndarray
 
 
@@ -512,27 +504,30 @@ def _slab_order(coord):
     return order, ranked
 
 
-def _slab_summaries(X, coord, offsets, dirs):
-    """Cut the centred points `X` at the sorted `offsets` of `coord` and
-    summarize each of the len(offsets) + 1 slabs.
+def _slab_summaries(X, frame, axis, offsets):
+    """Cut the centred points `X` at the sorted `offsets` of their box-frame
+    coordinate row `frame[axis]` and summarize each of the len(offsets) + 1
+    slabs.
 
     A point lies below an offset iff coord < offset, which is exactly when
     coord - offset < 0 (a float difference is zero only for equal operands),
     so the slabs reproduce evaluate_split's partitions.
 
-    The points are gathered once in slab order, so each slab is a contiguous
-    run of rows, and copied once as coordinate rows for `_project`, so each
-    slab's projections (in runs of points that fit `_BLOCK_BYTES`) take
-    contiguous slices and come out direction-major.  Ties go to the first
-    point in slab order."""
-    order, ranked = _slab_order(coord)
-    bounds = np.concatenate(([0], np.searchsorted(ranked, offsets), [len(coord)]))
-    n_slabs, m = len(bounds) - 1, len(dirs)
+    The points and the (3, n) coordinate rows `frame` are gathered once in
+    slab order, so each slab is a contiguous run of both.  Its projections on
+    SCREEN_DIRECTIONS are one (49, 3) @ (3, cols) product per run of points
+    that fits `_BLOCK_BYTES`, direction-major.  Each v_i * L_i is exact (v_i
+    is 0, +-1 or +-2), so an FMA rounds like a multiply-then-add, and a
+    kernel that sums k in order gives the fixed-order (v0 L0 + v1 L1) + v2 L2
+    but for the sign of an exact zero, which `+ 0.0` on the extremes clears.
+    Ties go to the first point in slab order."""
+    order, ranked = _slab_order(frame[axis])
+    bounds = np.concatenate(([0], np.searchsorted(ranked, offsets), [len(ranked)]))
+    n_slabs, m = len(bounds) - 1, len(SCREEN_DIRECTIONS)
     slabs = _Slabs(bounds, np.zeros((n_slabs, 3)), np.zeros((n_slabs, 3, 3)),
                    np.full((n_slabs, m), -np.inf), np.zeros((n_slabs, m), dtype=int),
                    np.full((n_slabs, m), np.inf), np.zeros((n_slabs, m), dtype=int))
-    Xo = X.take(order, axis=0)
-    XT = Xo.T.copy()
+    Xo, L = X.take(order, axis=0), frame.take(order, axis=1)
     rows, step = np.arange(m), max(1, _BLOCK_BYTES // (8 * m))
     for j in range(n_slabs):
         a, b = bounds[j], bounds[j + 1]
@@ -542,9 +537,9 @@ def _slab_summaries(X, coord, offsets, dirs):
         slabs.s1[j] = Xs.sum(axis=0)
         slabs.s2[j] = Xs.T @ Xs
         for c in range(a, b, step):
-            proj = _project(XT[:, c:min(b, c + step)], dirs)
+            proj = SCREEN_DIRECTIONS @ L[:, c:min(b, c + step)]
             top, bot = proj.argmax(axis=1), proj.argmin(axis=1)
-            hi, lo = proj[rows, top], proj[rows, bot]
+            hi, lo = proj[rows, top] + 0.0, proj[rows, bot] + 0.0
             up, down = (hi > slabs.hi[j], lo < slabs.lo[j]) if c > a else (slice(None),) * 2
             slabs.hi[j, up], slabs.hi_idx[j, up] = hi[up], order[c + top[up]]
             slabs.lo[j, down], slabs.lo_idx[j, down] = lo[down], order[c + bot[down]]
@@ -592,18 +587,18 @@ def _screen(pts, box, params):
     out.  Every side's coreset has 2 * len(SCREEN_DIRECTIONS) rows, so all
     sides are fitted (PCA from their moments, then the sweep) as one stack."""
     X = pts - pts.mean(axis=0)
-    dirs = SCREEN_DIRECTIONS @ box.rotation.T
+    # the expressions evaluate_split partitions by, for bit-equal sides
+    frame = np.array([(pts - box.center) @ box.axis(axis) for axis in range(3)])
+    norms = np.linalg.norm(SCREEN_DIRECTIONS, axis=1)
     planes, sides = [], []
     for axis in range(3):
         offsets = candidate_offsets(box.half_extents[axis], params.planes_per_axis)
-        # the expression evaluate_split partitions by, for bit-equal sides
-        coord = (pts - box.center) @ box.axis(axis)
-        slabs = _slab_summaries(X, coord, offsets, dirs)
+        slabs = _slab_summaries(X, frame, axis, offsets)
         count, moments, hi, lo, coreset = _side_summaries(slabs)
         # drop a plane with an empty or coincident side, or with the partition
         # of the previous offset (which ties bit for bit and wins the tie)
         keep = ((count[:, 0] > slabs.bounds[:-2]) & (count[:, 1] > 0)
-                & ~((hi - lo).max(axis=2) < _COINCIDENT_SPAN).any(axis=1))
+                & ~(((hi - lo) / norms).max(axis=2) < _COINCIDENT_SPAN).any(axis=1))
         planes += [(axis, float(offset)) for offset in offsets[keep]]
         sides.append((count[keep], moments[keep], coreset[keep]))
     if not planes:

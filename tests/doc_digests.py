@@ -8,8 +8,8 @@ document without ``timings_ms``, dumped as JSON with sorted keys.  The clouds:
 * the dumbbell at 200k points, seed 1, default config: its root box fit and
   split screen reduce their per-point products block by block;
 * the dumbbell at 20k points, seed 1, split down to ``min_points=100`` at
-  ``volume_ratio=1.0``, defaults otherwise: 215 nodes, so its mask has
-  hundreds of blocked faces and its pool 1,369 rows;
+  ``volume_ratio=1.0``, defaults otherwise: 221 nodes, so its mask has
+  hundreds of blocked faces and its pool 1,399 rows;
 * three 5k-point clouds whose pools hold the grasp types the others' do
   not: the box (Spherical) and the plate (ThreeFingertip) with a 25 cm
   gripper aperture, and a sphere of radius 1.5 cm (TwoFingertip);

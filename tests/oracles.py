@@ -33,7 +33,10 @@ code because the package must agree with them exactly:
   (`geom.dot3`), so the two agree bit for bit under any BLAS kernel;
 - `reference_slab_summaries`, the per-slab gather and point-major (n_s, 49)
   projection that the package's slab-local, direction-major split screen
-  replaced, built on the package's `_Slabs`;
+  replaced, as fixed-order sums over the integer screening vectors
+  (`lattice_projections`), which the package's one BLAS product per block
+  must equal bit for bit on every kernel, built on the package's `_Slabs`
+  and `SCREEN_DIRECTIONS`;
 - `reference_side_summary`, one side's moments summed and extremes picked
   over its slabs on their own, which the package's scans over all sides of
   an axis (`_side_summaries`) replaced;
@@ -43,8 +46,8 @@ code because the package must agree with them exactly:
   package's search constants;
 - `reference_screen`, the one-side-at-a-time PCA and rotation sweep that the
   package's stacked split screen replaced, built on `pca_axes`,
-  `sweep_volume`, `reference_side_summary` and the package's slab summaries
-  and search constants;
+  `sweep_volume`, `reference_side_summary`, `reference_slab_summaries` and
+  the package's search constants;
 - `reference_epsilon_quality`, the per-direction row maxima of one wrench
   set's (n_dirs, k) support product, which the package's stacked (g, k,
   n_dirs) products reduced along contiguous memory replaced, and the full
@@ -259,15 +262,27 @@ def exhaustive_split(points, box, planes_per_axis=16):
     return best
 
 
-def reference_slab_summaries(X, coord, offsets, dirs):
-    """Slab summaries of the split screen, one slab at a time: each slab's
-    points gathered from `X` and projected point-major as an (n_s, m) block,
-    with the extremes taken down its columns."""
-    from pregrasp.decomposition import _Slabs
+def lattice_projections(L):
+    """Point-major (n, 49) projections of the n box-frame points `L` (n, 3)
+    on the integer screening vectors v, each the fixed-order sum
+    (v0 L0 + v1 L1) + v2 L2 of exact products, element by element."""
+    from pregrasp.decomposition import SCREEN_DIRECTIONS as V
 
+    return (L[:, :1] * V[:, 0] + L[:, 1:2] * V[:, 1]) + L[:, 2:3] * V[:, 2]
+
+
+def reference_slab_summaries(X, frame, axis, offsets):
+    """Slab summaries of the split screen, one slab at a time: each slab's
+    moments from its points gathered from `X`, and its `lattice_projections`
+    from its box-frame coordinates gathered from the (3, n) rows `frame` as
+    an (n_s, 49) block, with the extremes taken down its columns and their
+    signed zeros cleared."""
+    from pregrasp.decomposition import SCREEN_DIRECTIONS, _Slabs
+
+    coord = frame[axis]
     order = np.argsort(coord, kind="stable")
     bounds = np.concatenate(([0], np.searchsorted(coord[order], offsets), [len(coord)]))
-    n_slabs, m = len(bounds) - 1, len(dirs)
+    n_slabs, m = len(bounds) - 1, len(SCREEN_DIRECTIONS)
     slabs = _Slabs(bounds, np.zeros((n_slabs, 3)), np.zeros((n_slabs, 3, 3)),
                    np.full((n_slabs, m), -np.inf), np.zeros((n_slabs, m), dtype=int),
                    np.full((n_slabs, m), np.inf), np.zeros((n_slabs, m), dtype=int))
@@ -279,12 +294,10 @@ def reference_slab_summaries(X, coord, offsets, dirs):
         Xs = X[rows]
         slabs.s1[j] = Xs.sum(axis=0)
         slabs.s2[j] = Xs.T @ Xs
-        proj = Xs[:, :1] * dirs[:, 0]
-        proj += Xs[:, 1:2] * dirs[:, 1]
-        proj += Xs[:, 2:3] * dirs[:, 2]
+        proj = lattice_projections(frame.T[rows])
         top, bot = proj.argmax(axis=0), proj.argmin(axis=0)
-        slabs.hi[j], slabs.hi_idx[j] = proj[top, cols], rows[top]
-        slabs.lo[j], slabs.lo_idx[j] = proj[bot, cols], rows[bot]
+        slabs.hi[j], slabs.hi_idx[j] = proj[top, cols] + 0.0, rows[top]
+        slabs.lo[j], slabs.lo_idx[j] = proj[bot, cols] + 0.0, rows[bot]
     return slabs
 
 
@@ -411,25 +424,25 @@ def reference_screen(pts, box, params):
     side's covariance from its moments, its own eigh and tied-pair search,
     then its own rotation sweep on its (98, 3) coreset, as the package's
     stacked screen did before it fitted all sides of a node as one stack,
-    with each side summarized by `reference_side_summary`.  Built on the
-    package's slab summaries and search constants."""
+    with each side summarized by `reference_side_summary` from
+    `reference_slab_summaries`.  Built on the package's search constants."""
     from pregrasp import decomposition as d
 
     def side_volume(X, side):
         count, s1, s2, hi, lo, coreset = side
-        if float((hi - lo).max()) < d._COINCIDENT_SPAN:
+        if float(((hi - lo) / np.linalg.norm(d.SCREEN_DIRECTIONS, axis=1)).max()) \
+                < d._COINCIDENT_SPAN:
             return None
         mean = s1 / count
         C = X[coreset] - mean
         return sweep_volume(C, pca_axes(s2 / count - np.outer(mean, mean), C))[0]
 
     X = pts - pts.mean(axis=0)
-    dirs = d.SCREEN_DIRECTIONS @ box.rotation.T
+    frame = np.array([(pts - box.center) @ box.axis(axis) for axis in range(3)])
     scored = []
     for axis in range(3):
         offsets = d.candidate_offsets(box.half_extents[axis], params.planes_per_axis)
-        coord = (pts - box.center) @ box.axis(axis)
-        slabs = d._slab_summaries(X, coord, offsets, dirs)
+        slabs = reference_slab_summaries(X, frame, axis, offsets)
         for k, offset in enumerate(offsets, start=1):
             below = slabs.bounds[k]
             if below == slabs.bounds[k - 1] or below == len(pts):

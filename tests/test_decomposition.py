@@ -20,7 +20,6 @@ from pregrasp.decomposition import (
     DecompNode,
     DecompTree,
     OrientedBox,
-    _project,
     _side_summaries,
     _slab_order,
     _slab_summaries,
@@ -444,19 +443,18 @@ def test_screen_slab_sums_match_direct_side_sums(lshape_cloud, lshape_tree):
     node = lshape_tree.node(0)
     pts = lshape_cloud.points[node.point_indices]
     X = pts - pts.mean(axis=0)
-    dirs = SCREEN_DIRECTIONS @ node.box.rotation.T
-    proj = _project(X.T, dirs).T
+    frame = np.array([(pts - node.box.center) @ node.box.axis(a) for a in range(3)])
+    proj = oracles.lattice_projections(frame.T) + 0.0
     rng = np.random.default_rng(11)
     sides = 0
     for axis in range(3):
         h = node.box.half_extents[axis]
         offsets = np.sort(rng.uniform(-h, h, 8))
         offsets[3] = offsets[4]                   # an empty slab between them
-        coord = (pts - node.box.center) @ node.box.axis(axis)
-        slabs = _slab_summaries(X, coord, offsets, dirs)
+        slabs = _slab_summaries(X, frame, axis, offsets)
         summaries = _side_summaries(slabs)
         for k in range(1, len(offsets) + 1):
-            below = coord - offsets[k - 1] < 0.0
+            below = frame[axis] - offsets[k - 1] < 0.0
             for i, mask in enumerate((below, ~below)):
                 if not mask.any():
                     continue
@@ -469,8 +467,8 @@ def test_screen_slab_sums_match_direct_side_sums(lshape_cloud, lshape_tree):
                 np.testing.assert_allclose(s2, side.T @ side, rtol=1e-12,
                                            atol=1e-12 * (side ** 2).sum())
                 assert mask[coreset].all() and len(coreset) <= 2 * len(SCREEN_DIRECTIONS)
-                np.testing.assert_array_equal(hi, proj[mask].max(axis=0))
-                np.testing.assert_array_equal(lo, proj[mask].min(axis=0))
+                assert hi.tobytes() == proj[mask].max(axis=0).tobytes()
+                assert lo.tobytes() == proj[mask].min(axis=0).tobytes()
                 np.testing.assert_array_equal(proj[coreset].max(axis=0), hi)
                 np.testing.assert_array_equal(proj[coreset].min(axis=0), lo)
                 sides += 1
@@ -517,14 +515,14 @@ def _check_slab_summaries(cloud, monkeypatch):
     real = decomposition._slab_summaries
     calls = []
 
-    def checked(X, coord, offsets, dirs):
-        got = real(X, coord, offsets, dirs)
-        ref = oracles.reference_slab_summaries(X, coord, offsets, dirs)
+    def checked(X, frame, axis, offsets):
+        got = real(X, frame, axis, offsets)
+        ref = oracles.reference_slab_summaries(X, frame, axis, offsets)
         for f in dataclasses.fields(ref):
             a, b = getattr(got, f.name), getattr(ref, f.name)
             assert (a.dtype, a.shape) == (b.dtype, b.shape), f.name
             assert a.tobytes() == b.tobytes(), f.name
-        calls.append(len(coord))
+        calls.append(axis)
         return got
 
     monkeypatch.setattr(decomposition, "_slab_summaries", checked)
@@ -698,10 +696,41 @@ def test_screen_memory_is_bounded(kind):
 
 
 def test_screen_directions_are_primitive_antipodal_representatives():
-    assert SCREEN_DIRECTIONS.shape == (49, 3)
-    np.testing.assert_allclose(np.linalg.norm(SCREEN_DIRECTIONS, axis=1), 1.0)
-    cosines = SCREEN_DIRECTIONS @ SCREEN_DIRECTIONS.T
-    assert np.abs(cosines - np.eye(49)).max() < 1.0 - 1e-9   # no two parallel
+    """All 49 antipodal classes of the primitive integer vectors in [-2, 2]^3
+    ((5^3 - 1 - 26 all-even vectors) / 2), one representative each."""
+    v = SCREEN_DIRECTIONS.astype(int)
+    assert SCREEN_DIRECTIONS.shape == (49, 3) and (v == SCREEN_DIRECTIONS).all()
+    assert (np.gcd.reduce(np.abs(v), axis=1) == 1).all()
+    assert np.abs(v).max() == 2
+    assert (v[np.arange(49), np.argmax(v != 0, axis=1)] > 0).all()
+    crossed = np.cross(v[:, None], v[None, :]) != 0
+    assert (crossed.any(axis=2) | np.eye(49, dtype=bool)).all()      # no two parallel
+
+
+def _lattice_rows(rng, n):
+    """(3, n) box-frame coordinate rows whose projections on the screening
+    vectors hold signed zeros, subnormal terms and sums, and exact ties."""
+    rows = rng.normal(scale=0.1, size=(3, n))
+    pick = rng.random((3, n))
+    rows[pick < 0.3] = rng.choice([0.0, -0.0, 0.25, -0.25, 0.5, -0.5, 1.0], (pick < 0.3).sum())
+    tiny = pick > 0.9
+    rows[tiny] = rng.choice([5e-324, -5e-324, 1e-310, -2e-310, 2.2e-308], tiny.sum())
+    return rows
+
+
+@pytest.mark.bitexact
+def test_lattice_product_is_the_fixed_order_sum_bytes():
+    """The screen's one (49, 3) @ (3, cols) product per block equals the
+    fixed-order sums (v0 L0 + v1 L1) + v2 L2 byte for byte, once signed zeros
+    are cleared: on blocks of 1 to 5351 points (past one `_BLOCK_BYTES`
+    block) starting 0-3 elements into coordinate rows, as a slab's run may."""
+    rows = _lattice_rows(np.random.default_rng(17), 5360)
+    widths = [*range(1, 18), 31, 32, 33, 64, 65, 255, 256, 257, 1000, 4096, 4097, 5349, 5351]
+    for start in range(4):
+        for w in widths:
+            got = SCREEN_DIRECTIONS @ rows[:, start:start + w] + 0.0
+            want = oracles.lattice_projections(rows[:, start:start + w].T).T + 0.0
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (start, w)
 
 
 # ---------------------------------------------------------------------------

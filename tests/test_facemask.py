@@ -249,12 +249,12 @@ def test_face_states_match_reference_on_every_tree():
 
 
 def test_face_states_memory_is_bounded():
-    """A 215-node tree (a 20k-point dumbbell split down to 100 points at
+    """A 221-node tree (a 20k-point dumbbell split down to 100 points at
     any volume gain) is masked in blocks of about 4k (face, leaf) pairs: the
     tracemalloc peak stays below 8 MB."""
     cloud = synth_shape("dumbbell", tuple(SYNTH_KINDS["dumbbell"].values()), 20000, seed=1)
     tree = decompose(cloud, DecompParams(min_points=100, volume_ratio=1.0))
-    assert len(tree.nodes) == 215
+    assert len(tree.nodes) == 221
     tracemalloc.start()
     try:
         states = compute_face_states(tree, GripperConfig().finger_length)
