@@ -182,8 +182,8 @@ _CHECK_FAILS = 2
 # Per round of the rotation sweep: the stacked 2D rotation rows of its 9
 # angles, and per box axis the (9, 3, 3) rotations about it by those angles.
 _SWEEP_STEPS = [(_rot2_basis(np.cos(a), np.sin(a)),
-                 np.ascontiguousarray(rotations_about_axes(np.repeat(np.eye(3), 9, axis=0),
-                                                           np.tile(a, 3)).reshape(3, 9, 3, 3)))
+                 rotations_about_axes(np.repeat(np.eye(3), 9, axis=0),
+                                      np.tile(a, 3)).reshape(3, 9, 3, 3))
                 for a in (np.linspace(-h, h, 9)
                           for h in np.radians(10.0) / 2.0 ** np.arange(_REFINE_STEPS))]
 

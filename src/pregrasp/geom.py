@@ -3,32 +3,10 @@
 import numpy as np
 
 
-def aligned(a):
-    """Copy of an (n, ...) array whose items a[i] each start on a 16-byte
-    boundary, as a fresh array of one item does.
-
-    Some BLAS kernels (OpenBLAS Prescott) round a product differently when an
-    operand starts off a 16-byte boundary, as the odd rows of an (n, 3) block
-    do.  A stacked product over the items of the copy gives each item the bits
-    of its product on its own.
-    """
-    a = np.asarray(a, dtype=float)
-    size = int(np.prod(a.shape[1:]))
-    items = np.zeros((len(a), size + size % 2))
-    items[:, :size] = a.reshape(len(a), size)
-    return items[:, :size].reshape(a.shape)
-
-
 def row_norms(v):
-    """Euclidean norm of each row of an (n, 3) array, with the bits that
-    np.linalg.norm gives that row as a fresh 3-vector.
-
-    A stacked 1x3 @ 3x1 product takes the BLAS dot routine of a 1-D norm,
-    where a row-wise sum or einsum can round differently; its rows are
-    `aligned` like fresh 3-vectors.
-    """
-    rows = aligned(v)
-    return np.sqrt(rows[:, None, :] @ rows[:, :, None])[:, 0, 0]
+    """Euclidean norm of each row of an (n, 3) array, as sqrt(`dot3`(v, v)):
+    each row's bits depend on neither its neighbours nor the BLAS kernel."""
+    return np.sqrt(dot3(v, v))
 
 
 def unit_rows(v, fallback=None):
@@ -50,15 +28,17 @@ def unit_rows(v, fallback=None):
 
 
 def rotations_about_axes(axes, angles):
-    """Rodrigues rotation matrices about each row of an (n, 3) array of axes
-    (normalized here) by each of n angles, as an `aligned` (n, 3, 3) stack:
-    each matrix has the bits it gets when built on its own."""
+    """Rodrigues rotation matrices I + sin(a) K + (1 - cos(a)) K^2 about each
+    row of an (n, 3) array of axes (normalized here) by each of n angles, as
+    an (n, 3, 3) stack, with K^2 summed as `dot3` does: each matrix has the
+    bits it gets when built on its own, on any BLAS kernel."""
     a = unit_rows(axes)
     zero = np.zeros(len(a))
-    k = aligned(np.stack((zero, -a[:, 2], a[:, 1], a[:, 2], zero, -a[:, 0],
-                          -a[:, 1], a[:, 0], zero), axis=1).reshape(-1, 3, 3))
-    return aligned(np.eye(3) + np.sin(angles)[:, None, None] * k
-                   + (1.0 - np.cos(angles))[:, None, None] * (k @ k))
+    k = np.stack((zero, -a[:, 2], a[:, 1], a[:, 2], zero, -a[:, 0],
+                  -a[:, 1], a[:, 0], zero), axis=1).reshape(-1, 3, 3)
+    k2 = dot3(k[:, :, None, :], k.transpose(0, 2, 1)[:, None, :, :])
+    return (np.eye(3) + np.sin(angles)[:, None, None] * k
+            + (1.0 - np.cos(angles))[:, None, None] * k2)
 
 
 def dot3(u, v):

@@ -28,8 +28,7 @@ import numpy as np
 
 from .classifier import GRASP_PRESHAPE, GraspType
 from .errors import EmptyWrenchSet, NoContacts, check_params
-from .geom import (aligned, cross, dot3, perpendicular_frames, rotations_about_axes,
-                   row_norms, unit_rows)
+from .geom import cross, dot3, perpendicular_frames, rotations_about_axes, row_norms, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -82,9 +81,10 @@ def finger_rays(pool, gripper):
     -closing_dir (omitted for TwoFingertip).  The two paired fingers start on
     the -closing_dir side and are rotated about the approach axis by +/- the
     grasp type's preshape spread angle.  All origins lie in the fingertip
-    plane.  The rotations of all pre-grasps are built as one stack, and
-    every product is taken on operands aligned like fresh arrays, so every
-    ray has the bits it gets when its pre-grasp's rays are built alone.
+    plane.  The rotations of all pre-grasps are built as one stack and
+    applied with per-column products summed in a fixed order (`geom.dot3`),
+    so every ray has the bits it gets when its pre-grasp's rays are built
+    alone, on any BLAS kernel.
     """
     approach, c, code = pool["approach"], pool["closing_dir"], pool["grasp_type"]
     tip = pool["position"] + approach * gripper.finger_length
@@ -96,11 +96,11 @@ def finger_rays(pool, gripper):
     rays[:, 1:] = np.stack((tip - c * half_ap, c), axis=1)[:, None]
     spread = _SPREAD[code]
     turned = np.flatnonzero(spread != 0.0)
-    back, closing = aligned(-c[turned] * half_ap)[:, :, None], aligned(c[turned])[:, :, None]
+    back, closing = (-c[turned] * half_ap)[:, None, :], c[turned][:, None, :]
     for finger, s in ((1, spread[turned]), (2, -spread[turned])):
         rot = rotations_about_axes(approach[turned], s)
-        rays[turned, finger, 0] = tip[turned] + (rot @ back)[:, :, 0]
-        rays[turned, finger, 1] = (rot @ closing)[:, :, 0]
+        rays[turned, finger, 0] = tip[turned] + dot3(rot, back)
+        rays[turned, finger, 1] = dot3(rot, closing)
     fingers = np.ones((len(pool), 3), dtype=bool)
     fingers[:, 0] = _THUMB[code]
     return rays[fingers]

@@ -10,8 +10,9 @@ then stations x angles around the longest axis for Cylindrical; the circle of
 the two largest extents for ThreeFingertip): the ray from the box center
 along each direction picks its exit faces, and the direction is kept iff a
 free sub-face contains the exit point.  Every sample faces the box: the
-approach ray points back through the node's box.  The pool is one
-`POOL_DTYPE` array, a row per pre-grasp.
+approach ray points back through the node's box.  Every vector product is
+summed as `geom.dot3` sums it, so no pool row depends on the BLAS kernel.
+The pool is one `POOL_DTYPE` array, a row per pre-grasp.
 """
 
 import logging
@@ -23,7 +24,7 @@ import numpy as np
 from .classifier import GraspType, ShapeCategory
 from .decomposition import OrientedBox
 from .facemask import CELL_TOL, FACE_FRAMES, subfaces
-from .geom import aligned, cross, row_norms, unit_rows
+from .geom import cross, dot3, row_norms, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -154,12 +155,6 @@ def _exit_cells(d_local, offset, cells, half):
     return kept, first["face"], first["cell"]
 
 
-def _dots(u, v):
-    """u @ v[i] for each row of v, with the bits of each product on its own
-    (u keeps its strides, each row a fresh vector's alignment)."""
-    return np.matmul(np.broadcast_to(u, (len(v), 1, 3)), aligned(v)[:, :, None])[:, 0, 0]
-
-
 def sample_node(node, states, gripper, sampling, grasp_type):
     """Pre-grasps of one node with face `states`, as a `POOL_DTYPE` array
     ordered by (face, cell, emission order).
@@ -186,7 +181,7 @@ def sample_node(node, states, gripper, sampling, grasp_type):
         # faces are binned by alignment: exit faces of the unit cube, one cell each
         frame = OrientedBox(box.center, box.rotation, np.ones(3))
     else:
-        radius = float(np.linalg.norm(half)) + gripper.standoff
+        radius = float(np.sqrt(dot3(half, half))) + gripper.standoff
     d_local, offset = _direction_table(gt, length, sampling)
     cells = subfaces(states, gt, frame)
     rows, face, cell = _exit_cells(d_local, offset, cells, frame.half_extents)
@@ -194,11 +189,11 @@ def sample_node(node, states, gripper, sampling, grasp_type):
     rows, face, cell = rows[order], face[order], cell[order]
     d_local, offset = d_local[rows], offset[rows]
 
-    d_world = np.matmul(box.rotation, aligned(d_local)[:, :, None])[:, :, 0]
+    d_world = dot3(box.rotation, d_local[:, None, :])
     if gt == GraspType.CYLINDRICAL:
         cap = d_local[:, 0] != 0.0
-        # a cap's direction is d_local[0] * axis_u, not R @ d_local, which can
-        # flip zeros to -0.0
+        # a cap's direction is d_local[0] * axis_u, not R d_local, whose zero
+        # terms can change the sign of a zero component
         d_world[cap] = d_local[cap, :1] * axis_u
         position = box.center + axis_u * offset[:, None]
         position[~cap] += d_world[~cap] * radius
@@ -213,10 +208,10 @@ def sample_node(node, states, gripper, sampling, grasp_type):
     else:
         # the longest axis made orthogonal to the approach, or the middle one
         # where the longest is (nearly) parallel to it
-        closing = axis_u - _dots(axis_u, approach)[:, None] * approach
+        closing = axis_u - dot3(axis_u, approach)[:, None] * approach
         flat = row_norms(closing) < 1e-8
         v = box.axis(1)
-        closing[flat] = v - _dots(v, approach[flat])[:, None] * approach[flat]
+        closing[flat] = v - dot3(v, approach[flat])[:, None] * approach[flat]
         closing = unit_rows(closing)
     pool = np.zeros(len(rows), POOL_DTYPE)
     pool["position"], pool["approach"], pool["closing_dir"] = position, approach, closing

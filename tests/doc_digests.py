@@ -34,12 +34,23 @@ whose digest differs and exits 1 if any digest or label differs.
 a tree, shape class, mask, pool row or ranking order that differs between
 two BLAS kernels is such a flip.
 
+``--floats`` prints each label and its document (without ``timings_ms``) as
+one JSON line.  With ``--against``, it requires equal skeletons, then checks
+every float of the two trees' documents against a bound scaled to the
+cloud's axis-aligned bounding-box diagonal D (see `FLOAT_KINDS`):
+|a - b| <= 1e-9 D for lengths, 1e-9 D^2 for the covariance eigenvalues
+``lambdas``, 1e-9 for unit vectors, rotations and qualities; every other
+value must be equal.  It prints the label and JSON path of the first value
+out of bound, or the largest gap of each kind, and exits 1 if any is out of
+bound.
+
 Pytest does not collect this file (it is not named ``test_*.py``).  A full run
 takes about 20 s on two CPUs.
 """
 
 import argparse
 import hashlib
+import math
 import json
 import os
 import subprocess
@@ -63,9 +74,31 @@ GRASP_TYPE_CLOUDS = (
 )
 
 
+# Each document float's kind, by its JSON path with list indices dropped:
+# the kind's bound is FLOAT_TOL times the cloud's bounding-box diagonal to
+# the kind's power.
+FLOAT_TOL = 1e-9
+FLOAT_POWERS = {"length": 1, "lambda": 2, "unitless": 0}
+FLOAT_KINDS = {
+    "tree.nodes[].box.center[]": "length",
+    "tree.nodes[].box.half_extents[]": "length",
+    "tree.nodes[].box.rotation[][]": "unitless",
+    "classifications[].lambdas[]": "lambda",
+    "pool[].position[]": "length",
+    "pool[].approach[]": "unitless",
+    "pool[].closing_dir[]": "unitless",
+    "ranking[].contacts[].position[]": "length",
+    "ranking[].contacts[].normal[]": "unitless",
+    "ranking[].quality": "unitless",
+}
+
+
+def without_timings(doc):
+    return {k: v for k, v in doc.items() if k != "timings_ms"}
+
+
 def digest(doc):
-    doc = {k: v for k, v in doc.items() if k != "timings_ms"}
-    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(without_timings(doc), sort_keys=True).encode()).hexdigest()
 
 
 def skeleton(doc):
@@ -86,28 +119,67 @@ def skeleton(doc):
     }
 
 
+def _leaves(a, b, path="", key=""):
+    """(JSON path, the path with list indices dropped, a value, b value) of
+    each leaf of two documents walked side by side; a dict or list whose keys
+    or length differ is one leaf."""
+    if isinstance(a, dict) and isinstance(b, dict) and a.keys() == b.keys():
+        for k in a:
+            yield from _leaves(a[k], b[k], f"{path}.{k}" if path else k, f"{key}.{k}" if key else k)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for i, (x, y) in enumerate(zip(a, b)):
+            yield from _leaves(x, y, f"{path}[{i}]", f"{key}[]")
+    else:
+        yield path, key, a, b
+
+
+def float_gaps(a, b, diagonal):
+    """Compare documents `a` and `b` of one cloud, whose bounding-box diagonal
+    is `diagonal`: the JSON path of the first value out of bound (None if
+    every value holds), and the largest gap |a - b| of each float kind."""
+    largest = dict.fromkeys(FLOAT_POWERS, 0.0)
+    first = None
+    for path, key, x, y in _leaves(without_timings(a), without_timings(b)):
+        kind = FLOAT_KINDS.get(key)
+        if kind is not None and type(x) is float and type(y) is float:
+            gap = abs(x - y)
+            largest[kind] = max(largest[kind], gap)
+            ok = gap <= FLOAT_TOL * diagonal ** FLOAT_POWERS[kind]
+        else:
+            ok = type(x) is type(y) and x == y
+        if not ok and first is None:
+            first = path
+    return first, largest
+
+
 def documents():
-    """(label, run document) for every cloud, in a fixed order."""
+    """(label, cloud's bounding-box diagonal, run document) for every cloud,
+    in a fixed order."""
     from pregrasp import load_cloud, run_pipeline, synth_shape
+
+    def diagonal(cloud):
+        return math.dist(cloud.points.min(axis=0).tolist(), cloud.points.max(axis=0).tolist())
 
     plain = workloads.Workload("synth", ())
     for kind in workloads.SHAPE_DIMS:
         cloud = workloads.make_cloud(workloads.CloudSpec(kind, SYNTH_POINTS), SYNTH_SEED)
-        yield f"synth:{kind}-{SYNTH_POINTS}", run_pipeline(cloud, workloads.make_config(plain))
+        yield (f"synth:{kind}-{SYNTH_POINTS}", diagonal(cloud),
+               run_pipeline(cloud, workloads.make_config(plain)))
 
     cloud = workloads.make_cloud(workloads.CloudSpec("dumbbell", LARGE_POINTS), SYNTH_SEED)
-    yield f"synth:dumbbell-{LARGE_POINTS}", run_pipeline(cloud, workloads.make_config(plain))
+    yield (f"synth:dumbbell-{LARGE_POINTS}", diagonal(cloud),
+           run_pipeline(cloud, workloads.make_config(plain)))
 
     cloud = workloads.make_cloud(workloads.CloudSpec("dumbbell", FINE_POINTS), SYNTH_SEED)
     cfg = workloads.make_config(plain)
     cfg.decomposition.min_points, cfg.decomposition.volume_ratio = FINE_SPLIT
-    yield f"synth:dumbbell-{FINE_POINTS}-fine", run_pipeline(cloud, cfg)
+    yield f"synth:dumbbell-{FINE_POINTS}-fine", diagonal(cloud), run_pipeline(cloud, cfg)
 
     for label, kind, dims, aperture in GRASP_TYPE_CLOUDS:
         cloud = synth_shape(kind, dims, SYNTH_POINTS, SYNTH_SEED)
         cfg = workloads.make_config(plain)
         cfg.gripper.max_aperture = aperture
-        yield f"synth:{label}-{SYNTH_POINTS}", run_pipeline(cloud, cfg)
+        yield f"synth:{label}-{SYNTH_POINTS}", diagonal(cloud), run_pipeline(cloud, cfg)
 
     for name in ("dense-pool", "large-scan"):
         workload = workloads.WORKLOADS[name]
@@ -115,38 +187,47 @@ def documents():
             cloud = workloads.make_cloud(spec, workloads.cloud_seed(WORKLOAD_SEED, i))
             label = f"{name}:{i}:{spec.kind}-{spec.n}"
             if spec.fmt is None:
-                yield label, run_pipeline(cloud, workloads.make_config(workload))
+                yield label, diagonal(cloud), run_pipeline(cloud, workloads.make_config(workload))
                 continue
             # relative names, so the documents do not depend on the directory
             path = f"{i}-{spec.kind}.{spec.fmt}"
             workloads.write_cloud(cloud.points, path, spec.fmt)
-            yield f"{label}.{spec.fmt}", run_pipeline(
-                load_cloud(path), workloads.make_config(workload, path, path + ".json"))
+            cloud = load_cloud(path)
+            yield f"{label}.{spec.fmt}", diagonal(cloud), run_pipeline(
+                cloud, workloads.make_config(workload, path, path + ".json"))
 
 
-def digests(skeletons=False):
-    """(label, digest) for every cloud, planned in a temporary directory; of
-    each document's skeleton if `skeletons`."""
+def planned():
+    """`documents`, planned in a temporary directory."""
     cwd = os.getcwd()
     with tempfile.TemporaryDirectory(prefix="doc-digests-") as tmp:
         os.chdir(tmp)
         try:
-            for label, doc in documents():
-                yield label, digest(skeleton(doc) if skeletons else doc)
+            yield from documents()
         finally:
             os.chdir(cwd)
 
 
-def against(src, skeletons=False):
-    """Compare this interpreter's digests with those of the package in `src`,
-    planned by this script in a subprocess with PYTHONPATH=src and the rest
-    of the environment unchanged.  Prints each label whose digest differs (or
-    that only one side has); returns 1 if any does, else 0."""
+def digests(skeletons=False):
+    """(label, digest) for every cloud; of each document's skeleton if
+    `skeletons`."""
+    for label, _, doc in planned():
+        yield label, digest(skeleton(doc) if skeletons else doc)
+
+
+def _other(src, *flags):
+    """This script's output with `flags`, run in a subprocess with
+    PYTHONPATH=src and the rest of the environment unchanged."""
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    out = subprocess.run([sys.executable, os.path.abspath(__file__)]
-                         + ["--skeleton"] * skeletons, env=env,
-                         stdout=subprocess.PIPE, text=True, check=True).stdout
-    theirs = dict(line.split() for line in out.splitlines())
+    return subprocess.run([sys.executable, os.path.abspath(__file__), *flags], env=env,
+                          stdout=subprocess.PIPE, text=True, check=True).stdout
+
+
+def against(src, skeletons=False):
+    """Compare this interpreter's digests with those of the package in `src`.
+    Prints each label whose digest differs (or that only one side has);
+    returns 1 if any does, else 0."""
+    theirs = dict(line.split() for line in _other(src, *["--skeleton"] * skeletons).splitlines())
     ours = dict(digests(skeletons))
     differ = [label for label in {**theirs, **ours} if theirs.get(label) != ours.get(label)]
     for label in differ:
@@ -156,6 +237,41 @@ def against(src, skeletons=False):
     return 1 if differ else 0
 
 
+def check_floats(ours, theirs):
+    """Compare {label: (diagonal, document)} `ours` with {label: document}
+    `theirs`.  Prints each label that only one side has ("missing"), whose
+    skeletons differ ("skeleton") or with a value out of bound (the JSON path
+    of the first), and the largest float gap of each kind; returns 1 if any
+    label is printed, else 0."""
+    largest = dict.fromkeys(FLOAT_POWERS, 0.0)
+    bad = 0
+    for label in {**theirs, **ours}:
+        if label not in ours or label not in theirs:
+            first = "missing"
+        elif skeleton(ours[label][1]) != skeleton(theirs[label]):
+            first = "skeleton"
+        else:
+            diagonal, doc = ours[label]
+            first, gaps = float_gaps(doc, theirs[label], diagonal)
+            largest = {kind: max(largest[kind], gaps[kind]) for kind in largest}
+        if first is not None:
+            bad += 1
+            print(label, first, flush=True)
+    print(f"{len(ours) - bad} of {len(ours)} documents within bound; largest gaps: "
+          + ", ".join(f"{kind} {gap:.2g}" for kind, gap in largest.items()), file=sys.stderr)
+    return 1 if bad else 0
+
+
+def against_floats(src):
+    """`check_floats` of this interpreter's documents against those of the
+    package in `src`."""
+    theirs = {}
+    for line in _other(src, "--floats").splitlines():
+        label, text = line.split(" ", 1)
+        theirs[label] = json.loads(text)
+    return check_floats({label: (diagonal, doc) for label, diagonal, doc in planned()}, theirs)
+
+
 def main(argv=None):
     import pregrasp
 
@@ -163,12 +279,21 @@ def main(argv=None):
     parser.add_argument("--against", metavar="SRC",
                         help="compare with the pregrasp package in SRC instead: print each "
                              "label whose digest differs, exit 1 if any does")
-    parser.add_argument("--skeleton", action="store_true",
-                        help="digest each document's discrete content only")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--skeleton", action="store_true",
+                      help="digest each document's discrete content only")
+    mode.add_argument("--floats", action="store_true",
+                      help="print each document as one JSON line; with --against, require "
+                           "equal skeletons and every float within its bound")
     args = parser.parse_args(argv)
     print(f"pregrasp from {os.path.dirname(pregrasp.__file__)}", file=sys.stderr)
     if args.against:
-        return against(args.against, args.skeleton)
+        return against_floats(args.against) if args.floats else against(args.against,
+                                                                         args.skeleton)
+    if args.floats:
+        for label, _, doc in planned():
+            print(label, json.dumps(without_timings(doc), sort_keys=True), flush=True)
+        return 0
     for label, value in digests(args.skeleton):
         print(label, value, flush=True)
     return 0

@@ -63,13 +63,15 @@ code because the package must agree with them exactly:
   per-line read for all formats replaced, built on the package's
   `ParseError`.
 
-`unit` normalizes one vector at a time, as the package's `unit_rows` does
-each row, and `cells_containing` tests one point against a face's cells, as
-the package's sampler tests all its exit points at once.  The oracles take a
-pre-grasp as one row of a `POOL_DTYPE` pool and copy its vectors before any
-BLAS call: a record column's rows may start off a 16-byte boundary, where
-some BLAS kernels round a product differently (see the package's
-`geom.aligned`).
+`dot` sums one pair of 3-vectors' products in a fixed order, u0 v0 + u1 v1
++ u2 v2 left to right, as the package's `geom.dot3` sums each row's; `norm`
+and `matvec` are built on it, and `unit` normalizes one vector at a time, as
+the package's `unit_rows` does each row.  The sampling, finger-ray,
+contact-normal and wrench oracles take every vector product through them, so
+they agree with the package bit for bit under any BLAS kernel.
+`cells_containing` tests one point against a face's cells, as the package's
+sampler tests all its exit points at once.  The oracles take a pre-grasp as
+one row of a `POOL_DTYPE` pool.
 """
 
 import numpy as np
@@ -78,10 +80,26 @@ import numpy as np
 # One vector, one point, one pool row at a time
 # ---------------------------------------------------------------------------
 
+def dot(u, v):
+    """u . v of two 3-vectors, as the sum u0 v0 + u1 v1 + u2 v2, left to
+    right."""
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def norm(v):
+    """Euclidean norm of a 3-vector, as sqrt(`dot`(v, v))."""
+    return np.sqrt(dot(v, v))
+
+
+def matvec(m, v):
+    """m v of a 3x3 matrix and a 3-vector, each row's product a `dot`."""
+    return np.array([dot(row, v) for row in m])
+
+
 def unit(v, fallback=None):
     """Normalize v; return `fallback` (or raise) when the norm is ~0."""
     v = np.asarray(v, dtype=float)
-    n = np.linalg.norm(v)
+    n = norm(v)
     if n < 1e-12:
         if fallback is None:
             raise ValueError("cannot normalize a zero vector")
@@ -317,14 +335,15 @@ def reference_side_summary(slabs, first, stop):
 
 def rotation_about_axis(axis, angle_rad):
     """Rodrigues rotation matrix about an axis (normalized here), one matrix
-    at a time."""
+    at a time, with K^2's entries summed as `dot` sums them."""
     a = unit(axis)
     k = np.array([
         [0.0, -a[2], a[1]],
         [a[2], 0.0, -a[0]],
         [-a[1], a[0], 0.0],
     ])
-    return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * (k @ k)
+    k2 = np.array([[dot(row, col) for col in k.T] for row in k])
+    return np.eye(3) + np.sin(angle_rad) * k + (1.0 - np.cos(angle_rad)) * k2
 
 
 def rot2_basis(cos, sin):
@@ -464,7 +483,7 @@ def perpendicular_frame(n):
     n = unit(n)
     g = np.zeros(3)
     g[int(np.argmin(np.abs(n)))] = 1.0
-    e1 = unit(g - (g @ n) * n)
+    e1 = unit(g - dot(g, n) * n)
     e2 = np.cross(n, e1)
     return e1, e2
 
@@ -476,14 +495,14 @@ def reference_wrench_set(contacts, mu, m_edges, centroid):
     centroid = np.asarray(centroid, dtype=float)
     if len(contacts) == 0:
         return np.empty((0, 6))
-    rho = max(float(np.linalg.norm(position - centroid)) for position, _ in contacts)
+    rho = max(float(norm(position - centroid)) for position, _ in contacts)
     if rho <= 0.0:
         rho = 1.0
     alpha = np.arctan(mu)
     cos_a, sin_a = np.cos(alpha), np.sin(alpha)
     rows = []
     for position, normal in contacts:
-        n = unit(normal.copy())
+        n = unit(normal)
         e1, e2 = perpendicular_frame(n)
         arm = position - centroid
         for k in range(m_edges):
@@ -668,14 +687,14 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
         return faces, tmin
 
     def closing_from_axis(preferred, fallback, approach):
-        c = preferred - (preferred @ approach) * approach
-        if np.linalg.norm(c) < 1e-8:
-            c = fallback - (fallback @ approach) * approach
+        c = preferred - dot(preferred, approach) * approach
+        if norm(c) < 1e-8:
+            c = fallback - dot(fallback, approach) * approach
         return unit(c)
 
     def spherical(gt):
         box = node.box
-        radius = float(np.linalg.norm(box.half_extents)) + gripper.standoff
+        radius = float(norm(box.half_extents)) + gripper.standoff
         cells = cells_by_face(mask, gt, box)
         buckets = {}
         step = sampling.angular_step
@@ -690,7 +709,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
                 hit = first_free_cell(cells, faces, d_local * tmin)
                 if hit is None:
                     continue
-                d_world = box.rotation @ d_local
+                d_world = matvec(box.rotation, d_local)
                 approach = -d_world
                 closing = closing_from_axis(box.axis(0), box.axis(1), approach)
                 buckets.setdefault(hit, []).append((
@@ -724,7 +743,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
                 hit = first_free_cell(cells, faces, p)
                 if hit is None:
                     continue
-                radial = box.rotation @ d_local
+                radial = matvec(box.rotation, d_local)
                 approach = -radial
                 closing = unit(np.cross(axis_u, approach))
                 buckets.setdefault(hit, []).append((
@@ -754,7 +773,7 @@ def reference_samples(node, mask, gripper, sampling, grasp_type):
                     break
             if hit is None:
                 continue
-            d_world = box.rotation @ d_local
+            d_world = matvec(box.rotation, d_local)
             buckets.setdefault(hit, []).append((
                 box.center + radius * d_world, -d_world, box.axis(2).copy(),
                 gt, node.id, hit))
@@ -821,9 +840,9 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
         return faces, tmin
 
     def closing_from_axis(preferred, fallback, approach):
-        c = preferred - (preferred @ approach) * approach
-        if np.linalg.norm(c) < 1e-8:
-            c = fallback - (fallback @ approach) * approach
+        c = preferred - dot(preferred, approach) * approach
+        if norm(c) < 1e-8:
+            c = fallback - dot(fallback, approach) * approach
         return unit(c)
 
     box, gt = node.box, GraspType(grasp_type)
@@ -837,7 +856,7 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
         directions = circle_directions()
         frame = OrientedBox(box.center, box.rotation, np.ones(3))
     else:
-        radius = float(np.linalg.norm(half)) + gripper.standoff
+        radius = float(norm(half)) + gripper.standoff
         directions = sphere_directions()
     cells = cells_by_face(mask, gt, frame)
 
@@ -857,13 +876,13 @@ def reference_sample_node(node, mask, gripper, sampling, grasp_type):
             continue
         hit = (int(face), free[0])
         if z is None:
-            d_world = box.rotation @ d_local
+            d_world = matvec(box.rotation, d_local)
             position = box.center + radius * d_world
         elif d_local[0]:
             d_world = d_local[0] * axis_u
             position = box.center + axis_u * z
         else:
-            d_world = box.rotation @ d_local
+            d_world = matvec(box.rotation, d_local)
             position = box.center + axis_u * z + d_world * radius
         approach = -d_world
         if gt == GraspType.CYLINDRICAL:
@@ -933,7 +952,7 @@ def reference_finger_rays(pg, gripper):
             rays.append((tip - c * half_ap, c.copy()))
             continue
         rot = rotation_about_axis(approach, s)
-        rays.append((tip + rot @ (-c * half_ap), rot @ c))
+        rays.append((tip + matvec(rot, -c * half_ap), matvec(rot, c)))
     return rays
 
 
