@@ -11,7 +11,6 @@ from .decomposition import DecompParams, OrientedBox, decompose
 from .errors import (BadDimension, ConfigError, DegenerateInput, EmptyCloud,
                      EmptySide, EmptyWrenchSet, NoContacts, ParseError,
                      PreGraspError)
-from .graspeval import EvalParams
 from .pipeline import RunConfig, run_pipeline
 from .pointcloud import PointCloud, load_cloud, load_results, save_results, synth_shape
 from .sampler import GripperConfig, SamplingParams
@@ -20,9 +19,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BadDimension", "ClassifierThresholds", "ConfigError", "DecompParams",
-    "DegenerateInput", "EmptyCloud", "EmptySide", "EmptyWrenchSet",
-    "EvalParams", "GraspType", "GripperConfig", "NoContacts", "OrientedBox",
-    "ParseError", "PointCloud", "PreGraspError", "RunConfig", "SamplingParams",
-    "decompose", "load_cloud", "load_results", "run_pipeline", "save_results",
-    "synth_shape",
+    "DegenerateInput", "EmptyCloud", "EmptySide", "EmptyWrenchSet", "GraspType",
+    "GripperConfig", "NoContacts", "OrientedBox", "ParseError", "PointCloud",
+    "PreGraspError", "RunConfig", "SamplingParams", "decompose", "load_cloud",
+    "load_results", "run_pipeline", "save_results", "synth_shape",
 ]

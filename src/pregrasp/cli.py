@@ -100,10 +100,12 @@ def validate_synth_args(ns):
     _check_finite(ns)
     _check(ns.n >= 4, "--n", ">= 4", ns.n)
     _check(ns.seed >= 0, "--seed", ">= 0", ns.seed)
-    for name in SYNTH_KINDS[ns.kind]:
-        value = getattr(ns, name)
-        if value is not None:
-            _check(value > 0.0, "--" + name.replace("_", "-"), "> 0", value)
+    dims = dict(zip(SYNTH_KINDS[ns.kind], _synth_dims(ns)))   # the defaults pass
+    for name, value in dims.items():
+        _check(value > 0.0, "--" + name.replace("_", "-"), "> 0", value)
+    if ns.kind == "dumbbell":     # the ends must leave room for the neck
+        ends = dims["end_a"] + dims["end_b"]
+        _check(dims["length"] > ends, "--length", f"> end_a + end_b = {ends}", dims["length"])
 
 
 def _synth_dims(ns):

@@ -127,9 +127,7 @@ class OrientedBox:
 class DecompParams:
     volume_ratio: float = 0.9
     min_points: int = 500
-    planes_per_axis: int = 16
-    BOUNDS: ClassVar[dict] = {"volume_ratio": "in (0, 1]", "min_points": ">= 4",
-                              "planes_per_axis": ">= 1"}
+    BOUNDS: ClassVar[dict] = {"volume_ratio": "in (0, 1]", "min_points": ">= 4"}
 
 
 @dataclass
@@ -344,14 +342,10 @@ def _sweep(X, R, core=None):
     of the (g, n, 3) stack `X` along its axes in the (g, 3, 3) stack `R`.
 
     Returns the refined (g, 3, 3) axes and the (g,) floor-clamped volumes of
-    the sets' extents along them.  Swept in blocks of sets that fit in
-    `_BLOCK_BYTES`; a larger set is swept on its own, on the coreset `core`
-    if given.
+    the sets' extents along them.  The stack is swept whole: one set of a box
+    fit (on the coreset `core` if given), or the screen's 6 * SCREEN_PLANES
+    sides, whose 98-row coresets fit one `_BLOCK_BYTES` block of grid products.
     """
-    step = max(1, _BLOCK_BYTES // (8 * len(_SWEEP_STEPS[0][0]) * X.shape[1]))
-    if step < len(X):
-        parts = [_sweep(X[a:a + step], R[a:a + step]) for a in range(0, len(X), step)]
-        return tuple(np.concatenate(part) for part in zip(*parts))
     R = R.copy()
     P = X @ R
     ext = _extents(P.transpose(0, 2, 1))
@@ -442,10 +436,10 @@ def evaluate_split(points, parent_box, axis, offset):
     return idx_a, idx_b, fit_obb(pts.take(idx_a, axis=0)), fit_obb(pts.take(idx_b, axis=0))
 
 
-def candidate_offsets(half_extent, planes_per_axis):
-    """Uniformly spaced plane offsets in the open interval (-h, +h)."""
-    k = np.arange(1, planes_per_axis + 1, dtype=float)
-    return -half_extent + k * (2.0 * half_extent) / (planes_per_axis + 1)
+def candidate_offsets(half_extent):
+    """SCREEN_PLANES uniformly spaced plane offsets in the open interval (-h, +h)."""
+    k = np.arange(1, SCREEN_PLANES + 1, dtype=float)
+    return -half_extent + k * (2.0 * half_extent) / (SCREEN_PLANES + 1)
 
 
 def _screen_directions():
@@ -462,6 +456,9 @@ def _screen_directions():
 # Barequet & Har-Peled (J. Algorithms 2001) and Agarwal, Har-Peled &
 # Varadarajan (J. ACM 2004).
 SCREEN_DIRECTIONS = _screen_directions()
+
+# Candidate planes per box axis, evenly spaced inside the box.
+SCREEN_PLANES = 16
 
 # Best-screened planes that are refit on all of their points.  The screen
 # ranks only approximately: on 126 test clouds at the default parameters
@@ -580,7 +577,7 @@ def _side_summaries(slabs):
             hi, -neg_lo, np.concatenate((top, bot), axis=2))
 
 
-def _screen(pts, box, params):
+def _screen(pts, box):
     """Screened summed volume of each candidate plane, as [(volume, axis,
     offset)] in (axis, offset) order.  Planes that leave an empty or
     coincident side, or repeat the partition of a smaller offset, are left
@@ -592,7 +589,7 @@ def _screen(pts, box, params):
     norms = np.linalg.norm(SCREEN_DIRECTIONS, axis=1)
     planes, sides = [], []
     for axis in range(3):
-        offsets = candidate_offsets(box.half_extents[axis], params.planes_per_axis)
+        offsets = candidate_offsets(box.half_extents[axis])
         slabs = _slab_summaries(X, frame, axis, offsets)
         count, moments, hi, lo, coreset = _side_summaries(slabs)
         # drop a plane with an empty or coincident side, or with the partition
@@ -617,7 +614,7 @@ def _best_split_eval(node, cloud, params):
     idx_a, idx_b, box_a, box_b), or None if it fails the acceptance test
     (volume ratio + per-child point minimum)."""
     pts = cloud.points.take(node.point_indices, axis=0)
-    scored = _screen(pts, node.box, params)
+    scored = _screen(pts, node.box)
     # refit in (axis, offset) order, so the strict < below keeps the first
     # of tied full-point volumes
     finalists = sorted(sorted(scored, key=lambda c: c[0])[:SCREEN_FINALISTS],

@@ -22,7 +22,6 @@ sampling.
 import logging
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
 
 import numpy as np
 
@@ -45,21 +44,17 @@ _CHUNK_ROWS = 8192
 # exceed it.
 _QUALITY_BYTES = 1 << 20
 
+# Edges of each contact's linearized friction cone, and the number of
+# lattice directions the quality is estimated over (see `epsilon_quality`).
+CONE_EDGES = 8
+QUALITY_DIRS = 1024
+
 
 @dataclass
 class GraspCandidate:
     pool_index: int
     contacts: np.ndarray    # (k, 2, 3): position, unit normal toward the interior
     quality: float          # 0 whenever fewer than 2 contacts
-
-
-@dataclass
-class EvalParams:
-    cone_edges: int = 8
-    quality_dirs: int = 1024
-    tube_radius: float = 0.005
-    BOUNDS: ClassVar[dict] = {"cone_edges": ">= 3", "quality_dirs": "in (0, 14896]",
-                              "tube_radius": "> 0"}
 
 
 # ===========================================================================
@@ -387,27 +382,27 @@ def _contacts(index, hits, directions):
                     axis=1)
 
 
-def estimate_contacts(pg, cloud, gripper, tube_r=EvalParams.tube_radius, index=None, found=None):
+def estimate_contacts(pg, cloud, gripper, index=None, found=None):
     """Contacts of the one-row pool `pg`, as a (k, 2, 3) array of (position,
     normal) rows: the first cloud point along each closing ray within
-    perpendicular distance tube_r.  Normals point from the contact toward
-    the cloud centroid (the object interior).  Rays that touch nothing
-    contribute no contact; a ray equal to the previous one repeats its
-    contact without a second search.
+    perpendicular distance `gripper.tube_radius`.  Normals point from the
+    contact toward the cloud centroid (the object interior).  Rays that touch
+    nothing contribute no contact; a ray equal to the previous one repeats
+    its contact without a second search.
 
-    `index` is a `ContactIndex` of `cloud` for `tube_r` (rank_pool builds one
-    per cloud); one is built here when it is None.  `found` is the
+    `index` is a `ContactIndex` of `cloud` for that radius (rank_pool builds
+    one per cloud); one is built here when it is None.  `found` is the
     pre-grasp's contacts, one row per ray that touched, from the search
     `rank_pool` makes for a slice of the pool; given them, the rays are
     neither built nor searched here.
 
     Raises:
         NoContacts: no finger ray touched the cloud.
-        ValueError: `index` was built for other points or another tube_r.
+        ValueError: `index` was built for other points or another tube radius.
     """
     if index is None:
-        index = ContactIndex(cloud, tube_r)
-    elif index.points is not cloud.points or index.tube_r != tube_r:
+        index = ContactIndex(cloud, gripper.tube_radius)
+    elif index.points is not cloud.points or index.tube_r != gripper.tube_radius:
         raise ValueError("contact index built for another cloud or tube radius")
     if found is None:
         rays = finger_rays(pg, gripper)
@@ -488,7 +483,7 @@ def _supports(stack, dirs, floor):
     return least, low
 
 
-def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
+def epsilon_quality(wrenches, n_dirs=QUALITY_DIRS):
     """Largest-ball grasp quality of a (k, 6) wrench array (rows as
     `wrench_set` builds them), from support-function sampling; of a (g, k, 6)
     stack of such arrays, the (g,) qualities.
@@ -527,7 +522,7 @@ def epsilon_quality(wrenches, n_dirs=EvalParams.quality_dirs):
     return float(quality[0]) if wrenches.ndim == 2 else quality
 
 
-def _rank_slice(part, first, cloud, index, gripper, params):
+def _rank_slice(part, first, cloud, index, gripper):
     """Graded candidates of the pre-grasps `part`, pool[first:...]: one
     search of all their rays, one wrench broadcast and one quality call per
     contact count."""
@@ -544,21 +539,20 @@ def _rank_slice(part, first, cloud, index, gripper, params):
         which = np.flatnonzero(counts == k)
         batch = contacts[starts[which][:, None] + np.arange(k)]
         wrenches = wrench_set(batch[:, :, 0], batch[:, :, 1], gripper.friction_mu,
-                              params.cone_edges, index.centroid)
-        quality[which] = epsilon_quality(wrenches, params.quality_dirs)
+                              CONE_EDGES, index.centroid)
+        quality[which] = epsilon_quality(wrenches, QUALITY_DIRS)
     graded = []
     for i, (s, k, q) in enumerate(zip(starts.tolist(), counts.tolist(), quality.tolist())):
         found = contacts[s:s + k]
         try:
-            found = estimate_contacts(part[i:i + 1], cloud, gripper, params.tube_radius,
-                                      index=index, found=found)
+            found = estimate_contacts(part[i:i + 1], cloud, gripper, index=index, found=found)
         except NoContacts:
             pass
         graded.append(GraspCandidate(first + i, found, q))
     return graded
 
 
-def rank_pool(pool, cloud, gripper, params=None):
+def rank_pool(pool, cloud, gripper):
     """Evaluate and sort a pre-grasp pool (a `sampler.POOL_DTYPE` array).
 
     Candidates with fewer than 2 contacts score 0.  Sort is stable by
@@ -567,15 +561,14 @@ def rank_pool(pool, cloud, gripper, params=None):
     slices of `_POOL_SLICE` pre-grasps.
 
     Raises:
-        ConfigError (a ValueError): a field of `params` is out of its bound.
+        ConfigError (a ValueError): a field of `gripper` is out of its bound.
     """
-    params = params or EvalParams()
-    check_params(params, "EvalParams.{}".format)
-    index = ContactIndex(cloud, params.tube_radius)
+    check_params(gripper, "GripperConfig.{}".format)
+    index = ContactIndex(cloud, gripper.tube_radius)
     candidates = []
     for first in range(0, len(pool), _POOL_SLICE):
         candidates += _rank_slice(pool[first:first + _POOL_SLICE], first, cloud, index,
-                                  gripper, params)
+                                  gripper)
     candidates.sort(key=lambda c: (-c.quality, -len(c.contacts), c.pool_index))
     if candidates:
         top = candidates[0]

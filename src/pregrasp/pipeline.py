@@ -15,7 +15,7 @@ from .classifier import GRASP_PRESHAPE, ClassifierThresholds, GraspType, classif
 from .decomposition import DecompParams, decompose
 from .errors import check_params
 from .facemask import MASK_COLUMNS, FaceId, compute_face_states, subfaces
-from .graspeval import EvalParams, rank_pool
+from .graspeval import rank_pool
 from .sampler import GripperConfig, SamplingParams, generate_pool
 
 logger = logging.getLogger(__name__)
@@ -32,7 +32,6 @@ class RunConfig:
     thresholds: ClassifierThresholds = field(default_factory=ClassifierThresholds)
     gripper: GripperConfig = field(default_factory=GripperConfig)
     sampling: SamplingParams = field(default_factory=SamplingParams)
-    evaluation: EvalParams = field(default_factory=EvalParams)
 
 
 # ---------------------------------------------------------------------------
@@ -40,15 +39,9 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 
 def _tree_section(tree):
-    nodes = []
-    for n in tree.nodes:
-        nodes.append({
-            "id": n.id,
-            "parent": n.parent,
-            "children": list(n.children),
-            "point_count": int(len(n.point_indices)),
-            "box": n.box.as_dict(),
-        })
+    nodes = [{"id": n.id, "parent": n.parent, "children": list(n.children),
+              "point_count": int(len(n.point_indices)), "box": n.box.as_dict()}
+             for n in tree.nodes]
     return {"nodes": nodes, "leaf_ids": tree.leaf_ids()}
 
 def _classify_all(cloud, tree, thresholds):
@@ -149,7 +142,7 @@ def run_pipeline(cloud, cfg, upto="rank"):
         doc["pool"] = _pool_section(pool)
     if last >= 4:
         t0 = time.perf_counter()
-        ranking = rank_pool(pool, cloud, cfg.gripper, cfg.evaluation)
+        ranking = rank_pool(pool, cloud, cfg.gripper)
         timings["rank"] = (time.perf_counter() - t0) * 1e3
         doc["ranking"] = _ranking_section(ranking)
         doc["best_index"] = ranking[0].pool_index if ranking else None

@@ -35,8 +35,9 @@ class GripperConfig:
     max_aperture: float = 0.10
     standoff: float = 0.02
     friction_mu: float = 0.5
+    tube_radius: float = 0.005   # meters: a finger ray's contacts lie within it
     BOUNDS: ClassVar[dict] = {"finger_length": "> 0", "max_aperture": "> 0",
-                              "standoff": ">= 0", "friction_mu": ">= 0"}
+                              "standoff": ">= 0", "friction_mu": ">= 0", "tube_radius": "> 0"}
 
 
 @dataclass

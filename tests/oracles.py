@@ -257,7 +257,7 @@ def mvbb_grid_volume(points, step_deg=2.0, chunk=8192):
 # Full-point split search
 # ---------------------------------------------------------------------------
 
-def exhaustive_split(points, box, planes_per_axis=16):
+def exhaustive_split(points, box):
     """Minimum summed-volume split over every candidate plane, each side fit
     on all of its points, as (volume_sum, axis, offset, idx_a, idx_b, box_a,
     box_b); None when no plane leaves two fit-able sides.
@@ -269,7 +269,7 @@ def exhaustive_split(points, box, planes_per_axis=16):
 
     best = None
     for axis in range(3):
-        for offset in candidate_offsets(box.half_extents[axis], planes_per_axis):
+        for offset in candidate_offsets(box.half_extents[axis]):
             try:
                 idx_a, idx_b, box_a, box_b = evaluate_split(points, box, axis, float(offset))
             except (EmptySide, DegenerateInput):
@@ -438,7 +438,7 @@ def reference_fit_obb(points):
     return mean + R @ ((lo + hi) / 2.0), R, np.maximum((hi - lo) / 2.0, EXTENT_FLOOR)
 
 
-def reference_screen(pts, box, params):
+def reference_screen(pts, box):
     """The split screen's [(volume, axis, offset)], one side at a time: each
     side's covariance from its moments, its own eigh and tied-pair search,
     then its own rotation sweep on its (98, 3) coreset, as the package's
@@ -460,7 +460,7 @@ def reference_screen(pts, box, params):
     frame = np.array([(pts - box.center) @ box.axis(axis) for axis in range(3)])
     scored = []
     for axis in range(3):
-        offsets = d.candidate_offsets(box.half_extents[axis], params.planes_per_axis)
+        offsets = d.candidate_offsets(box.half_extents[axis])
         slabs = reference_slab_summaries(X, frame, axis, offsets)
         for k, offset in enumerate(offsets, start=1):
             below = slabs.bounds[k]
@@ -956,11 +956,11 @@ def reference_finger_rays(pg, gripper):
     return rays
 
 
-def reference_contacts(pg, cloud, gripper, tube_r=0.005):
+def reference_contacts(pg, cloud, gripper):
     """Contacts of one pre-grasp (a pool row) from a scan of every cloud
     point for every finger ray, as a (k, 2, 3) array of (position, normal)
-    rows: the first point along each ray within tube_r, normals toward the
-    cloud centroid.
+    rows: the first point along each ray within `gripper.tube_radius`,
+    normals toward the cloud centroid.
 
     Raises:
         NoContacts: no finger ray touched the cloud.
@@ -971,7 +971,7 @@ def reference_contacts(pg, cloud, gripper, tube_r=0.005):
     centroid = cloud.centroid
     contacts = []
     for origin, direction in reference_finger_rays(pg, gripper):
-        i = reference_first_hit(pts, origin, direction, tube_r)
+        i = reference_first_hit(pts, origin, direction, gripper.tube_radius)
         if i is None:
             continue
         p = pts[i]
@@ -991,24 +991,24 @@ def reference_epsilon_quality(wrenches, n_dirs):
     return 0.0 if (h <= 0.0).any() else float(h.min())
 
 
-def reference_rank_pool(pool, cloud, gripper, params):
+def reference_rank_pool(pool, cloud, gripper):
     """Candidates graded one at a time and sorted as `rank_pool` sorts them:
     `reference_contacts` per pre-grasp, then, for 2+ contacts,
-    `reference_wrench_set` and the package's `epsilon_quality`."""
+    `reference_wrench_set` and the package's `epsilon_quality`, at the
+    package's cone edge and direction counts."""
     from pregrasp.errors import NoContacts
-    from pregrasp.graspeval import GraspCandidate, epsilon_quality
+    from pregrasp.graspeval import CONE_EDGES, QUALITY_DIRS, GraspCandidate, epsilon_quality
 
     candidates = []
     for idx, pg in enumerate(pool):
         try:
-            contacts = reference_contacts(pg, cloud, gripper, params.tube_radius)
+            contacts = reference_contacts(pg, cloud, gripper)
         except NoContacts:
             contacts = np.empty((0, 2, 3))
         quality = 0.0
         if len(contacts) >= 2:
-            ws = reference_wrench_set(contacts, gripper.friction_mu, params.cone_edges,
-                                      cloud.centroid)
-            quality = epsilon_quality(ws, params.quality_dirs)
+            ws = reference_wrench_set(contacts, gripper.friction_mu, CONE_EDGES, cloud.centroid)
+            quality = epsilon_quality(ws, QUALITY_DIRS)
         candidates.append(GraspCandidate(idx, contacts, quality))
     candidates.sort(key=lambda c: (-c.quality, -len(c.contacts), c.pool_index))
     return candidates

@@ -44,17 +44,17 @@ def plan_tree(path):
 def build(path):
     """{stage: sha256 of its bytes} for the pool, finger rays, contacts and
     wrench rows built from the pickled tree."""
-    from pregrasp.graspeval import ContactIndex, _contacts, finger_rays, wrench_set
+    from pregrasp.graspeval import CONE_EDGES, ContactIndex, _contacts, finger_rays, wrench_set
     from pregrasp.sampler import generate_pool
 
     cloud, cfg, tree, classes, masks = pickle.loads(Path(path).read_bytes())
     pool = generate_pool(tree, classes, masks, cfg.gripper, cfg.sampling)
     rays = finger_rays(pool, cfg.gripper)
-    index = ContactIndex(cloud, cfg.evaluation.tube_radius)
+    index = ContactIndex(cloud, cfg.gripper.tube_radius)
     hits = index.first_hits(rays[:, 0], rays[:, 1])
     contacts = _contacts(index, hits[hits >= 0], rays[hits >= 0, 1])
     wrenches = wrench_set(contacts[:, None, 0], contacts[:, None, 1], cfg.gripper.friction_mu,
-                          cfg.evaluation.cone_edges, cloud.centroid)
+                          CONE_EDGES, cloud.centroid)
     stages = {"pool": pool, "rays": rays, "contacts": contacts, "wrenches": wrenches}
     return {name: [a.shape, hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()]
             for name, a in stages.items()}

@@ -21,7 +21,6 @@ from pregrasp import pipeline
 from pregrasp.cli import build_parser, main, validate_pipeline_args
 from pregrasp.decomposition import DecompParams
 from pregrasp.errors import ConfigError, check_params
-from pregrasp.graspeval import EvalParams, _lattice_directions
 from pregrasp.pipeline import RunConfig, run_pipeline
 from pregrasp.pointcloud import load_cloud, synth_shape
 
@@ -38,8 +37,7 @@ def sphere_xyz(tmp_path):
 
 
 def run_stage(stage, cloud_path, out_path, *extra):
-    argv = [stage, "--input", str(cloud_path), "--out", str(out_path),
-            "--quality-dirs", "256", *extra]
+    argv = [stage, "--input", str(cloud_path), "--out", str(out_path), *extra]
     return main(argv)
 
 
@@ -89,6 +87,12 @@ def test_synth_rejects_bad_flags(tmp_path, capsys):
     assert main(["synth", "sphere", "--seed", "-1",
                  "--out", str(tmp_path / "x.xyz")]) == 2
     assert "--seed" in capsys.readouterr().err
+    # the default ends (0.08 + 0.03) leave no room for a neck
+    assert main(["synth", "dumbbell", "--length", "0.1",
+                 "--out", str(tmp_path / "x.xyz")]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: --length: must be > end_a + end_b = 0.11, got 0.1"]
+    assert not (tmp_path / "x.xyz").exists()
 
 
 @pytest.mark.parametrize("value", ["inf", "nan"])
@@ -137,7 +141,9 @@ def test_rank_document_contents(sphere_xyz, tmp_path):
     assert run_stage("rank", sphere_xyz, out) == 0
     doc = json.loads(out.read_text())
     assert doc["cloud"]["point_count"] == 1200
-    assert doc["config"]["evaluation"]["quality_dirs"] == 256
+    assert {name for name, value in doc["config"].items() if isinstance(value, dict)} == {
+        "decomposition", "thresholds", "gripper", "sampling"}
+    assert doc["config"]["gripper"]["tube_radius"] == 0.005
     assert len(doc["tree"]["nodes"]) >= 1
     assert doc["pool"], "sphere should yield samples"
     ranking = doc["ranking"]
@@ -166,13 +172,12 @@ def test_rank_byte_deterministic(sphere_xyz, tmp_path):
 # flag, value).  Before the library checked its parameters, run_pipeline on a
 # 3k dumbbell raised OverflowError for standoff=inf, ZeroDivisionError for
 # axial_step=0 and ValueError (NaN to integer) for angular_step=nan, and it
-# planned with volume_ratio=nan (11 nodes instead of 5), planes_per_axis=0
-# (1 node) and max_aperture=-1 (an empty pool).
+# planned with volume_ratio=nan (11 nodes instead of 5) and max_aperture=-1
+# (an empty pool).
 BAD_PARAMS = [
     ("decomposition", "volume_ratio", "--volume-ratio", "nan"),
     ("decomposition", "volume_ratio", "--volume-ratio", "1.5"),
     ("decomposition", "min_points", "--min-points", "3"),
-    ("decomposition", "planes_per_axis", "--planes-per-axis", "0"),
     ("thresholds", "tau_long", "--tau-long", "1.0"),
     ("thresholds", "tau_flat", "--tau-flat", "0.5"),
     ("thresholds", "s_small", "--s-small", "0.0"),
@@ -180,13 +185,10 @@ BAD_PARAMS = [
     ("gripper", "max_aperture", "--aperture", "-1.0"),
     ("gripper", "standoff", "--standoff", "inf"),
     ("gripper", "friction_mu", "--mu", "-0.1"),
+    ("gripper", "tube_radius", "--tube-radius", "0"),
     ("sampling", "angular_step", "--angular-step", "nan"),
     ("sampling", "angular_step", "--angular-step", "200"),
     ("sampling", "axial_step", "--axial-step", "0.0"),
-    ("evaluation", "cone_edges", "--cone-edges", "2"),
-    ("evaluation", "quality_dirs", "--quality-dirs", "0"),
-    ("evaluation", "quality_dirs", "--quality-dirs", "14897"),
-    ("evaluation", "tube_radius", "--tube-radius", "0"),
 ]
 
 
@@ -205,13 +207,24 @@ def test_every_run_parameter_is_bounded():
             assert {f.name for f in fields(section.type)} == set(section.type.BOUNDS), section.name
 
 
-def test_quality_dirs_bound_is_the_lattice():
-    assert EvalParams.BOUNDS["quality_dirs"] == f"in (0, {len(_lattice_directions())}]"
+# The plane count of the split screen, the friction cone's edge count and the
+# quality's direction count are module constants, not run parameters.
+@pytest.mark.parametrize("flag,value", [
+    ("--planes-per-axis", "16"), ("--cone-edges", "8"), ("--quality-dirs", "1024")])
+def test_retired_flags_exit_2(flag, value, sphere_xyz, tmp_path, capsys):
+    out = tmp_path / "x.json"
+    with pytest.raises(SystemExit) as stop:
+        run_stage("rank", sphere_xyz, out, flag, value)
+    assert stop.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
 
 
+# min_points is the one integer run parameter: a fraction, an integral float
+# and a fraction below its bound all fail the kind check first.
 @pytest.mark.parametrize("section,name,value", [
-    ("evaluation", "quality_dirs", 1.5), ("evaluation", "cone_edges", 3.5),
-    ("decomposition", "planes_per_axis", 2.5), ("decomposition", "min_points", 400.5)])
+    ("decomposition", "min_points", 400.5), ("decomposition", "min_points", 500.0),
+    ("decomposition", "min_points", 2.5)])
 def test_run_pipeline_rejects_non_integer_counts(section, name, value):
     cfg = RunConfig()
     setattr(getattr(cfg, section), name, value)
@@ -222,19 +235,19 @@ def test_run_pipeline_rejects_non_integer_counts(section, name, value):
 
 
 def test_numpy_integers_pass_the_integer_check():
-    check_params(DecompParams(min_points=np.int64(500), planes_per_axis=np.int32(16)), str)
+    check_params(DecompParams(min_points=np.int64(500)), str)
+    check_params(DecompParams(min_points=np.int32(16)), str)
     check_params(DecompParams(volume_ratio=np.float32(0.5)), str)
     check_params(DecompParams(volume_ratio=1), str)
 
 
 # Values of the wrong kind: (section, field, flag, value, flag text).  Before
 # check_params tested the kind, volume_ratio="0.5" and standoff=None raised
-# TypeError from the bound comparison, and planes_per_axis=True planned the
-# tree of one plane per axis.
+# TypeError from the bound comparison, and a bool passed the integer check.
 WRONG_KIND = [
     ("decomposition", "volume_ratio", "--volume-ratio", "0.5", "half"),
     ("gripper", "standoff", "--standoff", None, "None"),
-    ("decomposition", "planes_per_axis", "--planes-per-axis", True, "True"),
+    ("decomposition", "min_points", "--min-points", True, "True"),
     ("gripper", "friction_mu", "--mu", True, "True"),
 ]
 
@@ -246,7 +259,7 @@ def test_wrong_kind_values_are_config_errors(section, name, flag, value, text, s
     """A non-number in a float field and a bool in an int or float field are
     ConfigErrors through check_params, run_pipeline and the CLI's check, and
     the CLI's parser rejects their text with exit 2."""
-    kind = "an integer" if name == "planes_per_axis" else "a number"
+    kind = "an integer" if name == "min_points" else "a number"
     cfg = RunConfig()
     setattr(getattr(cfg, section), name, value)
     with pytest.raises(ConfigError, match=f"must be {kind}, got {value!r}") as exc:
@@ -304,16 +317,15 @@ def test_pipeline_flag_validation(section, name, flag, value, sphere_xyz, tmp_pa
 
 
 def test_bounds_admit_their_closed_edges():
-    edges = {"--volume-ratio": 1.0, "--min-points": 4, "--planes-per-axis": 1,
-             "--standoff": 0.0, "--mu": 0.0, "--angular-step": 180.0,
-             "--cone-edges": 3, "--quality-dirs": 1}
+    edges = {"--volume-ratio": 1.0, "--min-points": 4, "--standoff": 0.0, "--mu": 0.0,
+             "--angular-step": 180.0}
     argv = ["rank", "--input", "x.xyz"]
     for flag, value in edges.items():
         argv += [flag, str(value)]
     cfg = validate_pipeline_args(build_parser().parse_args(argv))
     assert (cfg.decomposition.volume_ratio, cfg.decomposition.min_points,
-            cfg.gripper.friction_mu, cfg.sampling.angular_step,
-            cfg.evaluation.quality_dirs) == (1.0, 4, 0.0, 180.0, 1)
+            cfg.gripper.standoff, cfg.gripper.friction_mu,
+            cfg.sampling.angular_step) == (1.0, 4, 0.0, 0.0, 180.0)
 
 
 def test_readme_defaults_match_parser():
@@ -401,6 +413,10 @@ def test_export_viz_rejects_bad_top_k(sphere_xyz, tmp_path, capsys):
     (b'{"tree": {"nodes": [\n', 2, "invalid JSON: Expecting value"),
     (b"\n[1, 2]\n", 2, "a run document is a JSON object, not list"),
     (b"\xff\xfe{}", 1, "invalid JSON: Expecting value"),
+    (b'{"pool": [{"position": [0, 0,\n NaN], "approach": [1, 0, 0], "closing_dir": [0, 1, 0]}]}',
+     2, "invalid JSON: NaN is not a JSON value"),
+    (b'{"note": "-Infinity \\" NaN",\n\n "lambdas": [-Infinity]}', 3,
+     "invalid JSON: -Infinity is not a JSON value"),
 ])
 def test_export_viz_rejects_a_bad_document(tmp_path, capsys, data, line, reason):
     doc_path, obj = tmp_path / "bad.json", tmp_path / "scene.obj"

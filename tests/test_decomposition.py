@@ -17,6 +17,7 @@ from pregrasp.decomposition import (
     EXTENT_FLOOR,
     SCREEN_DIRECTIONS,
     SCREEN_FINALISTS,
+    SCREEN_PLANES,
     DecompNode,
     DecompTree,
     OrientedBox,
@@ -289,7 +290,7 @@ def test_fit_obb_coincident_points_rejected():
 # ---------------------------------------------------------------------------
 
 def test_candidate_offsets_open_interval_formula():
-    offs = candidate_offsets(1.0, 16)
+    offs = candidate_offsets(1.0)
     expected = -1.0 + np.arange(1, 17) * 2.0 / 17.0
     np.testing.assert_allclose(offs, expected)
     assert offs.min() > -1.0 and offs.max() < 1.0
@@ -330,8 +331,7 @@ def test_evaluate_split_coincident_side_raises():
 def _reference_split(node, cloud, params):
     """The accepted split of the exhaustive full-point search, as (axis,
     offset, idx_a, idx_b, box_a, box_b), or None."""
-    ev = oracles.exhaustive_split(cloud.points[node.point_indices], node.box,
-                                  params.planes_per_axis)
+    ev = oracles.exhaustive_split(cloud.points[node.point_indices], node.box)
     if ev is None or ev[0] > params.volume_ratio * node.box.volume:
         return None
     if min(len(ev[3]), len(ev[4])) <= params.min_points / 2.0:
@@ -416,12 +416,12 @@ def test_best_split_tie_takes_smallest_offset():
     # every plane between the two clusters produces the identical partition,
     # so the volume sums tie bit-for-bit and the first offset must win
     cloud = _two_cluster_cloud()
-    params = DecompParams(min_points=8, planes_per_axis=16)
+    params = DecompParams(min_points=8)
     tree = decompose(cloud, params)
     root = tree.node(0)
     axis, offset = helpers.best_split(root, cloud, params)
     assert axis == 0
-    gap_offsets = [o for o in candidate_offsets(root.box.half_extents[0], 16)
+    gap_offsets = [o for o in candidate_offsets(root.box.half_extents[0])
                    if -0.06 + root.box.center[0] < o < 0.06 + root.box.center[0]]
     assert offset == pytest.approx(gap_offsets[0])
 
@@ -633,9 +633,9 @@ def test_screen_matches_per_side_reference_bytes(case, request, monkeypatch):
     real = decomposition._screen
     calls = []
 
-    def checked(pts, box, p):
-        got = real(pts, box, p)
-        assert _float_bytes(got) == _float_bytes(oracles.reference_screen(pts, box, p))
+    def checked(pts, box):
+        got = real(pts, box)
+        assert _float_bytes(got) == _float_bytes(oracles.reference_screen(pts, box))
         calls.append(len(got))
         return got
 
@@ -664,7 +664,8 @@ def test_stacked_fit_matches_stacks_of_one(monkeypatch):
     """_pca_axes and _sweep give each point set of a stack the bytes of its
     own stack-of-one call, tied and rank-deficient sets included: with the
     whole stack in one block, and with a block budget that splits the tied
-    search into blocks of 4 sets and the sweep into blocks of 13."""
+    search into blocks of 4 sets and the sweep's products into runs of 81
+    points (its update then takes its own 2-row product)."""
     X = _stacked_point_sets()
     cov = np.stack([x.T @ x / len(x) for x in X])
     lam = np.linalg.eigvalsh(cov)[:, ::-1]
@@ -685,13 +686,24 @@ def test_stacked_fit_matches_stacks_of_one(monkeypatch):
             assert vols[g].tobytes() == one_vol[0].tobytes(), (budget, g)
 
 
+def test_screen_stack_fits_one_sweep_block():
+    """The screen's largest stack, both sides of SCREEN_PLANES planes on
+    each of 3 axes, coresets of 2 rows per screening vector, fits one
+    `_BLOCK_BYTES` block of the sweep's grid products, so `_sweep` never
+    needs to split a stack into blocks of sets."""
+    rows = len(decomposition._SWEEP_STEPS[0][0])
+    assert rows == 18
+    sets, points = 6 * SCREEN_PLANES, 2 * len(SCREEN_DIRECTIONS)
+    assert 8 * rows * sets * points <= decomposition._BLOCK_BYTES
+
+
 @pytest.mark.parametrize("kind", ["sphere", "cylinder", "dumbbell"])
 def test_screen_memory_is_bounded(kind):
     """The stacked screen of a 10k-point root node peaks below 5 MB: the
     tied-pair search runs a block of sides at a time."""
     cloud = synth_shape(kind, tuple(SYNTH_KINDS[kind].values()), 10000, seed=1)
     box = fit_obb(cloud.points)
-    peak = _traced_peak(lambda: decomposition._screen(cloud.points, box, DecompParams()))
+    peak = _traced_peak(lambda: decomposition._screen(cloud.points, box))
     assert peak < 5e6, f"{kind}: _screen peaked {peak / 1e6:.2f} MB above its start"
 
 

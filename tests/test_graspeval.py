@@ -1,5 +1,6 @@
 """Tests for contact estimation, wrench construction and epsilon ranking."""
 
+import dataclasses
 import functools
 import json
 import tracemalloc
@@ -18,9 +19,8 @@ from pregrasp.decomposition import DecompNode, OrientedBox, decompose
 from pregrasp.errors import ConfigError, EmptyWrenchSet, NoContacts
 from pregrasp.facemask import compute_face_states
 from pregrasp.geom import dot3, perpendicular_frames
-from pregrasp.graspeval import (ContactIndex, EvalParams, epsilon_quality,
-                                estimate_contacts, finger_rays, rank_pool,
-                                wrench_set)
+from pregrasp.graspeval import (ContactIndex, epsilon_quality, estimate_contacts, finger_rays,
+                                rank_pool, wrench_set)
 from pregrasp.pipeline import RunConfig, _ranking_section
 from pregrasp.pointcloud import SYNTH_KINDS, PointCloud, synth_shape
 from pregrasp.sampler import (POOL_DTYPE, GripperConfig, SamplingParams,
@@ -160,7 +160,7 @@ def test_pinch_contacts_match_ray_oracle(small_sphere_cloud, gripper):
     brute-force ray-tube reference."""
     pg = make_pregrasp((0.08, 0, 0), (-1, 0, 0), (0, 0, 1),
                        GraspType.TWO_FINGERTIP)
-    contacts = estimate_contacts(pg, small_sphere_cloud, gripper, tube_r=0.005)
+    contacts = estimate_contacts(pg, small_sphere_cloud, gripper)
     assert len(contacts) == 2
     for (origin, direction), (position, _) in zip(finger_rays(pg, gripper), contacts):
         idx = oracles.first_contact_reference(
@@ -191,7 +191,7 @@ def test_misses_contribute_no_contact(gripper):
     cloud = synth_shape("box", (0.01, 0.01, 0.01), 10, seed=0)
     cloud.points = blob  # reuse the container, replace the geometry
     pg = make_pregrasp((0, 0, 0), (1, 0, 0), (0, 0, 1), GraspType.SPHERICAL)
-    contacts = estimate_contacts(pg, cloud, gripper, tube_r=0.005)
+    contacts = estimate_contacts(pg, cloud, gripper)
     assert len(contacts) == 1
 
 
@@ -204,25 +204,27 @@ def planned_pool(cloud, gripper, tree=None):
                          gripper, SamplingParams())
 
 
-def assert_contacts_match_reference(pool, cloud, gripper, tube_r=0.005):
+def assert_contacts_match_reference(pool, cloud, gripper):
     """Contacts equal the full scan's, bytes and all, both from
     `estimate_contacts` with one shared index and from the batched search
-    `rank_pool` makes for each slice of the pool.  Returns how many
-    candidates touched the cloud and how many missed."""
-    index = ContactIndex(cloud, tube_r)
-    ranked = rank_pool(pool, cloud, gripper, EvalParams(quality_dirs=1, tube_radius=tube_r))
+    `rank_pool` makes for each slice of the pool (graded on one quality
+    direction, for speed).  Returns how many candidates touched the cloud
+    and how many missed."""
+    index = ContactIndex(cloud, gripper.tube_radius)
+    with mock.patch.object(graspeval, "QUALITY_DIRS", 1):
+        ranked = rank_pool(pool, cloud, gripper)
     batched = {c.pool_index: c.contacts for c in ranked}
     touched = missed = 0
     for i, pg in enumerate(pool):
         try:
-            ref = oracles.reference_contacts(pg, cloud, gripper, tube_r)
+            ref = oracles.reference_contacts(pg, cloud, gripper)
         except NoContacts:
             with pytest.raises(NoContacts):
-                estimate_contacts(pool[i:i + 1], cloud, gripper, tube_r, index=index)
+                estimate_contacts(pool[i:i + 1], cloud, gripper, index=index)
             assert batched[i].shape == (0, 2, 3)
             missed += 1
             continue
-        for got in (estimate_contacts(pool[i:i + 1], cloud, gripper, tube_r, index=index),
+        for got in (estimate_contacts(pool[i:i + 1], cloud, gripper, index=index),
                     batched[i]):
             assert len(got) == len(ref)
             for g, r in zip(got, ref):
@@ -260,8 +262,9 @@ def test_contacts_match_reference_on_10k_shapes(kind, dims):
 
 def exact_gripper():
     """Finger length and half aperture 1/16 m, so that the finger rays of an
-    axis-aligned pre-grasp at the origin have dyadic origins."""
-    return GripperConfig(finger_length=0.0625, max_aperture=0.125)
+    axis-aligned pre-grasp at the origin have dyadic origins; tube radius
+    1/128 m."""
+    return GripperConfig(finger_length=0.0625, max_aperture=0.125, tube_radius=2.0 ** -7)
 
 
 def axis_pregrasp():
@@ -299,7 +302,8 @@ def test_contacts_match_reference_on_edge_rays(sphere_cloud, sphere_tree, grippe
     touched, _ = assert_contacts_match_reference(inner, sphere_cloud, inside)
     assert touched == 2
     # a tube wider than the cloud
-    touched, _ = assert_contacts_match_reference(pool, sphere_cloud, gripper, tube_r=0.5)
+    wide = dataclasses.replace(gripper, tube_radius=0.5)
+    touched, _ = assert_contacts_match_reference(pool, sphere_cloud, wide)
     assert touched == len(pool)
 
 
@@ -365,9 +369,9 @@ def test_contact_ties_go_to_the_lowest_index():
     order = list(index.order)
     assert order.index(1) < order.index(0)
     pg = axis_pregrasp()
-    contacts = estimate_contacts(pg, cloud, gripper, 2.0 ** -7, index=index)
+    contacts = estimate_contacts(pg, cloud, gripper, index=index)
     assert [c[0].tobytes() for c in contacts] == [cloud.points[0].tobytes()] * 3
-    assert_contacts_match_reference(pg, cloud, gripper, 2.0 ** -7)
+    assert_contacts_match_reference(pg, cloud, gripper)
 
 
 @pytest.mark.bitexact
@@ -379,9 +383,9 @@ def test_contact_on_the_tube_boundary_counts():
     cloud = boundary_cloud()
     rel = cloud.points[0] - finger_rays(axis_pregrasp(), gripper)[0][0]
     assert rel @ rel - rel[2] ** 2 == r * r
-    contacts = estimate_contacts(axis_pregrasp(), cloud, gripper, r)
+    contacts = estimate_contacts(axis_pregrasp(), cloud, gripper)
     assert contacts[0, 0].tobytes() == cloud.points[0].tobytes()
-    assert_contacts_match_reference(axis_pregrasp(), cloud, gripper, r)
+    assert_contacts_match_reference(axis_pregrasp(), cloud, gripper)
 
 
 def lone_candidate_case():
@@ -575,11 +579,11 @@ def test_contact_at_the_centroid_takes_the_normal_against_the_ray():
     gripper, q = exact_gripper(), 1.0 / 16
     cloud = PointCloud(np.array([[q, 0.0, -0.25], [q, 0.0, 0.0], [q, 0.0, 0.25]]))
     assert cloud.centroid.tolist() == [q, 0.0, 0.0]
-    contacts = estimate_contacts(axis_pregrasp(), cloud, gripper, 2.0 ** -7)
+    contacts = estimate_contacts(axis_pregrasp(), cloud, gripper)
     assert contacts[:, 1].tolist() == [[0.0, 0.0, 1.0]] + [[0.0, 0.0, -1.0]] * 2
-    assert_contacts_match_reference(axis_pregrasp(), cloud, gripper, 2.0 ** -7)
+    assert_contacts_match_reference(axis_pregrasp(), cloud, gripper)
     single = PointCloud(cloud.points[1:2])
-    touched, _ = assert_contacts_match_reference(axis_pregrasp(), single, gripper, 2.0 ** -7)
+    touched, _ = assert_contacts_match_reference(axis_pregrasp(), single, gripper)
     assert touched == 1
 
 
@@ -606,7 +610,7 @@ def test_boundary_cases_match_reference_in_small_passes(small_passes, sphere_clo
         assert assert_contacts_match_reference(case_pool, cloud, gripper)[0] > 0
     for cloud in (tie_cloud(), boundary_cloud()):
         assert assert_contacts_match_reference(pool_rows(*[axis_pregrasp()] * 3), cloud,
-                                               exact_gripper(), 2.0 ** -7) == (3, 0)
+                                               exact_gripper()) == (3, 0)
     pg, cloud = lone_candidate_case()
     assert assert_contacts_match_reference(pool_rows(pg, pg), cloud, gripper) == (2, 0)
     origin, direction = TUBE_EDGE_RAY
@@ -697,7 +701,7 @@ def test_contact_search_memory_is_bounded(kind, gripper):
     pool = planned_pool(cloud, gripper)[:graspeval._POOL_SLICE]
     rays = finger_rays(pool, gripper)
     origins, directions = rays[:, 0], rays[:, 1]
-    index = ContactIndex(cloud, EvalParams.tube_radius)
+    index = ContactIndex(cloud, gripper.tube_radius)
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
@@ -712,9 +716,10 @@ def test_contact_index_must_match_cloud_and_tube(small_sphere_cloud, sphere_clou
     pg = sphere_pool()[1:2]
     index = ContactIndex(small_sphere_cloud, 0.005)
     with pytest.raises(ValueError):
-        estimate_contacts(pg, small_sphere_cloud, gripper, 0.004, index=index)
+        estimate_contacts(pg, small_sphere_cloud, dataclasses.replace(gripper, tube_radius=0.004),
+                          index=index)
     with pytest.raises(ValueError):
-        estimate_contacts(pg, sphere_cloud, gripper, 0.005, index=index)
+        estimate_contacts(pg, sphere_cloud, gripper, index=index)
     with pytest.raises(ValueError):
         ContactIndex(small_sphere_cloud, 0.0)
 
@@ -784,7 +789,7 @@ def cylinder_pool():
 def ranked_contact_sets():
     """Contact sets of every ranked candidate of one 5k cylinder plan."""
     cloud, cfg, pool = cylinder_pool()
-    ranked = rank_pool(pool, cloud, cfg.gripper, cfg.evaluation)
+    ranked = rank_pool(pool, cloud, cfg.gripper)
     return cloud.centroid, [c.contacts for c in ranked if len(c.contacts)]
 
 
@@ -838,7 +843,7 @@ def test_pinch_quality_matches_fine_reference(small_sphere_cloud, gripper):
     positive."""
     pg = make_pregrasp((0.08, 0, 0), (-1, 0, 0), (0, 0, 1),
                        GraspType.TWO_FINGERTIP)
-    contacts = estimate_contacts(pg, small_sphere_cloud, gripper, tube_r=0.005)
+    contacts = estimate_contacts(pg, small_sphere_cloud, gripper)
     wrenches = wrenches_of(contacts, MU, EDGES, small_sphere_cloud.centroid)
     got = epsilon_quality(wrenches, n_dirs=14896)
     ref = oracles.epsilon_support_reference(wrenches, n_dirs=2 ** 20)
@@ -961,9 +966,9 @@ def test_certificate_leaves_fewer_sets_to_the_scan(monkeypatch):
         return real(stack, dirs, floor)
 
     monkeypatch.setattr(graspeval, "_supports", supports)
-    ranked = rank_pool(pool, cloud, cfg.gripper, cfg.evaluation)
+    ranked = rank_pool(pool, cloud, cfg.gripper)
     graded = [c.quality for c in ranked if len(c.contacts) >= 2]
-    stacked, scanned = sets[cfg.evaluation.quality_dirs // 16], sets[cfg.evaluation.quality_dirs]
+    stacked, scanned = sets[graspeval.QUALITY_DIRS // 16], sets[graspeval.QUALITY_DIRS]
     assert len(scanned) == len(stacked) > 0 and sum(stacked) == len(graded)
     assert sum(scanned) < sum(stacked)
     assert graded.count(0.0) >= sum(stacked) - sum(scanned)
@@ -1094,13 +1099,14 @@ def test_rank_pool_quality_sequence_stable_under_permutation(
                        [c.quality for c in ranked2])
 
 
-def test_rank_pool_params_respected(small_sphere_cloud, gripper):
-    """Coarser direction counts may only raise individual estimates."""
+def test_rank_pool_params_respected(small_sphere_cloud, gripper, monkeypatch):
+    """Coarser direction counts may only raise individual estimates: the
+    count is looked up when the pool is ranked."""
     pool = sphere_pool()
-    fine = rank_pool(pool, small_sphere_cloud, gripper,
-                     EvalParams(quality_dirs=4096))
-    coarse = rank_pool(pool, small_sphere_cloud, gripper,
-                       EvalParams(quality_dirs=256))
+    monkeypatch.setattr(graspeval, "QUALITY_DIRS", 4096)
+    fine = rank_pool(pool, small_sphere_cloud, gripper)
+    monkeypatch.setattr(graspeval, "QUALITY_DIRS", 256)
+    coarse = rank_pool(pool, small_sphere_cloud, gripper)
     fine_by_idx = {c.pool_index: c.quality for c in fine}
     coarse_by_idx = {c.pool_index: c.quality for c in coarse}
     for idx in fine_by_idx:
@@ -1108,15 +1114,16 @@ def test_rank_pool_params_respected(small_sphere_cloud, gripper):
 
 
 @pytest.mark.parametrize("field,value", [
-    ("quality_dirs", 0), ("cone_edges", 2), ("cone_edges", 0),
-    ("tube_radius", 0.0), ("tube_radius", -0.005), ("tube_radius", float("nan"))])
+    ("tube_radius", 0.0), ("tube_radius", -0.005), ("tube_radius", float("nan")),
+    ("max_aperture", -1.0), ("friction_mu", float("nan"))])
 def test_rank_pool_rejects_bad_eval_params(field, value, small_sphere_cloud, gripper):
-    """The bounds the CLI puts on its flags hold for library callers too:
-    no quality of inf from zero directions, no empty wrench array from zero
-    cone edges."""
+    """The bounds the CLI puts on its flags hold for library callers of the
+    ranking too, on every gripper field it grades with: no contact index of
+    a zero tube, no rays from a negative aperture, no NaN friction cone."""
     with pytest.raises(ValueError, match=field) as exc:
-        rank_pool(sphere_pool(), small_sphere_cloud, gripper, EvalParams(**{field: value}))
-    assert isinstance(exc.value, ConfigError) and exc.value.field == f"EvalParams.{field}"
+        rank_pool(sphere_pool(), small_sphere_cloud,
+                  dataclasses.replace(gripper, **{field: value}))
+    assert isinstance(exc.value, ConfigError) and exc.value.field == f"GripperConfig.{field}"
 
 
 def rank_case(name, request):
@@ -1157,7 +1164,6 @@ def test_rank_pool_matches_reference_bytes(name, request):
     ranking equals the one from grading each candidate on its own with a
     scan of every point, byte for byte."""
     pool, cloud, gripper = rank_case(name, request)
-    params = EvalParams()
-    got = json.dumps(_ranking_section(rank_pool(pool, cloud, gripper, params)))
-    ref = json.dumps(_ranking_section(oracles.reference_rank_pool(pool, cloud, gripper, params)))
+    got = json.dumps(_ranking_section(rank_pool(pool, cloud, gripper)))
+    ref = json.dumps(_ranking_section(oracles.reference_rank_pool(pool, cloud, gripper)))
     assert got == ref

@@ -596,6 +596,14 @@ def test_results_roundtrip(tmp_path):
     assert json.loads(path.read_text()) == payload
 
 
+def test_results_strings_may_spell_the_constants(tmp_path):
+    """Only a bare NaN or Infinity is rejected, not one inside a string."""
+    path = tmp_path / "run.json"
+    payload = {"NaN": ['say "NaN"', "-Infinity\\", "Infinity"], "q": [1e308, -0.0]}
+    save_results(path, payload)
+    assert load_results(path) == payload
+
+
 @pytest.mark.parametrize("umask,mode", [(0o022, 0o644), (0o077, 0o600)], ids=["022", "077"])
 def test_results_mode_follows_umask(tmp_path, umask, mode):
     """The document gets 0o666 less the umask, as a plain open gives it; a
