@@ -57,7 +57,7 @@ from typing import ClassVar, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateInput, EmptySide
-from .geom import cross, eigh_descending, rotations_about_axes
+from .geom import covariance, cross, eigh_descending, rotations_about_axes
 
 logger = logging.getLogger(__name__)
 
@@ -383,7 +383,7 @@ def fit_obb(points):
         two dominant axes sign-fixed (largest-magnitude component positive).
 
     Raises:
-        DegenerateInput: all points coincide.
+        DegenerateInput: all points coincide, or their covariance overflows.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
@@ -394,7 +394,7 @@ def fit_obb(points):
         raise DegenerateInput("all points coincide")
 
     core = _Coreset(len(X))
-    R = _sweep(X[None], _pca_axes((X.T @ X / len(X))[None], X[None], core), core)[0][0]
+    R = _sweep(X[None], _pca_axes(covariance(X)[None], X[None], core), core)[0][0]
 
     # canonical form: extents descending, dominant axes sign-fixed, det = +1
     ext = _extents((X @ R).T)

@@ -27,7 +27,8 @@ class BadDimension(PreGraspError):
 
 
 class DegenerateInput(PreGraspError):
-    """All points coincide; no box or principal axes can be derived."""
+    """All points coincide, or their covariance overflows: no box or principal
+    axes can be derived."""
 
 
 class EmptySide(PreGraspError):

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from .errors import DegenerateInput
+
 
 def row_norms(v):
     """Euclidean norm of each row of an (n, 3) array, as sqrt(`dot3`(v, v)):
@@ -72,6 +74,21 @@ def perpendicular_frames(normals):
     g[rows, k] = 1.0
     e1 = unit_rows(g - n[rows, k][:, None] * n)
     return e1, cross(n, e1)
+
+
+def covariance(X):
+    """X.T X / n of n centred points (an (n, 3) array).
+
+    Raises:
+        DegenerateInput: the products overflow (a point lies beyond about
+            1e154 m of the mean), so no box or principal axes can be derived.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = X.T @ X / len(X)
+    if not np.isfinite(cov).all():
+        raise DegenerateInput(f"the covariance of the points overflows: a coordinate "
+                              f"lies {float(np.abs(X).max()):.3g} m from their mean")
+    return cov
 
 
 def eigh_descending(cov):

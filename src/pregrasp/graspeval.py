@@ -5,18 +5,20 @@ position advanced by finger_length along the approach axis): the thumb closes
 from the +closing_dir side, the paired fingers from the opposite side, spread
 symmetrically about the approach axis.  Each ray's contact is the first cloud
 point encountered inside a thin tube around the ray.  `rank_pool` builds a
-sparse voxel index of the cloud once and works through the pool in slices:
-every finger ray of a slice is searched in batched passes that visit only
-the points in cells along the rays' paths and test each point with the
-arithmetic of a scan of every point, pair products summed per row
-(`geom.dot3`), on the cells at the ray's front first and on its other cells
-only when a point there could still come first.  A grasp's contacts are a
-(k, 2, 3) array of (position, normal) rows.  The contacts of a slice's
-candidates build their (k, 6) arrays of friction-cone edge wrenches, rows
-[force | torque], in one broadcast, and grasps are scored with the
-largest-ball (epsilon) quality: the radius of the biggest origin-centered
-ball inside the convex hull of those rows, estimated by support-function
-sampling.
+sparse voxel index of the cloud once and works through the pool in wide
+slices: every finger ray of a slice is searched in batched passes that visit
+only the points in cells along the rays' paths, and test each point with
+the arithmetic of a scan of every point, its coordinate rows summed in
+`geom.dot3`'s order.  A ray's path is expanded in windows of 4, 8, 16, ...
+samples, and the ray stops once no later sample could add a point before its
+contact; within a window it is searched on the cells at its front first and
+on its other cells only when a point there could still come first.  A
+grasp's contacts are a (k, 2, 3) array of (position, normal) rows.  The
+contacts of a slice's candidates build their (k, 6) arrays of friction-cone
+edge wrenches, rows [force | torque], in one broadcast, and grasps are
+scored with the largest-ball (epsilon) quality: the radius of the biggest
+origin-centered ball inside the convex hull of those rows, estimated by
+support-function sampling.
 """
 
 import logging
@@ -35,12 +37,13 @@ logger = logging.getLogger(__name__)
 # rows built per pass of the contact search (ray samples, then (ray, cell)
 # pairs from the samples' block lists, then ray-point pairs).  A ray that
 # alone exceeds the row bound is searched in a pass of its own, which the
-# every-point fallback bounds by the cloud size.
-_POOL_SLICE = 128
-_CHUNK_ROWS = 8192
+# every-point fallback bounds by the cloud size.  Wide slices spread numpy's
+# per-call cost over many rays; at 16384 rows a pass peaks near 1.4 MB.
+_POOL_SLICE = 4096
+_CHUNK_ROWS = 16384
 
 # Bytes of the support products that `epsilon_quality` builds at a time (a
-# pool slice's at once would be 25 MB at the defaults); one wrench set's may
+# pool slice's at once would be 805 MB at the defaults); one wrench set's may
 # exceed it.
 _QUALITY_BYTES = 1 << 20
 
@@ -144,6 +147,10 @@ _BLOCK = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), axis=-1).
 # _FRONT cell sides of its nearest cell's.
 _FRONT = 2
 
+# Samples in a ray's first search window; each later window holds twice as
+# many as the one before.
+_FIRST_WINDOW = 4
+
 # A point p of a cell with center c has (p - o).d >= (c - o).d - |p - c| |d|.
 # `_tube_rows` takes t_p and `_tube_cells` t_c as 3-term dot products of
 # fl(p - o) and fl(c - o) with d.  A 3-term dot product summed in any order,
@@ -165,8 +172,43 @@ _FRONT = 2
 # so below every such t_p: a ray whose best t lies below the bound of its
 # nearest unsearched cell can gain no point of those cells, not even a tie
 # that a lower point index would win.
+#
+# The same slack bounds a ray's search windows.  Sample j of a ray sits at
+# t_j = fl(t_in + fl(r j)), and a tube point lies in the block of its nearest
+# sample (see `first_hits`).  So once samples 0..K-1 of a ray with more than K
+# samples are expanded, a point in none of their blocks is nearer to a later
+# sample than to sample K - 1, and its exact t is at least
+# (t_{K-1} + t_K) / 2.  As t_in + r K <= t_out + r <= sqrt(3) S + S / 2
+# (r <= M / 2), each t_j with j <= K is within 2.01 u 2.24 S <= 5 u S of
+# t_in + r j, so that t is at least t_in + r (K - 1/2) - 5 u S, and its
+# computed t_p (off by at most 4.01 u |p - o| <= 7 u S) at least
+# t_in + r (K - 1/2) - 12 u S.  The bound as computed,
+# fl(fl(t_in + fl(r (K - 1/2))) - 64 u S), lies at most 5 u S + 2.3 u S (its
+# own roundings) above t_in + r (K - 1/2) - 64 u S, so below every such t_p:
+# a ray whose best t lies below it can gain no point beyond its window.
 _HALF_DIAGONAL = 1.7321
 _RETIRE_SLACK = 64 * 2.0 ** -53
+
+
+def _projections(rows, at, origins, directions, ray, size=None):
+    """t = rel.d and rel.rel for the offsets rel = p - o of the points at
+    columns `at` of the (3, n) coordinate rows `rows` from the origins of
+    the rays `ray` (each repeated `size` times, when given), both summed one
+    coordinate at a time in `geom.dot3`'s order."""
+    for a in range(3):
+        o, d = origins[a].take(ray), directions[a].take(ray)
+        if size is not None:
+            o, d = np.repeat(o, size), np.repeat(d, size)
+        rel = rows[a].take(at) - o
+        if a == 0:
+            t, rr = rel * d, rel * rel
+        else:
+            t += rel * d
+            rr += rel * rel
+    return t, rr
+
+
+_NO_RAYS = np.empty(0, dtype=np.int64)
 
 
 class ContactIndex:
@@ -175,10 +217,14 @@ class ContactIndex:
 
     Cells are cubes of side 2 * tube_r anchored at the cloud's minimum
     corner.  Points are kept ordered by cell (ascending point index within a
-    cell).  Only occupied cells are stored, together with every cell of their
-    3x3x3 blocks, each of which lists the occupied cells around it.  Cells are
-    keyed by their integer coordinates' bytes, so a far outlier adds a few
-    cells, not a grid reaching out to it, and no key can overflow.
+    cell), as three contiguous coordinate rows.  Only occupied cells are
+    stored, together with every cell of their 3x3x3 blocks, each of which
+    lists the occupied cells around it.  Cells are keyed by their integer
+    coordinates' bytes, so a far outlier adds a few cells, not a grid
+    reaching out to it, and no key can overflow.
+
+    `_spans` takes a ray batch's origins and directions as (n, 3) arrays,
+    the other search helpers as (3, n) coordinate rows.
     """
 
     def __init__(self, cloud, tube_r):
@@ -197,10 +243,11 @@ class ContactIndex:
         cells = self._cells(pts)
         keys = _row_keys(cells)
         self.order = np.argsort(keys, kind="stable")
+        self._rows = np.ascontiguousarray(pts.take(self.order, axis=0).T)
         first = np.flatnonzero(_run_heads(keys[self.order]))
         self._bounds = np.append(first, len(pts))
         occupied = cells[self.order[first]]
-        self._centers = self.lo + (occupied + 0.5) * self.cell
+        self._centers = np.ascontiguousarray((self.lo + (occupied + 0.5) * self.cell).T)
         near = (occupied[:, None, :] + _BLOCK).reshape(-1, 3)
         keys = _row_keys(near)
         by_key = np.argsort(keys, kind="stable")
@@ -233,53 +280,53 @@ class ContactIndex:
         count[every] = -1
         return t_in, count
 
-    def _block_lists(self, origins, directions, t_in, count, rays):
-        """(ray, lo, hi) of each distinct cell that a sample of a ray of
-        `rays` (ascending, count > 0) falls in and whose 3x3x3 block holds
-        occupied cells, `self._near_cells[lo:hi]`; sorted by ray."""
-        ns = count[rays]
-        ray = np.repeat(rays, ns)
-        step = np.arange(len(ray)) - np.repeat(np.cumsum(ns) - ns, ns)
-        samples = (origins.take(ray, axis=0)
-                   + (t_in[ray] + self.tube_r * step)[:, None] * directions.take(ray, axis=0))
-        keys = _row_keys(self._cells(samples))
-        head = _run_heads(keys) | _run_heads(ray)
-        keys, ray = keys[head], ray[head]
+    def _block_lists(self, origins, directions, t_in, rays, first, stops):
+        """(i, lo, hi) of each distinct cell that a sample first..stops[i] - 1
+        of ray rays[i] falls in and whose 3x3x3 block holds occupied cells,
+        `self._near_cells[lo:hi]`; sorted by i."""
+        ns = stops - first
+        which = np.repeat(np.arange(len(rays)), ns)
+        ray = rays[which]
+        t = t_in[ray] + self.tube_r * (np.arange(len(ray)) - np.repeat(np.cumsum(ns) - ns, ns)
+                                       + first)
+        samples = origins.take(ray, axis=1) + t * directions.take(ray, axis=1)
+        keys = _row_keys(self._cells(samples.T))
+        head = _run_heads(keys) | _run_heads(which)
+        keys, which = keys[head], which[head]
         i = np.minimum(np.searchsorted(self._near_keys, keys), len(self._near_keys) - 1)
         found = self._near_keys[i] == keys
-        i, ray = i[found], ray[found]
-        return ray, self._near_bounds[i], self._near_bounds[i + 1]
+        i, which = i[found], which[found]
+        return which, self._near_bounds[i], self._near_bounds[i + 1]
 
     def _tube_cells(self, origins, directions, ray, lo, hi, every):
         """(ray, cell, t of the cell's center) of the occupied cells whose
         centers lie within 2.83 * tube_r of each ray's line, sorted by ray,
         then by cell: the cells of the block lists (ray, lo, hi), and every
         occupied cell for the rays `every`."""
-        n_occ = len(self._centers)
+        n_occ = self._centers.shape[1]
         pair = np.sort(np.concatenate((
             np.repeat(ray, hi - lo) * n_occ + self._near_cells[_ranges(lo, hi)],
             (every[:, None] * n_occ + np.arange(n_occ)).ravel())))
         # a sort and its run heads: numpy 2.3+ np.unique hashes integers before
         # sorting them, several times slower on these pairs
         ray, cell = np.divmod(pair[_run_heads(pair)], n_occ)
-        rel = self._centers.take(cell, axis=0) - origins.take(ray, axis=0)
-        t = dot3(rel, directions.take(ray, axis=0))
-        near = dot3(rel, rel) - t * t <= _CELL_REACH * self.cell ** 2
+        t, rr = _projections(self._centers, cell, origins, directions, ray)
+        near = rr - t * t <= _CELL_REACH * self.cell ** 2
         return ray[near], cell[near], t[near]
 
     def _tube_rows(self, origins, directions, ray, cell):
         """(ray, point, t) of the ray-point rows of the (ray, cell) pairs
         (sorted by ray) that lie in their ray's tube, t = rel.d >= 0 and
-        rel.rel - t * t <= tube_r ** 2, each dot product summed as pair
-        products (`geom.dot3`), as a scan of every point sums them; sorted by
-        ray.  A row's bits depend only on its point and ray."""
+        rel.rel - t * t <= tube_r ** 2; sorted by ray.  The points are
+        gathered by their place in cell order from the coordinate rows, and
+        both dot products are summed one coordinate at a time in
+        `geom.dot3`'s order, as a scan of every point sums them: a row's bits
+        depend only on its point and ray."""
         lo, hi = self._bounds[cell], self._bounds[cell + 1]
-        pt = self.order[_ranges(lo, hi)]
-        ray = np.repeat(ray, hi - lo)
-        rel = self.points.take(pt, axis=0) - origins.take(ray, axis=0)
-        t = dot3(rel, directions.take(ray, axis=0))
-        keep = (t >= 0.0) & (dot3(rel, rel) - t * t <= self.tube_r * self.tube_r)
-        return ray[keep], pt[keep], t[keep]
+        at, size = _ranges(lo, hi), hi - lo
+        t, rr = _projections(self._rows, at, origins, directions, ray, size)
+        keep = np.flatnonzero((t >= 0.0) & (rr - t * t <= self.tube_r * self.tube_r))
+        return np.repeat(ray, size)[keep], self.order[at[keep]], t[keep]
 
     def _search_pairs(self, origins, directions, ray, cell, best_t, hits):
         """Merge into `best_t` and `hits` each ray's least t among the
@@ -304,21 +351,39 @@ class ContactIndex:
             won = (best < best_t[rays]) | ((best == best_t[rays]) & (pick < hits[rays]))
             best_t[rays[won]], hits[rays[won]] = best[won], pick[won]
 
-    def _search_in_order(self, origins, directions, ray, cell, tc, best_t, hits):
+    def _search_in_order(self, origins, directions, ray, cell, tc, scale, best_t, hits):
         """Decide the rays of the (ray, cell) pairs (sorted by ray; tc the
         cells' center t) front first: on the cells within `_FRONT` cell
         sides of each ray's nearest, then, for the rays whose best t could
-        still be beaten or tied, on the rest (see _RETIRE_SLACK)."""
+        still be beaten or tied, on the rest (see _RETIRE_SLACK; `scale` is
+        S of each ray)."""
+        if len(ray) == 0:
+            return
         heads = np.flatnonzero(_run_heads(ray))
         length = np.diff(np.append(heads, len(ray)))
         front = tc <= np.repeat(np.minimum.reduceat(tc, heads) + _FRONT * self.cell, length)
         self._search_pairs(origins, directions, ray[front], cell[front], best_t, hits)
         rays = ray[heads]
-        scale = np.abs(origins.take(rays, axis=0)).max(axis=1) + self._scale
         bound = (np.minimum.reduceat(np.where(front, np.inf, tc), heads)
-                 - _HALF_DIAGONAL * self.tube_r - _RETIRE_SLACK * scale)
+                 - _HALF_DIAGONAL * self.tube_r - _RETIRE_SLACK * scale[rays])
         rest = ~front & np.repeat(~(best_t[rays] < bound), length)
         self._search_pairs(origins, directions, ray[rest], cell[rest], best_t, hits)
+
+    def _search_window(self, origins, directions, t_in, rays, first, stops, scale, best_t,
+                       hits):
+        """Search the rays `rays` (ascending) on the blocks of their samples
+        first..stops - 1, each pass building about `_CHUNK_ROWS` rows: ray
+        samples, then (ray, cell) pairs."""
+        for a, b in _batches(stops - first, _CHUNK_ROWS):
+            which, lo, hi = self._block_lists(origins, directions, t_in, rays[a:b], first,
+                                              stops[a:b])
+            cost = np.bincount(which, hi - lo, minlength=b - a)
+            bounds = np.searchsorted(which, np.arange(b - a + 1))
+            for c, e in _batches(cost, _CHUNK_ROWS):
+                sel = slice(bounds[c], bounds[e])
+                cells = self._tube_cells(origins, directions, rays[a:b][which[sel]], lo[sel],
+                                         hi[sel], _NO_RAYS)
+                self._search_in_order(origins, directions, *cells, scale, best_t, hits)
 
     def first_hits(self, origins, directions):
         """Index of the first point along each ray origin + t * direction
@@ -327,15 +392,20 @@ class ContactIndex:
 
         Candidates come from ray samples spaced tube_r apart over each ray's
         stretch in the padded cloud box.  A point within tube_r of the ray
-        lies within 1.5 * tube_r of a sample on every axis, and the 3x3x3
-        block around a sample's cell reaches at least 2 * tube_r beyond it,
-        so the blocks hold every such point.  A ray that would need more
-        block cells than the cloud has points takes every occupied cell.
-        Cells far from a ray's line are screened off, and each point of the
-        rest is tested with the arithmetic of a scan of every point (see
-        `_tube_rows`).  A ray is decided on its cells near the front first;
+        lies within 1.5 * tube_r of its nearest sample on every axis, and
+        the 3x3x3 block around a sample's cell reaches at least 2 * tube_r
+        beyond it, so the blocks hold every such point.  The samples are
+        expanded in windows: the first `_FIRST_WINDOW`, then each window
+        twice as many as the one before.  A ray retires after a window once its
+        contact lies before every point that a later sample's blocks could
+        add (see _RETIRE_SLACK); the median contact lies a few samples past
+        the ray's entry.  A ray that would need more block cells than the
+        cloud has points takes every occupied cell at once.  Cells far from
+        a ray's line are screened off, and each point of the rest is tested
+        with the arithmetic of a scan of every point (see `_tube_rows`).
+        Within a window a ray is decided on its cells near the front first;
         it stops there when no point of its other cells can come before (or
-        tie with) that contact, and is decided on them too otherwise.  The
+        tie with) that contact, and is decided on them too otherwise.  All
         parts' contacts merge by (t, point index), so each ray gets the
         scan's contact.  Each pass builds about `_CHUNK_ROWS` rows: ray
         samples, then (ray, cell) pairs, then ray-point pairs.
@@ -344,21 +414,22 @@ class ContactIndex:
         directions = np.asarray(directions, dtype=float).reshape(-1, 3)
         hits = np.full(len(origins), -1, dtype=np.int64)
         best_t = np.full(len(origins), np.inf)
+        scale = np.abs(origins).max(axis=1) + self._scale
         t_in, count = self._spans(origins, directions)
-        for a, b in _batches(np.maximum(count, 0), _CHUNK_ROWS):
-            part = np.arange(a, b)
-            ray, lo, hi = self._block_lists(origins, directions, t_in, count,
-                                            part[count[a:b] > 0])
-            every = count[a:b] < 0
-            cost = np.where(every, len(self._centers),
-                            np.bincount(ray - a, hi - lo, minlength=b - a)).astype(np.int64)
-            bounds = np.searchsorted(ray, np.append(part, b))
-            for c, e in _batches(cost, _CHUNK_ROWS):
-                sel = slice(bounds[c], bounds[e])
-                pairs = self._tube_cells(origins, directions, ray[sel], lo[sel], hi[sel],
-                                         part[c:e][every[c:e]])
-                if len(pairs[0]):
-                    self._search_in_order(origins, directions, *pairs, best_t, hits)
+        origins, directions = np.ascontiguousarray(origins.T), np.ascontiguousarray(directions.T)
+        every = np.flatnonzero(count < 0)
+        for a, b in _batches(np.full(len(every), self._centers.shape[1]), _CHUNK_ROWS):
+            cells = self._tube_cells(origins, directions, _NO_RAYS, _NO_RAYS, _NO_RAYS,
+                                     every[a:b])
+            self._search_in_order(origins, directions, *cells, scale, best_t, hits)
+        rays, first, size = np.flatnonzero(count > 0), 0, _FIRST_WINDOW
+        while len(rays):
+            stop = first + size
+            self._search_window(origins, directions, t_in, rays, first,
+                                np.minimum(count[rays], stop), scale, best_t, hits)
+            bound = t_in[rays] + self.tube_r * (stop - 0.5) - _RETIRE_SLACK * scale[rays]
+            rays = rays[(count[rays] > stop) & ~(best_t[rays] < bound)]
+            first, size = stop, 2 * size
         return hits
 
 
@@ -470,16 +541,21 @@ _CERTIFICATE_STRIDE = 16
 _SUPPORT_SLACK = 16 * 2.0 ** -53
 
 
-def _supports(stack, dirs, floor):
-    """Least support over `dirs` of each set of the (g, k, 6) stack, and
-    whether one is <= its set's `floor`, from (sets, k, len(dirs)) products
-    of about _QUALITY_BYTES reduced over k along contiguous memory."""
-    least, low = np.empty(len(stack)), np.empty(len(stack), dtype=bool)
+def _supports(stack, dirs, sets, certify):
+    """Least support over `dirs` of each set `sets` of the (g, k, 6) stack,
+    and whether one is <= its floor: minus the set's rounding slack (see
+    _SUPPORT_SLACK) when `certify`, else 0.  The sets are gathered, their
+    slack taken and their (sets, k, len(dirs)) products built about
+    _QUALITY_BYTES at a time, reduced over k along contiguous memory."""
+    least, low = np.empty(len(sets)), np.empty(len(sets), dtype=bool)
     step = max(1, _QUALITY_BYTES // (8 * stack.shape[1] * len(dirs)))
-    for a in range(0, len(stack), step):
-        h = (stack[a:a + step] @ dirs.T).max(axis=1)
+    for a in range(0, len(sets), step):
+        part = stack[sets[a:a + step]]
+        floor = (-_SUPPORT_SLACK * np.abs(part).sum(axis=2).max(axis=1) if certify
+                 else np.zeros(len(part)))
+        h = (part @ dirs.T).max(axis=1)
         least[a:a + step] = h.min(axis=1)
-        low[a:a + step] = (h <= floor[a:a + step, None]).any(axis=1)
+        low[a:a + step] = (h <= floor[:, None]).any(axis=1)
     return least, low
 
 
@@ -511,12 +587,11 @@ def epsilon_quality(wrenches, n_dirs=QUALITY_DIRS):
     if not 1 <= n_dirs <= len(lattice):
         raise ValueError(f"n_dirs must be in 1..{len(lattice)}, got {n_dirs}")
     stack = wrenches.reshape(-1, *wrenches.shape[-2:])
-    slack = _SUPPORT_SLACK * np.abs(stack).sum(axis=2).max(axis=1)
     screened = np.ascontiguousarray(lattice[:n_dirs:_CERTIFICATE_STRIDE])
-    unsettled = np.flatnonzero(~_supports(stack, screened, -slack)[1])
+    unsettled = np.flatnonzero(~_supports(stack, screened, np.arange(len(stack)), True)[1])
     # the full scan; max is exact, so only the sign of a zero support could
     # depend on the order, and a zero support returns +0.0
-    least, low = _supports(stack[unsettled], lattice[:n_dirs], np.zeros(len(unsettled)))
+    least, low = _supports(stack, lattice[:n_dirs], unsettled, False)
     quality = np.zeros(len(stack))
     quality[unsettled] = np.where(low, 0.0, least)
     return float(quality[0]) if wrenches.ndim == 2 else quality

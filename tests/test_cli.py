@@ -348,6 +348,20 @@ def test_missing_input_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("stage", ["classify", "rank"])
+def test_overflowing_covariance_is_runtime_error(stage, tmp_path, capsys):
+    """A point at x = 1e200 m overflows the root's covariance: the stage
+    exits 1 with one error line that names the overflow, and writes no
+    document (it used to write NaN eigenvalues, or die with a traceback)."""
+    cloud = tmp_path / "far.xyz"
+    cloud.write_text("0 0 0\n0.01 0 0\n0 0.01 0\n0 0 0.01\n1e200 0 0\n")
+    out = tmp_path / "x.json"
+    assert run_stage(stage, cloud, out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "overflows" in err[0]
+    assert not out.exists()
+
+
 def test_invalid_log_level_env(sphere_xyz, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PREGRASP_LOG", "chatty")
     assert run_stage("decompose", sphere_xyz, tmp_path / "x.json") == 2

@@ -533,9 +533,10 @@ def search_log(monkeypatch):
 
 @pytest.mark.bitexact
 def test_ray_longer_than_a_search_pass(monkeypatch):
-    """The rod ray's blocks hold more cells than a pass takes, and the
-    offset ray, whose contact lies past its front cells, builds more
-    ray-point rows than a pass takes."""
+    """In passes of 4096 rows, the rod ray's blocks hold more cells than a
+    pass takes, and the offset ray, whose contact lies in its last search
+    window, builds more ray-point rows in one window than a pass takes."""
+    monkeypatch.setattr(graspeval, "_CHUNK_ROWS", 4096)
     cloud, origins, directions, tube_r = long_ray_case()
     _, count = ContactIndex(cloud, tube_r)._spans(origins, directions)
     assert graspeval._CHUNK_ROWS < count[0] * 27 < len(cloud.points)
@@ -622,10 +623,11 @@ def test_boundary_cases_match_reference_in_small_passes(small_passes, sphere_clo
                                np.vstack([directions] * 2), tube_r)
 
 
-# Each ray is decided on its front cells first, then, unless no point of its
-# other cells can come before or tie with that contact, on the rest.  Every
-# case is one ray whose search takes both phases, each in one `_tube_rows`
-# call, under any pass size; the log holds each phase's rows inside the tube.
+# Within a search window, each ray is decided on its front cells first,
+# then, unless no point of its other cells can come before or tie with that
+# contact, on the rest.  Every case is one ray, each phase of which is one
+# `_tube_rows` call under any pass size; the log holds each phase's rows
+# inside the tube.
 
 def assert_tie_across_phases(monkeypatch):
     """Points 0 and 1 lie at equal t on a ray along (1, 1, 0) from the
@@ -650,30 +652,33 @@ def assert_tie_across_phases(monkeypatch):
 
 
 def assert_second_phase_decides(monkeypatch):
-    """The offset rod ray's front cells hold no point within its tube: its
-    contact, the last point, comes from the second phase alone."""
+    """The offset rod ray reaches its contact, the last point, through
+    several windows: no phase before the last keeps a point within its
+    tube, and the last keeps only the contact."""
     cloud, origins, directions, tube_r = offset_rod_case()
     log = search_log(monkeypatch)
     assert first_hits_match_reference(cloud, origins, directions, tube_r).tolist() == [12000]
-    (front, kept_front), (rest, kept_rest) = log
-    assert len(front) > 0 and len(kept_front) == 0
-    assert kept_rest.tolist() == [12000]
+    assert len(log) > 2 and all(len(front) > 0 for front, _ in log)
+    assert all(len(kept) == 0 for _, kept in log[:-1])
+    assert log[-1][1].tolist() == [12000]
 
 
 def assert_odd_rows_in_each_phase(monkeypatch):
     """The thumb ray of `lone_candidate_case`, with three points added on
-    its line behind its origin (t < 0): they are the front's candidates but
-    lie outside the tube, so the front keeps no row and the rest only the
-    contact's lone row."""
+    its line behind its origin (t < 0): they are the first window's front
+    candidates but lie outside the tube, so that phase keeps no row, and
+    each later one only the contact's lone row, 10 samples past the ray's
+    entry."""
     pg, cloud = lone_candidate_case()
     origin, direction = finger_rays(pg, GripperConfig())[0]
     behind = [origin - k * 0.005 * direction for k in (0.5, 1.0, 1.5)]
     cloud = PointCloud(np.vstack([cloud.points, behind]))
     log = search_log(monkeypatch)
     assert first_hits_match_reference(cloud, origin[None], direction[None], 0.005).tolist() == [0]
-    (front, kept_front), (_, kept_rest) = log
+    (front, kept_front), *later = log
     assert {3001, 3002, 3003} <= set(front.tolist())
-    assert kept_front.tolist() == [] and kept_rest.tolist() == [0]
+    assert kept_front.tolist() == [] and len(later) > 0
+    assert all(kept.tolist() == [0] for _, kept in later)
 
 
 EARLY_EXIT_CASES = {"tie-across-phases": assert_tie_across_phases,
@@ -691,6 +696,148 @@ def test_early_exit_matches_reference(case, monkeypatch):
 @pytest.mark.parametrize("case", EARLY_EXIT_CASES)
 def test_early_exit_matches_reference_in_small_passes(small_passes, case, monkeypatch):
     EARLY_EXIT_CASES[case](monkeypatch)
+
+
+# A ray's samples are expanded in windows: samples 0-3, 4-11, 12-27, and so on.
+# Each case is one ray from the origin through a cloud of its own points, a
+# point that sets the cloud's minimum corner to (-1/16, -1/16, 0) (to
+# (-1/16, -15/256, 0) in the tie case), so that t_in = 0, and the far
+# cluster, which gives the ray more samples than its windows need and keeps
+# it off the every-cell fallback.  With tube_r = 1/32 every sample, cell
+# boundary and t along the x axis is exact.
+
+WINDOW_R = 1.0 / 32
+X_RAY = (np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]))
+
+
+def window_log(monkeypatch):
+    """A list that gets, per `ContactIndex._search_window` call, the first
+    sample of the window and the points of the tube rows its `_tube_rows`
+    calls keep."""
+    log = []
+    search_window, tube_rows = ContactIndex._search_window, ContactIndex._tube_rows
+
+    def windowed(index, origins, directions, t_in, rays, first, *rest):
+        log.append((first, []))
+        return search_window(index, origins, directions, t_in, rays, first, *rest)
+
+    def logged(index, *args):
+        rows = tube_rows(index, *args)
+        log[-1][1].extend(rows[1].tolist())
+        return rows
+
+    monkeypatch.setattr(ContactIndex, "_search_window", windowed)
+    monkeypatch.setattr(ContactIndex, "_tube_rows", logged)
+    return log
+
+
+def window_cloud(*points):
+    return PointCloud(np.vstack([points, [[-1.0 / 16, -1.0 / 16, 0.25]], _FAR]))
+
+
+def assert_point_at_a_window_bound(monkeypatch):
+    """Points 0 and 1 lie at t = 3.5 tube radii, exactly where samples 3
+    and 4 are equally near: the first window's bound less its rounding
+    slack.  So the ray does not retire at that t and takes the second window
+    too; point 0 (on the tube's boundary) wins the tie.  Alone, and
+    2^-20 m nearer, point 1 retires the ray after the first window."""
+    r = WINDOW_R
+    log = window_log(monkeypatch)
+    cloud = window_cloud([3.5 * r, 0.0, r], [3.5 * r, 0.0, 0.0])
+    assert first_hits_match_reference(cloud, *X_RAY, r).tolist() == [0]
+    assert [first for first, _ in log] == [0, 4] and log[0][1] == [0, 1]
+    log.clear()
+    cloud = window_cloud([3.5 * r - 2.0 ** -20, 0.0, 0.0])
+    assert first_hits_match_reference(cloud, *X_RAY, r).tolist() == [0]
+    assert log == [(0, [0])]
+
+
+def assert_tie_in_a_later_window(monkeypatch):
+    """Points 0 and 1 are (23, 33, 0) / 256 and (33, 23, 0) / 256, at equal t
+    4.95 tube radii out on a ray along (a, a, 0), a = fl(sqrt(1/2)):
+    fl(x a) + fl(y a) is one sum either way round.  The cloud's corner
+    (-16, -15, 0) / 256 puts the first window's last sample in cell (2, 1),
+    whose block holds point 1's cell (3, 2) but not point 0's (2, 3): point
+    0 wins only in the second window, by its lower index."""
+    a = np.sqrt(0.5)
+    cloud = PointCloud(np.vstack([[[23 / 256, 33 / 256, 0.0], [33 / 256, 23 / 256, 0.0],
+                                   [-16 / 256, -15 / 256, 0.25]], _FAR]))
+    origins, directions = np.zeros((1, 3)), np.array([[a, a, 0.0]])
+    t = dot3(cloud.points[:2] - origins[0], directions[0])
+    assert t[0] == t[1]
+    log = window_log(monkeypatch)
+    assert first_hits_match_reference(cloud, origins, directions, WINDOW_R).tolist() == [0]
+    assert [first for first, _ in log] == [0, 4]
+    assert log[0][1] == [1] and 0 in log[1][1]
+
+
+def assert_miss_after_every_window(monkeypatch):
+    """Points every half tube radius along the x ray, 1.25 tube radii off
+    it: each window's blocks hold some, none lies in the tube, and the ray
+    misses after expanding its last sample."""
+    r = WINDOW_R
+    line = [[k * r / 2, 1.25 * r, 0.0] for k in range(40)]
+    cloud = window_cloud(*line)
+    _, count = ContactIndex(cloud, r)._spans(*X_RAY)
+    log = window_log(monkeypatch)
+    assert first_hits_match_reference(cloud, *X_RAY, r).tolist() == [-1]
+    assert [first for first, _ in log] == [0, 4, 12] and 12 < count[0] <= 28
+    assert all(kept == [] for _, kept in log)
+
+
+def assert_contact_in_the_third_window(monkeypatch):
+    """The only point in the x ray's tube lies 16 tube radii out, nearest
+    sample 16, beyond the blocks of sample 11 (cell [10, 12) tube radii):
+    the first two windows keep no row, the third finds the contact."""
+    r = WINDOW_R
+    cloud = window_cloud([16 * r, 0.0, r / 2], [5 * r, 1.25 * r, 0.0])
+    log = window_log(monkeypatch)
+    assert first_hits_match_reference(cloud, *X_RAY, r).tolist() == [0]
+    assert log == [(0, []), (4, []), (12, [0])]
+
+
+WINDOW_CASES = {"point-at-a-window-bound": assert_point_at_a_window_bound,
+                "tie-in-a-later-window": assert_tie_in_a_later_window,
+                "miss-after-every-window": assert_miss_after_every_window,
+                "contact-in-the-third-window": assert_contact_in_the_third_window}
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_search_windows_match_reference(case, monkeypatch):
+    WINDOW_CASES[case](monkeypatch)
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("case", WINDOW_CASES)
+def test_search_windows_match_reference_in_small_passes(small_passes, case, monkeypatch):
+    WINDOW_CASES[case](monkeypatch)
+
+
+def test_search_windows_build_fewer_pairs(monkeypatch):
+    """On the 10k cylinder's dense pool, the search builds at most 60% of the
+    (ray, cell) pairs that block lists of every ray's whole stretch would:
+    most rays retire after a window or two."""
+    pool, cloud, gripper = dense_case("cylinder-10k")
+    rays = finger_rays(pool, gripper)
+    origins, directions = rays[:, 0], rays[:, 1]
+    index = ContactIndex(cloud, gripper.tube_radius)
+    n_occ = index._centers.shape[1]
+    built = []
+    tube_cells = ContactIndex._tube_cells
+
+    def counted(index, origins, directions, ray, lo, hi, every):
+        built.append(int((hi - lo).sum()) + len(every) * n_occ)
+        return tube_cells(index, origins, directions, ray, lo, hi, every)
+
+    monkeypatch.setattr(ContactIndex, "_tube_cells", counted)
+    index.first_hits(origins, directions)
+    t_in, count = index._spans(origins, directions)
+    whole = np.flatnonzero(count > 0)
+    _, lo, hi = index._block_lists(origins.T.copy(), directions.T.copy(), t_in, whole, 0,
+                                   count[whole])
+    full = int((hi - lo).sum()) + int((count < 0).sum()) * n_occ
+    assert 0 < sum(built) <= 0.6 * full
 
 
 @pytest.mark.parametrize("kind", ["sphere", "cylinder", "dumbbell", "lshape"])
@@ -945,8 +1092,8 @@ def test_certificate_keeps_full_scan_bytes(n_dirs):
     ref = np.array([oracles.reference_epsilon_quality(ws, n_dirs) for ws in sets])
     assert got.tobytes() == ref.tobytes()
     assert got.tobytes() == np.array([epsilon_quality(ws, n_dirs) for ws in sets]).tobytes()
-    slack = graspeval._SUPPORT_SLACK * np.abs(stack).sum(axis=2).max(axis=1)
-    settled = graspeval._supports(stack, np.ascontiguousarray(screened), -slack)[1]
+    settled = graspeval._supports(stack, np.ascontiguousarray(screened), np.arange(len(stack)),
+                                  True)[1]
     n_settled = len(settled_sets)
     assert settled[:n_settled].all() and not settled[n_settled:].any()
     assert (got[:-len(positive)] == 0.0).all() and (got[-len(positive):] > 0.0).all()
@@ -961,9 +1108,9 @@ def test_certificate_leaves_fewer_sets_to_the_scan(monkeypatch):
     sets = {}       # direction count of a pass -> sets it saw, call by call
     real = graspeval._supports
 
-    def supports(stack, dirs, floor):
-        sets.setdefault(len(dirs), []).append(len(stack))
-        return real(stack, dirs, floor)
+    def supports(stack, dirs, which, certify):
+        sets.setdefault(len(dirs), []).append(len(which))
+        return real(stack, dirs, which, certify)
 
     monkeypatch.setattr(graspeval, "_supports", supports)
     ranked = rank_pool(pool, cloud, cfg.gripper)
@@ -976,8 +1123,9 @@ def test_certificate_leaves_fewer_sets_to_the_scan(monkeypatch):
 
 def test_quality_memory_is_bounded():
     """Grading one pool slice of 3-contact grasps (24 wrenches each) at the
-    default direction count peaks below 2 MB: the support products are
-    built about 1 MB at a time, not the slice's 25 MB at once."""
+    default direction count peaks below 2 MB: the sets are gathered and
+    their support products built about 1 MB at a time, not the slice's
+    805 MB at once."""
     stack = np.random.default_rng(2).normal(size=(graspeval._POOL_SLICE, 3 * EDGES, 6))
     epsilon_quality(stack[:1])        # the cached lattice is not part of the peak
     tracemalloc.start()
@@ -1140,8 +1288,14 @@ def rank_case(name, request):
                                          GraspType.SPHERICAL) for k in range(4))), cloud, gripper
     if name == "one":
         return sphere_pool()[2:], cloud, gripper
-    # a 10k shape at the dense sampling of perfbench's dense-pool workload,
-    # with a wide aperture so that the box and the plate get a pool too
+    return dense_case(name)
+
+
+@functools.lru_cache(maxsize=None)
+def dense_case(name):
+    """(pool, cloud, gripper) of a 10k shape at the dense sampling of
+    perfbench's dense-pool workload, with a wide aperture so that the box
+    and the plate get a pool too; built once, and only read."""
     kind, dims = dict((f"{k}-10k", (k, d)) for k, d in SHAPES_10K)[name]
     gripper = GripperConfig(max_aperture=0.25)
     cloud = synth_shape(kind, dims, 10000, seed=1)
@@ -1150,8 +1304,6 @@ def rank_case(name, request):
     pool = generate_pool(tree, helpers.classes_for(tree, cloud, cfg.thresholds),
                          compute_face_states(tree, gripper.finger_length), gripper,
                          SamplingParams(10.0, 0.005))
-    # every pool but the plate's spans several slices
-    assert len(pool) > (0 if kind == "plate" else 2 * graspeval._POOL_SLICE)
     return pool, cloud, gripper
 
 
@@ -1164,6 +1316,19 @@ def test_rank_pool_matches_reference_bytes(name, request):
     ranking equals the one from grading each candidate on its own with a
     scan of every point, byte for byte."""
     pool, cloud, gripper = rank_case(name, request)
+    got = json.dumps(_ranking_section(rank_pool(pool, cloud, gripper)))
+    ref = json.dumps(_ranking_section(oracles.reference_rank_pool(pool, cloud, gripper)))
+    assert got == ref
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("name", [f"{kind}-10k" for kind, _ in SHAPES_10K])
+def test_rank_pool_matches_reference_bytes_in_slices_of_128(name, monkeypatch):
+    """As above, with the pool ranked in slices of 128 pre-grasps: every
+    pool but the plate's spans several slices."""
+    pool, cloud, gripper = dense_case(name)
+    assert len(pool) > (0 if name == "plate-10k" else 2 * 128)
+    monkeypatch.setattr(graspeval, "_POOL_SLICE", 128)
     got = json.dumps(_ranking_section(rank_pool(pool, cloud, gripper)))
     ref = json.dumps(_ranking_section(oracles.reference_rank_pool(pool, cloud, gripper)))
     assert got == ref
