@@ -10,8 +10,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateInput
-from .geom import covariance, eigh_descending
+from .geom import centred_rows, covariance, eigh_descending
 
 
 class ShapeCategory(str, Enum):
@@ -61,10 +60,7 @@ def pca(points):
         DegenerateInput: all points coincide, or their covariance overflows.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    X = pts - pts.mean(axis=0)
-    if float(np.abs(X).max(initial=0.0)) < 1e-12:
-        raise DegenerateInput("all points coincide")
-    return eigh_descending(covariance(X))[0]
+    return eigh_descending(covariance(centred_rows(pts)[1]))[0]
 
 
 def classify(eigenvalues, extents, thresholds=None):

@@ -6,8 +6,8 @@ A cloud is recursively partitioned into a binary tree of oriented boxes:
    coordinate-descent sweep of small rotations about each box axis),
 2. screen a fixed grid of axis-parallel candidate planes through the box:
    the points are sorted once per axis into slabs between the planes (each
-   slab a contiguous run of the sorted points and of their box-frame
-   coordinate rows, projected on the 49 integer screening vectors by one
+   slab a contiguous run of their sorted centred and box-frame coordinate
+   rows, the latter projected on the 49 integer screening vectors by one
    (49, 3) @ (3, cols) product per block), and the sides of all planes of
    an axis are summarized by scans over its slabs into exact moments and
    extreme-point coresets of 2 x 49 points.
@@ -22,18 +22,27 @@ A cloud is recursively partitioned into a binary tree of oriented boxes:
 
 Node ids are assigned breadth-first from 0.
 
+Every point set of a box fit is kept as contiguous (3, n) coordinate rows,
+from centring to the final extents: a node's points as a (1, 3, n) stack,
+the screen's sides as (g, 3, 98) coresets, through the same functions.  So
+the centring, each sweep step's two projected rows, read and written back,
+and the extents all run along contiguous memory.  The split search's
+box-frame coordinates, which the screen's slabs and evaluate_split's
+partition both cut, are the fixed-order sums (a0 r0 + a1 r1) + a2 r2 that
+`geom.dot3` takes, so a point's side of a plane depends on no BLAS kernel.
+
 Memory is bounded by the cloud's size: the tied-pair search (60 rows per
 set), the sweep (18) and the slab projections (49) reduce their per-point
 products in blocks of ``_BLOCK_BYTES``, with running extremes.  Those
 products only choose grid angles and sweep steps; the box comes from table
-rotations and the whole ``X @ R``, so a block's own gemm rounding could
+rotations and the whole ``R.T @ X``, so a block's own gemm rounding could
 only matter where two choices tie to within a few ulps.
 
 A set too large for one block (the fit of a node, not the screen's
 coresets) decides each tied-pair angle and sweep step on a coreset of its
 extreme points (Barequet & Har-Peled, J. Algorithms 2001), a bool mask that
 its fit's searches share.  A search adds the points extreme along each of
-its projected columns.  A step picks its winning row on the coreset, then
+its projected rows.  A step picks its winning row on the coreset, then
 checks it on all points with the 2-row product ``basis[[k, m + k]]`` that
 the sweep's update takes anyway: the check passes when that product's max
 and min equal the coreset's bit for bit.  The choice is then the all-point
@@ -41,11 +50,18 @@ choice, first-index ties included: a subset's max is at most the max and
 fl() is monotone, so no row's coreset volume (or area) exceeds its
 all-point one, while the winner's are equal.  A step whose coreset finds
 no volume below the current one has none on all points either.  A failed
-check adds the all-point extremes and decides the step again.  After
-``_CHECK_FAILS`` failed checks in one step, or a check that adds no new
-point (a kernel that rounds the two products differently), that step and
-the rest of the fit run on all points, as above: round shapes, where
-nearly every row ties, cost about what they cost without the coreset.
+check adds the all-point extremes and decides the step again.
+
+Failures are kept per search, keyed by the box axis it turns about: a tied
+pair (i, j) turns about axis 3 - i - j, a sweep step about its own axis.
+After ``_CHECK_FAILS`` failed checks in one step, the searches about that
+axis run on all points for the rest of the fit, as above; the others stay
+on the coreset.  So a cylinder, whose round cross-section ties every row of
+the searches about its axis, spends only those.  Once a second axis fails,
+or a check adds no new point (a kernel that rounds the two products
+differently), every search of the fit runs on all points: round shapes,
+where nearly every row ties about every axis, cost about what they cost
+without the coreset.
 """
 
 import itertools
@@ -57,7 +73,7 @@ from typing import ClassVar, List, Optional, Tuple
 import numpy as np
 
 from .errors import DegenerateInput, EmptySide
-from .geom import covariance, cross, eigh_descending, rotations_about_axes
+from .geom import centred_rows, covariance, cross, eigh_descending, rotations_about_axes
 
 logger = logging.getLogger(__name__)
 
@@ -187,15 +203,16 @@ _SWEEP_STEPS = [(_rot2_basis(np.cos(a), np.sin(a)),
 
 
 def _extremes(basis, p2):
-    """(g, r) max and min over the points of basis @ p2[s].T for each set of
-    the (g, n, 2) stack `p2`, reduced over runs of points that fit in
-    `_BLOCK_BYTES`, and that (g, r, n) product if it is one run (else None)."""
-    r, (g, n, _) = len(basis), p2.shape
+    """(g, r) max and min over the points of basis @ p2[s] for each set of
+    the (g, 2, n) stack of coordinate rows `p2`, reduced over runs of points
+    that fit in `_BLOCK_BYTES`, and that (g, r, n) product if it is one run
+    (else None)."""
+    r, (g, _, n) = len(basis), p2.shape
     step = max(1, _BLOCK_BYTES // (8 * r * g))
-    uv = basis @ p2[:, :step].transpose(0, 2, 1)
+    uv = basis @ p2[:, :, :step]
     hi, lo = uv.max(axis=2), uv.min(axis=2)
     for a in range(step, n, step):
-        uv = basis @ p2[:, a:a + step].transpose(0, 2, 1)
+        uv = basis @ p2[:, :, a:a + step]
         hi, lo = np.maximum(hi, uv.max(axis=2)), np.minimum(lo, uv.min(axis=2))
     return hi, lo, (uv if step >= n else None)
 
@@ -208,15 +225,15 @@ class _Coreset:
 
     def __init__(self, n):
         self.mask = np.zeros(n, dtype=bool)
-        self.spent = False          # a step failed its checks: all points from then on
+        self.failed = set()         # axes whose search failed its checks: all points
+        self.spent = False          # every search on all points from then on
 
-    def take(self, basis, cols):
+    def take(self, basis, rows):
         """This coreset for a search of the grid `basis` whose product with
-        the (n, c) projected points `cols` does not fit in one block, with
-        their extremes along each column added; else None."""
-        if self.spent or 8 * len(basis) * len(cols) <= _BLOCK_BYTES:
+        the (c, n) projected coordinate rows `rows` does not fit in one
+        block, with their extremes along each row added; else None."""
+        if self.spent or 8 * len(basis) * rows.shape[1] <= _BLOCK_BYTES:
             return None
-        rows = np.ascontiguousarray(cols.T)       # argmax along a strided axis copies
         self._add(np.concatenate((rows.argmax(axis=1), rows.argmin(axis=1))))
         return self
 
@@ -224,40 +241,48 @@ class _Coreset:
         self.mask[at] = True
         self.idx = np.flatnonzero(self.mask)
 
-    def search(self, basis, p2, choose):
-        """`_grid_search` of the one (n, 2) set `p2`, decided on the coreset:
-        the choice and its winner's rows of basis @ p2.T (None if no row
-        wins), or None once a step fails `_CHECK_FAILS` checks or a check
-        finds no new extreme point."""
+    def search(self, basis, p2, choose, about):
+        """`_grid_search` of the one (2, n) set `p2`, turning about box axis
+        `about`, decided on the coreset: the choice and its winner's rows of
+        basis @ p2 (None if no row wins), or None once the search about that
+        axis has failed (see the module docstring)."""
+        if self.spent or about in self.failed:
+            return None
         m, rows, fails = len(basis) // 2, None, 0
         while True:
-            uv_core = basis @ p2[self.idx].T
+            uv_core = basis @ p2[:, self.idx]
             hi, lo = uv_core.max(axis=1)[None], uv_core.min(axis=1)[None]
             choice = choose(hi, lo)
             if len(choice[0]) == 0:
                 return choice, None
             if rows != [choice[1][0], m + choice[1][0]]:
                 rows = [choice[1][0], m + choice[1][0]]
-                uv = basis[rows] @ p2.T
+                uv = basis[rows] @ p2
                 at = np.concatenate((uv.argmax(axis=1), uv.argmin(axis=1)))
             if (uv[[0, 1, 0, 1], at] == np.concatenate((hi[0, rows], lo[0, rows]))).all():
                 return choice, (uv[:1], uv[1:])
             fails += 1
-            if fails == _CHECK_FAILS or self.mask[at].all():
+            if self.mask[at].all():
                 self.spent = True
+                return None
+            if fails == _CHECK_FAILS:
+                self.failed.add(about)
+                self.spent = len(self.failed) > 1
                 return None
             self._add(at)
 
 
-def _grid_search(basis, p2, choose, core=None):
-    """A step of a grid search over each set of the (g, n, 2) stack `p2`.
+def _grid_search(basis, p2, choose, core=None, about=None):
+    """A step of a grid search over each set of the (g, 2, n) stack of
+    coordinate rows `p2`.
 
     `choose(hi, lo)` takes the (g, 2m) max and min over each set's points of
-    the rows of basis @ p2[s].T and returns (the sets a row wins, each one's
+    the rows of basis @ p2[s] and returns (the sets a row wins, each one's
     winning row k < m, ...).  Returns that choice and the winners' rows k and
     m + k of the product, two (len(sets), n) arrays, or None where they were
-    not taken.  With a `core` (one set) the step is decided on its coreset."""
-    found = None if core is None or core.spent else core.search(basis, p2[0], choose)
+    not taken.  With a `core` (one set) the step is decided on its coreset,
+    unless the search about box axis `about` has failed there."""
+    found = None if core is None else core.search(basis, p2[0], choose, about)
     if found is not None:
         return found
     hi, lo, uv = _extremes(basis, p2)
@@ -276,12 +301,13 @@ def _min_area_choice(hi, lo):
     return np.arange(len(hi)), np.argmin(spans[:, :k] * spans[:, k:], axis=1)
 
 
-def _min_area_turns(p2, core=None):
+def _min_area_turns(p2, core=None, about=None):
     """(cos, sin) of the grid angle that minimizes the bounding-rectangle area
-    of each 2D point set of the (t, n, 2) stack `p2`, as (t, 2) rows; on the
-    coreset `core` of a one-set stack whose product does not fit a block."""
+    of each 2D point set of the (t, 2, n) stack of coordinate rows `p2`, as
+    (t, 2) rows; on the coreset `core` of a one-set stack whose product does
+    not fit a block, for the pair that turns about box axis `about`."""
     core = core and core.take(_MIN_AREA_BASIS, p2[0])
-    (_, kb), _ = _grid_search(_MIN_AREA_BASIS, p2, _min_area_choice, core)
+    (_, kb), _ = _grid_search(_MIN_AREA_BASIS, p2, _min_area_choice, core, about)
     return _MIN_AREA_TURNS[kb]
 
 
@@ -289,7 +315,8 @@ def _pca_axes(cov, X, core=None):
     """Principal axes of each covariance of the (g, 3, 3) stack `cov`
     (columns, descending eigenvalue), with near-tied eigenvalue pairs
     re-oriented by a min-area rectangle search over the matching centred
-    points of the (g, n, 3) stack `X` (on the coreset `core` if g is 1).
+    coordinate rows of the (g, 3, n) stack `X` (on the coreset `core` if g
+    is 1).
 
     PCA leaves the basis of a (near-)degenerate eigenspace arbitrary — for a
     square cross-section the returned pair can sit at any in-plane angle, far
@@ -297,26 +324,19 @@ def _pca_axes(cov, X, core=None):
     geometrically here.  The tied sets are searched in blocks of `_BLOCK_BYTES`.
     """
     lam, axes = eigh_descending(cov)
-    step = max(1, _BLOCK_BYTES // (8 * len(_MIN_AREA_BASIS) * X.shape[1]))
+    step = max(1, _BLOCK_BYTES // (8 * len(_MIN_AREA_BASIS) * X.shape[2]))
     for i, j in ((0, 1), (1, 2), (0, 1)):
         untied = (lam[:, j] <= 0.0) | (lam[:, i] > _TIED_EIGENVALUE_RATIO * lam[:, j])
         tied = np.flatnonzero(~untied)
         for start in range(0, len(tied), step):
             blk = tied[start:start + step]
             Xb = X if len(blk) == len(X) else X[blk]       # fit_obb's stack: no copy
-            c, s = _min_area_turns(Xb @ axes[blk][:, :, (i, j)], core).T[:, :, None]
+            pair = axes[blk][:, :, (i, j)].transpose(0, 2, 1) @ Xb
+            c, s = _min_area_turns(pair, core, 3 - i - j).T[:, :, None]
             a_old, b_old = axes[blk, :, i], axes[blk, :, j]
             axes[blk, :, i] = c * a_old + s * b_old
             axes[blk, :, j] = -s * a_old + c * b_old
     return axes
-
-
-def _extents(cols):
-    """max - min along the last axis, reduced on a contiguous copy: the
-    strided last axis of a transposed (..., n, 3) array would run 3-long
-    inner loops.  Max and min are exact, so the order cannot change them."""
-    cols = np.ascontiguousarray(cols)
-    return cols.max(axis=-1) - cols.min(axis=-1)
 
 
 def _sweep_choice(hi, lo, ext, axis, best_vol):
@@ -339,7 +359,8 @@ def _sweep_choice(hi, lo, ext, axis, best_vol):
 def _sweep(X, R, core=None):
     """Coordinate-descent sweep of small rotations about each axis, in
     `_REFINE_STEPS` rounds, minimizing the volume of each centred point set
-    of the (g, n, 3) stack `X` along its axes in the (g, 3, 3) stack `R`.
+    of the (g, 3, n) stack of coordinate rows `X` along its axes in the
+    (g, 3, 3) stack `R`.
 
     Returns the refined (g, 3, 3) axes and the (g,) floor-clamped volumes of
     the sets' extents along them.  The stack is swept whole: one set of a box
@@ -347,26 +368,28 @@ def _sweep(X, R, core=None):
     sides, whose 98-row coresets fit one `_BLOCK_BYTES` block of grid products.
     """
     R = R.copy()
-    P = X @ R
-    ext = _extents(P.transpose(0, 2, 1))
+    P = R.transpose(0, 2, 1) @ X
+    ext = P.max(axis=2) - P.min(axis=2)
     best_vol = np.maximum(ext, 2.0 * EXTENT_FLOOR).prod(axis=1)
     core = core and core.take(_SWEEP_STEPS[0][0], P[0])
     for basis, turns in _SWEEP_STEPS:
         m = turns.shape[1]
         for axis in range(3):
             # rotating about a box axis only mixes the other two projected
-            # columns, so the sweep needs no full re-projection
+            # rows, so the sweep needs no full re-projection; rows (2, 0) are
+            # the one pair that is not a slice
             j, k = (axis + 1) % 3, (axis + 2) % 3
-            pjk = P[:, :, (j, k)]
+            pjk = P[:, j:k + 1] if j < k else P[:, (j, k)]
             (g, kb, vol, e), uv = _grid_search(
-                basis, pjk, lambda hi, lo: _sweep_choice(hi, lo, ext, axis, best_vol), core)
+                basis, pjk, lambda hi, lo: _sweep_choice(hi, lo, ext, axis, best_vol),
+                core, axis)
             best_vol[g], ext[g] = vol, e
             R[g] = R[g] @ turns[axis, kb]
             if uv is None:
                 pjk = pjk if len(g) == len(X) else pjk[g]     # no copy when every set won
-                uv = basis[np.stack([kb, m + kb], axis=1)] @ pjk.transpose(0, 2, 1)
+                uv = basis[np.stack([kb, m + kb], axis=1)] @ pjk
                 uv = uv[:, 0], uv[:, 1]
-            P[g, :, j], P[g, :, k] = uv
+            P[g, j], P[g, k] = uv
             del uv, pjk     # before the next step's product
     return R, best_vol
 
@@ -388,24 +411,21 @@ def fit_obb(points):
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
         raise DegenerateInput("no points")
-    mean = pts.mean(axis=0)
-    X = pts - mean
-    if float(np.abs(X).max(initial=0.0)) < 1e-12:
-        raise DegenerateInput("all points coincide")
+    mean, X = centred_rows(pts)
 
-    core = _Coreset(len(X))
+    core = _Coreset(X.shape[1])
     R = _sweep(X[None], _pca_axes(covariance(X)[None], X[None], core), core)[0][0]
 
     # canonical form: extents descending, dominant axes sign-fixed, det = +1
-    ext = _extents((X @ R).T)
-    R = R[:, np.argsort(-ext, kind="stable")]
+    P = R.T @ X
+    R = R[:, np.argsort(-(P.max(axis=1) - P.min(axis=1)), kind="stable")]
     for c in (0, 1):
         col = R[:, c]
         if col[int(np.argmax(np.abs(col)))] < 0.0:
             R[:, c] = -col
     R[:, 2] = cross(R[:, 0], R[:, 1])
-    cols = np.ascontiguousarray((X @ R).T)
-    lo, hi = cols.min(axis=1), cols.max(axis=1)
+    P = R.T @ X
+    lo, hi = P.min(axis=1), P.max(axis=1)
     center = mean + R @ ((lo + hi) / 2.0)
     half = np.maximum((hi - lo) / 2.0, EXTENT_FLOOR)
     return OrientedBox(center, R, half)
@@ -414,6 +434,17 @@ def fit_obb(points):
 # ===========================================================================
 # Split search
 # ===========================================================================
+
+def _box_coordinates(pts, box, axes):
+    """(len(axes), n) rows: the coordinates of the (n, 3) points `pts` along
+    each box axis a of the list `axes`, as the fixed-order sum
+    (a0 r0 + a1 r1) + a2 r2 over the coordinate rows r of pts - box.center,
+    the sum `geom.dot3` takes.  Elementwise arithmetic, so a point's side of
+    a split plane depends on neither the BLAS kernel nor the other points."""
+    r = np.subtract(pts.T, box.center[:, None], order="C")
+    a = box.rotation[:, axes, None]
+    return (a[0] * r[0] + a[1] * r[1]) + a[2] * r[2]
+
 
 def evaluate_split(points, parent_box, axis, offset):
     """Cut `points` with the plane normal to box axis `axis` through
@@ -427,7 +458,7 @@ def evaluate_split(points, parent_box, axis, offset):
         DegenerateInput: one side's points all coincide.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    d = (pts - parent_box.center) @ parent_box.axis(axis) - offset
+    d = _box_coordinates(pts, parent_box, [axis])[0] - offset
     idx_a = np.flatnonzero(d < 0.0)
     idx_b = np.flatnonzero(d >= 0.0)
     if len(idx_a) == 0 or len(idx_b) == 0:
@@ -502,37 +533,42 @@ def _slab_order(coord):
 
 
 def _slab_summaries(X, frame, axis, offsets):
-    """Cut the centred points `X` at the sorted `offsets` of their box-frame
-    coordinate row `frame[axis]` and summarize each of the len(offsets) + 1
-    slabs.
+    """Cut the centred points, the (3, n) coordinate rows `X`, at the sorted
+    `offsets` of their box-frame coordinate row `frame[axis]` and summarize
+    each of the len(offsets) + 1 slabs.
 
     A point lies below an offset iff coord < offset, which is exactly when
     coord - offset < 0 (a float difference is zero only for equal operands),
     so the slabs reproduce evaluate_split's partitions.
 
-    The points and the (3, n) coordinate rows `frame` are gathered once in
-    slab order, so each slab is a contiguous run of both.  Its projections on
-    SCREEN_DIRECTIONS are one (49, 3) @ (3, cols) product per run of points
-    that fits `_BLOCK_BYTES`, direction-major.  Each v_i * L_i is exact (v_i
-    is 0, +-1 or +-2), so an FMA rounds like a multiply-then-add, and a
-    kernel that sums k in order gives the fixed-order (v0 L0 + v1 L1) + v2 L2
-    but for the sign of an exact zero, which `+ 0.0` on the extremes clears.
-    Ties go to the first point in slab order."""
+    The rows of `X` and `frame` are gathered once in slab order, so each
+    slab is a contiguous run of both.  Its moment sums are each row's
+    sequential sum, from a cumulative sum (`np.sum` along a row would sum
+    pairwise), and its outer products one (3, s) @ (s, 3) product.  Its
+    projections on SCREEN_DIRECTIONS are one (49, 3) @ (3, cols) product per
+    run of points that fits `_BLOCK_BYTES`, direction-major.  Each v_i * L_i
+    is exact (v_i is 0, +-1 or +-2), so an FMA rounds like a
+    multiply-then-add, and a kernel that sums k in order gives the
+    fixed-order (v0 L0 + v1 L1) + v2 L2 but for the sign of an exact zero,
+    which `+ 0.0` on the extremes clears.  Ties go to the first point in
+    slab order."""
     order, ranked = _slab_order(frame[axis])
     bounds = np.concatenate(([0], np.searchsorted(ranked, offsets), [len(ranked)]))
     n_slabs, m = len(bounds) - 1, len(SCREEN_DIRECTIONS)
     slabs = _Slabs(bounds, np.zeros((n_slabs, 3)), np.zeros((n_slabs, 3, 3)),
                    np.full((n_slabs, m), -np.inf), np.zeros((n_slabs, m), dtype=int),
                    np.full((n_slabs, m), np.inf), np.zeros((n_slabs, m), dtype=int))
-    Xo, L = X.take(order, axis=0), frame.take(order, axis=1)
+    Xo, L = X.take(order, axis=1), frame.take(order, axis=1)
     rows, step = np.arange(m), max(1, _BLOCK_BYTES // (8 * m))
     for j in range(n_slabs):
         a, b = bounds[j], bounds[j + 1]
         if a == b:
             continue
-        Xs = Xo[a:b]
-        slabs.s1[j] = Xs.sum(axis=0)
-        slabs.s2[j] = Xs.T @ Xs
+        Xs = Xo[:, a:b]
+        # + 0.0: a sum from the first term keeps an all -0.0 run's sign, which
+        # a sum from the identity clears
+        slabs.s1[j] = np.cumsum(Xs, axis=1)[:, -1] + 0.0
+        slabs.s2[j] = Xs @ Xs.T
         for c in range(a, b, step):
             proj = SCREEN_DIRECTIONS @ L[:, c:min(b, c + step)]
             top, bot = proj.argmax(axis=1), proj.argmin(axis=1)
@@ -583,9 +619,9 @@ def _screen(pts, box):
     coincident side, or repeat the partition of a smaller offset, are left
     out.  Every side's coreset has 2 * len(SCREEN_DIRECTIONS) rows, so all
     sides are fitted (PCA from their moments, then the sweep) as one stack."""
-    X = pts - pts.mean(axis=0)
-    # the expressions evaluate_split partitions by, for bit-equal sides
-    frame = np.array([(pts - box.center) @ box.axis(axis) for axis in range(3)])
+    X = centred_rows(pts)[1]
+    # the coordinates evaluate_split partitions by, for bit-equal sides
+    frame = _box_coordinates(pts, box, [0, 1, 2])
     norms = np.linalg.norm(SCREEN_DIRECTIONS, axis=1)
     planes, sides = [], []
     for axis in range(3):
@@ -603,7 +639,7 @@ def _screen(pts, box):
     count, moments, coreset = (np.concatenate(f).reshape(-1, *f[0].shape[2:]) for f in zip(*sides))
     s1, s2 = moments[:, :3], moments[:, 3:].reshape(-1, 3, 3)
     mean = s1 / count[:, None]
-    C = X.take(coreset, axis=0) - mean[:, None, :]
+    C = np.subtract(X.take(coreset, axis=1).transpose(1, 0, 2), mean[:, :, None], order="C")
     cov = s2 / count[:, None, None] - mean[:, :, None] * mean[:, None, :]
     _, vols = _sweep(C, _pca_axes(cov, C))
     return [(float(a + b), *plane) for (a, b), plane in zip(vols.reshape(-1, 2), planes)]

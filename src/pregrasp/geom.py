@@ -76,15 +76,31 @@ def perpendicular_frames(normals):
     return e1, cross(n, e1)
 
 
+def centred_rows(points):
+    """The mean of the (n, 3) array `points`, as points.mean(axis=0), and the
+    points minus it as C-ordered (3, n) coordinate rows, so that every later
+    pass over a coordinate runs along contiguous memory.
+
+    Raises:
+        DegenerateInput: all points lie within 1e-12 of their mean on each
+            coordinate (they coincide).
+    """
+    mean = points.mean(axis=0)
+    X = np.subtract(points.T, mean[:, None], order="C")
+    if float(np.abs(X).max(initial=0.0)) < 1e-12:
+        raise DegenerateInput("all points coincide")
+    return mean, X
+
+
 def covariance(X):
-    """X.T X / n of n centred points (an (n, 3) array).
+    """X X.T / n of n centred points given as (3, n) coordinate rows.
 
     Raises:
         DegenerateInput: the products overflow (a point lies beyond about
             1e154 m of the mean), so no box or principal axes can be derived.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        cov = X.T @ X / len(X)
+        cov = X @ X.T / X.shape[1]
     if not np.isfinite(cov).all():
         raise DegenerateInput(f"the covariance of the points overflows: a coordinate "
                               f"lies {float(np.abs(X).max()):.3g} m from their mean")

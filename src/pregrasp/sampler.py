@@ -23,6 +23,7 @@ import numpy as np
 
 from .classifier import GraspType, ShapeCategory
 from .decomposition import OrientedBox
+from .errors import PreGraspError
 from .facemask import CELL_TOL, FACE_FRAMES, subfaces
 from .geom import cross, dot3, row_norms, unit_rows
 
@@ -83,6 +84,15 @@ def select_nodes(tree, classes, gripper):
     return selected
 
 
+# Axial stations of one Cylindrical node, at most.  A station is a ring of
+# 360 / angular_step directions, each tested against every free cell of the
+# node, so the table grows with the node's length, which nothing else bounds:
+# one far outlier makes a root kilometres long.  1e5 stations span 100 m at a
+# 1 mm axial_step, far beyond anything a hand with a 10 cm aperture grasps,
+# while a 1e12 m node would ask for 5e13 of them (hundreds of TiB).
+_MAX_STATIONS = 100_000
+
+
 # ===========================================================================
 # Surface sampling: a per-type direction table feeds one array pass over the
 # exit faces and free cells of a node
@@ -104,11 +114,19 @@ def _direction_table(grasp_type, length, sampling):
     axial_step station of the enclosing cylinder's `length`, centered on the
     box.  ThreeFingertip: in-plane directions at angular_step in the plane of
     the two largest extents.
+
+    Raises:
+        PreGraspError: a Cylindrical `length` needs more than `_MAX_STATIONS`
+            stations.
     """
     step = sampling.angular_step
     ph = np.radians(_angle_steps(360.0, step, inclusive=False))
     if grasp_type == GraspType.CYLINDRICAL:
         n_stations = int(np.floor(length / sampling.axial_step + 1e-9)) + 1
+        if n_stations > _MAX_STATIONS:
+            raise PreGraspError(
+                f"a Cylindrical node of length {length:.6g} m needs {n_stations} stations at "
+                f"axial_step {sampling.axial_step:g} m; at most {_MAX_STATIONS} are sampled")
         stations = (np.arange(n_stations) - (n_stations - 1) / 2.0) * sampling.axial_step
         ring = np.stack((np.zeros(len(ph)), np.cos(ph), np.sin(ph)), axis=1)
         return (np.concatenate(([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],

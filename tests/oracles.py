@@ -35,19 +35,28 @@ code because the package must agree with them exactly:
   projection that the package's slab-local, direction-major split screen
   replaced, as fixed-order sums over the integer screening vectors
   (`lattice_projections`), which the package's one BLAS product per block
-  must equal bit for bit on every kernel, built on the package's `_Slabs`
-  and `SCREEN_DIRECTIONS`;
+  must equal bit for bit on every kernel, with each slab's moments summed
+  down its (n_s, 3) points, as the package's cumulative sum along each
+  coordinate row does, built on the package's `_Slabs` and
+  `SCREEN_DIRECTIONS`;
+- `box_frame_coordinates`, a point's coordinate along a box axis as the
+  one-point fixed-order sum `dot`(point - center, axis), which the package's
+  split search (its screen's slabs and `evaluate_split`'s partition) takes
+  for all points at once as rows of elementwise products, so the two agree
+  bit for bit under any BLAS kernel;
 - `reference_side_summary`, one side's moments summed and extremes picked
   over its slabs on their own, which the package's scans over all sides of
   an axis (`_side_summaries`) replaced;
-- `reference_fit_obb`, the box fit with each per-point product built whole
-  (`pca_axes`' (60, n) tied-pair search, `sweep_volume`'s (18, n) steps),
-  which the package's block-by-block reductions replaced, built on the
-  package's search constants;
+- `reference_fit_obb`, the box fit on (n, 3) points with each per-point
+  product built whole (`pca_axes`' (60, n) tied-pair search,
+  `sweep_volume`'s (18, n) steps), which the package's block-by-block
+  reductions over (3, n) coordinate rows replaced, built on the package's
+  search constants;
 - `reference_screen`, the one-side-at-a-time PCA and rotation sweep that the
-  package's stacked split screen replaced, built on `pca_axes`,
-  `sweep_volume`, `reference_side_summary`, `reference_slab_summaries` and
-  the package's search constants;
+  package's stacked split screen replaced, each side an (n, 3) point set,
+  built on `pca_axes`, `sweep_volume`, `reference_side_summary`,
+  `reference_slab_summaries`, `box_frame_coordinates` and the package's
+  search constants;
 - `reference_epsilon_quality`, the per-direction row maxima of one wrench
   set's (n_dirs, k) support product, which the package's stacked (g, k,
   n_dirs) products reduced along contiguous memory replaced, and the full
@@ -289,9 +298,17 @@ def lattice_projections(L):
     return (L[:, :1] * V[:, 0] + L[:, 1:2] * V[:, 1]) + L[:, 2:3] * V[:, 2]
 
 
+def box_frame_coordinates(points, box, axis):
+    """The coordinate of a point (3,) along box axis `axis`, as the one-point
+    fixed-order sum `dot`(point - box.center, axis vector), left to right;
+    given (n, 3) points, the same sum for each point, element by element."""
+    return dot((np.asarray(points, dtype=float) - box.center).T, box.axis(axis))
+
+
 def reference_slab_summaries(X, frame, axis, offsets):
     """Slab summaries of the split screen, one slab at a time: each slab's
-    moments from its points gathered from `X`, and its `lattice_projections`
+    moments from its points gathered as (n_s, 3) rows from the (3, n)
+    coordinate rows `X`, summed down the rows, and its `lattice_projections`
     from its box-frame coordinates gathered from the (3, n) rows `frame` as
     an (n_s, 49) block, with the extremes taken down its columns and their
     signed zeros cleared."""
@@ -309,7 +326,7 @@ def reference_slab_summaries(X, frame, axis, offsets):
         rows = order[bounds[j]:bounds[j + 1]]
         if len(rows) == 0:
             continue
-        Xs = X[rows]
+        Xs = X.T[rows]
         slabs.s1[j] = Xs.sum(axis=0)
         slabs.s2[j] = Xs.T @ Xs
         proj = lattice_projections(frame.T[rows])
@@ -444,7 +461,8 @@ def reference_screen(pts, box):
     then its own rotation sweep on its (98, 3) coreset, as the package's
     stacked screen did before it fitted all sides of a node as one stack,
     with each side summarized by `reference_side_summary` from
-    `reference_slab_summaries`.  Built on the package's search constants."""
+    `reference_slab_summaries` and the box-frame coordinates of
+    `box_frame_coordinates`.  Built on the package's search constants."""
     from pregrasp import decomposition as d
 
     def side_volume(X, side):
@@ -457,11 +475,11 @@ def reference_screen(pts, box):
         return sweep_volume(C, pca_axes(s2 / count - np.outer(mean, mean), C))[0]
 
     X = pts - pts.mean(axis=0)
-    frame = np.array([(pts - box.center) @ box.axis(axis) for axis in range(3)])
+    frame = np.array([box_frame_coordinates(pts, box, axis) for axis in range(3)])
     scored = []
     for axis in range(3):
         offsets = d.candidate_offsets(box.half_extents[axis])
-        slabs = reference_slab_summaries(X, frame, axis, offsets)
+        slabs = reference_slab_summaries(X.T, frame, axis, offsets)
         for k, offset in enumerate(offsets, start=1):
             below = slabs.bounds[k]
             if below == slabs.bounds[k - 1] or below == len(pts):

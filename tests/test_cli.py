@@ -362,6 +362,21 @@ def test_overflowing_covariance_is_runtime_error(stage, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_far_point_station_count_is_runtime_error(tmp_path, capsys):
+    """A point at x = 1e12 m makes the root a Cylindrical node 1e12 m long:
+    `rank` exits 1 with one error line that names the node's length and
+    axial_step, and writes no document (it used to die with a MemoryError
+    traceback, asking for 5e13 axial stations)."""
+    cloud = tmp_path / "far.xyz"
+    cloud.write_text("0 0 0\n0.01 0 0\n0 0.01 0\n0 0 0.01\n1e12 0 0\n")
+    out = tmp_path / "x.json"
+    assert run_stage("rank", cloud, out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "length 1e+12 m" in err[0] and "axial_step 0.02 m" in err[0], err[0]
+    assert not out.exists()
+
+
 def test_invalid_log_level_env(sphere_xyz, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PREGRASP_LOG", "chatty")
     assert run_stage("decompose", sphere_xyz, tmp_path / "x.json") == 2

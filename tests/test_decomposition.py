@@ -131,7 +131,7 @@ def _spy_extremes(monkeypatch):
     real = decomposition._extremes
 
     def spy(basis, p2):
-        seen.append((len(basis), p2.shape[1]))
+        seen.append((len(basis), p2.shape[2]))
         return real(basis, p2)
 
     monkeypatch.setattr(decomposition, "_extremes", spy)
@@ -149,13 +149,53 @@ def test_coreset_fit_of_a_large_box_takes_no_all_point_grid_product(monkeypatch)
     assert [call for call in seen if call[1] == len(pts)] == []
 
 
+def _spy_searches(monkeypatch, n):
+    """[box axis turned about, whether it reduced a grid product on all n
+    points] of every grid search step, in order."""
+    searches, real_grid, real_extremes = [], decomposition._grid_search, decomposition._extremes
+
+    def grid(basis, p2, choose, core=None, about=None):
+        searches.append([about, False])
+        return real_grid(basis, p2, choose, core, about)
+
+    def extremes(basis, p2):
+        searches[-1][1] |= p2.shape[2] == n
+        return real_extremes(basis, p2)
+
+    monkeypatch.setattr(decomposition, "_grid_search", grid)
+    monkeypatch.setattr(decomposition, "_extremes", extremes)
+    return searches
+
+
 def test_coreset_fit_of_a_large_sphere_falls_back_to_all_points(monkeypatch):
     """Nearly every grid row of a sphere ties, so its checks fail until a
-    step runs on all points."""
+    step runs on all points.  Its searches fail about two axes, so every
+    step of the fit runs on all points."""
     seen = _spy_extremes(monkeypatch)
     pts = _synth_points("sphere", 100_000)
+    searches = _spy_searches(monkeypatch, len(pts))
     fit_obb(pts)
     assert any(n == len(pts) for _, n in seen)
+    assert len({about for about, _ in searches}) == 3 and all(whole for _, whole in searches)
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("rotated", [False, True])
+def test_coreset_fit_of_a_large_cylinder_falls_back_only_about_its_axis(rotated, monkeypatch):
+    """A cylinder's cross-section is round, so its checks fail only in the
+    searches that turn about its axis: the tied pair of the cross-section
+    and the sweep steps about the axis.  Only those take all-point grid
+    products; every other search stays on the coreset, and the box has the
+    reference's bytes."""
+    rotation = helpers.random_rotation(np.random.default_rng(59)) if rotated else np.eye(3)
+    pts = _synth_points("cylinder", 100_000) @ rotation.T
+    searches = _spy_searches(monkeypatch, len(pts))
+    _assert_reference_bytes(pts, f"cylinder-rotated={rotated}")
+    # the tied pair (1, 2) turns about axis 0, the longest: the cylinder's axis
+    assert len(searches) == 1 + 3 * decomposition._REFINE_STEPS
+    assert {about for about, whole in searches if whole} == {0}
+    assert sum(whole for _, whole in searches) == 1 + decomposition._REFINE_STEPS
+    assert abs(fit_obb(pts).axis(0) @ rotation[:, 2]) > 0.999      # synth axis: +z
 
 
 @pytest.mark.bitexact
@@ -174,8 +214,8 @@ def test_coreset_fit_from_a_one_point_seed_matches_reference_bytes(monkeypatch):
             core._add(np.array([0]))
         return core
 
-    def search(core, basis, p2, choose):
-        found = real_search(core, basis, p2, choose)
+    def search(core, basis, p2, choose, about):
+        found = real_search(core, basis, p2, choose, about)
         searches.append((len(basis), found is not None))
         return found
 
@@ -443,7 +483,7 @@ def test_screen_slab_sums_match_direct_side_sums(lshape_cloud, lshape_tree):
     node = lshape_tree.node(0)
     pts = lshape_cloud.points[node.point_indices]
     X = pts - pts.mean(axis=0)
-    frame = np.array([(pts - node.box.center) @ node.box.axis(a) for a in range(3)])
+    frame = np.array([oracles.box_frame_coordinates(pts, node.box, a) for a in range(3)])
     proj = oracles.lattice_projections(frame.T) + 0.0
     rng = np.random.default_rng(11)
     sides = 0
@@ -451,7 +491,7 @@ def test_screen_slab_sums_match_direct_side_sums(lshape_cloud, lshape_tree):
         h = node.box.half_extents[axis]
         offsets = np.sort(rng.uniform(-h, h, 8))
         offsets[3] = offsets[4]                   # an empty slab between them
-        slabs = _slab_summaries(X, frame, axis, offsets)
+        slabs = _slab_summaries(np.ascontiguousarray(X.T), frame, axis, offsets)
         summaries = _side_summaries(slabs)
         for k in range(1, len(offsets) + 1):
             below = frame[axis] - offsets[k - 1] < 0.0
@@ -645,9 +685,9 @@ def test_screen_matches_per_side_reference_bytes(case, request, monkeypatch):
 
 
 def _stacked_point_sets():
-    """Sixteen centred 98-point sets: rotated boxes, square-section bricks
-    and spheres (tied eigenpairs), a planar and a collinear set
-    (rank-deficient)."""
+    """Sixteen centred 98-point sets as (3, 98) coordinate rows: rotated
+    boxes, square-section bricks and spheres (tied eigenpairs), a planar and
+    a collinear set (rank-deficient)."""
     rng = np.random.default_rng(21)
     sets = [oracles.box_surface_points(rng, (0.1, 0.05, 0.02), 98) @ helpers.random_rotation(rng).T
             for _ in range(2)]
@@ -656,7 +696,7 @@ def _stacked_point_sets():
     sets += [synth_shape("sphere", (0.05,), 98, seed=seed).points for seed in range(8)]
     sets.append(np.c_[rng.uniform(-0.1, 0.1, (98, 2)), np.zeros(98)])
     sets.append(np.outer(rng.uniform(-0.1, 0.1, 98), [0.6, 0.0, 0.8]))
-    return np.stack([x - x.mean(axis=0) for x in sets])
+    return np.stack([(x - x.mean(axis=0)).T for x in sets])
 
 
 @pytest.mark.bitexact
@@ -667,7 +707,7 @@ def test_stacked_fit_matches_stacks_of_one(monkeypatch):
     search into blocks of 4 sets and the sweep's products into runs of 81
     points (its update then takes its own 2-row product)."""
     X = _stacked_point_sets()
-    cov = np.stack([x.T @ x / len(x) for x in X])
+    cov = np.stack([x @ x.T / x.shape[1] for x in X])
     lam = np.linalg.eigvalsh(cov)[:, ::-1]
     assert (lam[:, 2] <= 1e-18).sum() == 2                       # planar, collinear
     ratio = decomposition._TIED_EIGENVALUE_RATIO
@@ -675,7 +715,7 @@ def test_stacked_fit_matches_stacks_of_one(monkeypatch):
     assert tied.sum() > 4                                        # two tied blocks
     ones = [decomposition._pca_axes(cov[g:g + 1], X[g:g + 1]) for g in range(len(X))]
     ones = [(a, *decomposition._sweep(X[g:g + 1], a)) for g, a in enumerate(ones)]
-    for budget in (decomposition._BLOCK_BYTES, 4 * 8 * 60 * X.shape[1]):
+    for budget in (decomposition._BLOCK_BYTES, 4 * 8 * 60 * X.shape[2]):
         monkeypatch.setattr(decomposition, "_BLOCK_BYTES", budget)
         axes = decomposition._pca_axes(cov, X)
         R, vols = decomposition._sweep(X, axes)
@@ -743,6 +783,27 @@ def test_lattice_product_is_the_fixed_order_sum_bytes():
             got = SCREEN_DIRECTIONS @ rows[:, start:start + w] + 0.0
             want = oracles.lattice_projections(rows[:, start:start + w].T).T + 0.0
             assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (start, w)
+
+
+@pytest.mark.bitexact
+def test_box_frame_rows_are_the_one_point_fixed_order_sum_bytes(dumbbell_cloud, dumbbell_tree):
+    """The box-frame coordinate rows that the screen's slabs and
+    evaluate_split's partition both cut equal the one-point fixed-order sum
+    (a0 r0 + a1 r1) + a2 r2 of `oracles.box_frame_coordinates`, byte for
+    byte, point by point: on every searched node's box and points, and on a
+    randomly rotated box far from the cloud's points."""
+    params = DecompParams()
+    rng = np.random.default_rng(61)
+    cases = [(dumbbell_cloud.points[node.point_indices], node.box)
+             for node in _searched_nodes(dumbbell_tree, params)]
+    cases.append((rng.normal(scale=100.0, size=(500, 3)),
+                  OrientedBox(rng.normal(size=3), helpers.random_rotation(rng), np.ones(3))))
+    for pts, box in cases:
+        rows = decomposition._box_coordinates(pts, box, [0, 1, 2])
+        assert rows.shape == (3, len(pts)) and rows.flags.c_contiguous
+        for i in range(0, len(pts), 7):
+            want = [oracles.box_frame_coordinates(pts[i], box, axis) for axis in range(3)]
+            assert rows[:, i].tobytes() == np.array(want).tobytes(), i
 
 
 # ---------------------------------------------------------------------------
