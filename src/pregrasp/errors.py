@@ -10,12 +10,13 @@ class PreGraspError(Exception):
 
 
 class ParseError(PreGraspError):
-    """A point-cloud file could not be parsed.  Carries the 1-based line number."""
+    """A point-cloud file could not be parsed.  Carries the 1-based line
+    number, or None where the fault lies in no line."""
 
     def __init__(self, line, reason):
         self.line = line
         self.reason = reason
-        super().__init__(f"line {line}: {reason}")
+        super().__init__(reason if line is None else f"line {line}: {reason}")
 
 
 class EmptyCloud(PreGraspError):

@@ -86,7 +86,7 @@ def load_cloud(path, fmt=None):
         fmt = os.path.splitext(str(path))[1].lstrip(".").lower() or "xyz"
     fmt = fmt.lower()
     if fmt not in ("xyz", "ply", "obj"):
-        raise ParseError(0, f"unknown format {fmt!r} (expected xyz, ply or obj)")
+        raise ParseError(None, f"{path}: unknown format {fmt!r} (expected xyz, ply or obj)")
     with open(path, "r", encoding="utf-8-sig", errors="replace") as fh:
         lines = fh.read().splitlines()
 
@@ -351,8 +351,10 @@ def _union_of_boxes(rng, boxes, n):
 # ===========================================================================
 
 def save_results(path, payload):
-    """Write a JSON result document atomically (temp file + rename).  The
-    file gets mode 0o666 less the umask, as a plain `open` would give it."""
+    """Write a JSON result document atomically (temp file + rename), as one
+    line of compact JSON and a newline.  The file gets mode 0o666 less the
+    umask, as a plain `open` would give it."""
+    text = json.dumps(payload)    # the C encoder; json.dump always takes the Python one
     path = str(path)
     directory = os.path.dirname(path) or "."
     os.makedirs(directory, exist_ok=True)
@@ -360,7 +362,7 @@ def save_results(path, payload):
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2)
+            fh.write(text)
             fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -372,7 +374,7 @@ def save_results(path, payload):
 
 def _not_json(constant):
     """Reject a NaN, Infinity or -Infinity, which Python's json reads and JSON lacks."""
-    raise ParseError(0, f"invalid JSON: {constant} is not a JSON value")
+    raise ParseError(None, f"invalid JSON: {constant} is not a JSON value")
 
 
 # A JSON string, or (group 1) one of those constants: outside strings, JSON

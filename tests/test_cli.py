@@ -348,6 +348,19 @@ def test_missing_input_is_runtime_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_unknown_extension_is_runtime_error(tmp_path, capsys):
+    """An extension that names no format exits 1 with one error line that
+    names the file and no line number, and writes no document."""
+    cloud = tmp_path / "cloud.txt"
+    cloud.write_text("0 0 0\n0.01 0 0\n0 0.01 0\n0 0 0.01\n")
+    out = tmp_path / "x.json"
+    assert run_stage("decompose", cloud, out) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {cloud}: unknown format 'txt' (expected xyz, ply or obj)"], err
+    assert "line 0" not in err[0]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("stage", ["classify", "rank"])
 def test_overflowing_covariance_is_runtime_error(stage, tmp_path, capsys):
     """A point at x = 1e200 m overflows the root's covariance: the stage

@@ -1,6 +1,7 @@
 """Point-cloud loading, synthesis and basic cloud statistics."""
 
 import json
+import math
 import os
 import stat
 import tracemalloc
@@ -589,11 +590,16 @@ def test_centroid():
 
 
 def test_results_roundtrip(tmp_path):
+    """A document is one line of compact JSON and a newline, and loads back
+    equal, a negative zero and +-1e308 included."""
     path = tmp_path / "out" / "run.json"
-    payload = {"config": {"seed": 0}, "pool": [1, 2, 3]}
+    payload = {"config": {"seed": 0}, "pool": [1, 2, 3], "q": [-0.0, 1e308, -1e308, 0.1]}
     save_results(path, payload)
-    assert load_results(path) == payload
-    assert json.loads(path.read_text()) == payload
+    text = path.read_text()
+    assert text == json.dumps(payload) + "\n" and text.count("\n") == 1
+    back = load_results(path)
+    assert back == payload
+    assert [math.copysign(1.0, q) for q in back["q"]] == [-1.0, 1.0, -1.0, 1.0]
 
 
 def test_results_strings_may_spell_the_constants(tmp_path):
