@@ -11,14 +11,13 @@ only the points in cells along the rays' paths, and test each point with
 the arithmetic of a scan of every point, its coordinate rows summed in
 `geom.dot3`'s order.  A ray's path is expanded in windows of 4, 8, 16, ...
 samples, and the ray stops once no later sample could add a point before its
-contact; within a window it is searched on the cells at its front first and
-on its other cells only when a point there could still come first.  A
-grasp's contacts are a (k, 2, 3) array of (position, normal) rows.  The
-contacts of a slice's candidates build their (k, 6) arrays of friction-cone
-edge wrenches, rows [force | torque], in one broadcast, and grasps are
-scored with the largest-ball (epsilon) quality: the radius of the biggest
-origin-centered ball inside the convex hull of those rows, estimated by
-support-function sampling.
+contact: the search's one early exit.  A grasp's contacts are a (k, 2, 3)
+array of (position, normal) rows.  The contacts of a slice's candidates
+build their (k, 6) arrays of friction-cone edge wrenches, rows
+[force | torque], in one broadcast, and grasps are scored with the
+largest-ball (epsilon) quality: the radius of the biggest origin-centered
+ball inside the convex hull of those rows, estimated by support-function
+sampling.
 """
 
 import logging
@@ -143,50 +142,32 @@ _CELL_REACH = (2.83 / 2.0) ** 2
 # The 27 cell offsets of a cell's 3x3x3 block.
 _BLOCK = np.stack(np.meshgrid(*[np.arange(-1, 2)] * 3, indexing="ij"), axis=-1).reshape(-1, 3)
 
-# A ray's search first decides it on its cells whose center t lies within
-# _FRONT cell sides of its nearest cell's.
-_FRONT = 2
-
 # Samples in a ray's first search window; each later window holds twice as
 # many as the one before.
 _FIRST_WINDOW = 4
 
-# A point p of a cell with center c has (p - o).d >= (c - o).d - |p - c| |d|.
-# `_tube_rows` takes t_p and `_tube_cells` t_c as 3-term dot products of
-# fl(p - o) and fl(c - o) with d.  A 3-term dot product summed in any order,
-# with or without FMA, is off by at most gamma_3 sum |a_i b_i|, with
-# gamma_3 = 3u / (1 - 3u) and u = 2^-53 (Higham, Accuracy and Stability of
-# Numerical Algorithms, 2002, sec. 3.1).  So each t is off from the exact
-# value by at most (u + gamma_3 (1 + u)) |x| |d| <= 4.01 u |x| for x = p - o
-# or c - o.  Let M be the largest coordinate magnitude of the padded cloud box
-# (M >= 2 r, as the padding is 2 r a side) and S = M plus the ray origin's
-# largest coordinate magnitude.  Then |c - o| <= sqrt(3) S and
-# |p - c| <= 1.74 r <= 0.87 M, so the two products err by at most
-# 4.01 u (2 |c - o| + |p - c|) <= 17.4 u S.  p's cell is
-# floor(fl(fl(p - lo) / 2 r)) and its center fl(lo + fl((k + 1/2) 2 r)), so on
-# each axis |p - c| <= r + 4.1 u M + 3.5 u M, and |p - c| |d| <= sqrt(3) r
-# (1 + 1e-12) + 14 u M for a unit d (|d|^2 within 1e-12 of 1).  sqrt(3) rounded
-# up to 1.7321 covers the first term with room for its own rounding, so
-# t_p >= t_c - 1.7321 r - 32 u S.  The bound as computed,
-# fl(fl(t_c - 1.7321 r) - 64 u S), lies at most 5.3 u S above its exact value,
-# so below every such t_p: a ray whose best t lies below the bound of its
-# nearest unsearched cell can gain no point of those cells, not even a tie
-# that a lower point index would win.
-#
-# The same slack bounds a ray's search windows.  Sample j of a ray sits at
-# t_j = fl(t_in + fl(r j)), and a tube point lies in the block of its nearest
-# sample (see `first_hits`).  So once samples 0..K-1 of a ray with more than K
-# samples are expanded, a point in none of their blocks is nearer to a later
-# sample than to sample K - 1, and its exact t is at least
-# (t_{K-1} + t_K) / 2.  As t_in + r K <= t_out + r <= sqrt(3) S + S / 2
-# (r <= M / 2), each t_j with j <= K is within 2.01 u 2.24 S <= 5 u S of
-# t_in + r j, so that t is at least t_in + r (K - 1/2) - 5 u S, and its
-# computed t_p (off by at most 4.01 u |p - o| <= 7 u S) at least
+# A ray's retire bound after a window.  `_tube_rows` takes a point's t_p as a
+# 3-term dot product of fl(p - o) with the ray's unit direction d.  A 3-term
+# dot product summed in any order, with or without FMA, is off by at most
+# gamma_3 sum |a_i b_i|, with gamma_3 = 3u / (1 - 3u) and u = 2^-53 (Higham,
+# Accuracy and Stability of Numerical Algorithms, 2002, sec. 3.1).  So t_p is
+# off from the exact (p - o).d by at most (u + gamma_3 (1 + u)) |p - o| |d|
+# <= 4.01 u |p - o|.  Let M be the largest coordinate magnitude of the padded
+# cloud box (M >= 2 r, as the padding is 2 r a side) and S = M plus the ray
+# origin's largest coordinate magnitude, so |p - o| <= sqrt(3) S and t_p errs
+# by at most 7 u S.  Sample j of a ray sits at t_j = fl(t_in + fl(r j)), and a
+# tube point lies in the block of its nearest sample (see `first_hits`).  So
+# once samples 0..K-1 of a ray with more than K samples are expanded, a point
+# in none of their blocks is nearer to a later sample than to sample K - 1,
+# and its exact t is at least (t_{K-1} + t_K) / 2.  As
+# t_in + r K <= t_out + r <= sqrt(3) S + S / 2 (r <= M / 2), each t_j with
+# j <= K is within 2.01 u 2.24 S <= 5 u S of t_in + r j, so that t is at least
+# t_in + r (K - 1/2) - 5 u S, and its computed t_p at least
 # t_in + r (K - 1/2) - 12 u S.  The bound as computed,
 # fl(fl(t_in + fl(r (K - 1/2))) - 64 u S), lies at most 5 u S + 2.3 u S (its
 # own roundings) above t_in + r (K - 1/2) - 64 u S, so below every such t_p:
-# a ray whose best t lies below it can gain no point beyond its window.
-_HALF_DIAGONAL = 1.7321
+# a ray whose best t lies below it can gain no point beyond its window, not
+# even a tie that a lower point index would win.
 _RETIRE_SLACK = 64 * 2.0 ** -53
 
 
@@ -299,10 +280,10 @@ class ContactIndex:
         return which, self._near_bounds[i], self._near_bounds[i + 1]
 
     def _tube_cells(self, origins, directions, ray, lo, hi, every):
-        """(ray, cell, t of the cell's center) of the occupied cells whose
-        centers lie within 2.83 * tube_r of each ray's line, sorted by ray,
-        then by cell: the cells of the block lists (ray, lo, hi), and every
-        occupied cell for the rays `every`."""
+        """(ray, cell) of the occupied cells whose centers lie within
+        2.83 * tube_r of each ray's line, sorted by ray, then by cell: the
+        cells of the block lists (ray, lo, hi), and every occupied cell for
+        the rays `every`."""
         n_occ = self._centers.shape[1]
         pair = np.sort(np.concatenate((
             np.repeat(ray, hi - lo) * n_occ + self._near_cells[_ranges(lo, hi)],
@@ -312,7 +293,7 @@ class ContactIndex:
         ray, cell = np.divmod(pair[_run_heads(pair)], n_occ)
         t, rr = _projections(self._centers, cell, origins, directions, ray)
         near = rr - t * t <= _CELL_REACH * self.cell ** 2
-        return ray[near], cell[near], t[near]
+        return ray[near], cell[near]
 
     def _tube_rows(self, origins, directions, ray, cell):
         """(ray, point, t) of the ray-point rows of the (ray, cell) pairs
@@ -351,26 +332,7 @@ class ContactIndex:
             won = (best < best_t[rays]) | ((best == best_t[rays]) & (pick < hits[rays]))
             best_t[rays[won]], hits[rays[won]] = best[won], pick[won]
 
-    def _search_in_order(self, origins, directions, ray, cell, tc, scale, best_t, hits):
-        """Decide the rays of the (ray, cell) pairs (sorted by ray; tc the
-        cells' center t) front first: on the cells within `_FRONT` cell
-        sides of each ray's nearest, then, for the rays whose best t could
-        still be beaten or tied, on the rest (see _RETIRE_SLACK; `scale` is
-        S of each ray)."""
-        if len(ray) == 0:
-            return
-        heads = np.flatnonzero(_run_heads(ray))
-        length = np.diff(np.append(heads, len(ray)))
-        front = tc <= np.repeat(np.minimum.reduceat(tc, heads) + _FRONT * self.cell, length)
-        self._search_pairs(origins, directions, ray[front], cell[front], best_t, hits)
-        rays = ray[heads]
-        bound = (np.minimum.reduceat(np.where(front, np.inf, tc), heads)
-                 - _HALF_DIAGONAL * self.tube_r - _RETIRE_SLACK * scale[rays])
-        rest = ~front & np.repeat(~(best_t[rays] < bound), length)
-        self._search_pairs(origins, directions, ray[rest], cell[rest], best_t, hits)
-
-    def _search_window(self, origins, directions, t_in, rays, first, stops, scale, best_t,
-                       hits):
+    def _search_window(self, origins, directions, t_in, rays, first, stops, best_t, hits):
         """Search the rays `rays` (ascending) on the blocks of their samples
         first..stops - 1, each pass building about `_CHUNK_ROWS` rows: ray
         samples, then (ray, cell) pairs."""
@@ -383,7 +345,7 @@ class ContactIndex:
                 sel = slice(bounds[c], bounds[e])
                 cells = self._tube_cells(origins, directions, rays[a:b][which[sel]], lo[sel],
                                          hi[sel], _NO_RAYS)
-                self._search_in_order(origins, directions, *cells, scale, best_t, hits)
+                self._search_pairs(origins, directions, *cells, best_t, hits)
 
     def first_hits(self, origins, directions):
         """Index of the first point along each ray origin + t * direction
@@ -403,12 +365,10 @@ class ContactIndex:
         cloud has points takes every occupied cell at once.  Cells far from
         a ray's line are screened off, and each point of the rest is tested
         with the arithmetic of a scan of every point (see `_tube_rows`).
-        Within a window a ray is decided on its cells near the front first;
-        it stops there when no point of its other cells can come before (or
-        tie with) that contact, and is decided on them too otherwise.  All
-        parts' contacts merge by (t, point index), so each ray gets the
-        scan's contact.  Each pass builds about `_CHUNK_ROWS` rows: ray
-        samples, then (ray, cell) pairs, then ray-point pairs.
+        The contacts of all windows and passes merge by (t, point index), so
+        each ray gets the scan's contact.  Each pass builds about
+        `_CHUNK_ROWS` rows: ray samples, then (ray, cell) pairs, then
+        ray-point pairs.
         """
         origins = np.asarray(origins, dtype=float).reshape(-1, 3)
         directions = np.asarray(directions, dtype=float).reshape(-1, 3)
@@ -421,12 +381,12 @@ class ContactIndex:
         for a, b in _batches(np.full(len(every), self._centers.shape[1]), _CHUNK_ROWS):
             cells = self._tube_cells(origins, directions, _NO_RAYS, _NO_RAYS, _NO_RAYS,
                                      every[a:b])
-            self._search_in_order(origins, directions, *cells, scale, best_t, hits)
+            self._search_pairs(origins, directions, *cells, best_t, hits)
         rays, first, size = np.flatnonzero(count > 0), 0, _FIRST_WINDOW
         while len(rays):
             stop = first + size
             self._search_window(origins, directions, t_in, rays, first,
-                                np.minimum(count[rays], stop), scale, best_t, hits)
+                                np.minimum(count[rays], stop), best_t, hits)
             bound = t_in[rays] + self.tube_r * (stop - 0.5) - _RETIRE_SLACK * scale[rays]
             rays = rays[(count[rays] > stop) & ~(best_t[rays] < bound)]
             first, size = stop, 2 * size

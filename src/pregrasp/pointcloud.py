@@ -374,7 +374,7 @@ def save_results(path, payload):
 
 def _not_json(constant):
     """Reject a NaN, Infinity or -Infinity, which Python's json reads and JSON lacks."""
-    raise ParseError(None, f"invalid JSON: {constant} is not a JSON value")
+    raise ParseError(None, f"{constant} is not a JSON value")
 
 
 # A JSON string, or (group 1) one of those constants: outside strings, JSON
@@ -386,19 +386,21 @@ def load_results(path):
     """A run document read back from its JSON file.
 
     Raises:
-        ParseError: the file is not valid UTF-8 JSON (on the decoder's line,
-            or a NaN's or an Infinity's), or its top level is not an object
-            (on the line where it starts).
+        ParseError: the file is not valid UTF-8 JSON (on the decoder's line
+            and column, or a NaN's or an Infinity's), or its top level is not
+            an object (on the line where it starts).
     """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         text = fh.read()
     try:
         doc = json.loads(text, parse_constant=_not_json)
     except json.JSONDecodeError as exc:
-        raise ParseError(exc.lineno, f"invalid JSON: {exc.msg}") from None
+        raise ParseError(exc.lineno, f"invalid JSON at column {exc.colno}: {exc.msg}") from None
     except ParseError as exc:   # the decoder read all before it: the first outside a string
         at = next(m for m in _STRING_OR_CONSTANT.finditer(text) if m.group(1)).start()
-        raise ParseError(text.count("\n", 0, at) + 1, exc.reason) from None
+        column = at - text.rfind("\n", 0, at)
+        raise ParseError(text.count("\n", 0, at) + 1,
+                         f"invalid JSON at column {column}: {exc.reason}") from None
     if not isinstance(doc, dict):
         line = text[:len(text) - len(text.lstrip())].count("\n") + 1
         raise ParseError(line, f"a run document is a JSON object, not {type(doc).__name__}")

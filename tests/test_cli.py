@@ -451,14 +451,20 @@ def test_export_viz_rejects_bad_top_k(sphere_xyz, tmp_path, capsys):
     assert "--top-k" in capsys.readouterr().err
 
 
+# A one-line document, as `save_results` writes one, with an "@" in its middle.
+ONE_LINE = json.dumps({"lambdas": list(range(1000))}).replace(", 500,", ", @00,").encode()
+
+
 @pytest.mark.parametrize("data, line, reason", [
-    (b'{"tree": {"nodes": [\n', 2, "invalid JSON: Expecting value"),
+    (b'{"tree": {"nodes": [\n', 2, "invalid JSON at column 1: Expecting value"),
     (b"\n[1, 2]\n", 2, "a run document is a JSON object, not list"),
-    (b"\xff\xfe{}", 1, "invalid JSON: Expecting value"),
+    (b"\xff\xfe{}", 1, "invalid JSON at column 1: Expecting value"),
     (b'{"pool": [{"position": [0, 0,\n NaN], "approach": [1, 0, 0], "closing_dir": [0, 1, 0]}]}',
-     2, "invalid JSON: NaN is not a JSON value"),
+     2, "invalid JSON at column 2: NaN is not a JSON value"),
     (b'{"note": "-Infinity \\" NaN",\n\n "lambdas": [-Infinity]}', 3,
-     "invalid JSON: -Infinity is not a JSON value"),
+     "invalid JSON at column 14: -Infinity is not a JSON value"),
+    pytest.param(ONE_LINE, 1, f"invalid JSON at column {ONE_LINE.index(b'@') + 1}: Expecting value",
+                 id="one-line-document"),
 ])
 def test_export_viz_rejects_a_bad_document(tmp_path, capsys, data, line, reason):
     doc_path, obj = tmp_path / "bad.json", tmp_path / "scene.obj"

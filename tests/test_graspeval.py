@@ -623,88 +623,13 @@ def test_boundary_cases_match_reference_in_small_passes(small_passes, sphere_clo
                                np.vstack([directions] * 2), tube_r)
 
 
-# Within a search window, each ray is decided on its front cells first,
-# then, unless no point of its other cells can come before or tie with that
-# contact, on the rest.  Every case is one ray, each phase of which is one
-# `_tube_rows` call under any pass size; the log holds each phase's rows
-# inside the tube.
-
-def assert_tie_across_phases(monkeypatch):
-    """Points 0 and 1 lie at equal t on a ray along (1, 1, 0) from the
-    origin: a power of two times fl(sqrt(1/2)) is exact, so both t's are
-    fl(a/8 + a/16).  Point 1's cell lies within `_FRONT` cell sides of the
-    ray's nearest cell (point 2's, which only sets that cell; point 3 anchors
-    the grid), point 0's beyond them, so point 0 wins only if the front's
-    contact is not retired and the phases merge by (t, index)."""
-    a = np.sqrt(0.5)
-    rng = np.random.default_rng(0)
-    above = np.column_stack([0.3 * rng.random((300, 2)) - [0.1, 0.05], 0.5 + 0.1 * rng.random(300)])
-    cloud = PointCloud(np.vstack([[[0.125, 0.0625, 0.0], [0.0625, 0.125, 0.0],
-                                   [-0.06, 0.04, 0.0], [-0.1, -0.05, 0.5]], above]))
-    origins, directions = np.zeros((1, 3)), np.array([[a, a, 0.0]])
-    t = (cloud.points[:2] - origins[0]) @ directions[0]
-    assert t[0] == t[1]
-    log = search_log(monkeypatch)
-    assert first_hits_match_reference(cloud, origins, directions, 0.05).tolist() == [0]
-    (front, kept_front), (rest, kept_rest) = log
-    assert 1 in front and 0 not in front and 0 in rest
-    assert kept_front.tolist() == [1] and kept_rest.tolist() == [0]
-
-
-def assert_second_phase_decides(monkeypatch):
-    """The offset rod ray reaches its contact, the last point, through
-    several windows: no phase before the last keeps a point within its
-    tube, and the last keeps only the contact."""
-    cloud, origins, directions, tube_r = offset_rod_case()
-    log = search_log(monkeypatch)
-    assert first_hits_match_reference(cloud, origins, directions, tube_r).tolist() == [12000]
-    assert len(log) > 2 and all(len(front) > 0 for front, _ in log)
-    assert all(len(kept) == 0 for _, kept in log[:-1])
-    assert log[-1][1].tolist() == [12000]
-
-
-def assert_odd_rows_in_each_phase(monkeypatch):
-    """The thumb ray of `lone_candidate_case`, with three points added on
-    its line behind its origin (t < 0): they are the first window's front
-    candidates but lie outside the tube, so that phase keeps no row, and
-    each later one only the contact's lone row, 10 samples past the ray's
-    entry."""
-    pg, cloud = lone_candidate_case()
-    origin, direction = finger_rays(pg, GripperConfig())[0]
-    behind = [origin - k * 0.005 * direction for k in (0.5, 1.0, 1.5)]
-    cloud = PointCloud(np.vstack([cloud.points, behind]))
-    log = search_log(monkeypatch)
-    assert first_hits_match_reference(cloud, origin[None], direction[None], 0.005).tolist() == [0]
-    (front, kept_front), *later = log
-    assert {3001, 3002, 3003} <= set(front.tolist())
-    assert kept_front.tolist() == [] and len(later) > 0
-    assert all(kept.tolist() == [0] for _, kept in later)
-
-
-EARLY_EXIT_CASES = {"tie-across-phases": assert_tie_across_phases,
-                    "second-phase-decides": assert_second_phase_decides,
-                    "odd-rows-in-each-phase": assert_odd_rows_in_each_phase}
-
-
-@pytest.mark.bitexact
-@pytest.mark.parametrize("case", EARLY_EXIT_CASES)
-def test_early_exit_matches_reference(case, monkeypatch):
-    EARLY_EXIT_CASES[case](monkeypatch)
-
-
-@pytest.mark.bitexact
-@pytest.mark.parametrize("case", EARLY_EXIT_CASES)
-def test_early_exit_matches_reference_in_small_passes(small_passes, case, monkeypatch):
-    EARLY_EXIT_CASES[case](monkeypatch)
-
-
 # A ray's samples are expanded in windows: samples 0-3, 4-11, 12-27, and so on.
-# Each case is one ray from the origin through a cloud of its own points, a
-# point that sets the cloud's minimum corner to (-1/16, -1/16, 0) (to
-# (-1/16, -15/256, 0) in the tie case), so that t_in = 0, and the far
-# cluster, which gives the ray more samples than its windows need and keeps
-# it off the every-cell fallback.  With tube_r = 1/32 every sample, cell
-# boundary and t along the x axis is exact.
+# Each case is one ray.  In the first four it runs from the origin through a
+# cloud of its own points, a point that sets the cloud's minimum corner to
+# (-1/16, -1/16, 0) (to (-1/16, -15/256, 0) in the later-window tie), so that
+# t_in = 0, and the far cluster, which gives the ray more samples than its
+# windows need and keeps it off the every-cell fallback.  With tube_r = 1/32
+# every sample, cell boundary and t along the x axis is exact.
 
 WINDOW_R = 1.0 / 32
 X_RAY = (np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]))
@@ -796,10 +721,63 @@ def assert_contact_in_the_third_window(monkeypatch):
     assert log == [(0, []), (4, []), (12, [0])]
 
 
+def assert_tie_in_one_window(monkeypatch):
+    """Points 0 and 1 lie at equal t on a ray along (1, 1, 0) from the
+    origin: a power of two times fl(sqrt(1/2)) is exact, so both t's are
+    fl(a/8 + a/16), nearest the first window's last sample.  The first
+    window keeps both, point 0 wins the tie by its lower index, and the ray
+    retires after that window."""
+    a = np.sqrt(0.5)
+    rng = np.random.default_rng(0)
+    above = np.column_stack([0.3 * rng.random((300, 2)) - [0.1, 0.05], 0.5 + 0.1 * rng.random(300)])
+    cloud = PointCloud(np.vstack([[[0.125, 0.0625, 0.0], [0.0625, 0.125, 0.0],
+                                   [-0.06, 0.04, 0.0], [-0.1, -0.05, 0.5]], above]))
+    origins, directions = np.zeros((1, 3)), np.array([[a, a, 0.0]])
+    t = (cloud.points[:2] - origins[0]) @ directions[0]
+    assert t[0] == t[1]
+    log = window_log(monkeypatch)
+    assert first_hits_match_reference(cloud, origins, directions, 0.05).tolist() == [0]
+    assert [first for first, _ in log] == [0] and sorted(log[0][1]) == [0, 1]
+
+
+def assert_rod_contact_in_the_last_window(monkeypatch):
+    """The offset rod ray reaches its contact, the last point, through
+    several windows: every `_tube_rows` call has candidate points, none
+    before the last keeps a point within the tube, and the last keeps only
+    the contact."""
+    cloud, origins, directions, tube_r = offset_rod_case()
+    log = search_log(monkeypatch)
+    assert first_hits_match_reference(cloud, origins, directions, tube_r).tolist() == [12000]
+    assert len(log) > 2 and all(len(candidates) > 0 for candidates, _ in log)
+    assert all(len(kept) == 0 for _, kept in log[:-1])
+    assert log[-1][1].tolist() == [12000]
+
+
+def assert_rows_behind_the_origin(monkeypatch):
+    """The thumb ray of `lone_candidate_case`, with three points added on
+    its line behind its origin (t < 0): they are candidates of the first
+    `_tube_rows` call but lie outside the tube, so that call keeps no row,
+    and each later one only the contact's lone row, 10 samples past the
+    ray's entry."""
+    pg, cloud = lone_candidate_case()
+    origin, direction = finger_rays(pg, GripperConfig())[0]
+    behind = [origin - k * 0.005 * direction for k in (0.5, 1.0, 1.5)]
+    cloud = PointCloud(np.vstack([cloud.points, behind]))
+    log = search_log(monkeypatch)
+    assert first_hits_match_reference(cloud, origin[None], direction[None], 0.005).tolist() == [0]
+    (first, kept_first), *later = log
+    assert {3001, 3002, 3003} <= set(first.tolist())
+    assert kept_first.tolist() == [] and len(later) > 0
+    assert all(kept.tolist() == [0] for _, kept in later)
+
+
 WINDOW_CASES = {"point-at-a-window-bound": assert_point_at_a_window_bound,
                 "tie-in-a-later-window": assert_tie_in_a_later_window,
                 "miss-after-every-window": assert_miss_after_every_window,
-                "contact-in-the-third-window": assert_contact_in_the_third_window}
+                "contact-in-the-third-window": assert_contact_in_the_third_window,
+                "tie-in-one-window": assert_tie_in_one_window,
+                "rod-contact-in-the-last-window": assert_rod_contact_in_the_last_window,
+                "rows-behind-the-origin": assert_rows_behind_the_origin}
 
 
 @pytest.mark.bitexact
