@@ -50,18 +50,9 @@ choice, first-index ties included: a subset's max is at most the max and
 fl() is monotone, so no row's coreset volume (or area) exceeds its
 all-point one, while the winner's are equal.  A step whose coreset finds
 no volume below the current one has none on all points either.  A failed
-check adds the all-point extremes and decides the step again.
-
-Failures are kept per search, keyed by the box axis it turns about: a tied
-pair (i, j) turns about axis 3 - i - j, a sweep step about its own axis.
-After ``_CHECK_FAILS`` failed checks in one step, the searches about that
-axis run on all points for the rest of the fit, as above; the others stay
-on the coreset.  So a cylinder, whose round cross-section ties every row of
-the searches about its axis, spends only those.  Once a second axis fails,
-or a check adds no new point (a kernel that rounds the two products
-differently), every search of the fit runs on all points: round shapes,
-where nearly every row ties about every axis, cost about what they cost
-without the coreset.
+check adds the all-point extremes and decides the step again; after
+``_CHECK_FAILS`` failed checks that one step runs on all points, as above,
+and the fit's next search tries the coreset again.
 """
 
 import itertools
@@ -189,8 +180,8 @@ _MIN_AREA_TURNS = np.array([(np.cos(a), np.sin(a)) for a in _MIN_AREA_ANGLES.tol
 # Bytes of one block of the per-point products (see the module docstring).
 _BLOCK_BYTES = 2 << 20
 
-# Failed coreset checks after which a grid step, and the rest of its box fit,
-# run on all points (see the module docstring).
+# Failed coreset checks after which a grid step runs on all points (see the
+# module docstring).
 _CHECK_FAILS = 2
 
 # Per round of the rotation sweep: the stacked 2D rotation rows of its 9
@@ -221,18 +212,17 @@ class _Coreset:
     """Extreme points of one point set, as a bool mask over its points, shared
     by the grid searches of its box fit: a search whose product does not fit
     in one block decides each step on them and checks the winner on all
-    points (see the module docstring)."""
+    points; a failed check adds the all-point extremes, and the step runs on
+    all points after `_CHECK_FAILS` of them (see the module docstring)."""
 
     def __init__(self, n):
         self.mask = np.zeros(n, dtype=bool)
-        self.failed = set()         # axes whose search failed its checks: all points
-        self.spent = False          # every search on all points from then on
 
     def take(self, basis, rows):
         """This coreset for a search of the grid `basis` whose product with
         the (c, n) projected coordinate rows `rows` does not fit in one
         block, with their extremes along each row added; else None."""
-        if self.spent or 8 * len(basis) * rows.shape[1] <= _BLOCK_BYTES:
+        if 8 * len(basis) * rows.shape[1] <= _BLOCK_BYTES:
             return None
         self._add(np.concatenate((rows.argmax(axis=1), rows.argmin(axis=1))))
         return self
@@ -241,13 +231,11 @@ class _Coreset:
         self.mask[at] = True
         self.idx = np.flatnonzero(self.mask)
 
-    def search(self, basis, p2, choose, about):
-        """`_grid_search` of the one (2, n) set `p2`, turning about box axis
-        `about`, decided on the coreset: the choice and its winner's rows of
-        basis @ p2 (None if no row wins), or None once the search about that
-        axis has failed (see the module docstring)."""
-        if self.spent or about in self.failed:
-            return None
+    def search(self, basis, p2, choose):
+        """`_grid_search` of the one (2, n) set `p2`, decided on the coreset:
+        the choice and its winner's rows of basis @ p2 (None if no row wins),
+        or None after `_CHECK_FAILS` failed checks, each of which adds the
+        all-point extremes but the last."""
         m, rows, fails = len(basis) // 2, None, 0
         while True:
             uv_core = basis @ p2[:, self.idx]
@@ -262,17 +250,12 @@ class _Coreset:
             if (uv[[0, 1, 0, 1], at] == np.concatenate((hi[0, rows], lo[0, rows]))).all():
                 return choice, (uv[:1], uv[1:])
             fails += 1
-            if self.mask[at].all():
-                self.spent = True
-                return None
             if fails == _CHECK_FAILS:
-                self.failed.add(about)
-                self.spent = len(self.failed) > 1
                 return None
             self._add(at)
 
 
-def _grid_search(basis, p2, choose, core=None, about=None):
+def _grid_search(basis, p2, choose, core=None):
     """A step of a grid search over each set of the (g, 2, n) stack of
     coordinate rows `p2`.
 
@@ -281,8 +264,8 @@ def _grid_search(basis, p2, choose, core=None, about=None):
     winning row k < m, ...).  Returns that choice and the winners' rows k and
     m + k of the product, two (len(sets), n) arrays, or None where they were
     not taken.  With a `core` (one set) the step is decided on its coreset,
-    unless the search about box axis `about` has failed there."""
-    found = None if core is None else core.search(basis, p2[0], choose, about)
+    and on all points once `_CHECK_FAILS` checks have failed there."""
+    found = None if core is None else core.search(basis, p2[0], choose)
     if found is not None:
         return found
     hi, lo, uv = _extremes(basis, p2)
@@ -301,13 +284,13 @@ def _min_area_choice(hi, lo):
     return np.arange(len(hi)), np.argmin(spans[:, :k] * spans[:, k:], axis=1)
 
 
-def _min_area_turns(p2, core=None, about=None):
+def _min_area_turns(p2, core=None):
     """(cos, sin) of the grid angle that minimizes the bounding-rectangle area
     of each 2D point set of the (t, 2, n) stack of coordinate rows `p2`, as
     (t, 2) rows; on the coreset `core` of a one-set stack whose product does
-    not fit a block, for the pair that turns about box axis `about`."""
+    not fit a block, each step on all points once its checks fail."""
     core = core and core.take(_MIN_AREA_BASIS, p2[0])
-    (_, kb), _ = _grid_search(_MIN_AREA_BASIS, p2, _min_area_choice, core, about)
+    (_, kb), _ = _grid_search(_MIN_AREA_BASIS, p2, _min_area_choice, core)
     return _MIN_AREA_TURNS[kb]
 
 
@@ -332,7 +315,7 @@ def _pca_axes(cov, X, core=None):
             blk = tied[start:start + step]
             Xb = X if len(blk) == len(X) else X[blk]       # fit_obb's stack: no copy
             pair = axes[blk][:, :, (i, j)].transpose(0, 2, 1) @ Xb
-            c, s = _min_area_turns(pair, core, 3 - i - j).T[:, :, None]
+            c, s = _min_area_turns(pair, core).T[:, :, None]
             a_old, b_old = axes[blk, :, i], axes[blk, :, j]
             axes[blk, :, i] = c * a_old + s * b_old
             axes[blk, :, j] = -s * a_old + c * b_old
@@ -381,8 +364,7 @@ def _sweep(X, R, core=None):
             j, k = (axis + 1) % 3, (axis + 2) % 3
             pjk = P[:, j:k + 1] if j < k else P[:, (j, k)]
             (g, kb, vol, e), uv = _grid_search(
-                basis, pjk, lambda hi, lo: _sweep_choice(hi, lo, ext, axis, best_vol),
-                core, axis)
+                basis, pjk, lambda hi, lo: _sweep_choice(hi, lo, ext, axis, best_vol), core)
             best_vol[g], ext[g] = vol, e
             R[g] = R[g] @ turns[axis, kb]
             if uv is None:

@@ -456,13 +456,18 @@ ONE_LINE = json.dumps({"lambdas": list(range(1000))}).replace(", 500,", ", @00,"
 
 
 @pytest.mark.parametrize("data, line, reason", [
-    (b'{"tree": {"nodes": [\n', 2, "invalid JSON at column 1: Expecting value"),
-    (b"\n[1, 2]\n", 2, "a run document is a JSON object, not list"),
-    (b"\xff\xfe{}", 1, "invalid JSON at column 1: Expecting value"),
-    (b'{"pool": [{"position": [0, 0,\n NaN], "approach": [1, 0, 0], "closing_dir": [0, 1, 0]}]}',
-     2, "invalid JSON at column 2: NaN is not a JSON value"),
-    (b'{"note": "-Infinity \\" NaN",\n\n "lambdas": [-Infinity]}', 3,
-     "invalid JSON at column 14: -Infinity is not a JSON value"),
+    pytest.param(b'{"tree": {"nodes": [\n', 2, "invalid JSON at column 1: Expecting value",
+                 id="truncated-document"),
+    pytest.param(b"\n[1, 2]\n", 2, "a run document is a JSON object, not list",
+                 id="top-level-list"),
+    pytest.param(b"\xff\xfe{}", 1, "invalid JSON at column 1: Expecting value",
+                 id="utf16-byte-order-mark"),
+    pytest.param(b'{"pool": [{"position": [0, 0,\n NaN], "approach": [1, 0, 0], '
+                 b'"closing_dir": [0, 1, 0]}]}',
+                 2, "invalid JSON at column 2: NaN is not a JSON value", id="bare-nan"),
+    pytest.param(b'{"note": "-Infinity \\" NaN",\n\n "lambdas": [-Infinity]}', 3,
+                 "invalid JSON at column 14: -Infinity is not a JSON value",
+                 id="bare-infinity-after-quoted-one"),
     pytest.param(ONE_LINE, 1, f"invalid JSON at column {ONE_LINE.index(b'@') + 1}: Expecting value",
                  id="one-line-document"),
 ])

@@ -150,13 +150,16 @@ def test_coreset_fit_of_a_large_box_takes_no_all_point_grid_product(monkeypatch)
 
 
 def _spy_searches(monkeypatch, n):
-    """[box axis turned about, whether it reduced a grid product on all n
-    points] of every grid search step, in order."""
+    """[grid rows, whether it reduced a grid product on all n points] of every
+    grid search step of a fit, in order.  A fit runs its tied-pair searches
+    (60 rows) first, then `_REFINE_STEPS` rounds of sweep steps (18 rows)
+    about box axes 0, 1 and 2, so a step's position and rows tell the box
+    axis it turns about."""
     searches, real_grid, real_extremes = [], decomposition._grid_search, decomposition._extremes
 
-    def grid(basis, p2, choose, core=None, about=None):
-        searches.append([about, False])
-        return real_grid(basis, p2, choose, core, about)
+    def grid(basis, p2, choose, core=None):
+        searches.append([len(basis), False])
+        return real_grid(basis, p2, choose, core)
 
     def extremes(basis, p2):
         searches[-1][1] |= p2.shape[2] == n
@@ -169,14 +172,15 @@ def _spy_searches(monkeypatch, n):
 
 def test_coreset_fit_of_a_large_sphere_falls_back_to_all_points(monkeypatch):
     """Nearly every grid row of a sphere ties, so its checks fail until a
-    step runs on all points.  Its searches fail about two axes, so every
-    step of the fit runs on all points."""
+    step runs on all points: all 12 searches of its fit, its 3 tied pairs
+    and its 9 sweep steps, do."""
     seen = _spy_extremes(monkeypatch)
     pts = _synth_points("sphere", 100_000)
     searches = _spy_searches(monkeypatch, len(pts))
     fit_obb(pts)
     assert any(n == len(pts) for _, n in seen)
-    assert len({about for about, _ in searches}) == 3 and all(whole for _, whole in searches)
+    assert [rows for rows, _ in searches] == [60] * 3 + [18] * 3 * decomposition._REFINE_STEPS
+    assert all(whole for _, whole in searches)
 
 
 @pytest.mark.bitexact
@@ -191,10 +195,11 @@ def test_coreset_fit_of_a_large_cylinder_falls_back_only_about_its_axis(rotated,
     pts = _synth_points("cylinder", 100_000) @ rotation.T
     searches = _spy_searches(monkeypatch, len(pts))
     _assert_reference_bytes(pts, f"cylinder-rotated={rotated}")
-    # the tied pair (1, 2) turns about axis 0, the longest: the cylinder's axis
-    assert len(searches) == 1 + 3 * decomposition._REFINE_STEPS
-    assert {about for about, whole in searches if whole} == {0}
-    assert sum(whole for _, whole in searches) == 1 + decomposition._REFINE_STEPS
+    # the tied pair (1, 2) turns about axis 0, the longest: the cylinder's
+    # axis, as does the first sweep step of each round
+    steps = decomposition._REFINE_STEPS
+    assert [rows for rows, _ in searches] == [60] + [18] * 3 * steps
+    assert [whole for _, whole in searches] == [True] + [True, False, False] * steps
     assert abs(fit_obb(pts).axis(0) @ rotation[:, 2]) > 0.999      # synth axis: +z
 
 
@@ -214,8 +219,8 @@ def test_coreset_fit_from_a_one_point_seed_matches_reference_bytes(monkeypatch):
             core._add(np.array([0]))
         return core
 
-    def search(core, basis, p2, choose, about):
-        found = real_search(core, basis, p2, choose, about)
+    def search(core, basis, p2, choose):
+        found = real_search(core, basis, p2, choose)
         searches.append((len(basis), found is not None))
         return found
 
@@ -228,35 +233,69 @@ def test_coreset_fit_from_a_one_point_seed_matches_reference_bytes(monkeypatch):
         assert all(passed for _, passed in searches), kind
 
 
-class _GridRoundsDown(np.ndarray):
+class _GridRoundsToZero(np.ndarray):
     """A grid basis whose products with more than two rows come out one ulp
-    below the 2-row product's, as on a kernel that rounds the two products
-    differently: no coreset check can pass."""
+    nearer zero than the 2-row product's, as on a kernel that rounds the two
+    products differently: no coreset check can pass, and every coreset span
+    shrinks, so every sweep step finds a smaller box to check."""
 
     def __matmul__(self, other):
         out = np.asarray(self) @ other
-        return out if len(self) == 2 else np.nextafter(out, -np.inf)
+        return out if len(self) == 2 else np.nextafter(out, 0.0)
 
 
 def test_coreset_check_that_adds_no_point_falls_back_to_all_points(monkeypatch):
-    """With no limit on failed checks, a fit still ends: a check whose
-    all-point extremes are all in the coreset already ends the step's
-    coreset search."""
-    monkeypatch.setattr(decomposition, "_CHECK_FAILS", 10 ** 9)
+    """With sweep grids whose checks never pass, each coreset search adds the
+    all-point extremes once, after its first failed check, and its
+    `_CHECK_FAILS`-th failed check ends it, whether or not a check added a
+    new point.  The fit ends, its box holds its points, and every sweep step
+    reduces its (18, n) grid product on all points."""
     monkeypatch.setattr(decomposition, "_SWEEP_STEPS", [
-        (basis.view(_GridRoundsDown), turns) for basis, turns in decomposition._SWEEP_STEPS])
-    real_add, adds = decomposition._Coreset._add, []
+        (basis.view(_GridRoundsToZero), turns) for basis, turns in decomposition._SWEEP_STEPS])
+    real_search, real_add, adds = decomposition._Coreset.search, decomposition._Coreset._add, []
+
+    def search(core, basis, p2, choose):
+        adds.append(0)
+        return real_search(core, basis, p2, choose)
 
     def add(core, at):
-        adds.append(len(at))
-        assert len(adds) < 100, "the coreset search does not end"
+        if adds:                        # not the seed that take adds first
+            adds[-1] += 1
         real_add(core, at)
 
+    monkeypatch.setattr(decomposition._Coreset, "search", search)
     monkeypatch.setattr(decomposition._Coreset, "_add", add)
     seen = _spy_extremes(monkeypatch)
     pts = _synth_points("box", 100_000)
     assert fit_obb(pts).contains(pts, tol=1e-9)
-    assert (18, len(pts)) in seen
+    steps = 3 * decomposition._REFINE_STEPS
+    assert adds == [decomposition._CHECK_FAILS - 1] * steps
+    assert seen.count((18, len(pts))) == steps
+
+
+@pytest.mark.bitexact
+def test_coreset_fits_of_a_large_scan_tree_fall_back_at_most_once(monkeypatch):
+    """Decomposing the first cloud of the seed-1 large-scan workload, each fit
+    above the sweep's block size reduces at most one grid search on all of
+    its points: a search that falls back leaves the next on the coreset,
+    which its failed checks have grown.  The 47,127-point side has the
+    reference's bytes."""
+    seen, fits, real_fit = _spy_extremes(monkeypatch), [], decomposition.fit_obb
+
+    def fit(points):
+        fits.append((points, len(seen)))        # its first _extremes call
+        return real_fit(points)
+
+    monkeypatch.setattr(decomposition, "fit_obb", fit)
+    decompose(synth_shape("dumbbell", tuple(SYNTH_KINDS["dumbbell"].values()), 100_000, seed=1000))
+    ends = [start for _, start in fits[1:]] + [len(seen)]
+    whole = [sum(n == len(points) for _, n in seen[start:end])
+             for (points, start), end in zip(fits, ends)]
+    block = decomposition._BLOCK_BYTES // (8 * 18)
+    large = {len(points): w for (points, _), w in zip(fits, whole) if len(points) > block}
+    assert {78_171, 20_413, 56_314, 47_127} <= large.keys()
+    assert max(large.values()) <= 1, large
+    _assert_reference_bytes(next(points for points, _ in fits if len(points) == 47_127), "side")
 
 
 def _traced_peak(call):

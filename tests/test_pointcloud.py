@@ -254,11 +254,15 @@ def _parse_error(path):
 
 @pytest.mark.parametrize("rows,line,reason", [
     # a bad number before a short line, then the reverse order
-    ("0 0 0\n0 abc 0\n0 0 0\n1 2\n0 0 0\n", 2, BAD_NUMBER),
-    ("0 0 0\n1 2\n0 0 0\n0 abc 0\n0 0 0\n", 2, "expected 3 values, got 2"),
+    pytest.param("0 0 0\n0 abc 0\n0 0 0\n1 2\n0 0 0\n", 2, BAD_NUMBER,
+                 id="bad-number-then-short-line"),
+    pytest.param("0 0 0\n1 2\n0 0 0\n0 abc 0\n0 0 0\n", 2, "expected 3 values, got 2",
+                 id="short-line-then-bad-number"),
     # a non-finite value before a bad number, and the two on one line
-    ("0 0 0\n0 nan 0\n0 0 0\nabc 0 0\n0 0 0\n", 2, "non-finite coordinate"),
-    ("0 0 0\nnan abc 0\n0 0 0\n0 0 0\n", 2, BAD_NUMBER),
+    pytest.param("0 0 0\n0 nan 0\n0 0 0\nabc 0 0\n0 0 0\n", 2, "non-finite coordinate",
+                 id="non-finite-then-bad-number"),
+    pytest.param("0 0 0\nnan abc 0\n0 0 0\n0 0 0\n", 2, BAD_NUMBER,
+                 id="non-finite-and-bad-number-on-one-line"),
 ])
 def test_xyz_reports_the_first_fault(tmp_path, rows, line, reason):
     path = tmp_path / "bad.xyz"
@@ -269,10 +273,12 @@ def test_xyz_reports_the_first_fault(tmp_path, rows, line, reason):
 
 
 @pytest.mark.parametrize("rows,line,reason", [
-    ("0 0 0\n0 abc 0\n0 0\n0 0 0\n0 0 0\n", 9, BAD_NUMBER),
-    ("0 0 0\n0 0\n0 abc 0\n0 0 0\n0 0 0\n", 9, "expected 3 vertex values, got 2"),
+    pytest.param("0 0 0\n0 abc 0\n0 0\n0 0 0\n0 0 0\n", 9, BAD_NUMBER,
+                 id="bad-number-then-short-row"),
+    pytest.param("0 0 0\n0 0\n0 abc 0\n0 0 0\n0 0 0\n", 9, "expected 3 vertex values, got 2",
+                 id="short-row-then-bad-number"),
     # a bad number before the missing rows
-    ("0 0 0\n0 abc 0\n0 0 0\n", 9, BAD_NUMBER),
+    pytest.param("0 0 0\n0 abc 0\n0 0 0\n", 9, BAD_NUMBER, id="bad-number-then-missing-rows"),
 ])
 def test_ply_reports_the_first_fault(tmp_path, rows, line, reason):
     err = _parse_error(_ply(tmp_path, 5, ("x", "y", "z"), rows))   # data from line 8
