@@ -9,8 +9,8 @@ A cloud is recursively partitioned into a binary tree of oriented boxes:
    slab a contiguous run of their sorted centred and box-frame coordinate
    rows, the latter projected on the 49 integer screening vectors by one
    (49, 3) @ (3, cols) product per block), and the sides of all planes of
-   an axis are summarized by scans over its slabs into exact moments and
-   extreme-point coresets of 2 x 49 points.
+   an axis are summarized, each by masked reductions over its slabs, into
+   exact moments and extreme-point coresets of 2 x 49 points.
    All sides on all three axes are then scored as one stack: one batch of
    covariances and eigen-decompositions (PCA), the min-area search on the
    sides with tied eigenvalues, and one rotation sweep over the coresets,
@@ -555,21 +555,11 @@ def _slab_summaries(X, frame, axis, offsets):
             proj = SCREEN_DIRECTIONS @ L[:, c:min(b, c + step)]
             top, bot = proj.argmax(axis=1), proj.argmin(axis=1)
             hi, lo = proj[rows, top] + 0.0, proj[rows, bot] + 0.0
-            up, down = (hi > slabs.hi[j], lo < slabs.lo[j]) if c > a else (slice(None),) * 2
+            up, down = hi > slabs.hi[j], lo < slabs.lo[j]
             slabs.hi[j, up], slabs.hi_idx[j, up] = hi[up], order[c + top[up]]
             slabs.lo[j, down], slabs.lo_idx[j, down] = lo[down], order[c + bot[down]]
             del proj        # before the next run's projection
     return slabs
-
-
-def _leaders(v, rises):
-    """Per row i and column of `v`, the last row j <= i that `rises(v[j],
-    max(v[:j]))` (row 0 always does): the row of the running maximum down
-    the rows that the tie rule `rises` picks."""
-    best = np.maximum.accumulate(v, axis=0)
-    rise = np.ones(v.shape, dtype=bool)
-    rise[1:] = rises(v[1:], best[:-1])
-    return np.maximum.accumulate(np.where(rise, np.arange(len(v))[:, None], 0), axis=0)
 
 
 def _side_summaries(slabs):
@@ -577,22 +567,21 @@ def _side_summaries(slabs):
     (s - 1, 2, ...) arrays: count, moment sums (s1, s2 flat), extremes (max,
     min) and coreset indices (max, then min point per direction; repeats
     leave a box fit unchanged), with the bits of summing each side alone:
-    +0.0, then its slabs in order, and extremes from the lowest tied slab."""
+    +0.0, then its slabs in order, and extremes from the lowest tied slab.
+    Each is a reduction over a (s - 1, 2, s, ...) table with the slabs off
+    the side masked: the last entry of a (sequential) cumulative sum with
+    them +0.0, and a max or min (argmax or argmin: the first tie) with them
+    -inf or +inf."""
     s = len(slabs.bounds) - 1
-    moments = np.concatenate((slabs.s1, slabs.s2.reshape(s, 9)), axis=1) + 0.0
-    above = moments.copy()
-    for j in range(1, s):     # a reversed cumsum would group these the other way
-        above[:s - j] += moments[j:]
-    picks = []
-    for v, idx in ((slabs.hi, slabs.hi_idx), (-slabs.lo, slabs.lo_idx)):
-        # scanned up the slabs for the above sides: the last tie is the lowest
-        at = np.stack((_leaders(v, np.greater)[:-1],
-                       s - 1 - _leaders(v[::-1], np.greater_equal)[-2::-1]), axis=1)
-        picks += [np.take_along_axis(a[:, None], at, axis=0) for a in (v, idx)]
-    hi, top, neg_lo, bot = picks
+    below = np.arange(s) < np.arange(1, s)[:, None]
+    side = np.stack((below, ~below), axis=1)[..., None]
+    moments = np.concatenate((slabs.s1, slabs.s2.reshape(s, 9)), axis=1)
+    hi, lo = np.where(side, slabs.hi, -np.inf), np.where(side, slabs.lo, np.inf)
+    cols = np.arange(hi.shape[3])
+    coreset = (slabs.hi_idx[hi.argmax(axis=2), cols], slabs.lo_idx[lo.argmin(axis=2), cols])
     count = np.stack((slabs.bounds[1:-1], slabs.bounds[-1] - slabs.bounds[1:-1]), axis=1)
-    return (count, np.stack((np.cumsum(moments, axis=0)[:-1], above[1:]), axis=1),
-            hi, -neg_lo, np.concatenate((top, bot), axis=2))
+    return (count, np.cumsum(np.where(side, moments, 0.0), axis=2)[:, :, -1],
+            hi.max(axis=2), lo.min(axis=2), np.concatenate(coreset, axis=2))
 
 
 def _screen(pts, box):

@@ -29,7 +29,8 @@ class BadDimension(PreGraspError):
 
 class DegenerateInput(PreGraspError):
     """All points coincide, or their covariance overflows: no box or principal
-    axes can be derived."""
+    axes can be derived.  Or a point lies 2^62 or more contact cells from the
+    cloud's minimum corner, where the contact index cannot key its cell."""
 
 
 class EmptySide(PreGraspError):

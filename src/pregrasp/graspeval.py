@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .classifier import GRASP_PRESHAPE, GraspType
-from .errors import EmptyWrenchSet, NoContacts, check_params
+from .errors import DegenerateInput, EmptyWrenchSet, NoContacts, check_params
 from .geom import cross, dot3, perpendicular_frames, rotations_about_axes, row_norms, unit_rows
 
 logger = logging.getLogger(__name__)
@@ -129,7 +129,9 @@ def _row_keys(cells):
     """One sortable key per row of an (n, 3) int64 array: the row's 24 bytes.
 
     Only equality and a consistent order matter, and a byte key cannot
-    overflow however far apart the cells lie.
+    overflow however far apart the cells lie.  The coordinates themselves
+    stay within a few cells of [0, 2^62): `ContactIndex` refuses a point
+    2^62 or more cells from its cloud's minimum corner.
     """
     return np.ascontiguousarray(cells).view("V24").ravel()
 
@@ -202,7 +204,8 @@ class ContactIndex:
     stored, together with every cell of their 3x3x3 blocks, each of which
     lists the occupied cells around it.  Cells are keyed by their integer
     coordinates' bytes, so a far outlier adds a few cells, not a grid
-    reaching out to it, and no key can overflow.
+    reaching out to it.  A point 2^62 or more cells from the minimum corner
+    along an axis raises DegenerateInput, so no int64 coordinate overflows.
 
     `_spans` takes a ray batch's origins and directions as (n, 3) arrays,
     the other search helpers as (3, n) coordinate rows.
@@ -217,8 +220,14 @@ class ContactIndex:
         # reduced along contiguous rows: an (n, 3) array's axis-0 reduction
         # runs 3-long inner loops
         cols = np.ascontiguousarray(pts.T)
-        self.lo = cols.min(axis=1)
-        self._box_lo, self._box_hi = self.lo - self.cell, cols.max(axis=1) + self.cell
+        self.lo, hi = cols.min(axis=1), cols.max(axis=1)
+        with np.errstate(over="ignore"):
+            far = (hi - self.lo).max()
+            if not far / self.cell < 2.0 ** 62:
+                raise DegenerateInput(f"a point lies {far:.6g} from the cloud's minimum corner "
+                                      f"along an axis: 2^62 or more contact cells of side "
+                                      f"{self.cell:.6g}")
+        self._box_lo, self._box_hi = self.lo - self.cell, hi + self.cell
         del cols
         self._scale = np.abs(np.concatenate((self._box_lo, self._box_hi))).max()
         cells = self._cells(pts)

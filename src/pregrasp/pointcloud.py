@@ -248,6 +248,9 @@ def synth_shape(kind, dims, n, seed):
     if len(dims) != len(SYNTH_KINDS[kind]):
         raise BadDimension(f"{kind} needs ({', '.join(SYNTH_KINDS[kind])}), "
                            f"got {len(dims)} values")
+    # before any draw: the samplers weigh their faces by these areas
+    if not math.isfinite(_surface_area(kind, dims)):
+        raise BadDimension(f"{kind}: the surface area of {dims} overflows")
     rng = np.random.default_rng(seed)
 
     if kind in ("box", "plate"):
@@ -262,6 +265,24 @@ def synth_shape(kind, dims, n, seed):
         pts = _union_of_boxes(rng, _lshape_boxes(*dims), n)
 
     return PointCloud(pts, source_name=f"synth:{kind}")
+
+
+def _surface_area(kind, dims):
+    """The summed face areas that the kind's sampler weighs by, from Python
+    floats, whose products overflow to inf without a warning."""
+    if kind == "sphere":
+        return 4.0 * math.pi * dims[0] * dims[0]
+    if kind == "cylinder":
+        return 2.0 * math.pi * dims[0] * dims[1] + 2.0 * math.pi * dims[0] * dims[0]
+    if kind in ("box", "plate"):
+        return _box_area(np.array(dims) / 2.0)
+    boxes = _dumbbell_boxes(*dims) if kind == "dumbbell" else _lshape_boxes(*dims)
+    return sum(_box_area(half) for _, half in boxes)
+
+
+def _box_area(half):
+    a, b, c = half.tolist()
+    return 8.0 * (a * b + a * c + b * c)
 
 
 def _box_surface(rng, half, n):
@@ -324,7 +345,7 @@ def _lshape_boxes(leg_a, leg_b, t):
 
 def _union_of_boxes(rng, boxes, n):
     """Surface-sample a union of axis-aligned boxes, rejecting interior points."""
-    areas = np.array([8.0 * (h[0] * h[1] + h[0] * h[2] + h[1] * h[2]) for _, h in boxes])
+    areas = np.array([_box_area(half) for _, half in boxes])
     weights = areas / areas.sum()
     out = []
     kept = 0

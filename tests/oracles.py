@@ -45,8 +45,8 @@ code because the package must agree with them exactly:
   for all points at once as rows of elementwise products, so the two agree
   bit for bit under any BLAS kernel;
 - `reference_side_summary`, one side's moments summed and extremes picked
-  over its slabs on their own, which the package's scans over all sides of
-  an axis (`_side_summaries`) replaced;
+  over its slabs on their own, which the package's masked reductions over
+  all sides of an axis at once (`_side_summaries`) replaced;
 - `reference_fit_obb`, the box fit on (n, 3) points with each per-point
   product built whole (`pca_axes`' (60, n) tied-pair search,
   `sweep_volume`'s (18, n) steps), which the package's block-by-block

@@ -95,6 +95,15 @@ def test_synth_rejects_bad_flags(tmp_path, capsys):
     assert not (tmp_path / "x.xyz").exists()
 
 
+@pytest.mark.parametrize("flags", [["box", "--dx", "1e308", "--dy", "1e308"],
+                                   ["cylinder", "--r", "1e300", "--length", "1e300"]])
+def test_synth_overflowing_surface_area_exits_1(tmp_path, capsys, flags):
+    out = tmp_path / "x.xyz"
+    assert main(["synth", *flags, "--out", str(out)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"error: {flags[0]}: the surface area of")
+    assert not out.exists()
+
 @pytest.mark.parametrize("value", ["inf", "nan"])
 def test_non_finite_float_flags_exit_2(sphere_xyz, tmp_path, capsys, value):
     stage_flags, synth_flags = float_flags("rank"), float_flags("synth")

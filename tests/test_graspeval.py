@@ -16,9 +16,9 @@ import oracles
 from pregrasp import graspeval
 from pregrasp.classifier import GraspType
 from pregrasp.decomposition import DecompNode, OrientedBox, decompose
-from pregrasp.errors import ConfigError, EmptyWrenchSet, NoContacts
+from pregrasp.errors import ConfigError, DegenerateInput, EmptyWrenchSet, NoContacts
 from pregrasp.facemask import compute_face_states
-from pregrasp.geom import dot3, perpendicular_frames
+from pregrasp.geom import dot3, perpendicular_frames, unit_rows
 from pregrasp.graspeval import (ContactIndex, epsilon_quality, estimate_contacts, finger_rays,
                                 rank_pool, wrench_set)
 from pregrasp.pipeline import RunConfig, _ranking_section
@@ -332,6 +332,31 @@ def test_contacts_match_reference_far_and_large_coordinates(sphere_cloud, sphere
         rays[:, 0], rays[:, 1])
     assert (count == -1).any() and (count > 0).any()
 
+
+def far_outlier_cloud(distance):
+    """The default dumbbell (3000 points, seed 1) and one point `distance` m
+    along +x."""
+    cloud = synth_shape("dumbbell", tuple(SYNTH_KINDS["dumbbell"].values()), 3000, seed=1)
+    return PointCloud(np.vstack([cloud.points, [distance, 0.0, 0.0]]))
+
+
+def test_contact_index_rejects_a_point_2_62_cells_from_the_corner():
+    """A point 1e17 m away lies 1e19 cells of 1 cm out, past int64's cell
+    coordinates: the index names the distance and the cell side."""
+    with pytest.raises(DegenerateInput, match=r"lies 1e\+17 .* cells of side 0\.01$"):
+        ContactIndex(far_outlier_cloud(1e17), 0.005)
+
+
+@pytest.mark.bitexact
+def test_contact_index_keys_a_point_1e18_cells_from_the_corner():
+    """A point 1e16 m away, 1e18 cells out, is keyed: rays aimed at the
+    object from around it get a scan of every point's contacts."""
+    cloud = far_outlier_cloud(1e16)
+    rng = np.random.default_rng(2)
+    origins = 0.3 * unit_rows(rng.normal(size=(40, 3)))
+    directions = unit_rows(0.02 * rng.normal(size=(40, 3)) - origins)
+    hits = first_hits_match_reference(cloud, origins, directions, 0.005)
+    assert (hits >= 0).sum() > 20
 
 def far_points(n=1000):
     """n points at least 3 cm from the rays of `axis_pregrasp`: enough

@@ -585,6 +585,27 @@ def test_synth_rejects_non_finite_dimensions(bad):
         synth_shape("box", (0.1, bad, 0.1), 100, seed=0)
 
 
+
+@pytest.mark.parametrize("kind, dims", [
+    ("box", (1e308, 1e308, 0.1)),
+    ("cylinder", (1e300, 1e300)),
+    ("sphere", (1e200,)),
+    ("dumbbell", (1e308, 1e200, 1e200, 0.015)),
+    ("lshape", (1e200, 1e200, 1e200)),
+])
+def test_synth_rejects_an_overflowing_surface_area(kind, dims):
+    """Finite dimensions whose surface area overflows are refused before
+    any draw, not turned into NaN face weights or all-cap cylinders."""
+    with mock.patch.object(np.random, "default_rng", side_effect=AssertionError("drew")):
+        with pytest.raises(BadDimension, match="surface area .* overflows"):
+            synth_shape(kind, dims, 100, seed=0)
+
+
+def test_synth_keeps_a_large_finite_surface_area():
+    """Legs of 1e308 m on a 4 cm section still have a finite area."""
+    cloud = synth_shape("lshape", (1e308, 1e308, 0.04), 100, seed=0)
+    assert cloud.points.shape == (100, 3) and np.isfinite(cloud.points).all()
+
 # ---------------------------------------------------------------------------
 # cloud statistics + results io
 # ---------------------------------------------------------------------------
