@@ -33,11 +33,14 @@ from .geom import cross, dot3, perpendicular_frames, rotations_about_axes, row_n
 logger = logging.getLogger(__name__)
 
 # Bounds on the work in flight: pre-grasps ranked per slice of the pool, and
-# rows built per pass of the contact search (ray samples, then (ray, cell)
-# pairs from the samples' block lists, then ray-point pairs).  A ray that
-# alone exceeds the row bound is searched in a pass of its own, which the
+# rows per pass of the contact search.  A pass takes about `_CHUNK_ROWS` ray
+# samples, whose block lists give at most 27 (ray, cell) pairs each, and
+# builds their ray-point rows about `_CHUNK_ROWS` at a time.  A ray that alone
+# exceeds the row bound is searched in a pass of its own, which the
 # every-point fallback bounds by the cloud size.  Wide slices spread numpy's
-# per-call cost over many rays; at 16384 rows a pass peaks near 1.4 MB.
+# per-call cost over many rays.  At 16384 rows, the search of a pool slice's
+# rays peaks at 1.2-1.4 MB on 10k-point surface clouds, and at 9.4 MB on a
+# solid cube of 10k points, where every sample's block is full.
 _POOL_SLICE = 4096
 _CHUNK_ROWS = 16384
 
@@ -191,9 +194,6 @@ def _projections(rows, at, origins, directions, ray, size=None):
     return t, rr
 
 
-_NO_RAYS = np.empty(0, dtype=np.int64)
-
-
 class ContactIndex:
     """Sparse voxel index of a cloud for ray-tube contact search, built once
     per cloud and tube radius.
@@ -271,32 +271,29 @@ class ContactIndex:
         return t_in, count
 
     def _block_lists(self, origins, directions, t_in, rays, first, stops):
-        """(i, lo, hi) of each distinct cell that a sample first..stops[i] - 1
-        of ray rays[i] falls in and whose 3x3x3 block holds occupied cells,
-        `self._near_cells[lo:hi]`; sorted by i."""
+        """(ray, cell) pairs of the occupied cells in the 3x3x3 block of each
+        distinct cell that samples first..stops[i] - 1 of ray rays[i]
+        (ascending) fall in: at most 27 pairs a sample, repeated where blocks
+        overlap."""
         ns = stops - first
-        which = np.repeat(np.arange(len(rays)), ns)
-        ray = rays[which]
+        ray = np.repeat(rays, ns)
         t = t_in[ray] + self.tube_r * (np.arange(len(ray)) - np.repeat(np.cumsum(ns) - ns, ns)
                                        + first)
         samples = origins.take(ray, axis=1) + t * directions.take(ray, axis=1)
         keys = _row_keys(self._cells(samples.T))
-        head = _run_heads(keys) | _run_heads(which)
-        keys, which = keys[head], which[head]
+        head = _run_heads(keys) | _run_heads(ray)
+        keys, ray = keys[head], ray[head]
         i = np.minimum(np.searchsorted(self._near_keys, keys), len(self._near_keys) - 1)
         found = self._near_keys[i] == keys
-        i, which = i[found], which[found]
-        return which, self._near_bounds[i], self._near_bounds[i + 1]
+        lo, hi = self._near_bounds[i[found]], self._near_bounds[i[found] + 1]
+        return np.repeat(ray[found], hi - lo), self._near_cells[_ranges(lo, hi)]
 
-    def _tube_cells(self, origins, directions, ray, lo, hi, every):
-        """(ray, cell) of the occupied cells whose centers lie within
-        2.83 * tube_r of each ray's line, sorted by ray, then by cell: the
-        cells of the block lists (ray, lo, hi), and every occupied cell for
-        the rays `every`."""
+    def _tube_cells(self, origins, directions, ray, cell):
+        """The distinct pairs among the (ray, cell) pairs whose occupied
+        cell's center lies within 2.83 * tube_r of the ray's line, sorted by
+        ray, then by cell."""
         n_occ = self._centers.shape[1]
-        pair = np.sort(np.concatenate((
-            np.repeat(ray, hi - lo) * n_occ + self._near_cells[_ranges(lo, hi)],
-            (every[:, None] * n_occ + np.arange(n_occ)).ravel())))
+        pair = np.sort(ray * n_occ + cell)
         # a sort and its run heads: numpy 2.3+ np.unique hashes integers before
         # sorting them, several times slower on these pairs
         ray, cell = np.divmod(pair[_run_heads(pair)], n_occ)
@@ -341,21 +338,6 @@ class ContactIndex:
             won = (best < best_t[rays]) | ((best == best_t[rays]) & (pick < hits[rays]))
             best_t[rays[won]], hits[rays[won]] = best[won], pick[won]
 
-    def _search_window(self, origins, directions, t_in, rays, first, stops, best_t, hits):
-        """Search the rays `rays` (ascending) on the blocks of their samples
-        first..stops - 1, each pass building about `_CHUNK_ROWS` rows: ray
-        samples, then (ray, cell) pairs."""
-        for a, b in _batches(stops - first, _CHUNK_ROWS):
-            which, lo, hi = self._block_lists(origins, directions, t_in, rays[a:b], first,
-                                              stops[a:b])
-            cost = np.bincount(which, hi - lo, minlength=b - a)
-            bounds = np.searchsorted(which, np.arange(b - a + 1))
-            for c, e in _batches(cost, _CHUNK_ROWS):
-                sel = slice(bounds[c], bounds[e])
-                cells = self._tube_cells(origins, directions, rays[a:b][which[sel]], lo[sel],
-                                         hi[sel], _NO_RAYS)
-                self._search_pairs(origins, directions, *cells, best_t, hits)
-
     def first_hits(self, origins, directions):
         """Index of the first point along each ray origin + t * direction
         (unit direction, t >= 0) within tube_r of it, or -1, for (n, 3)
@@ -375,9 +357,9 @@ class ContactIndex:
         a ray's line are screened off, and each point of the rest is tested
         with the arithmetic of a scan of every point (see `_tube_rows`).
         The contacts of all windows and passes merge by (t, point index), so
-        each ray gets the scan's contact.  Each pass builds about
-        `_CHUNK_ROWS` rows: ray samples, then (ray, cell) pairs, then
-        ray-point pairs.
+        each ray gets the scan's contact.  Each pass takes about
+        `_CHUNK_ROWS` ray samples, builds at most 27 (ray, cell) pairs per
+        sample, and builds ray-point rows about `_CHUNK_ROWS` at a time.
         """
         origins = np.asarray(origins, dtype=float).reshape(-1, 3)
         directions = np.asarray(directions, dtype=float).reshape(-1, 3)
@@ -386,16 +368,19 @@ class ContactIndex:
         scale = np.abs(origins).max(axis=1) + self._scale
         t_in, count = self._spans(origins, directions)
         origins, directions = np.ascontiguousarray(origins.T), np.ascontiguousarray(directions.T)
-        every = np.flatnonzero(count < 0)
-        for a, b in _batches(np.full(len(every), self._centers.shape[1]), _CHUNK_ROWS):
-            cells = self._tube_cells(origins, directions, _NO_RAYS, _NO_RAYS, _NO_RAYS,
-                                     every[a:b])
+        n_occ, every = self._centers.shape[1], np.flatnonzero(count < 0)
+        for a, b in _batches(np.full(len(every), n_occ), _CHUNK_ROWS):
+            cells = self._tube_cells(origins, directions, np.repeat(every[a:b], n_occ),
+                                     np.tile(np.arange(n_occ), b - a))
             self._search_pairs(origins, directions, *cells, best_t, hits)
         rays, first, size = np.flatnonzero(count > 0), 0, _FIRST_WINDOW
         while len(rays):
             stop = first + size
-            self._search_window(origins, directions, t_in, rays, first,
-                                np.minimum(count[rays], stop), best_t, hits)
+            stops = np.minimum(count[rays], stop)
+            for a, b in _batches(stops - first, _CHUNK_ROWS):
+                pairs = self._block_lists(origins, directions, t_in, rays[a:b], first, stops[a:b])
+                cells = self._tube_cells(origins, directions, *pairs)
+                self._search_pairs(origins, directions, *cells, best_t, hits)
             bound = t_in[rays] + self.tube_r * (stop - 0.5) - _RETIRE_SLACK * scale[rays]
             rays = rays[(count[rays] > stop) & ~(best_t[rays] < bound)]
             first, size = stop, 2 * size

@@ -84,13 +84,13 @@ def select_nodes(tree, classes, gripper):
     return selected
 
 
-# Axial stations of one Cylindrical node, at most.  A station is a ring of
-# 360 / angular_step directions, each tested against every free cell of the
-# node, so the table grows with the node's length, which nothing else bounds:
-# one far outlier makes a root kilometres long.  1e5 stations span 100 m at a
-# 1 mm axial_step, far beyond anything a hand with a 10 cm aperture grasps,
-# while a 1e12 m node would ask for 5e13 of them (hundreds of TiB).
-_MAX_STATIONS = 100_000
+# Directions of one node's table, at most: the 2 caps and 100,000 stations
+# of 12 directions (the default 30 degree step) of a Cylindrical node 100 m
+# long at a 1 mm axial_step, far beyond anything a hand with a 10 cm aperture
+# grasps.  Every direction is tested against every free cell of the node,
+# and nothing else bounds the table: one far outlier makes a root kilometres
+# long, and a 0.001 degree step makes each ring 360,000 directions.
+_MAX_DIRECTIONS = 1_200_002
 
 
 # ===========================================================================
@@ -116,17 +116,29 @@ def _direction_table(grasp_type, length, sampling):
     the two largest extents.
 
     Raises:
-        PreGraspError: a Cylindrical `length` needs more than `_MAX_STATIONS`
-            stations.
+        PreGraspError: the table would hold more than `_MAX_DIRECTIONS` rows.
     """
     step = sampling.angular_step
+    # rows counted from the step counts as floats (inf on overflow), before
+    # any array is built; the poles are theta 0 and a last theta that lands
+    # on 180 degrees (within 1e-9, for steps of 1e-9 degrees or more)
+    n_ph, n_theta = np.floor(360.0 / step + 1e-9), np.floor(180.0 / step + 1e-9)
+    node = f"a {grasp_type.value} node"
+    if grasp_type == GraspType.CYLINDRICAL:
+        n_stations = np.floor(length / sampling.axial_step + 1e-9) + 1
+        rows = 2 + n_stations * n_ph
+        node += f" of length {length:.6g} m at axial_step {sampling.axial_step:g} m"
+    elif grasp_type == GraspType.THREE_FINGERTIP:
+        rows = n_ph
+    else:
+        n_poles = 1 + (abs(n_theta * step - 180.0) < 1e-9)
+        rows = n_poles + (n_theta + 1 - n_poles) * n_ph
+    if not rows <= _MAX_DIRECTIONS:
+        raise PreGraspError(f"{node} needs {rows:,.0f} directions at angular_step {step:g} "
+                            f"degrees; at most {_MAX_DIRECTIONS:,} are sampled")
     ph = np.radians(_angle_steps(360.0, step, inclusive=False))
     if grasp_type == GraspType.CYLINDRICAL:
-        n_stations = int(np.floor(length / sampling.axial_step + 1e-9)) + 1
-        if n_stations > _MAX_STATIONS:
-            raise PreGraspError(
-                f"a Cylindrical node of length {length:.6g} m needs {n_stations} stations at "
-                f"axial_step {sampling.axial_step:g} m; at most {_MAX_STATIONS} are sampled")
+        n_stations = int(n_stations)
         stations = (np.arange(n_stations) - (n_stations - 1) / 2.0) * sampling.axial_step
         ring = np.stack((np.zeros(len(ph)), np.cos(ph), np.sin(ph)), axis=1)
         return (np.concatenate(([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]],

@@ -399,6 +399,19 @@ def test_far_point_station_count_is_runtime_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_angular_step_beyond_the_direction_bound_is_runtime_error(sphere_xyz, tmp_path, capsys):
+    """At a 0.001 degree step the sphere's lat-lon table would hold 6.5e10
+    directions: `sample` exits 1 with one error line that names
+    angular_step, and writes no document (at 0.01 degrees it used to die
+    with a MemoryError traceback, asking for 4.83 GiB at once)."""
+    out = tmp_path / "x.json"
+    assert run_stage("sample", sphere_xyz, out, "--angular-step", "0.001") == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    assert "angular_step 0.001 degrees" in err[0], err[0]
+    assert not out.exists()
+
+
 def test_invalid_log_level_env(sphere_xyz, tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("PREGRASP_LOG", "chatty")
     assert run_stage("decompose", sphere_xyz, tmp_path / "x.json") == 2

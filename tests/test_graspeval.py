@@ -661,22 +661,24 @@ X_RAY = (np.zeros((1, 3)), np.array([[1.0, 0.0, 0.0]]))
 
 
 def window_log(monkeypatch):
-    """A list that gets, per `ContactIndex._search_window` call, the first
-    sample of the window and the points of the tube rows its `_tube_rows`
-    calls keep."""
+    """A list that gets, per search window, the first sample of the window
+    and the points of the tube rows its `_tube_rows` calls keep: a
+    `ContactIndex._block_lists` call opens an entry unless it continues the
+    window of the entry before."""
     log = []
-    search_window, tube_rows = ContactIndex._search_window, ContactIndex._tube_rows
+    block_lists, tube_rows = ContactIndex._block_lists, ContactIndex._tube_rows
 
     def windowed(index, origins, directions, t_in, rays, first, *rest):
-        log.append((first, []))
-        return search_window(index, origins, directions, t_in, rays, first, *rest)
+        if not log or log[-1][0] != first:
+            log.append((first, []))
+        return block_lists(index, origins, directions, t_in, rays, first, *rest)
 
     def logged(index, *args):
         rows = tube_rows(index, *args)
         log[-1][1].extend(rows[1].tolist())
         return rows
 
-    monkeypatch.setattr(ContactIndex, "_search_window", windowed)
+    monkeypatch.setattr(ContactIndex, "_block_lists", windowed)
     monkeypatch.setattr(ContactIndex, "_tube_rows", logged)
     return log
 
@@ -829,17 +831,17 @@ def test_search_windows_build_fewer_pairs(monkeypatch):
     built = []
     tube_cells = ContactIndex._tube_cells
 
-    def counted(index, origins, directions, ray, lo, hi, every):
-        built.append(int((hi - lo).sum()) + len(every) * n_occ)
-        return tube_cells(index, origins, directions, ray, lo, hi, every)
+    def counted(index, origins, directions, ray, cell):
+        built.append(len(cell))
+        return tube_cells(index, origins, directions, ray, cell)
 
     monkeypatch.setattr(ContactIndex, "_tube_cells", counted)
     index.first_hits(origins, directions)
     t_in, count = index._spans(origins, directions)
     whole = np.flatnonzero(count > 0)
-    _, lo, hi = index._block_lists(origins.T.copy(), directions.T.copy(), t_in, whole, 0,
-                                   count[whole])
-    full = int((hi - lo).sum()) + int((count < 0).sum()) * n_occ
+    _, cell = index._block_lists(origins.T.copy(), directions.T.copy(), t_in, whole, 0,
+                                 count[whole])
+    full = len(cell) + int((count < 0).sum()) * n_occ
     assert 0 < sum(built) <= 0.6 * full
 
 
@@ -860,6 +862,57 @@ def test_contact_search_memory_is_bounded(kind, gripper):
     finally:
         tracemalloc.stop()
     assert peak < 2e6, f"{kind}: first_hits peaked {peak / 1e6:.2f} MB above its start"
+
+
+def solid_cube_case(n_rays):
+    """10000 uniform points filling a 0.08 m cube, all 512 of whose 1 cm
+    contact cells (a 5 mm tube) are occupied, so that the 3x3x3 block of
+    every sample inside it is full; and `n_rays` rays from 0.15 m around
+    the cube's center aimed into its middle half."""
+    rng = np.random.default_rng(0)
+    cloud = PointCloud(0.08 * rng.random((10000, 3)))
+    around = unit_rows(rng.standard_normal((n_rays, 3)))
+    origins = 0.04 + 0.15 * around
+    directions = unit_rows(0.02 + 0.04 * rng.random((n_rays, 3)) - origins)
+    return cloud, origins, directions
+
+
+@pytest.mark.bitexact
+def test_first_hits_match_reference_in_a_solid_cube(monkeypatch):
+    """In passes of 256 rows, a `_block_lists` call builds at most 27 (ray,
+    cell) pairs per sample it expands, some calls more pairs than a pass
+    has rows, and every ray gets the scan's contact."""
+    monkeypatch.setattr(graspeval, "_CHUNK_ROWS", 256)
+    cloud, origins, directions = solid_cube_case(300)
+    assert ContactIndex(cloud, 0.005)._centers.shape[1] == 512
+    built = []
+    block_lists = ContactIndex._block_lists
+
+    def counted(index, origins, directions, t_in, rays, first, stops):
+        ray, cell = block_lists(index, origins, directions, t_in, rays, first, stops)
+        built.append((len(cell), int((stops - first).sum())))
+        return ray, cell
+
+    monkeypatch.setattr(ContactIndex, "_block_lists", counted)
+    assert (first_hits_match_reference(cloud, origins, directions, 0.005) >= 0).all()
+    assert all(pairs <= 27 * samples for pairs, samples in built)
+    assert max(pairs for pairs, _ in built) > graspeval._CHUNK_ROWS
+
+
+def test_contact_search_memory_in_a_solid_cube():
+    """The search of 12288 rays, a pool slice's fingers, into the solid cube
+    peaks below 16 MB: a pass of `_CHUNK_ROWS` samples builds at most 27
+    (ray, cell) pairs per sample."""
+    cloud, origins, directions = solid_cube_case(3 * graspeval._POOL_SLICE)
+    index = ContactIndex(cloud, 0.005)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        index.first_hits(origins, directions)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, f"first_hits peaked {peak / 1e6:.2f} MB above its start"
 
 
 def test_contact_index_must_match_cloud_and_tube(small_sphere_cloud, sphere_cloud, gripper):

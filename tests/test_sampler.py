@@ -10,6 +10,7 @@ import helpers
 import oracles
 from pregrasp.classifier import GRASP_PRESHAPE, GraspType, ShapeCategory
 from pregrasp.decomposition import DecompNode, DecompTree, OrientedBox
+from pregrasp.errors import PreGraspError
 from pregrasp.facemask import FaceId, compute_face_states
 from pregrasp.pipeline import _pool_section
 from pregrasp.graspeval import finger_rays, rank_pool
@@ -121,6 +122,22 @@ def test_sphere_sample_count_matches_grid_oracle(gripper, free_mask):
     assert len(sample_node(node, free_mask, gripper,
                            SamplingParams(angular_step=45.0), GraspType.SPHERICAL)) \
         == oracles.sphere_grid_count(45.0) == 26
+
+
+def test_direction_table_beyond_its_row_bound_is_an_error(gripper, free_mask):
+    """At a 0.001 degree step a Spherical node's lat-lon table would hold
+    64,799,640,002 directions (a 483 GiB array), and the rings of a 0.2 m
+    Cylindrical node at a 5 mm axial_step 14,760,002: sampling either raises
+    PreGraspError, counted before any array is built."""
+    fine = SamplingParams(angular_step=0.001, axial_step=0.005)
+    node = leaf_node(helpers.axis_box((0, 0, 0), (0.1, 0.1, 0.05)))
+    with pytest.raises(PreGraspError, match="^a Spherical node needs 64,799,640,002 directions "
+                                            "at angular_step 0.001 degrees"):
+        sample_node(node, free_mask, gripper, fine, GraspType.SPHERICAL)
+    rod = leaf_node(helpers.axis_box((0, 0, 0), (0.08, 0.01, 0.01)))
+    with pytest.raises(PreGraspError, match="^a Cylindrical node of length 0.2 m at axial_step "
+                                            "0.005 m needs 14,760,002 directions"):
+        sample_node(rod, free_mask, gripper, fine, GraspType.CYLINDRICAL)
 
 
 def test_sphere_sample_geometry(gripper, sampling, free_mask):
