@@ -621,23 +621,20 @@ def _best_split_eval(node, cloud, params):
     idx_a, idx_b, box_a, box_b), or None if it fails the acceptance test
     (volume ratio + per-child point minimum)."""
     pts = cloud.points.take(node.point_indices, axis=0)
-    scored = _screen(pts, node.box)
-    # refit in (axis, offset) order, so the strict < below keeps the first
-    # of tied full-point volumes
-    finalists = sorted(sorted(scored, key=lambda c: c[0])[:SCREEN_FINALISTS],
-                       key=lambda c: c[1:])
-    best = best_volume = None
-    for _, axis, offset in finalists:
+    fits = []
+    for _, axis, offset in sorted(_screen(pts, node.box))[:SCREEN_FINALISTS]:
         split = evaluate_split(pts, node.box, axis, offset)
-        volume = split[2].volume + split[3].volume
-        if best is None or volume < best_volume:
-            best, best_volume = (axis, offset) + split, volume
-    if best is None or best_volume > params.volume_ratio * node.box.volume:
+        fits.append((split[2].volume + split[3].volume, axis, offset, split))
+    if not fits:
+        return None
+    # the least (summed volume, axis, offset), as the screen ranked its planes
+    volume, axis, offset, split = min(fits, key=lambda f: f[:3])
+    if volume > params.volume_ratio * node.box.volume:
         return None
     # strictly more than min_points/2 per child; the boundary count is rejected
-    if min(len(best[2]), len(best[3])) <= params.min_points / 2.0:
+    if min(len(split[0]), len(split[1])) <= params.min_points / 2.0:
         return None
-    return best
+    return (axis, offset) + split
 
 
 def decompose(cloud, params=None):

@@ -199,13 +199,14 @@ class ContactIndex:
     per cloud and tube radius.
 
     Cells are cubes of side 2 * tube_r anchored at the cloud's minimum
-    corner.  Points are kept ordered by cell (ascending point index within a
-    cell), as three contiguous coordinate rows.  Only occupied cells are
-    stored, together with every cell of their 3x3x3 blocks, each of which
-    lists the occupied cells around it.  Cells are keyed by their integer
-    coordinates' bytes, so a far outlier adds a few cells, not a grid
-    reaching out to it.  A point 2^62 or more cells from the minimum corner
-    along an axis raises DegenerateInput, so no int64 coordinate overflows.
+    corner.  Points are kept ordered by cell coordinates (x, then y, then
+    z; ascending point index within a cell), as three contiguous coordinate
+    rows.  Only occupied cells are stored, together with every cell of their
+    3x3x3 blocks, each of which lists the occupied cells around it.  Cells
+    are keyed by their integer coordinates' bytes, so a far outlier adds a
+    few cells, not a grid reaching out to it.  A point 2^62 or more cells
+    from the minimum corner along an axis raises DegenerateInput, so no
+    int64 coordinate overflows.
 
     `_spans` takes a ray batch's origins and directions as (n, 3) arrays,
     the other search helpers as (3, n) coordinate rows.
@@ -232,7 +233,7 @@ class ContactIndex:
         self._scale = np.abs(np.concatenate((self._box_lo, self._box_hi))).max()
         cells = self._cells(pts)
         keys = _row_keys(cells)
-        self.order = np.argsort(keys, kind="stable")
+        self.order = np.lexsort(cells.T[::-1])
         self._rows = np.ascontiguousarray(pts.take(self.order, axis=0).T)
         first = np.flatnonzero(_run_heads(keys[self.order]))
         self._bounds = np.append(first, len(pts))
@@ -564,7 +565,8 @@ def _rank_slice(part, first, cloud, index, gripper):
     counts = np.add.reduceat(touched.astype(np.int64), np.cumsum(n_rays) - n_rays)
     starts = np.cumsum(counts) - counts
     quality = np.zeros(len(part))
-    for k in np.unique(counts[counts >= 2]).tolist():
+    # the counts present, by a bincount: np.unique imports numpy.ma on numpy 2
+    for k in (np.flatnonzero(np.bincount(counts)[2:]) + 2).tolist():
         which = np.flatnonzero(counts == k)
         batch = contacts[starts[which][:, None] + np.arange(k)]
         wrenches = wrench_set(batch[:, :, 0], batch[:, :, 1], gripper.friction_mu,

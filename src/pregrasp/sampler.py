@@ -98,11 +98,6 @@ _MAX_DIRECTIONS = 1_200_002
 # exit faces and free cells of a node
 # ===========================================================================
 
-def _angle_steps(span_deg, step_deg, inclusive):
-    n = int(np.floor(span_deg / step_deg + 1e-9))
-    return np.arange(n + 1 if inclusive else n) * step_deg
-
-
 def _direction_table(grasp_type, length, sampling):
     """Box-frame directions (n, 3) of a grasp type's enclosing surface in
     emission order, and each one's axial offset (NaN: radial from the box
@@ -120,8 +115,8 @@ def _direction_table(grasp_type, length, sampling):
     """
     step = sampling.angular_step
     # rows counted from the step counts as floats (inf on overflow), before
-    # any array is built; the poles are theta 0 and a last theta that lands
-    # on 180 degrees (within 1e-9, for steps of 1e-9 degrees or more)
+    # any array is built from them; the poles are theta 0 and a last theta
+    # that lands on 180 degrees (within 1e-9, for steps of 1e-9 degrees or more)
     n_ph, n_theta = np.floor(360.0 / step + 1e-9), np.floor(180.0 / step + 1e-9)
     node = f"a {grasp_type.value} node"
     if grasp_type == GraspType.CYLINDRICAL:
@@ -131,12 +126,12 @@ def _direction_table(grasp_type, length, sampling):
     elif grasp_type == GraspType.THREE_FINGERTIP:
         rows = n_ph
     else:
-        n_poles = 1 + (abs(n_theta * step - 180.0) < 1e-9)
-        rows = n_poles + (n_theta + 1 - n_poles) * n_ph
+        south = int(abs(n_theta * step - 180.0) < 1e-9)
+        rows = 1 + south + (n_theta - south) * n_ph
     if not rows <= _MAX_DIRECTIONS:
         raise PreGraspError(f"{node} needs {rows:,.0f} directions at angular_step {step:g} "
                             f"degrees; at most {_MAX_DIRECTIONS:,} are sampled")
-    ph = np.radians(_angle_steps(360.0, step, inclusive=False))
+    ph = np.radians(np.arange(int(n_ph)) * step)
     if grasp_type == GraspType.CYLINDRICAL:
         n_stations = int(n_stations)
         stations = (np.arange(n_stations) - (n_stations - 1) / 2.0) * sampling.axial_step
@@ -147,12 +142,11 @@ def _direction_table(grasp_type, length, sampling):
     if grasp_type == GraspType.THREE_FINGERTIP:
         d = np.stack((np.cos(ph), np.sin(ph), np.zeros(len(ph))), axis=1)
         return d, np.full(len(d), np.nan)
-    theta = _angle_steps(180.0, step, inclusive=True)
-    polar = (theta < 1e-9) | (np.abs(theta - 180.0) < 1e-9)
-    per_theta = np.where(polar, 1, len(ph))
-    th = np.radians(np.repeat(theta, per_theta))
-    k = np.arange(len(th)) - np.repeat(np.cumsum(per_theta) - per_theta, per_theta)
-    ph = np.where(np.repeat(polar, per_theta), 0.0, ph[k])
+    theta = np.arange(int(n_theta) + 1) * step
+    rings = theta[1:len(theta) - south]
+    th = np.radians(np.concatenate((theta[:1], np.repeat(rings, len(ph)),
+                                    theta[len(theta) - south:])))
+    ph = np.concatenate(([0.0], np.tile(ph, len(rings)), np.zeros(south)))
     d = np.stack((np.sin(th) * np.cos(ph), np.sin(th) * np.sin(ph), np.cos(th)), axis=1)
     return d, np.full(len(d), np.nan)
 

@@ -3,7 +3,11 @@
 import dataclasses
 import functools
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -1388,3 +1392,28 @@ def test_rank_pool_matches_reference_bytes_in_slices_of_128(name, monkeypatch):
     got = json.dumps(_ranking_section(rank_pool(pool, cloud, gripper)))
     ref = json.dumps(_ranking_section(oracles.reference_rank_pool(pool, cloud, gripper)))
     assert got == ref
+
+
+PLAN_IMPORTS = """
+import sys
+import pregrasp
+from pregrasp.pipeline import RunConfig, run_pipeline
+from pregrasp.pointcloud import SYNTH_KINDS, synth_shape
+cloud = synth_shape("dumbbell", tuple(SYNTH_KINDS["dumbbell"].values()), 3000, seed=1)
+before = {name for name in sys.modules if name.startswith("numpy")}
+doc = run_pipeline(cloud, RunConfig(), upto="rank")
+assert doc["ranking"]
+print(sorted({name for name in sys.modules if name.startswith("numpy")} - before))
+"""
+
+
+def test_a_plan_imports_no_numpy_submodule():
+    """In a fresh process, a plan through ranking imports no numpy submodule
+    that importing pregrasp and building the cloud did not.  Under numpy 2
+    the first call of np.unique imports numpy.ma, a cost every process pays."""
+    import pregrasp
+
+    env = dict(os.environ, PYTHONPATH=str(Path(pregrasp.__file__).parents[1]))
+    run = subprocess.run([sys.executable, "-c", PLAN_IMPORTS], env=env, stdout=subprocess.PIPE,
+                         text=True, check=True)
+    assert run.stdout.strip() == "[]"

@@ -16,8 +16,8 @@ from pregrasp.pipeline import _pool_section
 from pregrasp.graspeval import finger_rays, rank_pool
 from pregrasp.pipeline import RunConfig, run_pipeline
 from pregrasp.pointcloud import synth_shape
-from pregrasp.sampler import (POOL_DTYPE, GripperConfig, SamplingParams, _angle_steps,
-                              generate_pool, sample_node, select_nodes)
+from pregrasp.sampler import (_MAX_DIRECTIONS, POOL_DTYPE, GripperConfig, SamplingParams,
+                              _direction_table, generate_pool, sample_node, select_nodes)
 
 
 def leaf_node(box, nid=0):
@@ -103,11 +103,31 @@ def test_preshape_table():
         assert tips_got is tips
 
 
-def test_angle_steps():
-    assert _angle_steps(360.0, 30.0, inclusive=False).tolist() == [k * 30.0 for k in range(12)]
-    assert _angle_steps(180.0, 30.0, inclusive=True).tolist() == [k * 30.0 for k in range(7)]
-    # non-divisible span floors
-    assert _angle_steps(360.0, 50.0, inclusive=False).tolist() == [k * 50.0 for k in range(7)]
+def test_direction_table_row_counts():
+    """A ring holds the angles k * angular_step below 360 degrees, and a
+    lat-lon grid each pole once and a ring per inner theta: 12 and 62 rows
+    at 30 degrees.  A step that does not divide the span floors: at 50
+    degrees, 7 ring angles, and thetas 0-150 with no south pole, 22 rows."""
+    for step, ring_angles, thetas, rows in ((30.0, 12, 7, 62), (50.0, 7, 4, 22)):
+        sampling = SamplingParams(angular_step=step)
+        ring, _ = _direction_table(GraspType.THREE_FINGERTIP, None, sampling)
+        assert np.allclose(np.degrees(np.arctan2(ring[:, 1], ring[:, 0])) % 360.0,
+                           np.arange(ring_angles) * step)
+        grid, _ = _direction_table(GraspType.SPHERICAL, None, sampling)
+        assert len(grid) == rows
+        assert np.allclose(np.unique(np.round(np.degrees(np.arccos(grid[:, 2])), 6)),
+                           np.arange(thetas) * step)
+
+
+def test_direction_table_at_its_row_bound():
+    """The bound checks the count the table is built from: a ThreeFingertip
+    table at 360 / _MAX_DIRECTIONS degrees holds exactly _MAX_DIRECTIONS
+    rows, and one direction more raises PreGraspError."""
+    at = SamplingParams(angular_step=360.0 / _MAX_DIRECTIONS)
+    assert len(_direction_table(GraspType.THREE_FINGERTIP, None, at)[0]) == 1_200_002
+    over = SamplingParams(angular_step=360.0 / (_MAX_DIRECTIONS + 1))
+    with pytest.raises(PreGraspError, match="^a ThreeFingertip node needs 1,200,003 directions"):
+        _direction_table(GraspType.THREE_FINGERTIP, None, over)
 
 
 # ===========================================================================
