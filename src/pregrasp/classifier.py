@@ -57,7 +57,8 @@ def pca(points):
     at zero.
 
     Raises:
-        DegenerateInput: all points coincide, or their covariance overflows.
+        DegenerateInput: a point is not finite, all points coincide, or their
+            sum or covariance overflows.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     return eigh_descending(covariance(centred_rows(pts)[1]))[0]

@@ -22,7 +22,7 @@ import numpy as np
 from .decomposition import OrientedBox
 from .errors import ConfigError, PreGraspError, check_params
 from .pipeline import STAGES, RunConfig, run_pipeline
-from .pointcloud import SYNTH_KINDS, load_cloud, load_results, save_results, synth_shape
+from .pointcloud import MIN_POINTS, SYNTH_KINDS, load_cloud, load_results, save_results, synth_shape
 
 logger = logging.getLogger(__name__)
 
@@ -98,7 +98,7 @@ def validate_pipeline_args(ns):
 
 def validate_synth_args(ns):
     _check_finite(ns)
-    _check(ns.n >= 4, "--n", ">= 4", ns.n)
+    _check(ns.n >= MIN_POINTS, "--n", f">= {MIN_POINTS}", ns.n)
     _check(ns.seed >= 0, "--seed", ">= 0", ns.seed)
     dims = dict(zip(SYNTH_KINDS[ns.kind], _synth_dims(ns)))   # the defaults pass
     for name, value in dims.items():

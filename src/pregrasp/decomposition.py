@@ -87,11 +87,13 @@ _REFINE_STEPS = 3
 @dataclass
 class OrientedBox:
     """Box given by center, rotation (columns are the u/v/w axes) and
-    half-extents sorted in descending order (u is the longest axis)."""
+    half-extents sorted in descending order (u is the longest axis), with the
+    `classifier.pca` eigenvalues of the points `fit_obb` fitted (else None)."""
 
     center: np.ndarray
     rotation: np.ndarray
     half_extents: np.ndarray
+    eigenvalues: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=float).reshape(3)
@@ -294,19 +296,18 @@ def _min_area_turns(p2, core=None):
     return _MIN_AREA_TURNS[kb]
 
 
-def _pca_axes(cov, X, core=None):
-    """Principal axes of each covariance of the (g, 3, 3) stack `cov`
-    (columns, descending eigenvalue), with near-tied eigenvalue pairs
-    re-oriented by a min-area rectangle search over the matching centred
-    coordinate rows of the (g, 3, n) stack `X` (on the coreset `core` if g
-    is 1).
+def _pca_axes(lam, axes, X, core=None):
+    """The principal axes `axes` of each set of a stack, as `eigh_descending`
+    returns them with their eigenvalues `lam`, (g, 3) and (g, 3, 3), with
+    near-tied eigenvalue pairs re-oriented in place by a min-area rectangle
+    search over the matching centred coordinate rows of the (g, 3, n) stack
+    `X` (on the coreset `core` if g is 1).
 
     PCA leaves the basis of a (near-)degenerate eigenspace arbitrary — for a
     square cross-section the returned pair can sit at any in-plane angle, far
     outside the reach of the local refinement sweep, so the tie is resolved
     geometrically here.  The tied sets are searched in blocks of `_BLOCK_BYTES`.
     """
-    lam, axes = eigh_descending(cov)
     step = max(1, _BLOCK_BYTES // (8 * len(_MIN_AREA_BASIS) * X.shape[2]))
     for i, j in ((0, 1), (1, 2), (0, 1)):
         untied = (lam[:, j] <= 0.0) | (lam[:, i] > _TIED_EIGENVALUE_RATIO * lam[:, j])
@@ -385,10 +386,12 @@ def fit_obb(points):
     Returns:
         OrientedBox containing every input point; half-extents sorted
         descending and floored at EXTENT_FLOOR; rotation right-handed with the
-        two dominant axes sign-fixed (largest-magnitude component positive).
+        two dominant axes sign-fixed (largest-magnitude component positive);
+        eigenvalues with the bytes that `classifier.pca` gives the points.
 
     Raises:
-        DegenerateInput: all points coincide, or their covariance overflows.
+        DegenerateInput: a point is not finite, all points coincide, or their
+            sum or covariance overflows.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     if len(pts) == 0:
@@ -396,7 +399,8 @@ def fit_obb(points):
     mean, X = centred_rows(pts)
 
     core = _Coreset(X.shape[1])
-    R = _sweep(X[None], _pca_axes(covariance(X)[None], X[None], core), core)[0][0]
+    lam, axes = eigh_descending(covariance(X)[None])
+    R = _sweep(X[None], _pca_axes(lam, axes, X[None], core), core)[0][0]
 
     # canonical form: extents descending, dominant axes sign-fixed, det = +1
     P = R.T @ X
@@ -410,7 +414,7 @@ def fit_obb(points):
     lo, hi = P.min(axis=1), P.max(axis=1)
     center = mean + R @ ((lo + hi) / 2.0)
     half = np.maximum((hi - lo) / 2.0, EXTENT_FLOOR)
-    return OrientedBox(center, R, half)
+    return OrientedBox(center, R, half, lam[0])
 
 
 # ===========================================================================
@@ -612,7 +616,7 @@ def _screen(pts, box):
     mean = s1 / count[:, None]
     C = np.subtract(X.take(coreset, axis=1).transpose(1, 0, 2), mean[:, :, None], order="C")
     cov = s2 / count[:, None, None] - mean[:, :, None] * mean[:, None, :]
-    _, vols = _sweep(C, _pca_axes(cov, C))
+    _, vols = _sweep(C, _pca_axes(*eigh_descending(cov), C))
     return [(float(a + b), *plane) for (a, b), plane in zip(vols.reshape(-1, 2), planes)]
 
 

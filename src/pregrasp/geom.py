@@ -82,10 +82,15 @@ def centred_rows(points):
     pass over a coordinate runs along contiguous memory.
 
     Raises:
-        DegenerateInput: all points lie within 1e-12 of their mean on each
-            coordinate (they coincide).
+        DegenerateInput: a point is not finite, the points' sum overflows,
+            or all lie within 1e-12 of their mean on each coordinate.
     """
-    mean = points.mean(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = points.mean(axis=0)
+    if not np.isfinite(mean).all():
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        raise DegenerateInput(f"point {bad[0]} has a non-finite coordinate" if len(bad)
+                              else "the sum of the points overflows")
     X = np.subtract(points.T, mean[:, None], order="C")
     if float(np.abs(X).max(initial=0.0)) < 1e-12:
         raise DegenerateInput("all points coincide")

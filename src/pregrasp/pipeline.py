@@ -11,6 +11,7 @@ import time
 from dataclasses import asdict, dataclass, field, is_dataclass
 from typing import Optional
 
+# `pca` is unused here but kept: perfbench/layers.py wraps `pipeline.pca`
 from .classifier import GRASP_PRESHAPE, ClassifierThresholds, GraspType, classify, pca
 from .decomposition import DecompParams, decompose
 from .errors import check_params
@@ -44,22 +45,19 @@ def _tree_section(tree):
              for n in tree.nodes]
     return {"nodes": nodes, "leaf_ids": tree.leaf_ids()}
 
-def _classify_all(cloud, tree, thresholds):
-    """(category, grasp_type, eigenvalues) per node, indexed by node id."""
-    out = []
-    for n in tree.nodes:
-        lam = pca(cloud.points[n.point_indices])
-        cat, grasp = classify(lam, 2.0 * n.box.half_extents, thresholds)
-        out.append((cat, grasp, lam))
-    return out
+def _classify_all(tree, thresholds):
+    """(category, grasp_type) per node, indexed by node id, from the
+    eigenvalues that its box fit took."""
+    return [classify(n.box.eigenvalues, 2.0 * n.box.half_extents, thresholds)
+            for n in tree.nodes]
 
-def _classification_section(classes):
+def _classification_section(tree, classes):
     return [{
-        "node_id": i,
-        "lambdas": [float(v) for v in lams],
+        "node_id": n.id,
+        "lambdas": [float(v) for v in n.box.eigenvalues],
         "category": cat.value,
         "grasp_type": grasp.value,
-    } for i, (cat, grasp, lams) in enumerate(classes)]
+    } for n, (cat, grasp) in zip(tree.nodes, classes)]
 
 def _mask_section(tree, masks):
     return [{
@@ -118,32 +116,27 @@ def run_pipeline(cloud, cfg, upto="rank"):
     }}
     timings = {}
 
-    t0 = time.perf_counter()
-    tree = decompose(cloud, cfg.decomposition)
-    timings["decompose"] = (time.perf_counter() - t0) * 1e3
+    def timed(stage, fn, *args):
+        t0 = time.perf_counter()
+        out = fn(*args)
+        timings[stage] = (time.perf_counter() - t0) * 1e3
+        return out
+
+    tree = timed("decompose", decompose, cloud, cfg.decomposition)
     doc["tree"] = _tree_section(tree)
 
-    classes = masks = pool = None
+    pool = None
     if last >= 1:
-        t0 = time.perf_counter()
-        classes = _classify_all(cloud, tree, cfg.thresholds)
-        timings["classify"] = (time.perf_counter() - t0) * 1e3
-        doc["classifications"] = _classification_section(classes)
+        classes = timed("classify", _classify_all, tree, cfg.thresholds)
+        doc["classifications"] = _classification_section(tree, classes)
     if last >= 2:
-        t0 = time.perf_counter()
-        masks = compute_face_states(tree, cfg.gripper.finger_length)
-        timings["mask"] = (time.perf_counter() - t0) * 1e3
+        masks = timed("mask", compute_face_states, tree, cfg.gripper.finger_length)
         doc["masks"] = _mask_section(tree, masks)
     if last >= 3:
-        t0 = time.perf_counter()
-        pool = generate_pool(tree, [(c, g) for c, g, _ in classes], masks,
-                             cfg.gripper, cfg.sampling)
-        timings["sample"] = (time.perf_counter() - t0) * 1e3
+        pool = timed("sample", generate_pool, tree, classes, masks, cfg.gripper, cfg.sampling)
         doc["pool"] = _pool_section(pool)
     if last >= 4:
-        t0 = time.perf_counter()
-        ranking = rank_pool(pool, cloud, cfg.gripper)
-        timings["rank"] = (time.perf_counter() - t0) * 1e3
+        ranking = timed("rank", rank_pool, pool, cloud, cfg.gripper)
         doc["ranking"] = _ranking_section(ranking)
         doc["best_index"] = ranking[0].pool_index if ranking else None
 

@@ -40,7 +40,7 @@ def plan_tree(path):
     cfg = RunConfig()
     cfg.sampling.angular_step, cfg.sampling.axial_step = 15.0, 0.01
     tree = decompose(cloud, cfg.decomposition)
-    plan = (cloud, cfg, tree, _classify_all(cloud, tree, cfg.thresholds),
+    plan = (cloud, cfg, tree, _classify_all(tree, cfg.thresholds),
             compute_face_states(tree, cfg.gripper.finger_length))
     Path(path).write_bytes(pickle.dumps(plan))
 

@@ -10,6 +10,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import fields, is_dataclass
 from pathlib import Path
 
@@ -241,6 +242,26 @@ def test_run_pipeline_rejects_non_integer_counts(section, name, value):
     with pytest.raises(ConfigError, match="must be an integer") as exc:
         run_pipeline(cloud, cfg)
     assert exc.value.field == f"{section}.{name}"
+
+
+def test_run_pipeline_rejects_an_unknown_stage():
+    cloud = synth_shape("sphere", (0.05,), 100, seed=0)
+    with pytest.raises(ValueError, match="unknown stage 'bogus'"):
+        run_pipeline(cloud, RunConfig(), upto="bogus")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_run_pipeline_names_a_non_finite_point(bad):
+    """A library caller's cloud with a non-finite coordinate is refused with
+    the point's index, and no warning fires (it used to report a covariance
+    overflow of "nan m", after a RuntimeWarning for an inf)."""
+    cloud = synth_shape("dumbbell", (0.2, 0.08, 0.03, 0.015), 3000, seed=1)
+    cloud.points[5, 2] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(pregrasp.DegenerateInput,
+                           match="^point 5 has a non-finite coordinate$"):
+            run_pipeline(cloud, RunConfig())
 
 
 def test_numpy_integers_pass_the_integer_check():

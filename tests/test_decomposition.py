@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ import helpers
 import oracles
 
 from pregrasp import DecompParams, decompose, decomposition, synth_shape
+from pregrasp.classifier import pca
 from pregrasp.decomposition import (
     EXTENT_FLOOR,
     SCREEN_DIRECTIONS,
@@ -29,6 +31,7 @@ from pregrasp.decomposition import (
     fit_obb,
 )
 from pregrasp.errors import DegenerateInput, EmptySide
+from pregrasp.geom import eigh_descending
 from pregrasp.pointcloud import SYNTH_KINDS, PointCloud
 
 
@@ -364,6 +367,44 @@ def test_fit_obb_coincident_points_rejected():
         fit_obb(np.zeros((5, 3)))
 
 
+def test_fit_obb_of_no_points_rejected():
+    with pytest.raises(DegenerateInput, match="^no points$"):
+        fit_obb(np.empty((0, 3)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_fit_obb_names_the_first_non_finite_point(bad):
+    """A non-finite coordinate is refused before any arithmetic on it: the
+    error names the first such point, and no warning fires."""
+    pts = synth_shape("dumbbell", (0.2, 0.08, 0.03, 0.015), 3000, seed=1).points.copy()
+    pts[5, 1] = pts[9, 0] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match="^point 5 has a non-finite coordinate$"):
+            fit_obb(pts)
+
+
+def test_fit_obb_refuses_an_overflowing_sum():
+    pts = np.array([[1e308, 0, 0], [1.5e308, 1, 0], [1e308, 0, 1], [1.2e308, 1, 1]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DegenerateInput, match="^the sum of the points overflows$"):
+            fit_obb(pts)
+
+
+@pytest.mark.bitexact
+@pytest.mark.parametrize("kind,dims,n", [
+    ("dumbbell", (0.2, 0.08, 0.03, 0.015), 3000),      # one block
+    ("lshape", (0.12, 0.08, 0.03), 20000),              # coreset: above 14,563 points
+    ("box", (0.12, 0.05, 0.05), 3000),                  # tied (square) cross-section
+], ids=["one-block", "coreset", "tied"])
+def test_fit_obb_keeps_the_eigenvalues_of_pca(kind, dims, n):
+    """The eigenvalues on a fitted box have the bytes of `classifier.pca` of
+    the same points, which the classifier took before they were kept."""
+    pts = synth_shape(kind, dims, n, seed=2).points
+    assert fit_obb(pts).eigenvalues.tobytes() == pca(pts).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # split machinery
 # ---------------------------------------------------------------------------
@@ -405,6 +446,20 @@ def test_evaluate_split_coincident_side_raises():
     box = helpers.axis_box((0.0, 0.05, 0.05), (0.5, 0.1, 0.1))
     with pytest.raises(DegenerateInput):
         evaluate_split(pts, box, 0, 0.0)
+
+
+@pytest.mark.parametrize("rotated", [False, True], ids=["aligned", "rotated"])
+def test_no_split_where_every_plane_leaves_an_empty_or_coincident_side(rotated):
+    """Two clusters of 300 coincident points, 0.1 m apart: the screen keeps
+    no plane, so the root stays whole."""
+    pts = np.repeat([[0.0, 0.0, 0.0], [0.1, 0.0, 0.0]], 300, axis=0)
+    if rotated:
+        pts = pts @ helpers.random_rotation(np.random.default_rng(3)).T
+    cloud = PointCloud(pts)
+    root = DecompNode(0, fit_obb(pts), np.arange(len(pts)))
+    assert decomposition._screen(pts, root.box) == []
+    assert decomposition._best_split_eval(root, cloud, DecompParams()) is None
+    assert len(decompose(cloud).nodes) == 1
 
 
 def _reference_split(node, cloud, params):
@@ -628,8 +683,8 @@ def _random_slabs(rng, n_slabs=17, m=49):
 
 @pytest.mark.bitexact
 def test_side_summaries_match_one_side_at_a_time_bytes():
-    """The scans over an axis's slabs give every side the bits of summing
-    that side on its own (`oracles.reference_side_summary`): moments added
+    """The masked reductions over an axis's slabs give every side the bits
+    of summing that side on its own (`oracles.reference_side_summary`): moments added
     slab by slab from +0.0, extremes from the lowest of tied slabs, with
     empty slabs, ties, signed zeros and one-slab sides."""
     rng = np.random.default_rng(5)
@@ -752,11 +807,12 @@ def test_stacked_fit_matches_stacks_of_one(monkeypatch):
     ratio = decomposition._TIED_EIGENVALUE_RATIO
     tied = (lam[:, 0] <= ratio * lam[:, 1]) | (lam[:, 1] <= ratio * lam[:, 2])
     assert tied.sum() > 4                                        # two tied blocks
-    ones = [decomposition._pca_axes(cov[g:g + 1], X[g:g + 1]) for g in range(len(X))]
+    ones = [decomposition._pca_axes(*eigh_descending(cov[g:g + 1]), X[g:g + 1])
+            for g in range(len(X))]
     ones = [(a, *decomposition._sweep(X[g:g + 1], a)) for g, a in enumerate(ones)]
     for budget in (decomposition._BLOCK_BYTES, 4 * 8 * 60 * X.shape[2]):
         monkeypatch.setattr(decomposition, "_BLOCK_BYTES", budget)
-        axes = decomposition._pca_axes(cov, X)
+        axes = decomposition._pca_axes(*eigh_descending(cov), X)
         R, vols = decomposition._sweep(X, axes)
         assert R.shape == (len(X), 3, 3) and vols.shape == (len(X),)
         for g, (one_axes, one_R, one_vol) in enumerate(ones):

@@ -180,6 +180,13 @@ def test_pinch_contacts_match_ray_oracle(small_sphere_cloud, gripper):
         assert normal @ inward > 0.0
 
 
+def test_unit_rows_of_a_zero_row_need_a_fallback():
+    rows = np.array([[3.0, 0.0, 4.0], [0.0, 0.0, 0.0]])
+    with pytest.raises(ValueError, match="cannot normalize a zero vector"):
+        unit_rows(rows)
+    assert unit_rows(rows, np.eye(3)[:2]).tolist() == [[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]]
+
+
 def test_no_contacts_raises(small_sphere_cloud, gripper):
     pg = make_pregrasp((1.0, 1.0, 1.0), (1, 0, 0), (0, 0, 1),
                        GraspType.SPHERICAL)

@@ -199,6 +199,22 @@ def test_ply_element_with_fewer_properties_before_the_vertices(tmp_path):
     assert str(err) == f"line 13: {BAD_NUMBER}"
 
 
+@pytest.mark.parametrize("text,line,reason", [
+    pytest.param("plyx\nformat ascii 1.0\nend_header\n", 1,
+                 "not a PLY file (missing 'ply' magic)", id="no-magic"),
+    pytest.param(PLY_HEADER.format(n=4, props=XYZ_PROPS).replace("end_header\n", "0 0 0\n"), 7,
+                 "missing end_header", id="no-end-header"),
+    pytest.param("ply\nformat ascii 1.0\nelement face 1\nproperty float a\nend_header\n0\n", 5,
+                 "no vertex element declared", id="no-vertex-element"),
+])
+def test_ply_header_faults(tmp_path, text, line, reason):
+    path = tmp_path / "cloud.ply"
+    path.write_text(text)
+    err = _parse_error(path)
+    assert err.line == line
+    assert str(err) == f"line {line}: {reason}"
+
+
 @pytest.mark.parametrize("declaration", [
     "element material abc", "element material -1", "element material", "element vertex x"])
 def test_ply_bad_count_before_the_vertices(tmp_path, declaration):
@@ -627,6 +643,13 @@ def test_results_roundtrip(tmp_path):
     back = load_results(path)
     assert back == payload
     assert [math.copysign(1.0, q) for q in back["q"]] == [-1.0, 1.0, -1.0, 1.0]
+
+
+def test_results_onto_a_directory_leave_no_temp_file(tmp_path):
+    (tmp_path / "run.json").mkdir()
+    with pytest.raises(IsADirectoryError):
+        save_results(tmp_path / "run.json", {"pool": []})
+    assert [f.name for f in tmp_path.iterdir()] == ["run.json"]
 
 
 def test_results_strings_may_spell_the_constants(tmp_path):
